@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactlin import (
+    ChartError,
     Flag,
     Matrix,
     NilpotentOperator,
@@ -40,14 +41,8 @@ from .exactlin import (
     vec_add,
     vec_scale,
 )
+from .partitions import Partition
 from .tableaux import StandardTableau, make_Q
-
-
-# Parameter conventions: VParams lists the recurrence coefficients
-# alpha_3..alpha_{k+1}; PhiParams lists the k+2 chart-family parameters in
-# the order documented on phi_map.
-VParams = Sequence
-PhiParams = Sequence
 
 
 class CertificateError(Exception):
@@ -242,22 +237,30 @@ class SingularityCertificate:
     singular: bool
 
     def to_json(self) -> dict:
+        def status(ok: bool) -> str:
+            return "pass" if ok else "fail"
+
         return {
             "case": "(3,2,2) singular component",
             "checks": [
                 {
                     "name": "tangent-rank",
-                    "status": "pass",
+                    "status": status(self.tangent_dim_lower_bound > self.component_dim),
                     "detail": f"rank {self.tangent_dim_lower_bound} at the origin",
                 },
                 {
                     "name": "component-dimension",
-                    "status": "pass",
+                    "status": status(
+                        self.component_dim == Partition(self.shape).springer_dim()
+                    ),
                     "detail": f"dimension {self.component_dim}",
                 },
                 {
                     "name": "cell-membership",
-                    "status": "pass",
+                    "status": status(
+                        self.membership_points > 0
+                        and self.membership_points == 2 * len(self.witness_curves)
+                    ),
                     "detail": f"{self.membership_points} exact membership confirmations",
                 },
             ],
@@ -277,8 +280,6 @@ def certify_322() -> SingularityCertificate:
     exact confirmations per curve.  Raises CertificateError if any
     sub-check fails.
     """
-    from .partitions import Partition
-
     tangents = [curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES]
     rank = Matrix([_strictly_lower_coords(m) for m in tangents]).rank()
     if rank != 7:
@@ -597,7 +598,7 @@ def verify_smooth_chart(
     in_chart = True
     try:
         chart_coords(flag, d)
-    except Exception:
+    except ChartError:
         in_chart = False
     checks.append(
         {

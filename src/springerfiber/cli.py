@@ -3,7 +3,9 @@
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 Exit codes: 0 on success, 1 when an operation or verification check fails,
 2 on unparsable input.  The environment variable SPRINGERFIBER_MAX_N
-overrides the default search bound of the enumeration-backed subcommands.
+overrides the default search bound of the enumeration-backed subcommands;
+like ``--max-n``, it must be a nonnegative integer, else the input is
+unparsable.
 """
 
 from __future__ import annotations
@@ -73,10 +75,15 @@ def _parse_standard(text: str) -> StandardTableau:
 
 
 def _max_n(args) -> int | None:
-    if getattr(args, "max_n", None) is not None:
-        return args.max_n
-    env = os.environ.get(ENV_MAX_N)
-    return int(env) if env else None
+    bound = getattr(args, "max_n", None)
+    if bound is None:
+        env = os.environ.get(ENV_MAX_N)
+        if not env:
+            return None
+        bound = _parse(int, env, ENV_MAX_N)
+    if bound < 0:
+        raise InputError(f"search bound must be nonnegative, got {bound}")
+    return bound
 
 
 def _cmd_classify(args):

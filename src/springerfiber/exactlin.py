@@ -6,13 +6,17 @@ plain tuples used as columns by operators and as rows by spans.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
-every basis vector to its left neighbour).  A flag is an ordered basis;
-the cell of a flag records the Jordan types of the operator restricted to
-the flag prefixes, which recovers the unique standard tableau labelling
-the Spaltenstein cell containing the flag.  The dual cell uses quotient
-types instead.  A canonical symmetric bilinear form making the operator
-self-adjoint gives the orthogonal-complement flag map, which exchanges the
-two kinds of cells up to evacuation.
+every basis vector to its left neighbour).  It is held as index maps on
+that basis, never as a dense matrix: the kernels and images of its powers
+are coordinate subspaces read off the tableau columns.  A flag is an
+ordered basis; the cell of a flag records the Jordan types of the operator
+restricted to the flag prefixes, which recovers the unique standard
+tableau labelling the Spaltenstein cell containing the flag.  The dual
+cell uses quotient types instead.  A canonical symmetric bilinear form
+making the operator self-adjoint pairs each chain with itself reversed;
+it is an involution of the basis indices and gives the
+orthogonal-complement flag map, which exchanges the two kinds of cells up
+to evacuation.
 
 For the one-box-third-row shapes (k,k,1) the module also provides the
 shuffle description of the Jordan flags inside the fiber, the special
@@ -32,7 +36,6 @@ from .partitions import Partition
 from .tableaux import StandardTableau, from_shape_chain, schuetzenberger
 
 Vector = tuple[Fraction, ...]
-RationalVector = Vector
 
 
 class ChartError(ValueError):
@@ -67,14 +70,6 @@ def vec_scale(c, a: Vector) -> Vector:
     return tuple(c * x for x in a)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 class Matrix:
     """Dense exact-rational matrix with row tuples."""
 
@@ -89,14 +84,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(unit_vector(n, i + 1) for i in range(n))
-
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls([Fraction(0)] * n for _ in range(m))
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
-        return cls(zip(*cols)) if cols else cls(())
 
     @property
     def nrows(self) -> int:
@@ -192,7 +179,7 @@ class Matrix:
         return tuple(basis)
 
     def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self.rows]
+        return [[str(x) for x in row] for row in self.rows]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Matrix):
@@ -204,9 +191,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
-
-
-RationalMatrix = Matrix
 
 
 def stack(vectors: Sequence[Vector]) -> Matrix:
@@ -234,13 +218,6 @@ def intersection_dim(a: Sequence[Vector], b: Sequence[Vector]) -> int:
     if ra == 0 or rb == 0:
         return 0
     return ra + rb - stack(tuple(a) + tuple(b)).rank()
-
-
-def complement_basis(vectors: Sequence[Vector], n: int) -> tuple[Vector, ...]:
-    """Basis of the dot-product annihilator of the span."""
-    if not vectors:
-        return tuple(unit_vector(n, i + 1) for i in range(n))
-    return stack(vectors).nullspace()
 
 
 class Permutation:
@@ -329,52 +306,54 @@ class Flag:
         return True
 
     def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in v] for v in self.vectors]
+        return [[str(x) for x in v] for v in self.vectors]
 
     def __repr__(self) -> str:
         return f"Flag(n={self.n})"
 
 
 class NilpotentOperator:
-    """Nilpotent matrix with a tableau-labelled Jordan basis.
+    """Nilpotent operator with a tableau-labelled Jordan basis, held as index maps.
 
     Row ``i`` of the tableau lists a Jordan chain left to right; the
     operator maps each basis vector to its left neighbour and kills the
-    first column.  Powers and kernels are precomputed, so instances are
-    immutable after construction.
+    first column.  Per 0-based basis index ``i`` it stores ``right[i]``, the
+    index of the right neighbour (``None`` at the end of a row), so
+    ``(u v)[i] = v[right[i]]``; ``column[i]``, the 1-based column, so
+    ker u^j is spanned by the e_i with column at most j; and
+    ``boxes_right[i]``, so im u^j is spanned by the e_i with at least j
+    boxes to their right.  Instances are immutable.
     """
 
-    __slots__ = ("matrix", "tableau", "jordan_type", "n", "_powers", "_kernels")
+    __slots__ = ("tableau", "jordan_type", "n", "right", "column", "boxes_right")
 
-    def __init__(self, matrix: Matrix, tableau: StandardTableau):
+    def __init__(self, tableau: StandardTableau):
         n = tableau.n
-        if matrix.nrows != n or matrix.ncols != n:
-            raise ValueError("matrix size does not match the tableau")
-        self.matrix = matrix
+        right: list[int | None] = [None] * n
+        column = [0] * n
+        boxes_right = [0] * n
+        for row in tableau.rows:
+            m = len(row)
+            for j, e in enumerate(row):
+                right[e - 1] = row[j + 1] - 1 if j + 1 < m else None
+                column[e - 1] = j + 1
+                boxes_right[e - 1] = m - 1 - j
         self.tableau = tableau
         self.jordan_type = tableau.shape
         self.n = n
-        degree = self.jordan_type.num_columns
-        powers = [Matrix.identity(n)]
-        for _ in range(degree):
-            powers.append(powers[-1] @ matrix)
-        if not powers[-1].is_zero():
-            raise ValueError("operator is not nilpotent of the expected degree")
-        self._powers = tuple(powers)
-        self._kernels = tuple(p.nullspace() for p in powers)
+        self.right = tuple(right)
+        self.column = tuple(column)
+        self.boxes_right = tuple(boxes_right)
 
     @property
     def degree(self) -> int:
-        return len(self._powers) - 1
-
-    def power(self, j: int) -> Matrix:
-        return self._powers[min(j, self.degree)]
-
-    def kernel_of_power(self, j: int) -> tuple[Vector, ...]:
-        return self._kernels[min(j, self.degree)]
+        return self.jordan_type.num_columns
 
     def apply(self, v: Vector) -> Vector:
-        return self.matrix.apply(v)
+        if len(v) != self.n:
+            raise ValueError("vector length does not match")
+        zero = Fraction(0)
+        return tuple(zero if r is None else v[r] for r in self.right)
 
     def __repr__(self) -> str:
         return f"NilpotentOperator(type={self.jordan_type}, basis={self.tableau.text()!r})"
@@ -382,12 +361,12 @@ class NilpotentOperator:
 
 def jordan_operator(t: StandardTableau) -> NilpotentOperator:
     """Operator sending basis vector ``e`` to its left neighbour in the tableau row."""
-    n = t.n
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for row in t.rows:
-        for prev, cur in zip(row, row[1:]):
-            entries[prev - 1][cur - 1] = Fraction(1)
-    return NilpotentOperator(Matrix(entries), t)
+    return NilpotentOperator(t)
+
+
+def _coordinate_span(n: int, indices: Iterable[int]) -> tuple[Vector, ...]:
+    """The unit vectors of dimension ``n`` at the given 0-based indices."""
+    return tuple(unit_vector(n, i + 1) for i in indices)
 
 
 def _independent_basis(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
@@ -408,7 +387,9 @@ def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partiti
 
     Column ``j`` of the type is the kernel-dimension jump of the ``j``-th
     power, computed as dimensions of intersections with the ambient power
-    kernels (restriction does not change the vectors a power kills).
+    kernels (restriction does not change the vectors a power kills).  The
+    kernel of u^j is the coordinate span of the basis vectors in the first
+    ``j`` columns of the tableau.
     """
     vecs = _independent_basis(subspace)
     _require_stable(u, vecs)
@@ -416,7 +397,8 @@ def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partiti
     dims = [0]
     j = 1
     while dims[-1] < d:
-        dims.append(intersection_dim(vecs, u.kernel_of_power(j)))
+        kernel = _coordinate_span(u.n, (i for i, c in enumerate(u.column) if c <= j))
+        dims.append(intersection_dim(vecs, kernel))
         j += 1
         if j > u.degree + 1:
             raise AssertionError("kernel filtration failed to exhaust the subspace")
@@ -428,21 +410,20 @@ def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition
     """Jordan type induced on the quotient by a stable subspace.
 
     Works basis-free via the preimage chain: the kernel of the ``j``-th
-    induced power has dimension dim(preimage of W under u^j) - dim W.
+    induced power has dimension dim(preimage of W under u^j) - dim W, and
+    that preimage has dimension dim ker u^j + dim(W meet im u^j).  Both
+    ker u^j and im u^j are coordinate subspaces of the Jordan basis.
     """
     vecs = _independent_basis(subspace)
     _require_stable(u, vecs)
     n = u.n
-    annihilator = complement_basis(vecs, n)
     dims = [len(vecs)]
     parts = []
     j = 1
     while dims[-1] < n:
-        if annihilator:
-            preimage_dim = n - (stack(annihilator) @ u.power(j)).rank()
-        else:
-            preimage_dim = n
-        dims.append(preimage_dim)
+        kernel_dim = sum(1 for c in u.column if c <= j)
+        image = _coordinate_span(n, (i for i, b in enumerate(u.boxes_right) if b >= j))
+        dims.append(kernel_dim + intersection_dim(vecs, image))
         parts.append(dims[-1] - dims[-2])
         j += 1
         if j > u.degree + 1:
@@ -475,40 +456,53 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     return schuetzenberger(from_shape_chain(chain))
 
 
-def bilinear_form(u: NilpotentOperator) -> Matrix:
+def bilinear_form(u: NilpotentOperator) -> Permutation:
     """Canonical symmetric nondegenerate form making the operator self-adjoint.
 
     Within each Jordan chain of length m the j-th and (m+1-j)-th vectors
-    pair to 1; everything else pairs to 0.  The defining properties are
-    verified, not assumed.
+    pair to 1; everything else pairs to 0.  The form is returned as the
+    involution ``g`` of the basis indices with e_i paired to e_g(i), so its
+    Gram matrix is the permutation matrix of ``g``.  The defining
+    properties are verified, not assumed.
     """
     n = u.n
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    images = [0] * n
     for row in u.tableau.rows:
         m = len(row)
         for j in range(m):
-            entries[row[j] - 1][row[m - 1 - j] - 1] = Fraction(1)
-    g = Matrix(entries)
-    if g.transpose() != g:
+            images[row[j] - 1] = row[m - 1 - j]
+    try:
+        g = Permutation(images)
+    except ValueError as exc:
+        raise AssertionError("form is degenerate") from exc
+    indices = range(1, n + 1)
+    if any(g(g(i)) != i for i in indices):
         raise AssertionError("form is not symmetric")
-    if g.rank() != n:
-        raise AssertionError("form is degenerate")
-    if g @ u.matrix != u.matrix.transpose() @ g:
-        raise AssertionError("operator is not self-adjoint for the form")
+    # u e_i = e_left[i]; u kills the basis vectors whose index is not a key
+    left = {r + 1: i + 1 for i, r in enumerate(u.right) if r is not None}
+    for i in indices:
+        for j in indices:
+            # B(u e_i, e_j) = B(e_i, u e_j), where B(e_a, e_b) = 1 iff g(a) = b
+            if (i in left and g(left[i]) == j) != (j in left and g(i) == left[j]):
+                raise AssertionError("operator is not self-adjoint for the form")
     return g
 
 
-def perp_flag(flag: Flag, form: Matrix) -> Flag:
-    """Flag of orthogonal complements, reversing the subspace chain."""
+def perp_flag(flag: Flag, form: Permutation) -> Flag:
+    """Flag of orthogonal complements, reversing the subspace chain.
+
+    ``form`` is the involution ``g`` returned by ``bilinear_form``.  The
+    product of a row vector w with its Gram matrix is w with its
+    coordinates permuted, entry c being w[g(c)]; the complement of a prefix
+    is the nullspace of those permuted rows.
+    """
     n = flag.n
-    if form.rank() != n:
-        raise ValueError("bilinear form is degenerate")
-    kernels = []
-    for i in range(n + 1):
-        if i == 0:
-            kernels.append(tuple(unit_vector(n, j + 1) for j in range(n)))
-        else:
-            kernels.append((stack(flag.prefix(i)) @ form).nullspace())
+    if form.n != n:
+        raise ValueError("bilinear form size does not match the flag")
+    paired = [tuple(w[form(c) - 1] for c in range(1, n + 1)) for w in flag.vectors]
+    kernels = [tuple(unit_vector(n, j + 1) for j in range(n))]
+    for i in range(1, n + 1):
+        kernels.append(stack(paired[:i]).nullspace())
     chosen: list[Vector] = []
     for j in range(1, n + 1):
         candidates = kernels[n - j]
@@ -634,7 +628,7 @@ class ChartCoordinates:
         return {
             "d": self.d,
             "n": self.n,
-            "phi": {f"{i},{j}": format_rational(x) for (i, j), x in sorted(self.phi.items())},
+            "phi": {f"{i},{j}": str(x) for (i, j), x in sorted(self.phi.items())},
         }
 
 

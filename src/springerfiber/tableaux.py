@@ -98,11 +98,6 @@ class Tableau:
             raise ValueError("empty tableau has no entries")
         return self.rows[0][0]
 
-    def max_entry(self) -> int:
-        if not self.rows:
-            raise ValueError("empty tableau has no entries")
-        return max(row[-1] for row in self.rows)
-
     def is_standard(self) -> bool:
         return self.entries() == tuple(range(1, self.n + 1))
 

@@ -9,6 +9,7 @@ from springerfiber.certificates import (
     WITNESS_CURVES,
     CertificateError,
     Jet,
+    SingularityCertificate,
     certify_322,
     curve_tangent,
     default_chart_parameters,
@@ -22,6 +23,7 @@ from springerfiber.certificates import (
     verify_smooth_chart,
 )
 from springerfiber.exactlin import (
+    Matrix,
     in_span,
     restricted_type,
     special_flag,
@@ -31,6 +33,16 @@ from springerfiber.exactlin import (
     vec_scale,
 )
 from springerfiber.partitions import Partition
+
+
+def dense_power(u, j) -> Matrix:
+    """u^j multiplied out from the dense matrix whose column i is u applied to e_i."""
+    m = Matrix(zip(*(u.apply(unit_vector(u.n, i)) for i in range(1, u.n + 1))))
+    power = Matrix.identity(u.n)
+    for _ in range(j):
+        power = power @ m
+    return power
+
 
 fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -150,6 +162,23 @@ class TestCertificate:
         }
         assert all(c["status"] == "pass" for c in payload["checks"])
 
+    def test_json_reports_failed_checks(self):
+        cert = SingularityCertificate(
+            shape=(3, 2, 2),
+            tableau=CELL_TABLEAU_322.text(),
+            tangent_dim_lower_bound=6,
+            component_dim=6,
+            witness_curves=tuple(name for name, _, _ in WITNESS_CURVES),
+            membership_points=0,
+            singular=False,
+        )
+        status = {c["name"]: c["status"] for c in cert.to_json()["checks"]}
+        assert status == {
+            "tangent-rank": "fail",
+            "component-dimension": "pass",
+            "cell-membership": "fail",
+        }
+
     def test_basis_and_cell_constants(self):
         assert BASIS_TABLEAU_322.text() == "1,4,7/2,5/3,6"
         assert CELL_TABLEAU_322.text() == "1,2,5/3,4/6,7"
@@ -213,8 +242,8 @@ class TestVVectors:
                 vs = v_vectors(k, alpha)
                 for i in range(2, k + 2):
                     v = vs[i - 1]
-                    assert in_span(u.kernel_of_power(i - 1), v)
-                    assert not in_span(u.kernel_of_power(i - 2), v)
+                    assert all(x == 0 for x in dense_power(u, i - 1).apply(v))
+                    assert any(x != 0 for x in dense_power(u, i - 2).apply(v))
 
     def test_unit_expansion_heads(self):
         # v_i = e_i + (accumulated alpha) e_{i+1} + span(e_{i+2}..e_{n-1})
@@ -360,3 +389,12 @@ class TestVerifySmoothChart:
     def test_rejects_zero_tuple(self):
         with pytest.raises(ValueError):
             verify_smooth_chart(2, 4, parameter_tuples=[(0, 1, 1, 1)])
+
+    def test_unexpected_chart_error_propagates(self, monkeypatch):
+        # with no parameter tuples the mixed-tuple check is the only chart call
+        def broken(flag, d):
+            raise TypeError("broken chart")
+
+        monkeypatch.setattr("springerfiber.certificates.chart_coords", broken)
+        with pytest.raises(TypeError):
+            verify_smooth_chart(2, 4, parameter_tuples=[])

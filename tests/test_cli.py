@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from springerfiber.cli import main
 
 
@@ -83,6 +85,23 @@ class TestClassCommands:
     def test_max_n_flag(self, capsys):
         code, _, err = run(capsys, "eqs-partition", "2,2,1", "--max-n", "3")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ("abc", ()),
+            ("-1", ()),
+            (None, ("--max-n", "-1")),
+        ],
+        ids=["env-not-integer", "env-negative", "flag-negative"],
+    )
+    def test_bad_bound_is_input_error(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("SPRINGERFIBER_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("SPRINGERFIBER_MAX_N", env)
+        code, _, _ = run(capsys, "eqs-partition", "2,2,1", *argv)
+        assert code == 2
 
     def test_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("SPRINGERFIBER_MAX_N", "3")

@@ -14,11 +14,11 @@ from springerfiber.exactlin import (
     cell_prime_of,
     chart_coords,
     chart_flag,
-    complement_basis,
     degenerate_to_special,
     fiber_permutations,
     in_cell,
     in_springer_fiber,
+    intersection_dim,
     jordan_flag,
     jordan_operator,
     perp_flag,
@@ -29,11 +29,14 @@ from springerfiber.exactlin import (
     special_flag,
     special_operator,
     special_perm,
+    stack,
     unit_vector,
 )
+from springerfiber.certificates import phi_map
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     column_superstandard,
+    enumerate_tableaux,
     parse_tableau,
     schuetzenberger,
 )
@@ -67,6 +70,91 @@ def jordan_type_by_rank(m: Matrix) -> tuple[int, ...]:
         sum(1 for c in cols if c >= j) for j in range(1, max(cols) + 1)
     )
     return widths
+
+
+def dense_operator(u) -> Matrix:
+    """Dense matrix of the operator: column i is u applied to e_i."""
+    return Matrix(zip(*(u.apply(unit_vector(u.n, i)) for i in range(1, u.n + 1))))
+
+
+def dense_gram(g: Permutation) -> Matrix:
+    """Gram matrix of the form pairing e_i with e_g(i)."""
+    return Matrix([[int(g(i) == j) for j in range(1, g.n + 1)] for i in range(1, g.n + 1)])
+
+
+# Dense reference formulas: the operator, its powers, the power kernels,
+# the annihilator of a subspace and the Gram matrix are all multiplied out
+# as Fraction matrices built straight from the basis tableau.
+
+
+def oracle_operator(t) -> Matrix:
+    """Dense matrix with a 1 at (prev, cur) for each pair of row neighbours."""
+    entries = [[0] * t.n for _ in range(t.n)]
+    for row in t.rows:
+        for prev, cur in zip(row, row[1:]):
+            entries[prev - 1][cur - 1] = 1
+    return Matrix(entries)
+
+
+def oracle_gram(t) -> Matrix:
+    """Dense Gram matrix pairing the j-th and (m+1-j)-th vectors of each row."""
+    entries = [[0] * t.n for _ in range(t.n)]
+    for row in t.rows:
+        for a, b in zip(row, reversed(row)):
+            entries[a - 1][b - 1] = 1
+    return Matrix(entries)
+
+
+def oracle_powers(m: Matrix) -> list[Matrix]:
+    """Powers of a nilpotent matrix from the identity up to the first zero one."""
+    powers = [Matrix.identity(m.nrows)]
+    while not powers[-1].is_zero():
+        powers.append(powers[-1] @ m)
+    return powers
+
+
+def oracle_restricted_type(kernels, vecs) -> Partition:
+    dims = [0]
+    while dims[-1] < len(vecs):
+        dims.append(intersection_dim(vecs, kernels[min(len(dims), len(kernels) - 1)]))
+    return Partition([dims[t] - dims[t - 1] for t in range(1, len(dims))]).conjugate()
+
+
+def oracle_quotient_type(powers, vecs) -> Partition:
+    n = powers[0].nrows
+    annihilator = stack(vecs).nullspace() if vecs else Matrix.identity(n).rows
+    dims = [len(vecs)]
+    while dims[-1] < n:
+        p = powers[min(len(dims), len(powers) - 1)]
+        dims.append(n - (stack(annihilator) @ p).rank() if annihilator else n)
+    return Partition([dims[t] - dims[t - 1] for t in range(1, len(dims))]).conjugate()
+
+
+def oracle_perp_flag(flag: Flag, gram: Matrix) -> Flag:
+    n = flag.n
+    kernels = [Matrix.identity(n).rows]
+    kernels += [(stack(flag.prefix(i)) @ gram).nullspace() for i in range(1, n + 1)]
+    chosen = []
+    for j in range(1, n + 1):
+        chosen.append(
+            next(v for v in kernels[n - j] if stack(chosen + [v]).rank() > len(chosen))
+        )
+    return Flag(chosen)
+
+
+def assert_matches_oracle(u, flags) -> None:
+    """Index-map answers against the dense formulas on every prefix of each flag."""
+    powers = oracle_powers(oracle_operator(u.tableau))
+    assert len(powers) - 1 == u.degree
+    kernels = [p.nullspace() for p in powers]
+    gram = oracle_gram(u.tableau)
+    form = bilinear_form(u)
+    for flag in flags:
+        for i in range(flag.n + 1):
+            prefix = flag.prefix(i)
+            assert restricted_type(u, prefix) == oracle_restricted_type(kernels, prefix)
+            assert quotient_type(u, prefix) == oracle_quotient_type(powers, prefix)
+        assert perp_flag(flag, form).same_flag(oracle_perp_flag(flag, gram))
 
 
 class TestMatrix:
@@ -131,8 +219,10 @@ class TestJordanOperator:
 
     def test_nilpotency_degree(self):
         u = jordan_operator(T("1,2,3"))
-        assert u.power(3).is_zero()
-        assert not u.power(2).is_zero()
+        m = dense_operator(u)
+        assert (m @ m @ m).is_zero()
+        assert not (m @ m).is_zero()
+        assert u.degree == 3
 
     def test_full_space_type_round_trip(self):
         for n in range(1, 9):
@@ -183,17 +273,37 @@ class TestQuotientType:
         # quotient by span(e1): induced action on images of e2..e7 kills the
         # e1 component; build that 6x6 matrix directly
         rows = [
-            [u.matrix.rows[i][j] for j in range(1, 7)] for i in range(1, 7)
+            [dense_operator(u).rows[i][j] for j in range(1, 7)] for i in range(1, 7)
         ]
         induced = Matrix(rows)
         assert jordan_type_by_rank(induced) == (2, 2, 2)
         assert quotient_type(u, [unit_vector(7, 1)]) == Partition((2, 2, 2))
 
-    def test_complement_basis(self):
-        vecs = [unit_vector(3, 1)]
-        comp = complement_basis(vecs, 3)
-        assert len(comp) == 2
-        assert all(v[0] == 0 for v in comp)
+
+
+class TestDenseOracle:
+    def test_operator_matches_dense_construction(self):
+        for n in range(1, 6):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    assert dense_operator(jordan_operator(t)) == oracle_operator(t)
+
+    def test_coordinate_flags(self):
+        for n in range(1, 6):
+            for shape in partitions_of(n):
+                u = jordan_operator(column_superstandard(shape))
+                assert_matches_oracle(u, [jordan_flag(s) for s in fiber_permutations(u)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_dense_chart_flags(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        d = data.draw(st.integers(min_value=3, max_value=k + 2))
+        nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+            lambda x: x != 0
+        )
+        params = data.draw(st.lists(nonzero, min_size=k + 2, max_size=k + 2))
+        assert_matches_oracle(special_operator(k), [phi_map(k, d, params)])
 
 
 class TestCells:
@@ -236,10 +346,16 @@ class TestDuality:
     def test_bilinear_form_properties(self):
         for t in (T("1,3/2,4/5"), T("1,4,7/2,5/3,6")):
             u = jordan_operator(t)
-            g = bilinear_form(u)
-            assert g.transpose() == g
-            assert g.rank() == u.n
-            assert g @ u.matrix == u.matrix.transpose() @ g
+            gram = dense_gram(bilinear_form(u))
+            m = dense_operator(u)
+            assert gram.transpose() == gram
+            assert gram.rank() == u.n
+            assert gram @ m == m.transpose() @ gram
+
+    def test_perp_flag_rejects_form_of_other_size(self):
+        flag = jordan_flag(Permutation(range(1, 6)))
+        with pytest.raises(ValueError):
+            perp_flag(flag, bilinear_form(jordan_operator(T("1,4,7/2,5/3,6"))))
 
     def test_perp_involution(self):
         u = special_operator(2)
