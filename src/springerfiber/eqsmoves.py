@@ -219,7 +219,6 @@ class EqsClass:
     shape: Partition
     members: tuple[StandardTableau, ...]
     representative: StandardTableau
-    edges: tuple[tuple[StandardTableau, MoveLabel, StandardTableau], ...]
     dist: int | None
 
     @property
@@ -248,12 +247,10 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
         raise ValueError(f"search bound exceeded: n={t.n} > {bound}")
     visited = {t}
     frontier = [t]
-    edges = set()
     while frontier:
         fresh = []
         for u in sorted(frontier):
-            for label, v in legal_moves(u):
-                edges.add((u, label, v))
+            for _, v in legal_moves(u):
                 if v not in visited:
                     visited.add(v)
                     fresh.append(v)
@@ -264,9 +261,6 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
         shape=t.shape,
         members=members,
         representative=rep,
-        edges=tuple(
-            sorted(edges, key=lambda e: (e[0].row_word(), str(e[1]), e[2].row_word()))
-        ),
         dist=_dist_or_none(rep),
     )
 

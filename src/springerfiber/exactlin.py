@@ -3,20 +3,23 @@
 Everything runs over ``fractions.Fraction``; there is no floating point
 anywhere, so rank, kernel, and membership answers are exact.  Vectors are
 plain tuples used as columns by operators and as rows by spans.
+``Matrix.rref`` is the one elimination routine (``chart_coords`` aside):
+ranks, span membership and the complement flag's inverse all come from it.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
 every basis vector to its left neighbour).  It is held as index maps on
 that basis, never as a dense matrix: the kernels and images of its powers
-are coordinate subspaces read off the tableau columns.  A flag is an
-ordered basis; the cell of a flag records the Jordan types of the operator
-restricted to the flag prefixes, which recovers the unique standard
-tableau labelling the Spaltenstein cell containing the flag.  The dual
-cell uses quotient types instead.  A canonical symmetric bilinear form
-making the operator self-adjoint pairs each chain with itself reversed;
-it is an involution of the basis indices and gives the
-orthogonal-complement flag map, which exchanges the two kinds of cells up
-to evacuation.
+are coordinate subspaces read off the tableau columns, so their meet with
+a subspace W has dimension dim W minus the rank of W on the remaining
+coordinates.  A flag is an ordered basis; the cell of a flag records the
+Jordan types of the operator restricted to the flag prefixes, which
+recovers the unique standard tableau labelling the Spaltenstein cell
+containing the flag.  The dual cell uses quotient types instead.  A
+canonical symmetric bilinear form making the operator self-adjoint pairs
+each chain with itself reversed; it is an involution of the basis indices
+and gives the orthogonal-complement flag map, which exchanges the two
+kinds of cells up to evacuation.
 
 For the one-box-third-row shapes (k,k,1) the module also provides the
 shuffle description of the Jordan flags inside the fiber, the special
@@ -29,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .partitions import Partition
-from .tableaux import StandardTableau, from_shape_chain, schuetzenberger
+from .tableaux import DEFAULT_ENUM_BOUND, StandardTableau, from_shape_chain, schuetzenberger
 
 Vector = tuple[Fraction, ...]
 
@@ -141,26 +144,9 @@ class Matrix:
                 break
         return tuple(tuple(r) for r in rows[:pr]), tuple(pivots)
 
-    def rank(self, pivot: str = "first") -> int:
-        """Exact rank; ``pivot`` picks the first or last candidate row per column."""
-        rows = [list(r) for r in self.rows]
-        nrows, ncols = len(rows), self.ncols
-        pr = 0
-        for c in range(ncols):
-            candidates = [r for r in range(pr, nrows) if rows[r][c] != 0]
-            if not candidates:
-                continue
-            chosen = candidates[0] if pivot == "first" else candidates[-1]
-            rows[pr], rows[chosen] = rows[chosen], rows[pr]
-            fp = rows[pr][c]
-            for r in range(pr + 1, nrows):
-                if rows[r][c] != 0:
-                    f = rows[r][c] / fp
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-            pr += 1
-            if pr == nrows:
-                break
-        return pr
+    def rank(self) -> int:
+        """Exact rank: the number of pivots of the reduced row echelon form."""
+        return len(self.rref()[1])
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, one vector per free column."""
@@ -193,31 +179,27 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def stack(vectors: Sequence[Vector]) -> Matrix:
-    return Matrix(vectors)
+def _reduce(reduced: Sequence[Vector], pivots: Sequence[int], v: Vector) -> list[Fraction]:
+    """``v`` minus its combination of the RREF rows: zero iff ``v`` is in their span."""
+    w = list(v)
+    for row, p in zip(reduced, pivots):
+        c = w[p]
+        if c:
+            w = [a - c * b for a, b in zip(w, row)]
+    return w
 
 
 def span_rank(vectors: Sequence[Vector]) -> int:
-    if not vectors:
-        return 0
-    return stack(vectors).rank()
+    return Matrix(vectors).rank()
 
 
 def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    base = span_rank(vectors)
-    return stack(tuple(vectors) + (v,)).rank() == base
+    reduced, pivots = Matrix(vectors).rref()
+    return not any(_reduce(reduced, pivots, vector(v)))
 
 
 def intersection_dim(a: Sequence[Vector], b: Sequence[Vector]) -> int:
-    ra = span_rank(a)
-    rb = span_rank(b)
-    if ra == 0 or rb == 0:
-        return 0
-    return ra + rb - stack(tuple(a) + tuple(b)).rank()
+    return span_rank(a) + span_rank(b) - span_rank(tuple(a) + tuple(b))
 
 
 class Permutation:
@@ -280,7 +262,7 @@ class Flag:
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        if n and stack(vectors).rank() != n:
+        if n and Matrix(vectors).rank() != n:
             raise ValueError("flag basis is linearly dependent")
         self.vectors = vectors
 
@@ -301,7 +283,7 @@ class Flag:
         if self.n != other.n:
             return False
         for i in range(1, self.n + 1):
-            if stack(self.prefix(i) + other.prefix(i)).rank() != i:
+            if Matrix(self.prefix(i) + other.prefix(i)).rank() != i:
                 return False
         return True
 
@@ -364,22 +346,19 @@ def jordan_operator(t: StandardTableau) -> NilpotentOperator:
     return NilpotentOperator(t)
 
 
-def _coordinate_span(n: int, indices: Iterable[int]) -> tuple[Vector, ...]:
-    """The unit vectors of dimension ``n`` at the given 0-based indices."""
-    return tuple(unit_vector(n, i + 1) for i in indices)
-
-
-def _independent_basis(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
-    vecs = tuple(vector(v) for v in vectors)
-    if vecs and span_rank(vecs) != len(vecs):
+def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vector, ...]:
+    """RREF basis of the span: ValueError if dependent, StabilityError if not u-stable."""
+    reduced, pivots = Matrix(subspace).rref()
+    if len(reduced) != len(subspace):
         raise ValueError("subspace basis is linearly dependent")
-    return vecs
+    if any(any(_reduce(reduced, pivots, u.apply(w))) for w in reduced):
+        raise StabilityError("subspace is not stable under the operator")
+    return reduced
 
 
-def _require_stable(u: NilpotentOperator, vecs: Sequence[Vector]) -> None:
-    for w in vecs:
-        if not in_span(vecs, u.apply(w)):
-            raise StabilityError("subspace is not stable under the operator")
+def _meet_dim(basis: Sequence[Vector], outside: Sequence[int]) -> int:
+    """dim of span(basis) meet the coordinate subspace with zeros at ``outside``."""
+    return len(basis) - Matrix([w[i] for i in outside] for w in basis).rank()
 
 
 def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
@@ -391,14 +370,12 @@ def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partiti
     kernel of u^j is the coordinate span of the basis vectors in the first
     ``j`` columns of the tableau.
     """
-    vecs = _independent_basis(subspace)
-    _require_stable(u, vecs)
+    vecs = _stable_basis(u, subspace)
     d = len(vecs)
     dims = [0]
     j = 1
     while dims[-1] < d:
-        kernel = _coordinate_span(u.n, (i for i, c in enumerate(u.column) if c <= j))
-        dims.append(intersection_dim(vecs, kernel))
+        dims.append(_meet_dim(vecs, [i for i, c in enumerate(u.column) if c > j]))
         j += 1
         if j > u.degree + 1:
             raise AssertionError("kernel filtration failed to exhaust the subspace")
@@ -414,16 +391,15 @@ def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition
     that preimage has dimension dim ker u^j + dim(W meet im u^j).  Both
     ker u^j and im u^j are coordinate subspaces of the Jordan basis.
     """
-    vecs = _independent_basis(subspace)
-    _require_stable(u, vecs)
+    vecs = _stable_basis(u, subspace)
     n = u.n
     dims = [len(vecs)]
     parts = []
     j = 1
     while dims[-1] < n:
         kernel_dim = sum(1 for c in u.column if c <= j)
-        image = _coordinate_span(n, (i for i, b in enumerate(u.boxes_right) if b >= j))
-        dims.append(kernel_dim + intersection_dim(vecs, image))
+        outside = [i for i, b in enumerate(u.boxes_right) if b < j]
+        dims.append(kernel_dim + _meet_dim(vecs, outside))
         parts.append(dims[-1] - dims[-2])
         j += 1
         if j > u.degree + 1:
@@ -491,35 +467,30 @@ def bilinear_form(u: NilpotentOperator) -> Permutation:
 def perp_flag(flag: Flag, form: Permutation) -> Flag:
     """Flag of orthogonal complements, reversing the subspace chain.
 
-    ``form`` is the involution ``g`` returned by ``bilinear_form``.  The
-    product of a row vector w with its Gram matrix is w with its
-    coordinates permuted, entry c being w[g(c)]; the complement of a prefix
-    is the nullspace of those permuted rows.
+    ``form`` is the involution ``g`` returned by ``bilinear_form``; row k of
+    P is flag vector k permuted by it (entry c is w[g(c)]).  Reducing
+    [P | I] gives [I | P^-1], whose column k pairs to 1 with flag vector k
+    and to 0 with the others, so its last j columns span the complement of
+    the (n-j)-prefix.
     """
     n = flag.n
     if form.n != n:
         raise ValueError("bilinear form size does not match the flag")
-    paired = [tuple(w[form(c) - 1] for c in range(1, n + 1)) for w in flag.vectors]
-    kernels = [tuple(unit_vector(n, j + 1) for j in range(n))]
-    for i in range(1, n + 1):
-        kernels.append(stack(paired[:i]).nullspace())
-    chosen: list[Vector] = []
-    for j in range(1, n + 1):
-        candidates = kernels[n - j]
-        for v in candidates:
-            if span_rank(tuple(chosen) + (v,)) > len(chosen):
-                chosen.append(v)
-                break
-        else:
-            raise AssertionError("complement chain failed to grow")
-    return Flag(chosen)
+    augmented = Matrix(
+        tuple(w[form(c) - 1] for c in range(1, n + 1)) + unit_vector(n, k)
+        for k, w in enumerate(flag.vectors, start=1)
+    )
+    reduced, pivots = augmented.rref()
+    if pivots != tuple(range(n)):
+        raise AssertionError("form is degenerate on the flag")
+    return Flag(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
     """True when every flag prefix is stable under the operator."""
     try:
         for i in range(1, flag.n + 1):
-            _require_stable(u, flag.prefix(i))
+            _stable_basis(u, flag.prefix(i))
     except StabilityError:
         return False
     return True
@@ -546,24 +517,38 @@ def jordan_flag(perm: Permutation) -> Flag:
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
-    """All permutations whose coordinate flag lies in the fiber of ``u``.
+    """Permutations whose coordinate flag lies in the fiber of ``u``, lexicographically.
 
     A coordinate flag is stable exactly when every basis vector appears
-    after its chain predecessor, so this is a pure order test.
+    after its chain predecessor, so these are the linear extensions of the
+    chain order, placed depth-first smallest value first after a guard on
+    the enumeration bound.
     """
-    pred: dict[int, int] = {}
+    n = u.n
+    if n > DEFAULT_ENUM_BOUND:
+        raise ValueError(f"enumeration bound exceeded: n={n} > {DEFAULT_ENUM_BOUND}")
+    # pred[v] is the chain predecessor of v, or 0 (always placed) for a row start
+    pred = [0] * (n + 1)
     for row in u.tableau.rows:
         for prev, cur in zip(row, row[1:]):
             pred[cur] = prev
-    out = []
-    for images in permutations(range(1, u.n + 1)):
-        seen: set[int] = set()
-        for v in images:
-            if v in pred and pred[v] not in seen:
-                break
-            seen.add(v)
-        else:
+    placed = [True] + [False] * n
+    images: list[int] = []
+    out: list[Permutation] = []
+
+    def place() -> None:
+        if len(images) == n:
             out.append(Permutation(images))
+            return
+        for v in range(1, n + 1):
+            if not placed[v] and placed[pred[v]]:
+                placed[v] = True
+                images.append(v)
+                place()
+                images.pop()
+                placed[v] = False
+
+    place()
     return tuple(out)
 
 

@@ -147,6 +147,12 @@ class TestErrorPaths:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["does-not-exist"]) == 2
 
+    def test_flag_cell_outside_fiber_exit_2(self, capsys):
+        # over the basis 1,4/2,5/3 the line e4 is not stable: u e4 = e1
+        code, payload, err = run(capsys, "flag-cell", "2,2,1", "4,1,2,3,5")
+        assert code == 2 and payload is None
+        assert "not in the fiber" in err
+
     def test_dist_wrong_shape_exit_1(self, capsys):
         code, payload, _ = run(capsys, "dist", "1,2/3,4")
         assert code == 1 and "error" in payload

@@ -1,4 +1,6 @@
+import signal
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from springerfiber.exactlin import (
     degenerate_to_special,
     fiber_permutations,
     in_cell,
+    in_span,
     in_springer_fiber,
     intersection_dim,
     jordan_flag,
@@ -29,7 +32,6 @@ from springerfiber.exactlin import (
     special_flag,
     special_operator,
     special_perm,
-    stack,
     unit_vector,
 )
 from springerfiber.certificates import phi_map
@@ -122,22 +124,22 @@ def oracle_restricted_type(kernels, vecs) -> Partition:
 
 def oracle_quotient_type(powers, vecs) -> Partition:
     n = powers[0].nrows
-    annihilator = stack(vecs).nullspace() if vecs else Matrix.identity(n).rows
+    annihilator = Matrix(vecs).nullspace() if vecs else Matrix.identity(n).rows
     dims = [len(vecs)]
     while dims[-1] < n:
         p = powers[min(len(dims), len(powers) - 1)]
-        dims.append(n - (stack(annihilator) @ p).rank() if annihilator else n)
+        dims.append(n - (Matrix(annihilator) @ p).rank() if annihilator else n)
     return Partition([dims[t] - dims[t - 1] for t in range(1, len(dims))]).conjugate()
 
 
 def oracle_perp_flag(flag: Flag, gram: Matrix) -> Flag:
     n = flag.n
     kernels = [Matrix.identity(n).rows]
-    kernels += [(stack(flag.prefix(i)) @ gram).nullspace() for i in range(1, n + 1)]
+    kernels += [(Matrix(flag.prefix(i)) @ gram).nullspace() for i in range(1, n + 1)]
     chosen = []
     for j in range(1, n + 1):
         chosen.append(
-            next(v for v in kernels[n - j] if stack(chosen + [v]).rank() > len(chosen))
+            next(v for v in kernels[n - j] if Matrix(chosen + [v]).rank() > len(chosen))
         )
     return Flag(chosen)
 
@@ -161,7 +163,7 @@ class TestMatrix:
     def test_rank_pivot_orders_agree(self):
         # row2 = 2*row1 and row4 = row1 - 2*row3, so the rank is 2
         m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 1]])
-        assert m.rank(pivot="first") == m.rank(pivot="last") == 2
+        assert m.rank() == Matrix(reversed(m.rows)).rank() == 2
         assert m.transpose().rank() == 2
 
     @settings(max_examples=60, deadline=None)
@@ -175,10 +177,24 @@ class TestMatrix:
     def test_rank_invariants(self, rows):
         m = Matrix(rows)
         r = m.rank()
-        assert r == m.rank(pivot="last")
+        assert r == Matrix(reversed(m.rows)).rank()
         assert r == m.transpose().rank()
         # rank-nullity over the columns
         assert r + len(m.nullspace()) == m.ncols
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_in_span_matches_rank(self, data):
+        entry = st.integers(min_value=-3, max_value=3)
+        row = st.lists(entry, min_size=4, max_size=4).map(tuple)
+        vs = tuple(data.draw(st.lists(row, max_size=4)))
+        if vs and data.draw(st.booleans()):
+            # a combination of the spanning vectors, so membership is exercised
+            coeffs = data.draw(st.lists(entry, min_size=len(vs), max_size=len(vs)))
+            v = tuple(sum(c * w[i] for c, w in zip(coeffs, vs)) for i in range(4))
+        else:
+            v = data.draw(row)
+        assert in_span(vs, v) == (Matrix(vs + (v,)).rank() == Matrix(vs).rank())
 
     def test_nullspace_vectors_are_killed(self):
         m = Matrix([[1, 2, 0], [0, 0, 1]])
@@ -371,6 +387,41 @@ class TestDuality:
             assert cell_of(perp_flag(flag, g), u) == schuetzenberger(
                 cell_prime_of(flag, u)
             )
+
+
+def brute_force_fiber_permutations(u) -> tuple[Permutation, ...]:
+    """The n! filter: permutations placing each basis vector after its chain predecessor."""
+    pred = {cur: prev for row in u.tableau.rows for prev, cur in zip(row, row[1:])}
+    out = []
+    for images in permutations(range(1, u.n + 1)):
+        position = {v: i for i, v in enumerate(images)}
+        if all(position[prev] < position[cur] for cur, prev in pred.items()):
+            out.append(Permutation(images))
+    return tuple(out)
+
+
+class TestFiberPermutations:
+    def test_matches_brute_force(self):
+        for n in range(1, 8):
+            for shape in partitions_of(n):
+                for basis in {column_superstandard(shape), enumerate_tableaux(shape)[0]}:
+                    u = jordan_operator(basis)
+                    assert fiber_permutations(u) == brute_force_fiber_permutations(u)
+
+    def test_bound_checked_before_work(self):
+        u = jordan_operator(column_superstandard(Partition((1,) * 13)))
+
+        def timed_out(signum, frame):
+            raise AssertionError("fiber_permutations started work above the bound")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="bound"):
+                fiber_permutations(u)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestShuffles:
