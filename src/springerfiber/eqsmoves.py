@@ -5,8 +5,8 @@ are singular or both are nonsingular.  Three tableau moves are known to
 relate labels of equinonsingular components:
 
 * the cyclic move ``C``: slide out the entry 1; when the hole lands at the
-  end of the leading block of maximal-length rows, standardize and append
-  ``n`` there.  ``c_inverse`` undoes it with a reverse slide.
+  end of the leading block of maximal-length rows, shift down by 1 and
+  append ``n`` there.  ``c_inverse`` undoes it with a reverse slide.
 * evacuation ``Sch`` (an involution, always applicable);
 * the block forms of both, acting on a run of columns that splits off as
   a standard subtableau (both endpoints are cut points).
@@ -37,8 +37,6 @@ from .tableaux import (
     enumerate_tableaux,
     jdt_remove_min,
     schuetzenberger,
-    standardize,
-    tableau,
 )
 
 MOVE_KINDS = ("C", "Cinv", "SchBlock")
@@ -66,17 +64,8 @@ class MoveLabel:
         return f"{self.kind}[{self.columns[0]},{self.columns[1]}]"
 
 
-def _leading_block(shape: Partition) -> int:
-    """Number of leading rows of maximal length."""
-    parts = shape.parts
-    j = 1
-    while j < len(parts) and parts[j] == parts[0]:
-        j += 1
-    return j
-
-
 def c_move(t: StandardTableau) -> StandardTableau:
-    """Cyclic move: slide out 1, standardize, append ``n`` in the vacated corner.
+    """Cyclic move: slide out 1, shift down by 1, append ``n`` in the vacated corner.
 
     Applicable only when the hole lands at the end of row ``j``, the last
     row of the leading block of maximal-length rows; the result has the
@@ -84,13 +73,13 @@ def c_move(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("cyclic move undefined on the empty tableau")
-    j = _leading_block(t.shape)
+    j = sum(len(row) == len(t.rows[0]) for row in t.rows)
     slid, hole = jdt_remove_min(t)
     if hole[0] != j - 1:
         raise MoveError(
             f"slide hole ended in row {hole[0] + 1}, not at the leading block row {j}"
         )
-    rows = [list(row) for row in standardize(slid).rows]
+    rows = [[e - 1 for e in row] for row in slid.rows]
     if j - 1 == len(rows):
         rows.append([t.n])
     else:
@@ -109,8 +98,7 @@ def c_inverse(t: StandardTableau) -> StandardTableau:
         raise MoveError("inverse cyclic move undefined on the empty tableau")
     n = t.n
     jr, jc = t.position_of(n)
-    parts = t.shape.parts
-    if parts[jr - 1] != parts[0]:
+    if len(t.rows[jr - 1]) != len(t.rows[0]):
         raise MoveError(f"entry {n} does not close the leading block of equal rows")
     rows = [[e + 1 for e in row] for row in t.rows]
     del rows[jr - 1][jc - 1]
@@ -140,35 +128,37 @@ def cut_points(t: StandardTableau) -> tuple[int, ...]:
     the entries 1..(boxes in those columns), i.e. the entry atop column
     ``i+1`` is that count plus one.
     """
-    shape = t.shape
-    m = shape.num_columns
-    if m == 0:
+    if not t.rows:
         return (0,)
+    top = t.rows[0]
     points = [0]
-    for i in range(1, m):
-        if t.entry(1, i + 1) == shape.prefix_sum(i) + 1:
+    boxes = 0
+    for i in range(1, len(top)):
+        boxes += sum(1 for row in t.rows if len(row) >= i)
+        if top[i] == boxes + 1:
             points.append(i)
-    points.append(m)
+    points.append(len(top))
     return tuple(points)
 
 
 def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
     """Apply a move to the standardized block of columns i..j, then reassemble.
 
-    Both ``i-1`` and ``j`` must be cut points; the transformed block is
-    shifted back by the number of boxes to its left and spliced between the
-    untouched outer columns.
+    Both ``i-1`` and ``j`` must be cut points, so the columns left of the
+    block hold exactly the entries below the one atop column ``i``; the
+    block is shifted down and back by their count around the move.
     """
     a, b = label.columns
-    shape = t.shape
-    m = shape.num_columns
+    m = len(t.rows[0]) if t.rows else 0
     if not 1 <= a < b <= m:
         raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
     cps = cut_points(t)
     if a - 1 not in cps or b not in cps:
         raise MoveError(f"columns [{a},{b}] do not split off as a block")
-    shift = shape.prefix_sum(a - 1) if a > 1 else 0
-    block = standardize(tableau(row[a - 1 : b] for row in t.rows if len(row) >= a))
+    shift = t.rows[0][a - 1] - 1
+    block = StandardTableau(
+        tuple(e - shift for e in row[a - 1 : b]) for row in t.rows if len(row) >= a
+    )
     if label.kind == "C":
         moved = c_move(block)
     elif label.kind == "Cinv":
@@ -187,17 +177,14 @@ def legal_moves(
     t: StandardTableau,
 ) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
     """All applicable block moves on at least two columns, with their results."""
-    m = t.shape.num_columns
-    cps = set(cut_points(t))
+    cps = cut_points(t)
     out = []
-    for a in range(1, m):
-        if a - 1 not in cps:
-            continue
-        for b in range(a + 1, m + 1):
-            if b not in cps:
+    for x, left in enumerate(cps):
+        for b in cps[x + 1 :]:
+            if b == left + 1:
                 continue
             for kind in MOVE_KINDS:
-                label = MoveLabel(kind, (a, b))
+                label = MoveLabel(kind, (left + 1, b))
                 try:
                     out.append((label, block_move(t, label)))
                 except MoveError:
@@ -236,25 +223,22 @@ class EqsClass:
 
 
 def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
-    """Breadth-first closure of a tableau under all applicable block moves.
+    """Closure of a tableau under all applicable block moves, by a worklist.
 
-    Deterministic regardless of traversal interleaving: the member set is
-    canonical and the representative is the member with the smallest row
-    reading word.
+    Deterministic regardless of visiting order: the member set is canonical,
+    members are sorted by row reading word, and the representative is the
+    member with the smallest one.
     """
     bound = DEFAULT_ENUM_BOUND if max_n is None else max_n
     if t.n > bound:
         raise ValueError(f"search bound exceeded: n={t.n} > {bound}")
     visited = {t}
-    frontier = [t]
-    while frontier:
-        fresh = []
-        for u in sorted(frontier):
-            for _, v in legal_moves(u):
-                if v not in visited:
-                    visited.add(v)
-                    fresh.append(v)
-        frontier = fresh
+    todo = [t]
+    while todo:
+        for _, v in legal_moves(todo.pop()):
+            if v not in visited:
+                visited.add(v)
+                todo.append(v)
     members = tuple(sorted(visited, key=lambda x: x.row_word()))
     rep = members[0]
     return EqsClass(
@@ -266,15 +250,21 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
 
 
 def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass, ...]:
-    """Partition all standard tableaux of the shape into move classes."""
-    remaining = set(enumerate_tableaux(shape, max_n=max_n))
+    """Partition all standard tableaux of the shape into move classes.
+
+    Each class is seeded by the first tableau in enumeration (row word)
+    order that no earlier class holds, which is its representative.
+    """
+    tabs = enumerate_tableaux(shape, max_n=max_n)
+    remaining = set(tabs)
     classes = []
-    while remaining:
-        seed = min(remaining, key=lambda x: x.row_word())
+    for seed in tabs:
+        if seed not in remaining:
+            continue
         cls = eqs_class(seed, max_n=max_n)
-        if not set(cls.members) <= remaining:
+        if not remaining.issuperset(cls.members):
             raise AssertionError("move closure escaped the remaining tableaux")
-        remaining -= set(cls.members)
+        remaining.difference_update(cls.members)
         classes.append(cls)
     return tuple(classes)
 

@@ -84,10 +84,6 @@ class Matrix:
             raise ValueError("rows must have equal length")
         self.rows = rows
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(unit_vector(n, i + 1) for i in range(n))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -100,13 +96,10 @@ class Matrix:
         """Column ``j`` (1-based)."""
         return tuple(row[j - 1] for row in self.rows)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.rows else Matrix(())
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        cols = other.transpose().rows
+        cols = list(zip(*other.rows))
         return Matrix(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows
@@ -117,9 +110,6 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form: (nonzero rows, pivot column indices)."""

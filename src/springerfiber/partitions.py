@@ -135,9 +135,10 @@ class Partition:
     def springer_dim(self) -> int:
         """Common dimension of the irreducible components of the Springer fiber.
 
-        Equals the sum of c*(c-1)/2 over the column lengths c of the diagram.
+        Equals n(lambda), the sum of (i-1)*lambda_i over the rows, which is
+        the sum of c*(c-1)/2 over the column lengths c of the diagram.
         """
-        return sum(c * (c - 1) // 2 for c in self.conjugate().parts)
+        return sum(i * p for i, p in enumerate(self.parts))
 
     def classify_smooth(self) -> SmoothnessVerdict:
         """Place the shape in the smoothness classification.

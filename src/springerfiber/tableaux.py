@@ -5,13 +5,13 @@ increase along rows and down columns; it is standard when its entries are
 exactly 1..n.  Standard tableaux of shape lambda index the irreducible
 components of the Springer fiber whose nilpotent has Jordan type lambda.
 
-The workhorse is ``restrict(T, i, j)``: keep the entries ``i..j`` by first
-deleting the larger ones (whose boxes are removable corners) and then
-sliding out the smaller ones one jeu-de-taquin removal at a time.
-Restrictions keep their original entries; ``standardize`` shifts a block
-of consecutive entries back to 1..n when an operation needs it.  The
-shapes of the successive restrictions from the top define the evacuation
-(Schuetzenberger) involution.
+The workhorse is one in-place jeu-de-taquin slide on a list of rows: it
+removes the entry at (1,1) and reports the box it vacates, so operations
+work on plain rows and validate only the tableau they return.
+``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
+and slides out those below ``i``; it keeps the original entries, and
+``standardize`` shifts them back to 1..n.  Evacuation (Schuetzenberger)
+numbers the boxes vacated by successive slides from ``n`` down to 1.
 
 Also provided: enumeration of all standard tableaux of a shape, the row
 statistics driving the move calculus in :mod:`springerfiber.eqsmoves`
@@ -93,11 +93,6 @@ class Tableau:
         """1-based row index of entry ``e``."""
         return self.position_of(e)[0]
 
-    def min_entry(self) -> int:
-        if not self.rows:
-            raise ValueError("empty tableau has no entries")
-        return self.rows[0][0]
-
     def is_standard(self) -> bool:
         return self.entries() == tuple(range(1, self.n + 1))
 
@@ -162,17 +157,13 @@ def truncate(t: StandardTableau, i: int) -> StandardTableau:
     return StandardTableau(row for row in rows if row)
 
 
-def jdt_remove_min(t: Tableau) -> tuple[Tableau, tuple[int, int]]:
-    """Remove the minimal entry's box by an inward jeu-de-taquin slide.
+def _slide_out(rows: list[list[int]]) -> tuple[int, int]:
+    """Slide the entry at (1,1) out of nonempty ``rows`` in place.
 
-    The minimum sits at (1,1); after deleting it the hole repeatedly swaps
-    with the smaller of its right/below neighbours (ties cannot occur) until
-    it reaches a removable corner.  Returns the slid tableau, entries
-    untouched, together with the 0-based (row, column) the hole ended at.
+    The hole swaps with the smaller of its right/below neighbours (ties
+    cannot occur) until it reaches a corner, whose box is deleted; returns
+    that box as a 0-based (row, column).
     """
-    if t.n == 0:
-        raise ValueError("cannot slide in an empty tableau")
-    rows = [list(row) for row in t.rows]
     r, c = 0, 0
     while True:
         right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
@@ -190,7 +181,20 @@ def jdt_remove_min(t: Tableau) -> tuple[Tableau, tuple[int, int]]:
     del rows[r][c]
     if not rows[r]:
         rows.pop(r)
-    return tableau(rows), (r, c)
+    return r, c
+
+
+def jdt_remove_min(t: Tableau) -> tuple[Tableau, tuple[int, int]]:
+    """Remove the minimal entry, at (1,1), by an inward jeu-de-taquin slide.
+
+    Returns the slid tableau, entries untouched, and the 0-based
+    (row, column) of the box it vacated.
+    """
+    if t.n == 0:
+        raise ValueError("cannot slide in an empty tableau")
+    rows = [list(row) for row in t.rows]
+    hole = _slide_out(rows)
+    return tableau(rows), hole
 
 
 def restrict(t: Tableau, i: int, j: int) -> Tableau:
@@ -208,11 +212,10 @@ def restrict(t: Tableau, i: int, j: int) -> Tableau:
         raise ValueError("restriction needs consecutive entries")
     if not lo <= i <= j <= hi:
         raise ValueError(f"restriction range [{i},{j}] out of range {lo}..{hi}")
-    rows = [tuple(e for e in row if e <= j) for row in t.rows]
-    u = tableau(row for row in rows if row)
-    while u.n and u.min_entry() < i:
-        u, _ = jdt_remove_min(u)
-    return u
+    rows = [[e for e in row if e <= j] for row in t.rows if row[0] <= j]
+    while rows[0][0] < i:
+        _slide_out(rows)
+    return tableau(rows)
 
 
 def standardize(t: Tableau) -> StandardTableau:
@@ -256,21 +259,18 @@ def from_shape_chain(diagrams: Sequence[Partition]) -> StandardTableau:
 
 
 def schuetzenberger(t: StandardTableau) -> StandardTableau:
-    """Evacuation: rebuild from the shapes of successive slide-out restrictions.
+    """Evacuation: slide out the entries one by one, numbering the vacated boxes.
 
-    The shape left after sliding out the ``n-i`` smallest entries has ``i``
-    boxes; placing ``i`` in the box it gains over its predecessor yields an
-    involution of the standard tableaux of each shape.
+    The k-th slide vacates the box that the shape of the remaining ``n-k``
+    entries lacks; writing ``n-k+1`` there yields an involution of the
+    standard tableaux of each shape.
     """
-    n = t.n
-    shapes = [None] * (n + 1)
-    shapes[0] = Partition(())
-    u: Tableau = t
-    shapes[n] = u.shape
-    for m in range(n - 1, 0, -1):
-        u, _ = jdt_remove_min(u)
-        shapes[m] = u.shape
-    return from_shape_chain(shapes)
+    rows = [list(row) for row in t.rows]
+    evacuated = [[0] * len(row) for row in rows]
+    for e in range(t.n, 0, -1):
+        r, c = _slide_out(rows)
+        evacuated[r][c] = e
+    return StandardTableau(evacuated)
 
 
 def tau(t: Tableau) -> frozenset[int]:

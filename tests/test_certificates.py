@@ -34,11 +34,13 @@ from springerfiber.exactlin import (
 )
 from springerfiber.partitions import Partition
 
+from matrix_helpers import identity, is_zero
+
 
 def dense_power(u, j) -> Matrix:
     """u^j multiplied out from the dense matrix whose column i is u applied to e_i."""
     m = Matrix(zip(*(u.apply(unit_vector(u.n, i)) for i in range(1, u.n + 1))))
-    power = Matrix.identity(u.n)
+    power = identity(u.n)
     for _ in range(j):
         power = power @ m
     return power
@@ -76,7 +78,7 @@ class TestJet:
 
 class TestFamilyMatrix:
     def test_zero_gives_zero(self):
-        assert f_family((0, 0, 0, 0, 0, 0)).is_zero()
+        assert is_zero(f_family((0, 0, 0, 0, 0, 0)))
 
     def test_displayed_positions(self):
         t = (Fraction(1), Fraction(1), Fraction(1), Fraction(2), Fraction(1), Fraction(1))

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -26,6 +27,21 @@ class TestBasicCommands:
     def test_dim(self, capsys):
         code, payload, _ = run(capsys, "dim", "2,2,1,1")
         assert code == 0 and payload == 7
+
+    def test_dim_of_long_row_is_immediate(self, capsys):
+        # a single row of 10^8 boxes has dimension 0; a column-by-column
+        # computation would hang here, so a 5 s alarm turns that into a failure
+        def timed_out(signum, frame):
+            raise AssertionError("dim walked the columns of a 10^8-box row")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            code, payload, _ = run(capsys, "dim", "100000000")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0 and payload == 0
 
     def test_sch(self, capsys):
         code, payload, _ = run(capsys, "sch", "1,2,3/4,5/6")

@@ -10,6 +10,7 @@ from springerfiber.eqsmoves import (
     dist_class_invariant,
     eqs_class,
     eqs_partition,
+    legal_moves,
     partition_report,
 )
 from springerfiber.partitions import Partition, partitions_of
@@ -25,6 +26,34 @@ from springerfiber.tableaux import (
 )
 
 T = parse_tableau
+
+
+def union_find_classes(shape):
+    """Classes of a shape by merging every ``legal_moves`` edge in a union-find.
+
+    Returns (members sorted by row word, representative) per class, classes
+    ordered by representative row word.
+    """
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tabs = enumerate_tableaux(shape)
+    for t in tabs:
+        parent[t] = t
+    for t in tabs:
+        for _, v in legal_moves(t):
+            parent[find(v)] = find(t)
+    groups = {}
+    for t in tabs:
+        groups.setdefault(find(t), []).append(t)
+    classes = [tuple(sorted(g, key=lambda x: x.row_word())) for g in groups.values()]
+    classes.sort(key=lambda members: members[0].row_word())
+    return [(members, members[0]) for members in classes]
 
 
 class TestCyclicMove:
@@ -174,6 +203,19 @@ class TestEqsPartition:
                 hits = [c for c in classes if target in c.members]
                 assert len(hits) == 1
                 assert hits[0].dist == k
+
+    def test_matches_union_find_oracle(self):
+        for n in range(1, 9):
+            for shape in partitions_of(n):
+                classes = [(c.members, c.representative) for c in eqs_partition(shape)]
+                assert classes == union_find_classes(shape)
+
+    def test_pinned_class_counts(self):
+        # the library's counts when the benchmark was introduced
+        for parts, count in (((3, 2, 2), 8), ((4, 3, 1), 11)):
+            shape = Partition(parts)
+            assert len(eqs_partition(shape)) == count
+            assert len(union_find_classes(shape)) == count
 
     def test_partition_covers_all_tableaux(self):
         shape = Partition((2, 2, 1))

@@ -1,4 +1,5 @@
 from itertools import permutations as iter_permutations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +118,13 @@ class TestSpringerDim:
             for p in partitions_of(n):
                 conj = p.conjugate()
                 assert p.springer_dim() == sum(c * (c - 1) // 2 for c in conj)
+
+    def test_column_formula(self):
+        # sum of C(c, 2) over the column lengths c, read off the cells
+        for n in range(13):
+            for p in partitions_of(n):
+                columns = transpose_oracle(p.parts)
+                assert p.springer_dim() == sum(comb(c, 2) for c in columns)
 
 
 class TestClassify:

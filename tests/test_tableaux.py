@@ -28,6 +28,26 @@ from springerfiber.tableaux import (
 T = parse_tableau
 
 
+def oracle_evacuation(t):
+    """Evacuation from the shapes left by repeated ``jdt_remove_min`` slides."""
+    n = t.n
+    shapes = [Partition(())] * (n + 1)
+    u = t
+    shapes[n] = u.shape
+    for m in range(n - 1, 0, -1):
+        u, _ = jdt_remove_min(u)
+        shapes[m] = u.shape
+    return from_shape_chain(shapes)
+
+
+def oracle_restrict(t, i, j):
+    """Truncate to ``1..j``, then slide out the minimum while it is below ``i``."""
+    u = truncate(t, j)
+    while u.rows[0][0] < i:
+        u, _ = jdt_remove_min(u)
+    return u
+
+
 def brute_force_tableaux(shape):
     """Independent enumeration by filtering permutations (n <= 7 only)."""
     parts = shape.parts
@@ -165,6 +185,14 @@ class TestTruncateRestrict:
         with pytest.raises(ValueError):
             restrict(T("1,2/3"), 2, 4)
 
+    def test_restrict_matches_slide_oracle(self):
+        for n in range(1, 8):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    for i in range(1, n + 1):
+                        for j in range(i, n + 1):
+                            assert restrict(t, i, j) == oracle_restrict(t, i, j)
+
     def test_restrict_composition(self):
         # keeping a..b of the restriction to c..d equals keeping a..b directly
         for shape in (Partition((3, 2, 1)), Partition((2, 2, 2)), Partition((4, 2))):
@@ -241,6 +269,12 @@ class TestSchuetzenberger:
     def test_involution_example(self):
         t = T("1,3/2,5/4/6")
         assert schuetzenberger(schuetzenberger(t)) == t
+
+    def test_matches_shape_chain_oracle(self):
+        for n in range(9):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    assert schuetzenberger(t) == oracle_evacuation(t)
 
     def test_involution_small(self):
         for n in range(7):
