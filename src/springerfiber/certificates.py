@@ -354,26 +354,57 @@ def r_vectors(
     rs = list(v_vectors(k, alpha))
     betas: list[Fraction] = [Fraction(0), Fraction(0), *alpha]
     for level in range(k + 2, i + 1):
-        rs = [unit_vector(n, 1), unit_vector(n, 2)] + [
-            _w_shift(rs[j - 3], n) for j in range(3, level + 1)
-        ]
+        rs = _next_level(rs, n)
         betas = [Fraction(0), Fraction(0)] + betas[: level - 2]
     return tuple(rs), tuple(betas)
 
 
+def _next_level(rs: Sequence[Vector], n: int) -> list[Vector]:
+    """The r-vectors one level up: e_1, e_2, then r_1..r_{i-1} of level i shifted by w."""
+    return [unit_vector(n, 1), unit_vector(n, 2)] + [_w_shift(r, n) for r in rs[:-1]]
+
+
 def _v_full(k: int, alpha: Sequence) -> tuple[Vector, ...]:
-    """v_1..v_{n-1}: the base recurrence followed by the diagonal of the levels."""
+    """v_1..v_{n-1}: the base recurrence followed by the last r-vector of each level."""
     n = 2 * k + 1
-    vs = list(v_vectors(k, alpha))
-    for level in range(k + 2, n):
-        rs, _ = r_vectors(k, level, alpha)
-        vs.append(rs[level - 1])
+    rs = list(v_vectors(k, alpha))
+    vs = list(rs)
+    for _ in range(k + 2, n):
+        rs = _next_level(rs, n)
+        vs.append(rs[-1])
     return tuple(vs)
 
 
 def _check_d(k: int, d: int) -> None:
     if not 3 <= d <= k + 2:
         raise ValueError(f"d must lie in 3..{k + 2}, got {d}")
+
+
+def _decode_params(
+    k: int, d: int, params: tuple[Fraction, ...]
+) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction | None]:
+    """The (alpha, gamma, nu) of the chart family through (d); see ``phi_map``.
+
+    ``alpha`` holds alpha_1 and alpha_3..alpha_{k+1} (d = k+2) or
+    alpha_3..alpha_{k+2} (d < k+2), ``gamma`` holds gamma_1..gamma_{d-1},
+    and ``nu`` is None for d = k+2.
+    """
+    alpha = {1: params[0]}
+    if d == k + 2:
+        alpha.update((i, params[i - 2]) for i in range(3, k + 2))
+        gamma = {k: params[k], k + 1: params[k + 1]}
+        nu = None
+    else:
+        alpha.update((i, params[i - 2]) for i in range(3, d + 1))
+        alpha.update((i, params[i - 3]) for i in range(d + 2, k + 3))
+        nu = params[k + 1]
+        alpha[d + 1] = -nu * params[k]
+        gamma = {d - 1: params[k]}
+    for i in range(min(gamma) - 1, 1, -1):
+        gamma[i] = -alpha[i + 2] * gamma[i + 1]
+    if 1 not in gamma:
+        gamma[1] = -(alpha[3] - alpha[1]) * gamma[2]
+    return alpha, gamma, nu
 
 
 def phi_map(k: int, d: int, params: Sequence) -> Flag:
@@ -392,49 +423,22 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
     n = 2 * k + 1
     e = [None] + [unit_vector(n, i) for i in range(1, n + 1)]
-    alpha1 = params[0]
-
-    if d == k + 2:
-        alpha = {i: params[i - 2] for i in range(3, k + 2)}
-        gamma = {k: params[k], k + 1: params[k + 1]}
-        for i in range(k - 1, 1, -1):
-            gamma[i] = -alpha[i + 2] * gamma[i + 1]
-        if k >= 2:
-            gamma[1] = -(alpha[3] - alpha1) * gamma[2]
-        vs = _v_full(k, tuple(alpha[i] for i in range(3, k + 2)))
-        etas = [
-            vec_add(vec_add(e[1], vec_scale(alpha1, e[2])), vec_scale(gamma[1], e[n])),
-            vec_add(e[2], vec_scale(gamma[2], e[n])),
-        ]
-        for i in range(3, k + 2):
-            etas.append(vec_add(vs[i - 1], vec_scale(gamma[i], e[n])))
-        etas.append(e[n])
-        for i in range(k + 3, n + 1):
-            etas.append(vs[i - 2])
-        return Flag(etas)
-
-    # 3 <= d < k+2 forces k >= 2
-    alpha = {i: params[i - 2] for i in range(3, d + 1)}
-    for i in range(d + 2, k + 3):
-        alpha[i] = params[i - 3]
-    gamma_d1 = params[k]
-    nu = params[k + 1]
-    alpha[d + 1] = -nu * gamma_d1
-    gamma = {d - 1: gamma_d1}
-    for i in range(d - 2, 1, -1):
-        gamma[i] = -alpha[i + 2] * gamma[i + 1]
-    gamma[1] = -(alpha[3] - alpha1) * gamma[2]
+    alpha, gamma, nu = _decode_params(k, d, params)
     vs = _v_full(k, tuple(alpha[i] for i in range(3, k + 2)))
     etas = [
-        vec_add(vec_add(e[1], vec_scale(alpha1, e[2])), vec_scale(gamma[1], e[n])),
+        vec_add(vec_add(e[1], vec_scale(alpha[1], e[2])), vec_scale(gamma[1], e[n])),
         vec_add(e[2], vec_scale(gamma[2], e[n])),
     ]
     for i in range(3, d):
         etas.append(vec_add(vs[i - 1], vec_scale(gamma[i], e[n])))
-    etas.append(vec_add(e[n], vec_scale(nu, vs[d - 1])))
-    for i in range(d + 1, k + 2):
-        etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
-    etas.append(vs[k])
+    if d == k + 2:
+        etas.append(e[n])
+    else:
+        # 3 <= d < k+2 forces k >= 2
+        etas.append(vec_add(e[n], vec_scale(nu, vs[d - 1])))
+        for i in range(d + 1, k + 2):
+            etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
+        etas.append(vs[k])
     for i in range(k + 3, n + 1):
         etas.append(vs[i - 2])
     return Flag(etas)
@@ -464,11 +468,10 @@ def _recovery_identities(
 ) -> list[tuple[str, Fraction, Fraction]]:
     """(name, chart value, expected value) triples for the parameter read-back."""
     phi = coords.phi
-    alpha1 = params[0]
-    out = [("alpha_1 = phi(1,2)", phi[(1, 2)], alpha1)]
+    alpha, gamma, nu = _decode_params(k, d, params)
+    out = [("alpha_1 = phi(1,2)", phi[(1, 2)], alpha[1])]
 
     if d == k + 2:
-        alpha = {i: params[i - 2] for i in range(3, k + 2)}
         tilde = _alpha_tilde(alpha, k + 1)
         for i in range(3, k + 1):
             out.append((f"alpha~_{i} = phi({i},{i + 1})", phi[(i, i + 1)], tilde[i]))
@@ -476,9 +479,9 @@ def _recovery_identities(
             out.append(
                 (f"alpha~_{k + 1} = phi({k + 1},{k + 3})", phi[(k + 1, k + 3)], tilde[k + 1])
             )
-        out.append((f"gamma_{k} = phi({k},{k + 2})", phi[(k, k + 2)], params[k]))
+        out.append((f"gamma_{k} = phi({k},{k + 2})", phi[(k, k + 2)], gamma[k]))
         out.append(
-            (f"gamma_{k + 1} = phi({k + 1},{k + 2})", phi[(k + 1, k + 2)], params[k + 1])
+            (f"gamma_{k + 1} = phi({k + 1},{k + 2})", phi[(k + 1, k + 2)], gamma[k + 1])
         )
         # read every alpha back from chart values alone
         tilde_rec = {1: Fraction(0), 2: Fraction(0)}
@@ -496,12 +499,6 @@ def _recovery_identities(
             )
         return out
 
-    alpha = {i: params[i - 2] for i in range(3, d + 1)}
-    for i in range(d + 2, k + 3):
-        alpha[i] = params[i - 3]
-    gamma_d1 = params[k]
-    nu = params[k + 1]
-    alpha[d + 1] = -nu * gamma_d1
     tilde = _alpha_tilde(alpha, k + 2)
     for i in range(3, d - 1):
         out.append((f"alpha~_{i} = phi({i},{i + 1})", phi[(i, i + 1)], tilde[i]))
@@ -509,7 +506,7 @@ def _recovery_identities(
         out.append(
             (f"alpha~_{d - 1} = phi({d - 1},{d + 1})", phi[(d - 1, d + 1)], tilde[d - 1])
         )
-    out.append((f"gamma_{d - 1} = phi({d - 1},{d})", phi[(d - 1, d)], gamma_d1))
+    out.append((f"gamma_{d - 1} = phi({d - 1},{d})", phi[(d - 1, d)], gamma[d - 1]))
     out.append((f"nu = phi({d},{d + 1})", phi[(d, d + 1)], nu))
     for i in range(d + 2, k + 3):
         out.append((f"alpha~_{i} = phi({i - 1},{i})", phi[(i - 1, i)], tilde[i]))

@@ -4,22 +4,21 @@ Everything runs over ``fractions.Fraction``; there is no floating point
 anywhere, so rank, kernel, and membership answers are exact.  Vectors are
 plain tuples used as columns by operators and as rows by spans.
 ``Matrix.rref`` is the one elimination routine (``chart_coords`` aside):
-ranks, span membership and the complement flag's inverse all come from it.
+ranks, span membership, the complement flag's inverse and, read off its
+pivot columns, dimensions for every prefix of a flag at once come from it.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
 every basis vector to its left neighbour).  It is held as index maps on
 that basis, never as a dense matrix: the kernels and images of its powers
-are coordinate subspaces read off the tableau columns, so their meet with
-a subspace W has dimension dim W minus the rank of W on the remaining
-coordinates.  A flag is an ordered basis; the cell of a flag records the
-Jordan types of the operator restricted to the flag prefixes, which
-recovers the unique standard tableau labelling the Spaltenstein cell
-containing the flag.  The dual cell uses quotient types instead.  A
-canonical symmetric bilinear form making the operator self-adjoint pairs
-each chain with itself reversed; it is an involution of the basis indices
-and gives the orthogonal-complement flag map, which exchanges the two
-kinds of cells up to evacuation.
+are coordinate subspaces read off the tableau columns.  A flag is an
+ordered basis; the cell of a flag records the Jordan types of the operator
+restricted to the flag prefixes, which recovers the unique standard
+tableau labelling the Spaltenstein cell containing the flag.  The dual
+cell uses quotient types instead.  A canonical symmetric bilinear form
+making the operator self-adjoint pairs each chain with itself reversed; it
+is an involution of the basis indices and gives the orthogonal-complement
+flag map, which exchanges the two kinds of cells up to evacuation.
 
 For the one-box-third-row shapes (k,k,1) the module also provides the
 shuffle description of the Jordan flags inside the fiber, the special
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -179,6 +178,25 @@ def _reduce(reduced: Sequence[Vector], pivots: Sequence[int], v: Vector) -> list
     return w
 
 
+def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
+    """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be independent.
+
+    By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
+    """
+    columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
+    _, pivots = Matrix(zip(*columns)).rref()
+    return all(p % 2 == 0 for p in pivots)
+
+
+def _prefix_meet_dims(vecs: Sequence[Vector], outside: Iterable[int]) -> list[int]:
+    """dim(span(vecs[:i]) meet the coordinates zero at ``outside``) for i = 0..len(vecs).
+
+    Each independent vector that is no pivot column on ``outside`` adds one.
+    """
+    _, pivots = Matrix([w[c] for w in vecs] for c in outside).rref()
+    return list(accumulate((i not in pivots for i in range(len(vecs))), initial=0))
+
+
 def span_rank(vectors: Sequence[Vector]) -> int:
     return Matrix(vectors).rank()
 
@@ -265,17 +283,9 @@ class Flag:
     def n(self) -> int:
         return len(self.vectors)
 
-    def prefix(self, i: int) -> tuple[Vector, ...]:
-        return self.vectors[:i]
-
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases."""
-        if self.n != other.n:
-            return False
-        for i in range(1, self.n + 1):
-            if Matrix(self.prefix(i) + other.prefix(i)).rank() != i:
-                return False
-        return True
+        return self.n == other.n and _within_prefixes(self.vectors, other.vectors)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in v] for v in self.vectors]
@@ -346,63 +356,57 @@ def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vec
     return reduced
 
 
-def _meet_dim(basis: Sequence[Vector], outside: Sequence[int]) -> int:
-    """dim of span(basis) meet the coordinate subspace with zeros at ``outside``."""
-    return len(basis) - Matrix([w[i] for i in outside] for w in basis).rank()
+def _kernel_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
+    """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree.
+
+    ker u^j is spanned by the e_i in the first ``j`` tableau columns.
+    """
+    return [[0] * (len(vecs) + 1)] + [
+        _prefix_meet_dims(vecs, [i for i, c in enumerate(u.column) if c > j])
+        for j in range(1, u.degree + 1)
+    ]
+
+
+def _preimage_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
+    """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree.
+
+    That is dim ker u^j + dim(span meet im u^j), where im u^j is spanned by
+    the e_i with at least ``j`` boxes to their right, and u^degree = 0.
+    """
+    rows = []
+    for j in range(u.degree):
+        kernel_dim = sum(c <= j for c in u.column)
+        outside = [i for i, b in enumerate(u.boxes_right) if b < j]
+        rows.append([kernel_dim + m for m in _prefix_meet_dims(vecs, outside)])
+    return rows + [[u.n] * (len(vecs) + 1)]
+
+
+def _jordan_type(dims: Sequence[int]) -> Partition:
+    """The Jordan type whose column j has dims[j] - dims[j-1] boxes (power-kernel jumps)."""
+    return Partition([b - a for a, b in zip(dims, dims[1:]) if b > a]).conjugate()
 
 
 def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type of the operator on a stable subspace.
 
-    Column ``j`` of the type is the kernel-dimension jump of the ``j``-th
-    power, computed as dimensions of intersections with the ambient power
-    kernels (restriction does not change the vectors a power kills).  The
-    kernel of u^j is the coordinate span of the basis vectors in the first
-    ``j`` columns of the tableau.
+    Only the full span is read: the prefixes of its reduced basis need not be stable.
     """
-    vecs = _stable_basis(u, subspace)
-    d = len(vecs)
-    dims = [0]
-    j = 1
-    while dims[-1] < d:
-        dims.append(_meet_dim(vecs, [i for i, c in enumerate(u.column) if c > j]))
-        j += 1
-        if j > u.degree + 1:
-            raise AssertionError("kernel filtration failed to exhaust the subspace")
-    cols = [dims[t] - dims[t - 1] for t in range(1, len(dims))]
-    return Partition(cols).conjugate()
+    return _jordan_type([row[-1] for row in _kernel_dims(u, _stable_basis(u, subspace))])
 
 
 def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type induced on the quotient by a stable subspace.
 
-    Works basis-free via the preimage chain: the kernel of the ``j``-th
-    induced power has dimension dim(preimage of W under u^j) - dim W, and
-    that preimage has dimension dim ker u^j + dim(W meet im u^j).  Both
-    ker u^j and im u^j are coordinate subspaces of the Jordan basis.
+    The kernel of the ``j``-th induced power has dimension dim (u^j)^-1(W) - dim W.
     """
-    vecs = _stable_basis(u, subspace)
-    n = u.n
-    dims = [len(vecs)]
-    parts = []
-    j = 1
-    while dims[-1] < n:
-        kernel_dim = sum(1 for c in u.column if c <= j)
-        outside = [i for i, b in enumerate(u.boxes_right) if b < j]
-        dims.append(kernel_dim + _meet_dim(vecs, outside))
-        parts.append(dims[-1] - dims[-2])
-        j += 1
-        if j > u.degree + 1:
-            raise AssertionError("preimage chain failed to exhaust the space")
-    return Partition(parts).conjugate()
+    return _jordan_type([row[-1] for row in _preimage_dims(u, _stable_basis(u, subspace))])
 
 
 def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
-    """The standard tableau whose shape chain matches the prefix restriction types."""
-    chain = [Partition(())]
-    for i in range(1, flag.n + 1):
-        chain.append(restricted_type(u, flag.prefix(i)))
-    return from_shape_chain(chain)
+    """The standard tableau whose shape chain is the Jordan types on the flag prefixes."""
+    if not in_springer_fiber(flag, u):
+        raise StabilityError("flag is not stable under the operator")
+    return from_shape_chain([_jordan_type(dims) for dims in zip(*_kernel_dims(u, flag.vectors))])
 
 
 def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
@@ -417,9 +421,10 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     at a time; the tableau built from that chain is the evacuation of the
     dual-cell label, so one more evacuation recovers it.
     """
-    n = flag.n
-    chain = [quotient_type(u, flag.prefix(n - j)) for j in range(n + 1)]
-    return schuetzenberger(from_shape_chain(chain))
+    if not in_springer_fiber(flag, u):
+        raise StabilityError("flag is not stable under the operator")
+    types = [_jordan_type(dims) for dims in zip(*_preimage_dims(u, flag.vectors))]
+    return schuetzenberger(from_shape_chain(types[::-1]))
 
 
 def bilinear_form(u: NilpotentOperator) -> Permutation:
@@ -477,13 +482,8 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
-    """True when every flag prefix is stable under the operator."""
-    try:
-        for i in range(1, flag.n + 1):
-            _stable_basis(u, flag.prefix(i))
-    except StabilityError:
-        return False
-    return True
+    """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i)."""
+    return _within_prefixes(flag.vectors, [u.apply(v) for v in flag.vectors])
 
 
 def special_basis_tableau(k: int) -> StandardTableau:
@@ -592,9 +592,6 @@ class ChartCoordinates:
     d: int
     n: int
     phi: dict[tuple[int, int], Fraction]
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.phi[(i, j)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.phi.values())

@@ -2,9 +2,8 @@
 
 A partition is stored as its non-increasing tuple of positive parts and
 doubles as the Young diagram whose row ``i`` has ``parts[i]`` boxes.  On
-top of plain diagram combinatorics (conjugation, column blocks, column
-prefix sums) the module knows the dimension of the irreducible components
-of a Springer fiber whose nilpotent has this Jordan type, the
+top of conjugation the module knows the dimension of the irreducible
+components of a Springer fiber whose nilpotent has this Jordan type, the
 classification of shapes all of whose components are nonsingular, and the
 hook-length count of standard tableaux, used as an oracle for the
 explicit enumerator in :mod:`springerfiber.tableaux`.
@@ -70,10 +69,6 @@ class Partition:
         return sum(self.parts)
 
     @property
-    def num_rows(self) -> int:
-        return len(self.parts)
-
-    @property
     def num_columns(self) -> int:
         return self.parts[0] if self.parts else 0
 
@@ -115,22 +110,6 @@ class Partition:
         return Partition(
             sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
         )
-
-    def column_block(self, i: int, j: int) -> "Partition":
-        """The shape cut out by columns ``i..j``: conjugate of the conjugate-part slice."""
-        m = self.num_columns
-        if not 1 <= i <= j <= m:
-            raise ValueError(f"column range [{i},{j}] out of bounds for {m} columns")
-        conj = self.conjugate().parts
-        return Partition(conj[i - 1 : j]).conjugate()
-
-    def prefix_sum(self, i: int) -> int:
-        """Number of boxes in the first ``i`` columns."""
-        m = self.num_columns
-        if not 1 <= i <= m:
-            raise ValueError(f"column index {i} out of bounds for {m} columns")
-        conj = self.conjugate().parts
-        return sum(conj[:i])
 
     def springer_dim(self) -> int:
         """Common dimension of the irreducible components of the Springer fiber.

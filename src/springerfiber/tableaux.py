@@ -304,6 +304,7 @@ def j_stat(t: StandardTableau) -> int:
 
 def dist(t: StandardTableau) -> int:
     """Gap between the third-row entry and the previous descent, for shapes (r,s,1)."""
+    _require_rs1(t)
     return t.entry(3, 1) - 1 - j_stat(t)
 
 

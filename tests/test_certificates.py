@@ -7,6 +7,7 @@ from springerfiber.certificates import (
     BASIS_TABLEAU_322,
     CELL_TABLEAU_322,
     WITNESS_CURVES,
+    _v_full,
     CertificateError,
     Jet,
     SingularityCertificate,
@@ -338,6 +339,13 @@ class TestRVectors:
             for v in vs:
                 assert in_span(rs, v)
 
+    def test_v_full_is_the_level_diagonal(self):
+        for k in range(1, 6):
+            alpha = tuple(Fraction(j + 2, j + 3) for j in range(k - 1))
+            levels = range(k + 2, 2 * k + 1)
+            diagonal = tuple(r_vectors(k, level, alpha)[0][level - 1] for level in levels)
+            assert _v_full(k, alpha) == v_vectors(k, alpha) + diagonal
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             r_vectors(2, 2, (1,))
@@ -361,6 +369,23 @@ class TestPhiMap:
         assert in_cell(flag, u, make_Q(2))
         flag = phi_map(2, 3, (1, 1, 1, 1))
         assert in_cell(flag, u, make_Q(2))
+
+    def test_gammas_follow_documented_recurrence(self):
+        # flag vectors 1..d-1 carry gamma_1..gamma_{d-1} on e_n; the given
+        # gammas are parameters k+1 (and k+2 when d = k+2), and alpha_j is
+        # parameter j-1 for every j the recurrence uses
+        for k in range(1, 5):
+            n = 2 * k + 1
+            for d in range(3, k + 3):
+                for ps in default_chart_parameters(k):
+                    vectors = phi_map(k, d, ps).vectors[: d - 1]
+                    gamma = {i: v[n - 1] for i, v in enumerate(vectors, start=1)}
+                    given = (k, k + 1) if d == k + 2 else (d - 1,)
+                    assert tuple(gamma[i] for i in given) == ps[k : k + len(given)]
+                    for i in range(2, min(given)):
+                        assert gamma[i] == -ps[i] * gamma[i + 1]
+                    if min(given) > 1:
+                        assert gamma[1] == -(ps[1] - ps[0]) * gamma[2]
 
     def test_parameter_count_validation(self):
         with pytest.raises(ValueError):

@@ -172,3 +172,4 @@ class TestErrorPaths:
     def test_dist_wrong_shape_exit_1(self, capsys):
         code, payload, _ = run(capsys, "dist", "1,2/3,4")
         assert code == 1 and "error" in payload
+        assert "needs shape (r,s,1)" in payload["error"]

@@ -119,7 +119,9 @@ class TestCutPoints:
                 m = shape.num_columns
                 assert pts[0] == 0 and pts[-1] == m
                 for i in range(1, m):
-                    expected = t.entry(1, i + 1) == shape.prefix_sum(i) + 1
+                    # boxes in the first i columns
+                    boxes = sum(min(part, i) for part in shape.parts)
+                    expected = t.entry(1, i + 1) == boxes + 1
                     assert (i in pts) == expected
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from springerfiber.exactlin import (
     ChartError,
@@ -33,12 +33,14 @@ from springerfiber.exactlin import (
     special_operator,
     special_perm,
     unit_vector,
+    vec_add,
 )
 from springerfiber.certificates import phi_map
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     column_superstandard,
     enumerate_tableaux,
+    from_shape_chain,
     parse_tableau,
     schuetzenberger,
 )
@@ -137,7 +139,7 @@ def oracle_quotient_type(powers, vecs) -> Partition:
 def oracle_perp_flag(flag: Flag, gram: Matrix) -> Flag:
     n = flag.n
     kernels = [identity(n).rows]
-    kernels += [(Matrix(flag.prefix(i)) @ gram).nullspace() for i in range(1, n + 1)]
+    kernels += [(Matrix(flag.vectors[:i]) @ gram).nullspace() for i in range(1, n + 1)]
     chosen = []
     for j in range(1, n + 1):
         chosen.append(
@@ -155,7 +157,7 @@ def assert_matches_oracle(u, flags) -> None:
     form = bilinear_form(u)
     for flag in flags:
         for i in range(flag.n + 1):
-            prefix = flag.prefix(i)
+            prefix = flag.vectors[:i]
             assert restricted_type(u, prefix) == oracle_restricted_type(kernels, prefix)
             assert quotient_type(u, prefix) == oracle_quotient_type(powers, prefix)
         assert perp_flag(flag, form).same_flag(oracle_perp_flag(flag, gram))
@@ -322,6 +324,114 @@ class TestDenseOracle:
         )
         params = data.draw(st.lists(nonzero, min_size=k + 2, max_size=k + 2))
         assert_matches_oracle(special_operator(k), [phi_map(k, d, params)])
+
+
+# Per-prefix definitions that the whole-flag eliminations replace: one
+# restricted or quotient type per prefix, stability and equality checked
+# prefix by prefix with ranks.
+
+
+def oracle_cell_of(flag: Flag, u):
+    return from_shape_chain([restricted_type(u, flag.vectors[:i]) for i in range(flag.n + 1)])
+
+
+def oracle_cell_prime_of(flag: Flag, u):
+    n = flag.n
+    chain = [quotient_type(u, flag.vectors[: n - j]) for j in range(n + 1)]
+    return schuetzenberger(from_shape_chain(chain))
+
+
+def oracle_in_fiber(flag: Flag, u) -> bool:
+    return all(
+        Matrix(flag.vectors[:i] + tuple(u.apply(v) for v in flag.vectors[:i])).rank() == i
+        for i in range(1, flag.n + 1)
+    )
+
+
+def oracle_same_flag(a: Flag, b: Flag) -> bool:
+    return a.n == b.n and all(
+        Matrix(a.vectors[:i] + b.vectors[:i]).rank() == i for i in range(1, a.n + 1)
+    )
+
+
+def assert_matches_prefix_oracles(u, flag: Flag, tilt: int) -> None:
+    """Whole-flag answers against the per-prefix definitions.
+
+    Also compares ``same_flag`` with a triangular change of basis of the
+    flag (the same flag) and with the flag whose vector ``tilt`` picks up
+    the next one (a different flag that shares every other prefix).
+    """
+    inside = oracle_in_fiber(flag, u)
+    assert in_springer_fiber(flag, u) == inside
+    if inside:
+        assert cell_of(flag, u) == oracle_cell_of(flag, u)
+        assert cell_prime_of(flag, u) == oracle_cell_prime_of(flag, u)
+    else:
+        with pytest.raises(StabilityError):
+            cell_of(flag, u)
+        with pytest.raises(StabilityError):
+            cell_prime_of(flag, u)
+    vs = flag.vectors
+    rebased = Flag(vs[:1] + tuple(vec_add(v, w) for v, w in zip(vs[1:], vs)))
+    assert oracle_same_flag(flag, rebased) and flag.same_flag(rebased)
+    if flag.n > 1:
+        k = tilt % (flag.n - 1)
+        tilted = Flag(vs[:k] + (vec_add(vs[k], vs[k + 1]),) + vs[k + 1 :])
+        assert not oracle_same_flag(flag, tilted) and not flag.same_flag(tilted)
+
+
+def chain_segment_cells(u, sigma: Permutation):
+    """``cell_of`` and ``cell_prime_of`` of a fiber coordinate flag, by combinatorics.
+
+    The prefix sigma(1..i) holds an initial segment of every chain (row of
+    the basis tableau).  Its restricted type is the sorted segment lengths;
+    the quotient type is the sorted lengths of the complementary final
+    segments.
+    """
+    rows = u.tableau.rows
+    restricted, quotient = [], []
+    for i in range(sigma.n + 1):
+        placed = {sigma(p) for p in range(1, i + 1)}
+        held = [sum(1 for e in row if e in placed) for row in rows]
+        rest = [len(row) - h for row, h in zip(rows, held)]
+        restricted.append(Partition(sorted((h for h in held if h), reverse=True)))
+        quotient.append(Partition(sorted((r for r in rest if r), reverse=True)))
+    return from_shape_chain(restricted), schuetzenberger(from_shape_chain(quotient[::-1]))
+
+
+class TestWholeFlag:
+    def test_coordinate_flags(self):
+        for n in range(1, 7):
+            for shape in partitions_of(n):
+                u = jordan_operator(column_superstandard(shape))
+                for tilt, sigma in enumerate(fiber_permutations(u)):
+                    flag = jordan_flag(sigma)
+                    assert_matches_prefix_oracles(u, flag, tilt)
+                    cells = (cell_of(flag, u), cell_prime_of(flag, u))
+                    assert cells == chain_segment_cells(u, sigma)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_chart_flags_match_prefix_oracles(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        d = data.draw(st.integers(min_value=3, max_value=k + 2))
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        params = data.draw(st.lists(entry, min_size=k + 2, max_size=k + 2))
+        tilt = data.draw(st.integers(min_value=0, max_value=8))
+        assert_matches_prefix_oracles(special_operator(k), phi_map(k, d, params), tilt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_flags_match_prefix_oracles(self, data):
+        # dense small-integer flags: almost all lie outside the fiber unless u = 0
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        shape = data.draw(st.sampled_from(list(partitions_of(n))))
+        row = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+        vectors = data.draw(st.lists(row, min_size=n, max_size=n))
+        assume(Matrix(vectors).rank() == n)
+        u = jordan_operator(column_superstandard(shape))
+        tilt = data.draw(st.integers(min_value=0, max_value=8))
+        assert_matches_prefix_oracles(u, Flag(vectors), tilt)
 
 
 class TestCells:

@@ -66,42 +66,6 @@ class TestConjugate:
                 assert p.conjugate().conjugate() == p
 
 
-class TestColumnBlock:
-    def block_oracle(self, parts, i, j):
-        # transpose by hand: slice the column lengths, transpose back via cells
-        cols = transpose_oracle(parts)[i - 1 : j]
-        return transpose_oracle(cols)
-
-    def test_single_column(self):
-        assert Partition((3, 2, 2)).column_block(1, 1) == Partition((1, 1, 1))
-
-    def test_inner_block(self):
-        # oracle: conjugate of (3,1) is (2,1,1)
-        assert self.block_oracle((3, 2, 2), 2, 3) == (2, 1, 1)
-        assert Partition((3, 2, 2)).column_block(2, 3) == Partition((2, 1, 1))
-
-    def test_two_row_block(self):
-        assert self.block_oracle((4, 2), 1, 2) == (2, 2)
-        assert Partition((4, 2)).column_block(1, 2) == Partition((2, 2))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            Partition((3, 2, 2)).column_block(1, 4)
-
-
-class TestPrefixSum:
-    def test_examples(self):
-        assert Partition((3, 2, 2)).prefix_sum(1) == 3
-        assert Partition((3, 2, 2)).prefix_sum(3) == 7
-        assert Partition((2, 2, 1, 1)).prefix_sum(1) == 4
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            Partition((3, 2, 2)).prefix_sum(0)
-        with pytest.raises(ValueError):
-            Partition((3, 2, 2)).prefix_sum(4)
-
-
 class TestSpringerDim:
     def test_pinned_values(self):
         assert Partition((3, 2, 2)).springer_dim() == 6
