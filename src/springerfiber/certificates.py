@@ -15,6 +15,8 @@ in the chart around it fixes the special flag at zero, lands in the open
 cell whenever all parameters are nonzero, and has chart coordinates from
 which the parameters can be read back affinely, witnessing a closed
 immersion of affine space through each special flag of the component.
+Every parameter is read back through one table per case of the chart
+cells that show it, built where the parameters are decoded.
 """
 
 from __future__ import annotations
@@ -380,31 +382,45 @@ def _check_d(k: int, d: int) -> None:
         raise ValueError(f"d must lie in 3..{k + 2}, got {d}")
 
 
-def _decode_params(
-    k: int, d: int, params: tuple[Fraction, ...]
-) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction | None]:
-    """The (alpha, gamma, nu) of the chart family through (d); see ``phi_map``.
+def _decode_params(k: int, d: int, params: tuple[Fraction, ...]) -> tuple[
+    dict[int, Fraction],
+    dict[int, Fraction],
+    Fraction | None,
+    dict[int, tuple[int, int]],
+    list[tuple[str, tuple[int, int], Fraction]],
+]:
+    """The (alpha, gamma, nu) of the chart family through (d) and where its chart shows them.
 
     ``alpha`` holds alpha_1 and alpha_3..alpha_{k+1} (d = k+2) or
     alpha_3..alpha_{k+2} (d < k+2), ``gamma`` holds gamma_1..gamma_{d-1},
-    and ``nu`` is None for d = k+2.
+    and ``nu`` is None for d = k+2; see ``phi_map``.  ``cells`` maps i to
+    the chart cell phi(r,c) holding alpha~_i, for every i >= 3 but d+1;
+    ``shown`` lists (name, cell, value) of the parameters the chart shows
+    directly: gamma_k and gamma_{k+1}, or gamma_{d-1} and nu.
     """
     alpha = {1: params[0]}
+    cells = {i: (i, i + 1) for i in range(3, d - 1)}
+    if d >= 4:
+        cells[d - 1] = (d - 1, d + 1)
     if d == k + 2:
         alpha.update((i, params[i - 2]) for i in range(3, k + 2))
         gamma = {k: params[k], k + 1: params[k + 1]}
         nu = None
+        shown = [(f"gamma_{i}", (i, k + 2), gamma[i]) for i in (k, k + 1)]
     else:
         alpha.update((i, params[i - 2]) for i in range(3, d + 1))
         alpha.update((i, params[i - 3]) for i in range(d + 2, k + 3))
         nu = params[k + 1]
         alpha[d + 1] = -nu * params[k]
         gamma = {d - 1: params[k]}
+        cells[d] = (2 * k + 3 - d, 2 * k + 4 - d)
+        cells.update((i, (i - 1, i)) for i in range(d + 2, k + 3))
+        shown = [(f"gamma_{d - 1}", (d - 1, d), gamma[d - 1]), ("nu", (d, d + 1), nu)]
     for i in range(min(gamma) - 1, 1, -1):
         gamma[i] = -alpha[i + 2] * gamma[i + 1]
     if 1 not in gamma:
         gamma[1] = -(alpha[3] - alpha[1]) * gamma[2]
-    return alpha, gamma, nu
+    return alpha, gamma, nu, cells, shown
 
 
 def phi_map(k: int, d: int, params: Sequence) -> Flag:
@@ -423,7 +439,7 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
     n = 2 * k + 1
     e = [None] + [unit_vector(n, i) for i in range(1, n + 1)]
-    alpha, gamma, nu = _decode_params(k, d, params)
+    alpha, gamma, nu, _, _ = _decode_params(k, d, params)
     vs = _v_full(k, tuple(alpha[i] for i in range(3, k + 2)))
     etas = [
         vec_add(vec_add(e[1], vec_scale(alpha[1], e[2])), vec_scale(gamma[1], e[n])),
@@ -444,14 +460,6 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     return Flag(etas)
 
 
-def _alpha_tilde(alpha: dict[int, Fraction], top: int) -> dict[int, Fraction]:
-    """Accumulated coefficients: tilde_1 = tilde_2 = 0, tilde_i = tilde_{i-2} + alpha_i."""
-    tilde = {1: Fraction(0), 2: Fraction(0)}
-    for i in range(3, top + 1):
-        tilde[i] = tilde[i - 2] + alpha[i]
-    return tilde
-
-
 def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Three deterministic all-nonzero parameter tuples of length k+2."""
     m = k + 2
@@ -466,74 +474,30 @@ def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:
 def _recovery_identities(
     k: int, d: int, params: tuple[Fraction, ...], coords
 ) -> list[tuple[str, Fraction, Fraction]]:
-    """(name, chart value, expected value) triples for the parameter read-back."""
+    """(name, chart value, expected value) triples for the parameter read-back.
+
+    The accumulated coefficients alpha~_i (alpha~_1 = alpha~_2 = 0,
+    alpha~_i = alpha~_{i-2} + alpha_i) and the given parameters are read at
+    their cells from ``_decode_params``; every alpha_i is then read back
+    from chart values alone.
+    """
     phi = coords.phi
-    alpha, gamma, nu = _decode_params(k, d, params)
+    alpha, _, _, cells, shown = _decode_params(k, d, params)
+    given = {name: phi[cell] for name, cell, _ in shown}
+    tilde = {1: Fraction(0), 2: Fraction(0)}
+    read = dict(tilde)
+    recovered = []
+    for i in range(3, max(alpha) + 1):
+        tilde[i] = tilde[i - 2] + alpha[i]
+        if i in cells:
+            read[i] = phi[cells[i]]
+        else:  # alpha~_{d+1} has no cell: alpha_{d+1} = -nu * gamma_{d-1}
+            read[i] = read[i - 2] - given["nu"] * given[f"gamma_{d - 1}"]
+        recovered.append((f"alpha_{i} recovered", read[i] - read[i - 2], alpha[i]))
     out = [("alpha_1 = phi(1,2)", phi[(1, 2)], alpha[1])]
-
-    if d == k + 2:
-        tilde = _alpha_tilde(alpha, k + 1)
-        for i in range(3, k + 1):
-            out.append((f"alpha~_{i} = phi({i},{i + 1})", phi[(i, i + 1)], tilde[i]))
-        if k >= 2:
-            out.append(
-                (f"alpha~_{k + 1} = phi({k + 1},{k + 3})", phi[(k + 1, k + 3)], tilde[k + 1])
-            )
-        out.append((f"gamma_{k} = phi({k},{k + 2})", phi[(k, k + 2)], gamma[k]))
-        out.append(
-            (f"gamma_{k + 1} = phi({k + 1},{k + 2})", phi[(k + 1, k + 2)], gamma[k + 1])
-        )
-        # read every alpha back from chart values alone
-        tilde_rec = {1: Fraction(0), 2: Fraction(0)}
-        for i in range(3, k + 1):
-            tilde_rec[i] = phi[(i, i + 1)]
-        if k >= 2:
-            tilde_rec[k + 1] = phi[(k + 1, k + 3)]
-        for i in range(3, k + 2):
-            out.append(
-                (
-                    f"alpha_{i} recovered",
-                    tilde_rec[i] - tilde_rec[i - 2],
-                    alpha[i],
-                )
-            )
-        return out
-
-    tilde = _alpha_tilde(alpha, k + 2)
-    for i in range(3, d - 1):
-        out.append((f"alpha~_{i} = phi({i},{i + 1})", phi[(i, i + 1)], tilde[i]))
-    if d >= 4:
-        out.append(
-            (f"alpha~_{d - 1} = phi({d - 1},{d + 1})", phi[(d - 1, d + 1)], tilde[d - 1])
-        )
-    out.append((f"gamma_{d - 1} = phi({d - 1},{d})", phi[(d - 1, d)], gamma[d - 1]))
-    out.append((f"nu = phi({d},{d + 1})", phi[(d, d + 1)], nu))
-    for i in range(d + 2, k + 3):
-        out.append((f"alpha~_{i} = phi({i - 1},{i})", phi[(i - 1, i)], tilde[i]))
-    pivot = 2 * k + 2 - d
-    out.append(
-        (
-            f"alpha~_{d} = phi({pivot + 1},{pivot + 2})",
-            phi[(pivot + 1, pivot + 2)],
-            tilde[d],
-        )
-    )
-    # read every alpha back from chart values alone
-    tilde_rec = {1: Fraction(0), 2: Fraction(0)}
-    for i in range(3, d - 1):
-        tilde_rec[i] = phi[(i, i + 1)]
-    if d >= 4:
-        tilde_rec[d - 1] = phi[(d - 1, d + 1)]
-    tilde_rec[d] = phi[(pivot + 1, pivot + 2)]
-    alpha_d1_rec = -phi[(d, d + 1)] * phi[(d - 1, d)]
-    tilde_rec[d + 1] = tilde_rec[d - 1] + alpha_d1_rec
-    for i in range(d + 2, k + 3):
-        tilde_rec[i] = phi[(i - 1, i)]
-    for i in range(3, k + 3):
-        out.append(
-            (f"alpha_{i} recovered", tilde_rec[i] - tilde_rec[i - 2], alpha[i])
-        )
-    return out
+    out += [(f"alpha~_{i} = phi({r},{c})", phi[(r, c)], tilde[i]) for i, (r, c) in cells.items()]
+    out += [(f"{name} = phi({r},{c})", phi[(r, c)], value) for name, (r, c), value in shown]
+    return out + recovered
 
 
 def verify_smooth_chart(

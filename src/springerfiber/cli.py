@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import acceptance
 from .certificates import certify_322, verify_smooth_chart
 from .eqsmoves import eqs_class, partition_report
-from .exactlin import Permutation, cell_of, in_springer_fiber, jordan_flag, jordan_operator
+from .exactlin import Permutation, StabilityError, cell_of, jordan_flag, jordan_operator
 from .partitions import Partition
 from .tableaux import (
     StandardTableau,
@@ -157,13 +157,12 @@ def _cmd_flag_cell(args):
     )
     if basis.shape != p:
         raise InputError(f"basis tableau shape {basis.shape} does not match {p}")
-    u = jordan_operator(basis)
-    flag = jordan_flag(sigma)
-    if not in_springer_fiber(flag, u):
+    try:
+        return cell_of(jordan_flag(sigma), jordan_operator(basis)).text(), 0
+    except StabilityError as exc:
         raise InputError(
             f"the coordinate flag of {sigma} is not in the fiber of {basis.text()}"
-        )
-    return cell_of(flag, u).text(), 0
+        ) from exc
 
 
 def _cmd_certify_322(args):

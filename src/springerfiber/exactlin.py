@@ -21,17 +21,17 @@ is an involution of the basis indices and gives the orthogonal-complement
 flag map, which exchanges the two kinds of cells up to evacuation.
 
 For the one-box-third-row shapes (k,k,1) the module also provides the
-shuffle description of the Jordan flags inside the fiber, the special
-permutations (d) and flags, coordinates on the open chart around each
-special flag, and the combinatorial degeneration taking any shuffle flag
-to a special one.
+shuffle description of the Jordan flags inside the fiber (the fiber
+permutations of the special operator), the special permutations (d) and
+flags, coordinates on the open chart around each special flag, and the
+combinatorial degeneration taking any shuffle flag to a special one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -235,12 +235,6 @@ class Permutation:
     def position_of(self, value: int) -> int:
         """The index mapped to ``value``; inverse permutation evaluated there."""
         return self.images.index(value) + 1
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return Permutation(inv)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Permutation):
@@ -546,24 +540,10 @@ def shuffles(k: int) -> tuple[Permutation, ...]:
     """Permutations interleaving the chains 1,3,..,n-2 and 2,4,..,n-1 with n free.
 
     These are exactly the permutations whose coordinate flag is stable
-    under the shape-(k,k,1) operator of ``special_operator``.
+    under the shape-(k,k,1) operator of ``special_operator``, so they are
+    its ``fiber_permutations``: sorted, and refused above the enumeration bound.
     """
-    n = 2 * k + 1
-    odds = tuple(range(1, n - 1, 2))
-    evens = tuple(range(2, n, 2))
-    out = []
-    for odd_positions in combinations(range(n), k):
-        rest = [p for p in range(n) if p not in odd_positions]
-        for even_choice in combinations(range(n - k), k):
-            even_positions = [rest[c] for c in even_choice]
-            images = [0] * n
-            for pos, value in zip(odd_positions, odds):
-                images[pos] = value
-            for pos, value in zip(even_positions, evens):
-                images[pos] = value
-            images[next(p for p in rest if p not in set(even_positions))] = n
-            out.append(Permutation(images))
-    return tuple(sorted(out))
+    return fiber_permutations(special_operator(k))
 
 
 def special_perm(d: int, n: int) -> Permutation:

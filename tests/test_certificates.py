@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from springerfiber.certificates import (
     BASIS_TABLEAU_322,
     CELL_TABLEAU_322,
     WITNESS_CURVES,
+    _recovery_identities,
     _v_full,
     CertificateError,
     Jet,
@@ -25,6 +28,7 @@ from springerfiber.certificates import (
 )
 from springerfiber.exactlin import (
     Matrix,
+    chart_coords,
     in_span,
     restricted_type,
     special_flag,
@@ -425,3 +429,79 @@ class TestVerifySmoothChart:
         monkeypatch.setattr("springerfiber.certificates.chart_coords", broken)
         with pytest.raises(TypeError):
             verify_smooth_chart(2, 4, parameter_tuples=[])
+
+
+def read_back(k, d, ps, chart_ps):
+    """The read-back identities of ``ps`` on the chart of the flag phi_map(k, d, chart_ps)."""
+    return _recovery_identities(k, d, ps, chart_coords(phi_map(k, d, chart_ps), d))
+
+
+class TestReadBack:
+    PINNED = {
+        (1, 3): ("alpha_1 = phi(1,2)", "gamma_1 = phi(1,3)", "gamma_2 = phi(2,3)"),
+        (2, 4): (
+            "alpha_1 = phi(1,2)", "alpha~_3 = phi(3,5)", "gamma_2 = phi(2,4)",
+            "gamma_3 = phi(3,4)", "alpha_3 recovered",
+        ),
+        (3, 3): (
+            "alpha_1 = phi(1,2)", "alpha~_3 = phi(6,7)", "alpha~_5 = phi(4,5)",
+            "gamma_2 = phi(2,3)", "nu = phi(3,4)",
+            "alpha_3 recovered", "alpha_4 recovered", "alpha_5 recovered",
+        ),
+        (3, 4): (
+            "alpha_1 = phi(1,2)", "alpha~_3 = phi(3,5)", "alpha~_4 = phi(5,6)",
+            "gamma_3 = phi(3,4)", "nu = phi(4,5)",
+            "alpha_3 recovered", "alpha_4 recovered", "alpha_5 recovered",
+        ),
+        (3, 5): (
+            "alpha_1 = phi(1,2)", "alpha~_3 = phi(3,4)", "alpha~_4 = phi(4,6)",
+            "gamma_3 = phi(3,5)", "gamma_4 = phi(4,5)",
+            "alpha_3 recovered", "alpha_4 recovered",
+        ),
+        (4, 6): (
+            "alpha_1 = phi(1,2)", "alpha~_3 = phi(3,4)", "alpha~_4 = phi(4,5)",
+            "alpha~_5 = phi(5,7)", "gamma_4 = phi(4,6)", "gamma_5 = phi(5,6)",
+            "alpha_3 recovered", "alpha_4 recovered", "alpha_5 recovered",
+        ),
+    }
+
+    @pytest.mark.parametrize("k,d", sorted(PINNED))
+    def test_pinned_identities_hold(self, k, d):
+        ps = default_chart_parameters(k)[0]
+        identities = read_back(k, d, ps, ps)
+        assert sorted(name for name, _, _ in identities) == sorted(self.PINNED[(k, d)])
+        assert all(got == want for _, got, want in identities)
+
+    def test_read_back_is_injective(self):
+        # the chart of another all-nonzero tuple reads that tuple back, so it
+        # fails some identity of ps
+        for k in range(1, 6):
+            for d in range(3, k + 3):
+                for ps in default_chart_parameters(k):
+                    for j in range(k + 2):
+                        other = ps[:j] + (2 * ps[j],) + ps[j + 1 :]
+                        identities = read_back(k, d, ps, other)
+                        own = read_back(k, d, other, other)
+                        assert [got for _, got, _ in identities] == [w for _, _, w in own]
+                        assert any(got != want for _, got, want in identities), (k, d, j)
+
+    @pytest.mark.parametrize("k,d", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5)])
+    def test_shifted_chart_entry_fails_iff_read(self, monkeypatch, k, d):
+        ps = default_chart_parameters(k)[0]
+        names = [name for name, _, _ in read_back(k, d, ps, ps)]
+        read = {tuple(map(int, m)) for m in re.findall(r"phi\((\d+),(\d+)\)", " ".join(names))}
+        n = 2 * k + 1
+        for cell in [(r, c) for r in range(1, n + 1) for c in range(r + 1, n + 1)]:
+
+            def shifted(flag, d, cell=cell):
+                coords = chart_coords(flag, d)
+                phi = dict(coords.phi)
+                phi[cell] += Fraction(1, 7)
+                return replace(coords, phi=phi)
+
+            monkeypatch.setattr("springerfiber.certificates.chart_coords", shifted)
+            report = verify_smooth_chart(k, d, parameter_tuples=[ps])
+            status = {c["name"]: c["status"] for c in report["checks"]}
+            want = "fail" if cell in read else "pass"
+            assert status["nonzero-tuple-0-chart-recovery"] == want, cell
+            assert report["verdict"] == want, cell

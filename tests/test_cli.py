@@ -173,3 +173,9 @@ class TestErrorPaths:
         code, payload, _ = run(capsys, "dist", "1,2/3,4")
         assert code == 1 and "error" in payload
         assert "needs shape (r,s,1)" in payload["error"]
+
+    def test_restrict_reversed_range_exit_1(self, capsys):
+        # the input parses; the restriction is undefined on it
+        code, payload, _ = run(capsys, "restrict", "5", "2", "1,2/3")
+        assert code == 1 and "error" in payload
+        assert "out of range" in payload["error"]

@@ -552,6 +552,32 @@ class TestShuffles:
         for k in (1, 2):
             assert set(shuffles(k)) == set(fiber_permutations(special_operator(k)))
 
+    def test_interleaves_the_two_chains(self):
+        # the odd chain 1,3,..,n-2 and the even chain 2,4,..,n-1 appear in
+        # order; with test_count this is every shuffle, once, sorted
+        for k in (1, 2, 3):
+            n = 2 * k + 1
+            out = shuffles(k)
+            assert list(out) == sorted(set(out))
+            for sigma in out:
+                odds = [sigma.position_of(v) for v in range(1, n - 1, 2)]
+                evens = [sigma.position_of(v) for v in range(2, n, 2)]
+                assert odds == sorted(odds) and evens == sorted(evens)
+
+    def test_bound_checked_before_work(self):
+        # k = 6 has n = 13 > DEFAULT_ENUM_BOUND; 12,012 shuffles if unbounded
+        def timed_out(signum, frame):
+            raise AssertionError("shuffles(6) ran past the bound check")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="bound"):
+                shuffles(6)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 class TestSpecialPermAndFlag:
     def test_example(self):
@@ -677,7 +703,11 @@ class TestDegeneration:
 class TestPermutation:
     def test_inverse_and_parse(self):
         p = Permutation.parse("1,2,5,3,4")
-        assert p.inverse().images == (1, 2, 4, 5, 3)
+        inverse = [0] * p.n
+        for i, v in enumerate(p.images, start=1):
+            inverse[v - 1] = i
+        assert tuple(p.position_of(v) for v in range(1, p.n + 1)) == tuple(inverse)
+        assert tuple(inverse) == (1, 2, 4, 5, 3)
         assert str(p) == "1,2,5,3,4"
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
