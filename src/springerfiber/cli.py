@@ -3,9 +3,9 @@
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 Exit codes: 0 on success, 1 when an operation or verification check fails,
 2 on unparsable input.  The environment variable SPRINGERFIBER_MAX_N
-overrides the default search bound of the enumeration-backed subcommands;
-like ``--max-n``, it must be a nonnegative integer, else the input is
-unparsable.
+overrides the default bound on n of the enumeration-backed subcommands and
+of ``verify-q``; like ``--max-n``, it must be a nonnegative integer, else
+the input is unparsable.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .tableaux import (
 from .eqsmoves import c_inverse, c_move
 
 ENV_MAX_N = "SPRINGERFIBER_MAX_N"
+# Default bound on n = 2k+1 for verify-q: k <= 15, a few seconds per run.
+VERIFY_Q_MAX_N = 31
 
 
 class InputError(ValueError):
@@ -74,12 +76,12 @@ def _parse_standard(text: str) -> StandardTableau:
     return t
 
 
-def _max_n(args) -> int | None:
+def _max_n(args, default: int | None = None) -> int | None:
     bound = getattr(args, "max_n", None)
     if bound is None:
         env = os.environ.get(ENV_MAX_N)
         if not env:
-            return None
+            return default
         bound = _parse(int, env, ENV_MAX_N)
     if bound < 0:
         raise InputError(f"search bound must be nonnegative, got {bound}")
@@ -174,6 +176,9 @@ def _cmd_verify_q(args):
     k = args.k
     if k < 1:
         raise InputError("k must be at least 1")
+    n, bound = 2 * k + 1, _max_n(args, VERIFY_Q_MAX_N)
+    if n > bound:
+        raise ValueError(f"verify-q bound exceeded: n={n} > {bound}")
     cases = [verify_smooth_chart(k, d) for d in range(3, k + 3)]
     ok = all(c["verdict"] == "pass" for c in cases)
     return {"k": k, "cases": cases, "verdict": "pass" if ok else "fail"}, 0 if ok else 1
@@ -258,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-q", help="smooth chart verification for shape (k,k,1)")
     p.add_argument("k", type=int)
+    p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(fn=_cmd_verify_q)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

@@ -1,11 +1,16 @@
 """Exact rational linear algebra for flags in a Springer fiber.
 
-Everything runs over ``fractions.Fraction``; there is no floating point
-anywhere, so rank, kernel, and membership answers are exact.  Vectors are
-plain tuples used as columns by operators and as rows by spans.
-``Matrix.rref`` is the one elimination routine (``chart_coords`` aside):
-ranks, span membership, the complement flag's inverse and, read off its
-pivot columns, dimensions for every prefix of a flag at once come from it.
+Entries are ``fractions.Fraction`` and pivot questions run on integers
+scaled from them; there is no floating point anywhere, so rank, kernel,
+and membership answers are exact.  Vectors are plain tuples used as
+columns by operators and as rows by spans.  Two elimination routines
+(``chart_coords`` aside) serve two kinds of question.  ``_pivot_columns``
+answers every question that needs only pivot columns, by fraction-free
+integer elimination: ranks, the independence of a flag basis, fiber
+membership, flag equality and, read off the pivot columns, dimensions for
+every prefix of a flag at once.  ``Matrix.rref`` is the routine for
+reduced rows: stable bases, span membership, kernels and the complement
+flag's inverse.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -135,7 +141,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
-        return len(self.rref()[1])
+        return len(_pivot_columns(self.rows))
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, one vector per free column."""
@@ -168,6 +174,43 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
+def _pivot_columns(rows: Iterable[Sequence[Fraction]]) -> tuple[int, ...]:
+    """The pivot columns of the RREF of ``rows``, by fraction-free elimination.
+
+    Scaling each row to integers by the lcm of its denominators keeps every
+    column dependency.  Bareiss elimination then runs in column order: a
+    column where some remaining row is nonzero is a pivot, that row leaves,
+    and every remaining row, also one that is 0 there, becomes (pivot * row
+    - entry * pivot row) divided by the previous pivot.  By Sylvester's
+    identity each entry is a minor of the scaled matrix, so the division is
+    exact and no ``Fraction`` is built.
+    """
+    rest = []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = lcm(*[d for _, d in ratios])
+        rest.append([a * (scale // d) for a, d in ratios])
+    pivots: list[int] = []
+    previous = 1
+    # ``rest`` holds the rows not yet used as pivots, cut to columns c onwards
+    for c in range(len(rest[0]) if rest else 0):
+        found = next((i for i, row in enumerate(rest) if row[0]), None)
+        if found is None:
+            rest = [row[1:] for row in rest]
+            continue
+        top = rest.pop(found)
+        pivot, tail = top[0], top[1:]
+        rest = [
+            [(pivot * a - row[0] * b) // previous for a, b in zip(row[1:], tail)]
+            for row in rest
+        ]
+        previous = pivot
+        pivots.append(c)
+        if not rest:
+            break
+    return tuple(pivots)
+
+
 def _reduce(reduced: Sequence[Vector], pivots: Sequence[int], v: Vector) -> list[Fraction]:
     """``v`` minus its combination of the RREF rows: zero iff ``v`` is in their span."""
     w = list(v)
@@ -184,7 +227,7 @@ def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
     By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
     """
     columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
-    _, pivots = Matrix(zip(*columns)).rref()
+    pivots = _pivot_columns(zip(*columns))
     return all(p % 2 == 0 for p in pivots)
 
 
@@ -193,7 +236,7 @@ def _prefix_meet_dims(vecs: Sequence[Vector], outside: Iterable[int]) -> list[in
 
     Each independent vector that is no pivot column on ``outside`` adds one.
     """
-    _, pivots = Matrix([w[c] for w in vecs] for c in outside).rref()
+    pivots = _pivot_columns([[w[c] for w in vecs] for c in outside])
     return list(accumulate((i not in pivots for i in range(len(vecs))), initial=0))
 
 
@@ -264,7 +307,7 @@ class Flag:
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        if n and Matrix(vectors).rank() != n:
+        if n and len(_pivot_columns(vectors)) != n:
             raise ValueError("flag basis is linearly dependent")
         self.vectors = vectors
 

@@ -140,6 +140,39 @@ class TestVerifierCommands:
         assert payload["verdict"] == "pass"
         assert len(payload["cases"]) == 2
 
+    def test_verify_q_within_default_bound(self, capsys, monkeypatch):
+        monkeypatch.delenv("SPRINGERFIBER_MAX_N", raising=False)
+        code, payload, _ = run(capsys, "verify-q", "7")
+        assert code == 0 and payload["verdict"] == "pass"
+
+    def test_verify_q_bound_checked_before_work(self, capsys, monkeypatch):
+        # k = 1000 is n = 2001 > 31; an unbounded run would in effect hang.
+        # main turns any exception into exit 1, so the message tells the
+        # bound check from the alarm
+        monkeypatch.delenv("SPRINGERFIBER_MAX_N", raising=False)
+
+        def timed_out(signum, frame):
+            raise AssertionError("verify-q 1000 ran for 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            code, payload, _ = run(capsys, "verify-q", "1000")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1 and payload["error"] == "verify-q bound exceeded: n=2001 > 31"
+
+    def test_verify_q_bound_from_env_and_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPRINGERFIBER_MAX_N", "5")
+        code, payload, _ = run(capsys, "verify-q", "3")
+        assert code == 1 and payload["error"] == "verify-q bound exceeded: n=7 > 5"
+        code, payload, _ = run(capsys, "verify-q", "3", "--max-n", "7")
+        assert code == 0 and payload["verdict"] == "pass"
+        monkeypatch.delenv("SPRINGERFIBER_MAX_N")
+        code, payload, _ = run(capsys, "verify-q", "3", "--max-n", "5")
+        assert code == 1 and payload["error"] == "verify-q bound exceeded: n=7 > 5"
+
 
 class TestErrorPaths:
     def test_parse_error_exit_2(self, capsys):

@@ -1,6 +1,6 @@
 import signal
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +11,7 @@ from springerfiber.exactlin import (
     Matrix,
     Permutation,
     StabilityError,
+    _pivot_columns,
     bilinear_form,
     cell_of,
     cell_prime_of,
@@ -213,6 +214,71 @@ class TestMatrix:
     def test_json_rationals(self):
         m = Matrix([[Fraction(1, 2), 3]])
         assert m.to_json() == [["1/2", "3"]]
+
+
+# Entries with large coprime denominators, so a row's lcm scaling matters.
+RATIONAL = st.builds(
+    Fraction,
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([1, 2, 3, 7, 10007, 65537, 2**31 - 1, 2**61 - 1]),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Row lists over Q, with dependent rows, zero rows and zero columns mixed in."""
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(RATIONAL, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows:
+        # rational combinations of the drawn rows make the matrix rank-deficient
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            coeffs = draw(st.lists(RATIONAL, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    rows += [[Fraction(0)] * ncols] * draw(st.integers(min_value=0, max_value=2))
+    zero_columns = draw(st.sets(st.integers(min_value=0, max_value=max(ncols - 1, 0))))
+    rows = [[Fraction(0) if j in zero_columns else x for j, x in enumerate(r)] for r in rows]
+    return draw(st.permutations(rows))
+
+
+class TestPivotColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_matches_rref(self, rows):
+        assert _pivot_columns(rows) == Matrix(rows).rref()[1]
+
+    def test_empty_shapes(self):
+        assert _pivot_columns([]) == ()
+        assert _pivot_columns([[], []]) == ()
+        assert _pivot_columns([[Fraction(0)] * 3] * 2) == ()
+
+    def test_dependency_hidden_by_denominators(self):
+        # row 2 is row 1 times 3/65537; their numerators alone are independent
+        p = 2**31 - 1
+        rows = [
+            [Fraction(1, p), Fraction(2, 3), Fraction(0)],
+            [Fraction(3, 65537 * p), Fraction(2, 65537), Fraction(0)],
+            [Fraction(0), Fraction(1, 7), Fraction(5, p)],
+        ]
+        assert _pivot_columns(rows) == Matrix(rows).rref()[1] == (0, 1)
+
+    def test_exact_division_keeps_entries_small(self):
+        # a 40 x 40 diagonally dominant matrix: every Bareiss entry is a minor
+        # of a few hundred bits, while elimination without the division by
+        # the previous pivot doubles the bit length at every step
+        n = 40
+        rows = [[2 * n if i == j else (i * j) % 3 - 1 for j in range(n)] for i in range(n)]
+
+        def timed_out(signum, frame):
+            raise AssertionError("entries grew beyond the minors of the matrix")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            assert _pivot_columns([[Fraction(x) for x in r] for r in rows]) == tuple(range(n))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestJordanOperator:
@@ -549,8 +615,22 @@ class TestShuffles:
         assert len(shuffles(1)) == 6
 
     def test_matches_generic_fiber_test(self):
-        for k in (1, 2):
-            assert set(shuffles(k)) == set(fiber_permutations(special_operator(k)))
+        # independent oracle: choose the position of n, then the positions of
+        # the odd chain among the other slots; the even chain fills the rest
+        for k in (1, 2, 3, 4):
+            n = 2 * k + 1
+            expected = []
+            for at_n in range(n):
+                slots = [p for p in range(n) if p != at_n]
+                for odd_slots in combinations(slots, k):
+                    even_slots = [p for p in slots if p not in odd_slots]
+                    images = [n] * n
+                    for p, v in zip(odd_slots, range(1, n - 1, 2)):
+                        images[p] = v
+                    for p, v in zip(even_slots, range(2, n, 2)):
+                        images[p] = v
+                    expected.append(Permutation(images))
+            assert shuffles(k) == tuple(sorted(expected))
 
     def test_interleaves_the_two_chains(self):
         # the odd chain 1,3,..,n-2 and the even chain 2,4,..,n-1 appear in
