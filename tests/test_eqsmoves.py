@@ -1,6 +1,8 @@
 import pytest
 
+import springerfiber.tableaux as tableaux_module
 from springerfiber.eqsmoves import (
+    MOVE_KINDS,
     MoveError,
     MoveLabel,
     block_move,
@@ -15,6 +17,8 @@ from springerfiber.eqsmoves import (
 )
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
+    StandardTableau,
+    Tableau,
     concat,
     dist,
     enumerate_tableaux,
@@ -54,6 +58,189 @@ def union_find_classes(shape):
     classes = [tuple(sorted(g, key=lambda x: x.row_word())) for g in groups.values()]
     classes.sort(key=lambda members: members[0].row_word())
     return [(members, members[0]) for members in classes]
+
+
+# ---- oracle: the tableau-level moves, validating every intermediate tableau
+
+
+def oracle_slide(t):
+    """Slide the entry at (1,1) out; returns the slid Tableau and the vacated box."""
+    rows = [list(row) for row in t.rows]
+    r, c = 0, 0
+    while True:
+        right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
+        below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
+        if right is None and below is None:
+            break
+        if below is None or (right is not None and right < below):
+            rows[r][c] = right
+            c += 1
+        else:
+            rows[r][c] = below
+            r += 1
+    del rows[r][c]
+    return Tableau(row for row in rows if row), (r, c)
+
+
+def oracle_evacuation(t):
+    evacuated = [[0] * len(row) for row in t.rows]
+    u = t
+    for e in range(t.n, 0, -1):
+        u, (r, c) = oracle_slide(u)
+        evacuated[r][c] = e
+    return StandardTableau(evacuated)
+
+
+def oracle_c_move(t):
+    if t.n == 0:
+        raise MoveError("cyclic move undefined on the empty tableau")
+    j = sum(len(row) == len(t.rows[0]) for row in t.rows)
+    slid, hole = oracle_slide(t)
+    if hole[0] != j - 1:
+        raise MoveError(
+            f"slide hole ended in row {hole[0] + 1}, not at the leading block row {j}"
+        )
+    rows = [[e - 1 for e in row] for row in slid.rows]
+    if j - 1 == len(rows):
+        rows.append([t.n])
+    else:
+        rows[j - 1].append(t.n)
+    return StandardTableau(rows)
+
+
+def oracle_c_inverse(t):
+    if t.n == 0:
+        raise MoveError("inverse cyclic move undefined on the empty tableau")
+    n = t.n
+    jr, jc = t.position_of(n)
+    if len(t.rows[jr - 1]) != len(t.rows[0]):
+        raise MoveError(f"entry {n} does not close the leading block of equal rows")
+    rows = [[e + 1 for e in row] for row in t.rows]
+    del rows[jr - 1][jc - 1]
+    if not rows[jr - 1]:
+        rows.pop(jr - 1)
+    while len(rows) < jr:
+        rows.append([])
+    rows[jr - 1].append(None)
+    r, c = jr - 1, jc - 1
+    while (r, c) != (0, 0):
+        left = rows[r][c - 1] if c > 0 else None
+        above = rows[r - 1][c] if r > 0 else None
+        if above is None or (left is not None and left > above):
+            rows[r][c] = left
+            c -= 1
+        else:
+            rows[r][c] = above
+            r -= 1
+    rows[0][0] = 1
+    return StandardTableau(row for row in rows if row)
+
+
+def oracle_cut_points(t):
+    if not t.rows:
+        return (0,)
+    top = t.rows[0]
+    points = [0]
+    boxes = 0
+    for i in range(1, len(top)):
+        boxes += sum(1 for row in t.rows if len(row) >= i)
+        if top[i] == boxes + 1:
+            points.append(i)
+    points.append(len(top))
+    return tuple(points)
+
+
+def oracle_block_move(t, label):
+    a, b = label.columns
+    m = len(t.rows[0]) if t.rows else 0
+    if not 1 <= a < b <= m:
+        raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
+    cps = oracle_cut_points(t)
+    if a - 1 not in cps or b not in cps:
+        raise MoveError(f"columns [{a},{b}] do not split off as a block")
+    shift = t.rows[0][a - 1] - 1
+    block = StandardTableau(
+        tuple(e - shift for e in row[a - 1 : b]) for row in t.rows if len(row) >= a
+    )
+    move = {"C": oracle_c_move, "Cinv": oracle_c_inverse, "SchBlock": oracle_evacuation}
+    moved = move[label.kind](block)
+    lifted = [tuple(e + shift for e in row) for row in moved.rows]
+    rows = []
+    for q, row in enumerate(t.rows):
+        middle = lifted[q] if q < len(lifted) else ()
+        rows.append(row[: a - 1] + middle + row[b:])
+    return StandardTableau(rows)
+
+
+def oracle_legal_moves(t):
+    cps = oracle_cut_points(t)
+    out = []
+    for x, left in enumerate(cps):
+        for b in cps[x + 1 :]:
+            if b == left + 1:
+                continue
+            for kind in MOVE_KINDS:
+                label = MoveLabel(kind, (left + 1, b))
+                try:
+                    out.append((label, oracle_block_move(t, label)))
+                except MoveError:
+                    continue
+    return tuple(out)
+
+
+def outcome(move, *args):
+    """The move's result, or the type and message of the ValueError it raises."""
+    try:
+        return move(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def count_validations(monkeypatch):
+    """List that grows by one entry per ``_validate_rows`` call from now on."""
+    calls = []
+    validate = tableaux_module._validate_rows
+
+    def counting(rows):
+        calls.append(rows)
+        validate(rows)
+
+    monkeypatch.setattr(tableaux_module, "_validate_rows", counting)
+    return calls
+
+
+class TestRowLevelMovesMatchOracle:
+    def test_every_tableau_up_to_eight_boxes(self):
+        for n in range(9):
+            for shape in partitions_of(n):
+                m = shape.num_columns
+                for t in enumerate_tableaux(shape):
+                    assert legal_moves(t) == oracle_legal_moves(t)
+                    for a in range(1, m):
+                        for b in range(a + 1, m + 1):
+                            for kind in MOVE_KINDS:
+                                label = MoveLabel(kind, (a, b))
+                                assert outcome(block_move, t, label) == outcome(
+                                    oracle_block_move, t, label
+                                )
+                    assert outcome(c_move, t) == outcome(oracle_c_move, t)
+                    assert outcome(c_inverse, t) == outcome(oracle_c_inverse, t)
+                    assert schuetzenberger(t) == oracle_evacuation(t)
+
+    def test_out_of_range_columns(self):
+        t = T("1,2,5/3,4,6")
+        for columns in ((1, 4), (3, 5)):
+            label = MoveLabel("C", columns)
+            assert outcome(block_move, t, label) == outcome(oracle_block_move, t, label)
+
+    def test_each_move_validates_only_its_result(self, monkeypatch):
+        t = T("1,2,4/3,6,8/5,7,10/9,11")
+        calls = count_validations(monkeypatch)
+        c_inverse(c_move(t))
+        schuetzenberger(t)
+        assert len(calls) == 3
+        # failed moves raise before building anything
+        assert len(legal_moves(t)) == len(calls) - 3 > 0
 
 
 class TestCyclicMove:

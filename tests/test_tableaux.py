@@ -1,11 +1,14 @@
 from itertools import permutations as iter_permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import springerfiber.tableaux as tableaux_module
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
     Tableau,
+    _validate_rows,
     column_superstandard,
     concat,
     dist,
@@ -21,6 +24,7 @@ from springerfiber.tableaux import (
     schuetzenberger,
     shape_chain,
     standardize,
+    tableau,
     tau,
     truncate,
 )
@@ -46,6 +50,65 @@ def oracle_restrict(t, i, j):
     while u.rows[0][0] < i:
         u, _ = jdt_remove_min(u)
     return u
+
+
+def oracle_plain(rows):
+    """``Tableau`` as it was built before standardness was read off row ends."""
+    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    _validate_rows(rows)
+    return ("Tableau", rows)
+
+
+def oracle_standard(rows):
+    _, rows = oracle_plain(rows)
+    entries = sorted(e for row in rows for e in row)
+    if entries != list(range(1, len(entries) + 1)):
+        raise ValueError("not standard")
+    return ("StandardTableau", rows)
+
+
+def oracle_tableau(rows):
+    """``tableau()`` as a plain validation followed by a standard one."""
+    _, rows = oracle_plain(rows)
+    try:
+        return oracle_standard(rows)
+    except ValueError:
+        return ("Tableau", rows)
+
+
+def construction(build, rows):
+    """(class name, rows) of what ``build`` returns, or the type it raises."""
+    try:
+        out = build([list(row) for row in rows])
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    if isinstance(out, tuple):
+        return out
+    return (type(out).__name__, out.rows)
+
+
+SMALL_SHAPES = [shape for n in range(6) for shape in partitions_of(n)]
+ENTRY = st.one_of(
+    st.integers(min_value=-1, max_value=8),
+    st.integers(min_value=0, max_value=8).map(str),
+    st.sampled_from(["", "x", "2.5"]),
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Standard rows, valid rows with a gap in the entries, or arbitrary rows."""
+    kind = draw(st.sampled_from(["standard", "gapped", "arbitrary"]))
+    if kind == "arbitrary":
+        return draw(st.lists(st.lists(ENTRY, max_size=4), max_size=4))
+    t = draw(st.sampled_from(enumerate_tableaux(draw(st.sampled_from(SMALL_SHAPES)))))
+    rows = [list(row) for row in t.rows]
+    if kind == "gapped" and t.n:
+        cut = draw(st.integers(min_value=1, max_value=t.n))
+        rows = [[e + (e >= cut) for e in row] for row in rows]
+    if draw(st.booleans()):
+        rows = [[str(e) for e in row] for row in rows]
+    return rows
 
 
 def brute_force_tableaux(shape):
@@ -94,6 +157,28 @@ class TestValidation:
             StandardTableau([[1, 2], [4]])
         # same rows are fine as a plain tableau
         assert Tableau([[1, 2], [4]]).n == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_lists())
+    def test_constructors_match_two_pass_oracle(self, rows):
+        for build, oracle in (
+            (tableau, oracle_tableau),
+            (Tableau, oracle_plain),
+            (StandardTableau, oracle_standard),
+        ):
+            assert construction(build, rows) == construction(oracle, rows)
+
+    def test_one_validation_per_tableau(self, monkeypatch):
+        calls = []
+        validate = tableaux_module._validate_rows
+        monkeypatch.setattr(
+            tableaux_module, "_validate_rows", lambda rows: calls.append(validate(rows))
+        )
+        t = parse_tableau("1,3,5/2,4,6")
+        assert len(calls) == 1
+        assert isinstance(restrict(t, 1, 4), StandardTableau)
+        assert type(restrict(t, 2, 4)) is Tableau
+        assert len(calls) == 3
 
     def test_text_round_trip(self):
         t = T("1,2,5/3,4/6,7")
