@@ -15,6 +15,8 @@ in the chart around it fixes the special flag at zero, lands in the open
 cell whenever all parameters are nonzero, and has chart coordinates from
 which the parameters can be read back affinely, witnessing a closed
 immersion of affine space through each special flag of the component.
+Its vectors are v_1..v_{n-1}, the v-recurrence continued in closed form:
+level k+1+m of the r-recurrence is e_1..e_{2m}, then w^m of the v-vectors.
 Every parameter is read back through one table per case of the chart
 cells that show it, built where the parameters are decoded.
 """
@@ -307,18 +309,13 @@ def certify_322() -> SingularityCertificate:
     )
 
 
-def _w_shift(v: Vector, n: int) -> Vector:
-    """The partial inverse of the shape-(k,k,1) operator: e_i -> e_{i+2}.
-
-    Defined on the span of e_1..e_{n-1}, killing e_{n-2} and e_{n-1};
-    the coefficient on e_n must vanish.
-    """
+def _w_power(v: Vector, m: int) -> Vector:
+    """w^m, w: e_i -> e_{i+2} the partial inverse of the (k,k,1) operator on e_1..e_{n-1}."""
+    n = len(v)
     if v[n - 1] != 0:
         raise ValueError("shift map is undefined on the last coordinate")
-    out = [Fraction(0)] * n
-    for i in range(n - 3):
-        out[i + 2] = v[i]
-    return tuple(out)
+    shift = min(2 * m, n - 1)
+    return (Fraction(0),) * shift + v[: n - 1 - shift] + (Fraction(0),)
 
 
 def v_vectors(k: int, alpha: Sequence) -> tuple[Vector, ...]:
@@ -336,7 +333,7 @@ def v_vectors(k: int, alpha: Sequence) -> tuple[Vector, ...]:
     vs = [unit_vector(n, 1), unit_vector(n, 2)]
     for i in range(3, k + 2):
         a = alpha[i - 3]
-        vs.append(vec_add(_w_shift(vs[i - 3], n), vec_scale(a, _w_shift(vs[i - 2], n))))
+        vs.append(vec_add(_w_power(vs[i - 3], 1), vec_scale(a, _w_power(vs[i - 2], 1))))
     return tuple(vs)
 
 
@@ -346,35 +343,25 @@ def r_vectors(
     """Level-``i`` auxiliary vectors r_1..r_i and their coefficients beta.
 
     Level k+1 is the v-recurrence itself (beta_j = alpha_j, with
-    alpha_1 = alpha_2 = 0); each next level re-seeds e_1, e_2 and shifts
-    the previous level by w.
+    alpha_1 = alpha_2 = 0).  Each next level re-seeds e_1, e_2 and shifts
+    the previous one by w, so level k+1+m is e_1..e_{2m}, w^m(v_1..v_{i-2m})
+    with the betas shifted up by 2m.
     """
     n = 2 * k + 1
     if not k + 1 <= i <= n - 1:
         raise ValueError(f"level {i} out of range {k + 1}..{n - 1}")
     alpha = tuple(as_fraction(a) for a in alpha)
-    rs = list(v_vectors(k, alpha))
-    betas: list[Fraction] = [Fraction(0), Fraction(0), *alpha]
-    for level in range(k + 2, i + 1):
-        rs = _next_level(rs, n)
-        betas = [Fraction(0), Fraction(0)] + betas[: level - 2]
-    return tuple(rs), tuple(betas)
-
-
-def _next_level(rs: Sequence[Vector], n: int) -> list[Vector]:
-    """The r-vectors one level up: e_1, e_2, then r_1..r_{i-1} of level i shifted by w."""
-    return [unit_vector(n, 1), unit_vector(n, 2)] + [_w_shift(r, n) for r in rs[:-1]]
+    m = i - k - 1
+    units = tuple(unit_vector(n, j) for j in range(1, 2 * m + 1))
+    shifted = tuple(_w_power(v, m) for v in v_vectors(k, alpha)[: i - 2 * m])
+    betas = ((Fraction(0),) * (2 * m + 2) + alpha)[:i]
+    return units + shifted, betas
 
 
 def _v_full(k: int, alpha: Sequence) -> tuple[Vector, ...]:
-    """v_1..v_{n-1}: the base recurrence followed by the last r-vector of each level."""
-    n = 2 * k + 1
-    rs = list(v_vectors(k, alpha))
-    vs = list(rs)
-    for _ in range(k + 2, n):
-        rs = _next_level(rs, n)
-        vs.append(rs[-1])
-    return tuple(vs)
+    """v_1..v_{n-1}: v_{k+1+m} = w^m(v_{k+1-m}) is the last r-vector of level k+1+m."""
+    vs = v_vectors(k, alpha)
+    return vs + tuple(_w_power(vs[k - m], m) for m in range(1, k))
 
 
 def _check_d(k: int, d: int) -> None:
@@ -438,25 +425,21 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     if len(params) != k + 2:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
     n = 2 * k + 1
-    e = [None] + [unit_vector(n, i) for i in range(1, n + 1)]
+    e_n = unit_vector(n, n)
     alpha, gamma, nu, _, _ = _decode_params(k, d, params)
     vs = _v_full(k, tuple(alpha[i] for i in range(3, k + 2)))
-    etas = [
-        vec_add(vec_add(e[1], vec_scale(alpha[1], e[2])), vec_scale(gamma[1], e[n])),
-        vec_add(e[2], vec_scale(gamma[2], e[n])),
-    ]
-    for i in range(3, d):
-        etas.append(vec_add(vs[i - 1], vec_scale(gamma[i], e[n])))
+    # v_1 = e_1 and v_2 = e_2, so flag vectors 1..d-1 are v_i + gamma_i e_n
+    etas = [vec_add(vs[i - 1], vec_scale(gamma[i], e_n)) for i in range(1, d)]
+    etas[0] = vec_add(etas[0], vec_scale(alpha[1], vs[1]))
     if d == k + 2:
-        etas.append(e[n])
+        etas.append(e_n)
     else:
         # 3 <= d < k+2 forces k >= 2
-        etas.append(vec_add(e[n], vec_scale(nu, vs[d - 1])))
+        etas.append(vec_add(e_n, vec_scale(nu, vs[d - 1])))
         for i in range(d + 1, k + 2):
             etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
         etas.append(vs[k])
-    for i in range(k + 3, n + 1):
-        etas.append(vs[i - 2])
+    etas.extend(vs[k + 1 :])
     return Flag(etas)
 
 

@@ -7,10 +7,10 @@ columns by operators and as rows by spans.  Two elimination routines
 (``chart_coords`` aside) serve two kinds of question.  ``_pivot_columns``
 answers every question that needs only pivot columns, by fraction-free
 integer elimination: ranks, the independence of a flag basis, fiber
-membership, flag equality and, read off the pivot columns, dimensions for
-every prefix of a flag at once.  ``Matrix.rref`` is the routine for
-reduced rows: stable bases, span membership, kernels and the complement
-flag's inverse.
+membership, subspace stability, flag equality and, read off the pivot
+columns, dimensions for every prefix of a flag at once.  ``Matrix.rref``
+is the routine for reduced rows: span membership, kernels and the
+complement flag's inverse.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -211,16 +211,6 @@ def _pivot_columns(rows: Iterable[Sequence[Fraction]]) -> tuple[int, ...]:
     return tuple(pivots)
 
 
-def _reduce(reduced: Sequence[Vector], pivots: Sequence[int], v: Vector) -> list[Fraction]:
-    """``v`` minus its combination of the RREF rows: zero iff ``v`` is in their span."""
-    w = list(v)
-    for row, p in zip(reduced, pivots):
-        c = w[p]
-        if c:
-            w = [a - c * b for a, b in zip(w, row)]
-    return w
-
-
 def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
     """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be independent.
 
@@ -245,8 +235,14 @@ def span_rank(vectors: Sequence[Vector]) -> int:
 
 
 def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
+    """True when ``v`` minus its combination of the RREF rows of ``vectors`` is zero."""
     reduced, pivots = Matrix(vectors).rref()
-    return not any(_reduce(reduced, pivots, vector(v)))
+    w = vector(v)
+    for row, p in zip(reduced, pivots):
+        c = w[p]
+        if c:
+            w = [a - c * b for a, b in zip(w, row)]
+    return not any(w)
 
 
 def intersection_dim(a: Sequence[Vector], b: Sequence[Vector]) -> int:
@@ -311,11 +307,6 @@ class Flag:
             raise ValueError("flag basis is linearly dependent")
         self.vectors = vectors
 
-    @classmethod
-    def coordinate(cls, perm: Permutation) -> "Flag":
-        n = perm.n
-        return cls(tuple(unit_vector(n, perm(i)) for i in range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.vectors)
@@ -323,9 +314,6 @@ class Flag:
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases."""
         return self.n == other.n and _within_prefixes(self.vectors, other.vectors)
-
-    def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in v] for v in self.vectors]
 
     def __repr__(self) -> str:
         return f"Flag(n={self.n})"
@@ -384,13 +372,16 @@ def jordan_operator(t: StandardTableau) -> NilpotentOperator:
 
 
 def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vector, ...]:
-    """RREF basis of the span: ValueError if dependent, StabilityError if not u-stable."""
-    reduced, pivots = Matrix(subspace).rref()
-    if len(reduced) != len(subspace):
+    """The given basis: ValueError if dependent, StabilityError if not u-stable.
+
+    Stable exactly when adding the images u(w) raises no rank.
+    """
+    vecs = Matrix(subspace).rows
+    if len(_pivot_columns(vecs)) != len(vecs):
         raise ValueError("subspace basis is linearly dependent")
-    if any(any(_reduce(reduced, pivots, u.apply(w))) for w in reduced):
+    if len(_pivot_columns(vecs + tuple(u.apply(w) for w in vecs))) != len(vecs):
         raise StabilityError("subspace is not stable under the operator")
-    return reduced
+    return vecs
 
 
 def _kernel_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
@@ -426,7 +417,7 @@ def _jordan_type(dims: Sequence[int]) -> Partition:
 def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type of the operator on a stable subspace.
 
-    Only the full span is read: the prefixes of its reduced basis need not be stable.
+    Only the full span is read: the prefixes of the given basis need not be stable.
     """
     return _jordan_type([row[-1] for row in _kernel_dims(u, _stable_basis(u, subspace))])
 
@@ -540,7 +531,8 @@ def special_operator(k: int) -> NilpotentOperator:
 
 def jordan_flag(perm: Permutation) -> Flag:
     """Coordinate flag ordering the Jordan basis by a permutation."""
-    return Flag.coordinate(perm)
+    n = perm.n
+    return Flag(tuple(unit_vector(n, perm(i)) for i in range(1, n + 1)))
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
@@ -601,7 +593,7 @@ def special_perm(d: int, n: int) -> Permutation:
 
 def special_flag(d: int, k: int) -> Flag:
     """Coordinate flag of the special permutation for shape (k,k,1)."""
-    return Flag.coordinate(special_perm(d, 2 * k + 1))
+    return jordan_flag(special_perm(d, 2 * k + 1))
 
 
 @dataclass(frozen=True)
@@ -615,16 +607,6 @@ class ChartCoordinates:
     d: int
     n: int
     phi: dict[tuple[int, int], Fraction]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.phi.values())
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "phi": {f"{i},{j}": str(x) for (i, j), x in sorted(self.phi.items())},
-        }
 
 
 def chart_coords(flag: Flag, d: int) -> ChartCoordinates:

@@ -51,6 +51,39 @@ def dense_power(u, j) -> Matrix:
     return power
 
 
+def level_recurrence(k, alpha):
+    """Levels k+1..n-1 of the r-recurrence and v_1..v_{n-1}, built one level at a time.
+
+    The v-recurrence is level k+1 (betas 0, 0, alpha_3..alpha_{k+1}).  Each
+    next level re-seeds e_1, e_2 and shifts every vector of the previous
+    level but the last by w: e_i -> e_{i+2}; its betas get two zeros in
+    front and are cut to the level's length.  v_{level} is the level's last
+    vector.  Returns ({level: (rs, betas)}, v_1..v_{n-1}).
+    """
+    n = 2 * k + 1
+
+    def w(v):
+        assert v[n - 1] == 0
+        out = [Fraction(0)] * n
+        for i in range(n - 3):
+            out[i + 2] = v[i]
+        return tuple(out)
+
+    alpha = tuple(Fraction(a) for a in alpha)
+    rs = [unit_vector(n, 1), unit_vector(n, 2)]
+    for i in range(3, k + 2):
+        rs.append(vec_add(w(rs[i - 3]), vec_scale(alpha[i - 3], w(rs[i - 2]))))
+    betas = [Fraction(0), Fraction(0), *alpha]
+    levels = {k + 1: (tuple(rs), tuple(betas))}
+    vs = list(rs)
+    for level in range(k + 2, n):
+        rs = [unit_vector(n, 1), unit_vector(n, 2)] + [w(r) for r in rs[:-1]]
+        betas = [Fraction(0), Fraction(0)] + betas[: level - 2]
+        levels[level] = (tuple(rs), tuple(betas))
+        vs.append(rs[-1])
+    return levels, tuple(vs)
+
+
 fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
 )
@@ -349,6 +382,17 @@ class TestRVectors:
             levels = range(k + 2, 2 * k + 1)
             diagonal = tuple(r_vectors(k, level, alpha)[0][level - 1] for level in levels)
             assert _v_full(k, alpha) == v_vectors(k, alpha) + diagonal
+
+    def test_closed_form_matches_level_recurrence(self):
+        # level k+1+m is e_1..e_{2m}, w^m(v_1..v_{i-2m}) with betas shifted by 2m
+        for k in range(1, 11):
+            zero = (Fraction(0),) * (k - 1)
+            for alpha in [zero, *TestVVectors.random_tuples(k, count=3, seed=29)]:
+                levels, vs = level_recurrence(k, alpha)
+                assert v_vectors(k, alpha) == levels[k + 1][0]
+                for level, want in levels.items():
+                    assert r_vectors(k, level, alpha) == want
+                assert _v_full(k, alpha) == vs
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

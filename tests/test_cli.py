@@ -1,9 +1,20 @@
 import json
+import shlex
 import signal
+from pathlib import Path
 
 import pytest
 
 from springerfiber.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_command_lines():
+    """The ``springerfiber ...`` lines of the README's ``Command line`` code block."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("springerfiber ")]
 
 
 def run(capsys, *argv):
@@ -212,3 +223,21 @@ class TestErrorPaths:
         code, payload, _ = run(capsys, "restrict", "5", "2", "1,2/3")
         assert code == 1 and "error" in payload
         assert "out of range" in payload["error"]
+
+
+class TestReadmeCommands:
+    """Every README command runs in-process; a ``# <output>`` comment is its exact JSON."""
+
+    @pytest.mark.parametrize(
+        "line", readme_command_lines(), ids=lambda line: line.partition("#")[0].strip()
+    )
+    def test_command_runs_and_prints_documented_output(self, capsys, line):
+        command, _, documented = line.partition("#")
+        code, payload, _ = run(capsys, *shlex.split(command)[1:])
+        assert code == 0
+        if documented.strip():
+            assert payload == json.loads(documented)
+
+    def test_six_lines_document_their_output(self):
+        commented = [line for line in readme_command_lines() if "#" in line]
+        assert len(commented) == 6
