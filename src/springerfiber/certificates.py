@@ -228,6 +228,11 @@ def _strictly_lower_coords(m: Matrix) -> Vector:
     return tuple(m.rows[i][j] for i in range(7) for j in range(i))
 
 
+def _check(name: str, ok: bool, detail: str) -> dict:
+    """One JSON check record of a certificate report."""
+    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+
+
 @dataclass(frozen=True)
 class SingularityCertificate:
     """Outcome of the shape (3,2,2) singularity computation."""
@@ -241,32 +246,25 @@ class SingularityCertificate:
     singular: bool
 
     def to_json(self) -> dict:
-        def status(ok: bool) -> str:
-            return "pass" if ok else "fail"
-
+        points = self.membership_points
         return {
             "case": "(3,2,2) singular component",
             "checks": [
-                {
-                    "name": "tangent-rank",
-                    "status": status(self.tangent_dim_lower_bound > self.component_dim),
-                    "detail": f"rank {self.tangent_dim_lower_bound} at the origin",
-                },
-                {
-                    "name": "component-dimension",
-                    "status": status(
-                        self.component_dim == Partition(self.shape).springer_dim()
-                    ),
-                    "detail": f"dimension {self.component_dim}",
-                },
-                {
-                    "name": "cell-membership",
-                    "status": status(
-                        self.membership_points > 0
-                        and self.membership_points == 2 * len(self.witness_curves)
-                    ),
-                    "detail": f"{self.membership_points} exact membership confirmations",
-                },
+                _check(
+                    "tangent-rank",
+                    self.tangent_dim_lower_bound > self.component_dim,
+                    f"rank {self.tangent_dim_lower_bound} at the origin",
+                ),
+                _check(
+                    "component-dimension",
+                    self.component_dim == Partition(self.shape).springer_dim(),
+                    f"dimension {self.component_dim}",
+                ),
+                _check(
+                    "cell-membership",
+                    points > 0 and points == 2 * len(self.witness_curves),
+                    f"{points} exact membership confirmations",
+                ),
             ],
             "shape": list(self.shape),
             "tableau": self.tableau,
@@ -502,38 +500,34 @@ def verify_smooth_chart(
         tuples = tuple(tuple(as_fraction(p) for p in ps) for ps in parameter_tuples)
     u = special_operator(k)
     target = make_Q(k)
-    checks = []
-
     zero = tuple(Fraction(0) for _ in range(k + 2))
-    at_zero = phi_map(k, d, zero)
-    checks.append(
-        {
-            "name": "zero-parameters-give-special-flag",
-            "status": "pass" if at_zero.same_flag(special_flag(d, k)) else "fail",
-            "detail": f"family at 0 compared with the coordinate flag ({d})",
-        }
-    )
+    checks = [
+        _check(
+            "zero-parameters-give-special-flag",
+            phi_map(k, d, zero).same_flag(special_flag(d, k)),
+            f"family at 0 compared with the coordinate flag ({d})",
+        )
+    ]
 
     for idx, ps in enumerate(tuples):
         if any(p == 0 for p in ps):
             raise ValueError("cell membership tuples must be entirely nonzero")
         flag = phi_map(k, d, ps)
-        ok = in_cell(flag, u, target)
         checks.append(
-            {
-                "name": f"nonzero-tuple-{idx}-in-cell",
-                "status": "pass" if ok else "fail",
-                "detail": "used: all k+2 parameters nonzero; exact cell membership",
-            }
+            _check(
+                f"nonzero-tuple-{idx}-in-cell",
+                in_cell(flag, u, target),
+                "used: all k+2 parameters nonzero; exact cell membership",
+            )
         )
         identities = _recovery_identities(k, d, ps, chart_coords(flag, d))
         bad = [name for name, got, want in identities if got != want]
         checks.append(
-            {
-                "name": f"nonzero-tuple-{idx}-chart-recovery",
-                "status": "pass" if not bad else "fail",
-                "detail": "; ".join(bad) if bad else f"{len(identities)} identities hold",
-            }
+            _check(
+                f"nonzero-tuple-{idx}-chart-recovery",
+                not bad,
+                "; ".join(bad) if bad else f"{len(identities)} identities hold",
+            )
         )
 
     mixed = tuple(Fraction(1) if i % 2 else Fraction(0) for i in range(k + 2))
@@ -545,11 +539,11 @@ def verify_smooth_chart(
     except ChartError:
         in_chart = False
     checks.append(
-        {
-            "name": "mixed-tuple-in-fiber-and-chart",
-            "status": "pass" if in_fiber and in_chart else "fail",
-            "detail": "zero entries allowed away from the open-cell check",
-        }
+        _check(
+            "mixed-tuple-in-fiber-and-chart",
+            in_fiber and in_chart,
+            "zero entries allowed away from the open-cell check",
+        )
     )
 
     passed = all(c["status"] == "pass" for c in checks)

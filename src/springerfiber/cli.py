@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import acceptance
 from .certificates import certify_322, verify_smooth_chart
@@ -40,26 +39,6 @@ VERIFY_Q_MAX_N = 31
 
 class InputError(ValueError):
     """Unparsable command input; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class CommandReport:
-    """Envelope around one command run; status is "ok" iff nothing failed."""
-
-    command: str
-    inputs: dict
-    outputs: object
-    status: str
-    elapsed_ms: int
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "status": self.status,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _parse(parser, text: str, what: str):
@@ -294,16 +273,14 @@ def main(argv=None) -> int:
             for name, value in sorted(vars(args).items())
             if name not in ("fn", "command", "report") and value is not None
         }
-        report = CommandReport(
-            command=args.command,
-            inputs=inputs,
-            outputs=payload,
-            status=status,
-            elapsed_ms=elapsed_ms,
-        )
-        print(json.dumps(report.to_json()))
-    else:
-        print(json.dumps(payload))
+        payload = {
+            "command": args.command,
+            "inputs": inputs,
+            "outputs": payload,
+            "status": status,
+            "elapsed_ms": elapsed_ms,
+        }
+    print(json.dumps(payload))
     print(f"{args.command}: {status} in {elapsed_ms} ms", file=sys.stderr)
     return code
 

@@ -12,15 +12,16 @@ relate labels of equinonsingular components:
   a standard subtableau (both endpoints are cut points).
 
 Each move is one routine on plain row lists (C and C⁻¹ here, evacuation
-in :mod:`springerfiber.tableaux`).  ``c_move``, ``c_inverse`` and
-``block_move`` validate only the tableau they return: the block between
-two cut points of a standard tableau holds exactly the next run of
-entries in a straight shape, so it is shifted, moved and put back as rows.
-
-``eqs_class`` closes a tableau under all block moves on at least two
-columns; ``eqs_partition`` partitions all tableaux of a shape into those
-classes.  For shapes (r,s,1) the ``dist`` statistic is constant on every
-class, which ``dist_class_invariant`` verifies exhaustively.
+in :mod:`springerfiber.tableaux`).  Only ``cut_points`` decides where a
+tableau splits.  The block between two cut points holds exactly the next
+run of entries in a straight shape, so one routine, ``_move``, shifts it
+to 1..size, moves it and puts it back as rows; ``_moves`` runs it on every
+pair of cut points.  ``block_move``, ``legal_moves``, ``c_move`` and
+``c_inverse`` validate only the tableaux they return, and ``eqs_class``
+closes over ``_moves`` by row tuples, validating each member once.
+``eqs_partition`` partitions all tableaux of a shape into those classes.
+For shapes (r,s,1) the ``dist`` statistic is constant on every class,
+which ``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
 appends ``n`` in the vacated box wherever the slide hole lands, not only
@@ -131,11 +132,6 @@ def c_inverse(t: StandardTableau) -> StandardTableau:
     return StandardTableau(_cyclic_inverse([list(row) for row in t.rows], t.n))
 
 
-def _boxes_left_of(rows: tuple[tuple[int, ...], ...], i: int) -> int:
-    """Number of boxes in the first ``i`` columns."""
-    return sum(min(len(row), i) for row in rows)
-
-
 def cut_points(t: StandardTableau) -> tuple[int, ...]:
     """Column indices where the tableau splits, with the boundaries 0 and m.
 
@@ -146,31 +142,23 @@ def cut_points(t: StandardTableau) -> tuple[int, ...]:
     if not t.rows:
         return (0,)
     top = t.rows[0]
-    inner = (i for i in range(1, len(top)) if top[i] == _boxes_left_of(t.rows, i) + 1)
-    return (0, *inner, len(top))
+    points, boxes = [0], 0
+    for i in range(1, len(top)):
+        boxes += sum(len(row) >= i for row in t.rows)
+        if top[i] == boxes + 1:
+            points.append(i)
+    points.append(len(top))
+    return tuple(points)
 
 
-def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
-    """Apply a move to the standardized block of columns a..b, then reassemble.
-
-    Both ``a-1`` and ``b`` must be cut points, so the columns left of the
-    block hold exactly the entries 1..shift and the block holds the next
-    ``size`` entries; it is shifted down to 1..size as plain rows, moved,
-    shifted back and put in place, and only the result is validated.
-    """
-    a, b = label.columns
-    m = len(t.rows[0]) if t.rows else 0
-    if not 1 <= a < b <= m:
-        raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
-    top = t.rows[0]
-    shift = _boxes_left_of(t.rows, a - 1)
-    if top[a - 1] != shift + 1 or (b < m and top[b] != _boxes_left_of(t.rows, b) + 1):
-        raise MoveError(f"columns [{a},{b}] do not split off as a block")
+def _move(t: StandardTableau, kind: str, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of ``t`` after a move on columns a..b; a-1 and b must be cut points."""
+    shift = t.rows[0][a - 1] - 1
     block = [[e - shift for e in row[a - 1 : b]] for row in t.rows if len(row) >= a]
     size = sum(map(len, block))
-    if label.kind == "C":
+    if kind == "C":
         moved = _cyclic(block, size)
-    elif label.kind == "Cinv":
+    elif kind == "Cinv":
         moved = _cyclic_inverse(block, size)
     else:
         moved = _evacuate(block)
@@ -178,26 +166,42 @@ def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
     for q, row in enumerate(t.rows):
         middle = tuple(e + shift for e in moved[q]) if q < len(moved) else ()
         rows.append(row[: a - 1] + middle + row[b:])
-    return StandardTableau(rows)
+    return tuple(rows)
 
 
-def legal_moves(
-    t: StandardTableau,
-) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
-    """All applicable block moves on at least two columns, with their results."""
+def _moves(t: StandardTableau):
+    """(kind, a, b, rows) for every applicable move on a block of two or more columns."""
     cps = cut_points(t)
-    out = []
     for x, left in enumerate(cps):
         for b in cps[x + 1 :]:
             if b == left + 1:
                 continue
             for kind in MOVE_KINDS:
-                label = MoveLabel(kind, (left + 1, b))
                 try:
-                    out.append((label, block_move(t, label)))
+                    rows = _move(t, kind, left + 1, b)
                 except MoveError:
                     continue
-    return tuple(out)
+                yield kind, left + 1, b, rows
+
+
+def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
+    """Apply a move to the standardized block of columns a..b, then reassemble.
+
+    Both ``a-1`` and ``b`` must be cut points; only the result is validated.
+    """
+    a, b = label.columns
+    m = len(t.rows[0]) if t.rows else 0
+    if not 1 <= a < b <= m:
+        raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
+    cps = cut_points(t)
+    if a - 1 not in cps or b not in cps:
+        raise MoveError(f"columns [{a},{b}] do not split off as a block")
+    return StandardTableau(_move(t, label.kind, a, b))
+
+
+def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
+    """All applicable block moves on at least two columns, with their results."""
+    return tuple((MoveLabel(k, (a, b)), StandardTableau(rows)) for k, a, b, rows in _moves(t))
 
 
 def _dist_or_none(t: StandardTableau) -> int | None:
@@ -233,28 +237,23 @@ class EqsClass:
 def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     """Closure of a tableau under all applicable block moves, by a worklist.
 
+    The worklist is keyed by row tuples and validates each new member once.
     Deterministic regardless of visiting order: the member set is canonical,
-    members are sorted by row reading word, and the representative is the
-    member with the smallest one.
+    members are sorted in ``Tableau`` order (row reading word order within
+    one shape), and the representative is the smallest member.
     """
     bound = DEFAULT_ENUM_BOUND if max_n is None else max_n
     if t.n > bound:
         raise ValueError(f"search bound exceeded: n={t.n} > {bound}")
-    visited = {t}
+    visited = {t.rows: t}
     todo = [t]
     while todo:
-        for _, v in legal_moves(todo.pop()):
-            if v not in visited:
-                visited.add(v)
+        for *_, rows in _moves(todo.pop()):
+            if rows not in visited:
+                visited[rows] = v = StandardTableau(rows)
                 todo.append(v)
-    members = tuple(sorted(visited, key=lambda x: x.row_word()))
-    rep = members[0]
-    return EqsClass(
-        shape=t.shape,
-        members=members,
-        representative=rep,
-        dist=_dist_or_none(rep),
-    )
+    members = tuple(sorted(visited.values()))
+    return EqsClass(t.shape, members, members[0], _dist_or_none(members[0]))
 
 
 def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass, ...]:

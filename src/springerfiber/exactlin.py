@@ -159,9 +159,6 @@ class Matrix:
             basis.append(tuple(v))
         return tuple(basis)
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Matrix):
             return self.rows == other.rows

@@ -1,11 +1,19 @@
+import io
 import json
+import os
 import shlex
 import signal
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import springerfiber.cli as cli
 from springerfiber.cli import main
+from springerfiber.exactlin import Permutation
+from springerfiber.partitions import Partition, partitions_of
+from springerfiber.tableaux import enumerate_tableaux, parse_tableau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -223,6 +231,144 @@ class TestErrorPaths:
         code, payload, _ = run(capsys, "restrict", "5", "2", "1,2/3")
         assert code == 1 and "error" in payload
         assert "out of range" in payload["error"]
+
+
+class TestReportEnvelope:
+    KEYS = ["command", "inputs", "outputs", "status", "elapsed_ms"]
+
+    def test_ok_envelope(self, capsys):
+        code, payload, _ = run(capsys, "--report", "eqs-partition", "2,2,1", "--max-n", "6")
+        assert code == 0
+        assert list(payload) == self.KEYS
+        assert payload["command"] == "eqs-partition"
+        assert list(payload["inputs"].items()) == [("max_n", 6), ("partition", "2,2,1")]
+        assert payload["outputs"]["class_count"] == 2
+        assert payload["status"] == "ok"
+        assert isinstance(payload["elapsed_ms"], int) and payload["elapsed_ms"] >= 0
+
+    def test_failed_check_envelope(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_smooth_chart", lambda k, d: {"verdict": "fail"})
+        code, payload, _ = run(capsys, "--report", "verify-q", "1")
+        assert code == 1
+        assert list(payload) == self.KEYS
+        assert payload["status"] == "check-failed"
+        assert payload["outputs"]["verdict"] == "fail"
+
+    def test_error_envelope_names_the_exception(self, capsys):
+        code, payload, _ = run(capsys, "--report", "cmove", "1,3,4/2")
+        assert code == 1
+        assert list(payload) == self.KEYS
+        assert payload["status"] == "MoveError"
+        assert "error" in payload["outputs"]
+
+    def test_input_error_prints_no_envelope(self, capsys):
+        code, payload, err = run(capsys, "--report", "classify", "3,4,2")
+        assert code == 2 and payload is None
+        assert "cannot parse" in err
+
+
+def small_or_invalid(parse):
+    """Keep a token unless it parses to an object with more than 8 boxes or points."""
+
+    def keep(token):
+        try:
+            return parse(token).n <= 8
+        except ValueError:
+            return True
+
+    return keep
+
+
+JUNK_TOKENS = st.sampled_from(
+    ["", " ", ",", "/", "-", "--", "x", "0,0", "1,,1", "1.5", "1e9", "1_0", "٣",
+     "9" * 5000, "-" + "9" * 30, "99999999999999999999"]
+) | st.text(alphabet="0123456789,/-. x_", max_size=10)
+SHAPES = st.integers(0, 8).flatmap(lambda n: st.sampled_from(tuple(partitions_of(n))))
+SHAPE_TOKENS = SHAPES.map(str) | JUNK_TOKENS.filter(small_or_invalid(Partition.parse))
+TABLEAU_TOKENS = SHAPES.flatmap(
+    lambda p: st.sampled_from(enumerate_tableaux(p)).map(lambda t: t.text())
+) | JUNK_TOKENS.filter(small_or_invalid(parse_tableau))
+PERMUTATION_TOKENS = st.integers(1, 8).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(lambda p: ",".join(map(str, p)))
+) | JUNK_TOKENS.filter(small_or_invalid(Permutation.parse))
+INT_TOKENS = st.integers(-(10**20), 10**20).map(str) | st.integers(-2, 12).map(str) | JUNK_TOKENS
+# verify-q does k-dependent work, so its k is small, out of range or unparsable
+K_TOKENS = st.sampled_from(["-99999999999999999999", "-1", "0", "1", "2", "3", "x", "", "1.5"])
+ENV_VALUES = st.none() | st.sampled_from(
+    ["", " ", "x", "-1", "0", "3", "8", "1_0", "99999999999999999999", "9" * 5000]
+)
+# subcommand -> (positional token strategies, (option, value strategy or None))
+FUZZ_ARGS = {
+    "classify": ([SHAPE_TOKENS], ()),
+    "dim": ([SHAPE_TOKENS], ()),
+    "enumerate": ([SHAPE_TOKENS], (("--count-only", None), ("--max-n", INT_TOKENS))),
+    "sch": ([TABLEAU_TOKENS], ()),
+    "cmove": ([TABLEAU_TOKENS], (("--inverse", None),)),
+    "restrict": ([INT_TOKENS, INT_TOKENS, TABLEAU_TOKENS], ()),
+    "eqs-class": ([TABLEAU_TOKENS], (("--max-n", INT_TOKENS),)),
+    "eqs-partition": ([SHAPE_TOKENS], (("--max-n", INT_TOKENS),)),
+    "dist": ([TABLEAU_TOKENS], ()),
+    "flag-cell": ([SHAPE_TOKENS, PERMUTATION_TOKENS], (("--basis", TABLEAU_TOKENS),)),
+    "certify-322": ([], ()),
+    "verify-q": ([K_TOKENS], (("--max-n", INT_TOKENS),)),
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, SPRINGERFIBER_MAX_N value or None) for one in-process CLI run."""
+    command = draw(st.sampled_from(sorted(FUZZ_ARGS)))
+    positional, options = FUZZ_ARGS[command]
+    argv = [command] + [draw(tokens) for tokens in positional]
+    for flag, value in options:
+        if draw(st.booleans()):
+            argv += [flag] if value is None else [flag, draw(value)]
+    # a missing or a stray last token, never both: a stray token never fills a gap
+    tail = draw(st.integers(0, 4))
+    if tail == 0:
+        argv.pop()
+    elif tail == 1:
+        argv.append(draw(JUNK_TOKENS))
+    if draw(st.booleans()):
+        argv.insert(0, "--report")
+    return argv, draw(ENV_VALUES)
+
+
+class TestFuzz:
+    BUDGET_S = 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(cli_inputs())
+    def test_exit_codes_and_stdout(self, inputs):
+        argv, env = inputs
+        expired = []
+
+        def out_of_time(signum, frame):
+            expired.append(argv)
+            raise TimeoutError(f"{argv} ran for {self.BUDGET_S} s")
+
+        saved = os.environ.pop(cli.ENV_MAX_N, None)
+        if env is not None:
+            os.environ[cli.ENV_MAX_N] = env
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(self.BUDGET_S)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.environ.pop(cli.ENV_MAX_N, None)
+            if saved is not None:
+                os.environ[cli.ENV_MAX_N] = saved
+        assert not expired
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue().strip() == ""
+        else:
+            json.loads(out.getvalue())
 
 
 class TestReadmeCommands:

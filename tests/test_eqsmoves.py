@@ -33,7 +33,7 @@ T = parse_tableau
 
 
 def union_find_classes(shape):
-    """Classes of a shape by merging every ``legal_moves`` edge in a union-find.
+    """Classes of a shape by merging every ``oracle_legal_moves`` edge in a union-find.
 
     Returns (members sorted by row word, representative) per class, classes
     ordered by representative row word.
@@ -50,7 +50,7 @@ def union_find_classes(shape):
     for t in tabs:
         parent[t] = t
     for t in tabs:
-        for _, v in legal_moves(t):
+        for _, v in oracle_legal_moves(t):
             parent[find(v)] = find(t)
     groups = {}
     for t in tabs:
@@ -241,6 +241,10 @@ class TestRowLevelMovesMatchOracle:
         assert len(calls) == 3
         # failed moves raise before building anything
         assert len(legal_moves(t)) == len(calls) - 3 > 0
+        # the closure validates each member once, the given tableau never
+        calls.clear()
+        size = eqs_class(t).size
+        assert len(calls) == size - 1 > 0
 
 
 class TestCyclicMove:

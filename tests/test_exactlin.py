@@ -211,10 +211,6 @@ class TestMatrix:
         assert m @ identity(2) == m
         assert identity(2) @ m == m
 
-    def test_json_rationals(self):
-        m = Matrix([[Fraction(1, 2), 3]])
-        assert m.to_json() == [["1/2", "3"]]
-
 
 # Entries with large coprime denominators, so a row's lcm scaling matters.
 RATIONAL = st.builds(
