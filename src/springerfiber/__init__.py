@@ -59,7 +59,6 @@ from .exactlin import (
     perp_flag,
     quotient_type,
     restricted_type,
-    shuffles,
     special_flag,
     special_perm,
 )
@@ -70,7 +69,6 @@ from .certificates import (
     certify_322,
     f_family,
     phi_map,
-    r_vectors,
     v_vectors,
     verify_curve_membership,
     verify_smooth_chart,

@@ -335,27 +335,6 @@ def v_vectors(k: int, alpha: Sequence) -> tuple[Vector, ...]:
     return tuple(vs)
 
 
-def r_vectors(
-    k: int, i: int, alpha: Sequence
-) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
-    """Level-``i`` auxiliary vectors r_1..r_i and their coefficients beta.
-
-    Level k+1 is the v-recurrence itself (beta_j = alpha_j, with
-    alpha_1 = alpha_2 = 0).  Each next level re-seeds e_1, e_2 and shifts
-    the previous one by w, so level k+1+m is e_1..e_{2m}, w^m(v_1..v_{i-2m})
-    with the betas shifted up by 2m.
-    """
-    n = 2 * k + 1
-    if not k + 1 <= i <= n - 1:
-        raise ValueError(f"level {i} out of range {k + 1}..{n - 1}")
-    alpha = tuple(as_fraction(a) for a in alpha)
-    m = i - k - 1
-    units = tuple(unit_vector(n, j) for j in range(1, 2 * m + 1))
-    shifted = tuple(_w_power(v, m) for v in v_vectors(k, alpha)[: i - 2 * m])
-    betas = ((Fraction(0),) * (2 * m + 2) + alpha)[:i]
-    return units + shifted, betas
-
-
 def _v_full(k: int, alpha: Sequence) -> tuple[Vector, ...]:
     """v_1..v_{n-1}: v_{k+1+m} = w^m(v_{k+1-m}) is the last r-vector of level k+1+m."""
     vs = v_vectors(k, alpha)

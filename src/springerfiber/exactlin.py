@@ -3,14 +3,17 @@
 Entries are ``fractions.Fraction`` and pivot questions run on integers
 scaled from them; there is no floating point anywhere, so rank, kernel,
 and membership answers are exact.  Vectors are plain tuples used as
-columns by operators and as rows by spans.  Two elimination routines
-(``chart_coords`` aside) serve two kinds of question.  ``_pivot_columns``
-answers every question that needs only pivot columns, by fraction-free
-integer elimination: ranks, the independence of a flag basis, fiber
-membership, subspace stability, flag equality and, read off the pivot
-columns, dimensions for every prefix of a flag at once.  ``Matrix.rref``
-is the routine for reduced rows: span membership, kernels and the
-complement flag's inverse.
+columns by operators and as rows by spans; sums and multiples leave zero
+entries as they are.  Two elimination routines (``chart_coords`` aside)
+serve two kinds of question.  ``_rank_profile`` answers every question
+that needs only pivots, by fraction-free integer elimination: ranks, the
+independence of a flag basis, fiber membership, subspace stability and
+flag equality read its pivot columns, and a flag's whole cell table reads
+its (row, column) pairs: with the coordinates ordered so that every power
+of the operator cuts a leading block of rows, one elimination per table
+gives the dimension for every prefix and every power.  ``Matrix.rref`` is
+the routine for reduced rows: span membership, kernels and the complement
+flag's inverse.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -26,10 +29,10 @@ is an involution of the basis indices and gives the orthogonal-complement
 flag map, which exchanges the two kinds of cells up to evacuation.
 
 For the one-box-third-row shapes (k,k,1) the module also provides the
-shuffle description of the Jordan flags inside the fiber (the fiber
-permutations of the special operator), the special permutations (d) and
-flags, coordinates on the open chart around each special flag, and the
-combinatorial degeneration taking any shuffle flag to a special one.
+special operator, whose fiber permutations are the shuffles of its two
+chains, the special permutations (d) and flags, coordinates on the open
+chart around each special flag, and the combinatorial degeneration taking
+any shuffle flag to a special one.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ def as_fraction(x) -> Fraction:
 
 
 def vector(entries: Iterable) -> Vector:
+    """A tuple of ``Fraction`` entries; such a tuple is returned as it is."""
+    if isinstance(entries, tuple) and all(isinstance(e, Fraction) for e in entries):
+        return entries
     return tuple(as_fraction(e) for e in entries)
 
 
@@ -70,12 +76,14 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    """Entrywise sum; where one term is zero the other is taken as it is."""
+    return tuple((x + y if y else x) if x else y for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c, a: Vector) -> Vector:
+    """``c`` times ``a``; zero entries are kept as they are."""
     c = as_fraction(c)
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
 
 
 class Matrix:
@@ -141,7 +149,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
-        return len(_pivot_columns(self.rows))
+        return len(_rank_profile(self.rows))
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, one vector per free column."""
@@ -171,25 +179,34 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def _pivot_columns(rows: Iterable[Sequence[Fraction]]) -> tuple[int, ...]:
-    """The pivot columns of the RREF of ``rows``, by fraction-free elimination.
+def _rank_profile(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, int], ...]:
+    """The (row, column) pivots of ``rows`` by fraction-free elimination, in column order.
 
     Scaling each row to integers by the lcm of its denominators keeps every
     column dependency.  Bareiss elimination then runs in column order: a
-    column where some remaining row is nonzero is a pivot, that row leaves,
-    and every remaining row, also one that is 0 there, becomes (pivot * row
-    - entry * pivot row) divided by the previous pivot.  By Sylvester's
-    identity each entry is a minor of the scaled matrix, so the division is
-    exact and no ``Fraction`` is built.
+    column where some remaining row is nonzero is a pivot, the topmost such
+    row leaves, and every remaining row, also one that is 0 there, becomes
+    (pivot * row - entry * pivot row) divided by the previous pivot.  By
+    Sylvester's identity each entry is a minor of the scaled matrix, so the
+    division is exact and no ``Fraction`` is built.  The columns are the
+    pivot columns of the RREF.
+
+    Each step only scales rows and adds multiples of a row to rows below
+    it, so the span of every leading block of rows is kept, and each pivot
+    row is zero left of its pivot.  Hence the pairs are the rank profile:
+    rank(rows[:r], columns[:c]) is the number of pivots (i, j) with i < r
+    and j < c (Dumas, Pernet & Sultan, J. Symbolic Comput. 83, 2017).
     """
     rest = []
     for row in rows:
         ratios = [x.as_integer_ratio() for x in row]
         scale = lcm(*[d for _, d in ratios])
         rest.append([a * (scale // d) for a, d in ratios])
-    pivots: list[int] = []
+    # ``rest`` holds the rows not yet used as pivots, cut to columns c onwards,
+    # and ``origin`` their indices in ``rows``
+    origin = list(range(len(rest)))
+    pivots: list[tuple[int, int]] = []
     previous = 1
-    # ``rest`` holds the rows not yet used as pivots, cut to columns c onwards
     for c in range(len(rest[0]) if rest else 0):
         found = next((i for i, row in enumerate(rest) if row[0]), None)
         if found is None:
@@ -202,7 +219,7 @@ def _pivot_columns(rows: Iterable[Sequence[Fraction]]) -> tuple[int, ...]:
             for row in rest
         ]
         previous = pivot
-        pivots.append(c)
+        pivots.append((origin.pop(found), c))
         if not rest:
             break
     return tuple(pivots)
@@ -214,17 +231,24 @@ def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
     By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
     """
     columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
-    pivots = _pivot_columns(zip(*columns))
-    return all(p % 2 == 0 for p in pivots)
+    return all(c % 2 == 0 for _, c in _rank_profile(zip(*columns)))
 
 
-def _prefix_meet_dims(vecs: Sequence[Vector], outside: Iterable[int]) -> list[int]:
-    """dim(span(vecs[:i]) meet the coordinates zero at ``outside``) for i = 0..len(vecs).
+def _nested_meet_dims(
+    vecs: Sequence[Vector], order: Sequence[int], cuts: Sequence[int]
+) -> list[list[int]]:
+    """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs).
 
-    Each independent vector that is no pivot column on ``outside`` adds one.
+    ``vecs`` must be independent.  One elimination has the coordinates in
+    ``order`` as rows, up to the largest cut, and the vectors as columns;
+    each vector that is no pivot column above row r adds one.
     """
-    pivots = _pivot_columns([[w[c] for w in vecs] for c in outside])
-    return list(accumulate((i not in pivots for i in range(len(vecs))), initial=0))
+    pairs = _rank_profile([[w[c] for w in vecs] for c in order[: max(cuts, default=0)]])
+    out = []
+    for r in cuts:
+        pivots = {c for i, c in pairs if i < r}
+        out.append(list(accumulate((i not in pivots for i in range(len(vecs))), initial=0)))
+    return out
 
 
 def span_rank(vectors: Sequence[Vector]) -> int:
@@ -300,7 +324,7 @@ class Flag:
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        if n and len(_pivot_columns(vectors)) != n:
+        if n and len(_rank_profile(vectors)) != n:
             raise ValueError("flag basis is linearly dependent")
         self.vectors = vectors
 
@@ -374,9 +398,9 @@ def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vec
     Stable exactly when adding the images u(w) raises no rank.
     """
     vecs = Matrix(subspace).rows
-    if len(_pivot_columns(vecs)) != len(vecs):
+    if len(_rank_profile(vecs)) != len(vecs):
         raise ValueError("subspace basis is linearly dependent")
-    if len(_pivot_columns(vecs + tuple(u.apply(w) for w in vecs))) != len(vecs):
+    if len(_rank_profile(vecs + tuple(u.apply(w) for w in vecs))) != len(vecs):
         raise StabilityError("subspace is not stable under the operator")
     return vecs
 
@@ -384,25 +408,28 @@ def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vec
 def _kernel_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
     """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree.
 
-    ker u^j is spanned by the e_i in the first ``j`` tableau columns.
+    ker u^j is spanned by the e_i in the first ``j`` tableau columns, so with
+    the coordinates ordered by column, descending, the ones outside it lead.
     """
-    return [[0] * (len(vecs) + 1)] + [
-        _prefix_meet_dims(vecs, [i for i, c in enumerate(u.column) if c > j])
-        for j in range(1, u.degree + 1)
-    ]
+    order = sorted(range(u.n), key=lambda i: -u.column[i])
+    cuts = [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
+    return [[0] * (len(vecs) + 1)] + _nested_meet_dims(vecs, order, cuts)
 
 
 def _preimage_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
     """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree.
 
     That is dim ker u^j + dim(span meet im u^j), where im u^j is spanned by
-    the e_i with at least ``j`` boxes to their right, and u^degree = 0.
+    the e_i with at least ``j`` boxes to their right, so with the coordinates
+    ordered by boxes to the right, ascending, the ones outside it lead; and
+    u^degree = 0.
     """
+    order = sorted(range(u.n), key=lambda i: u.boxes_right[i])
+    cuts = [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
     rows = []
-    for j in range(u.degree):
+    for j, dims in enumerate(_nested_meet_dims(vecs, order, cuts)):
         kernel_dim = sum(c <= j for c in u.column)
-        outside = [i for i, b in enumerate(u.boxes_right) if b < j]
-        rows.append([kernel_dim + m for m in _prefix_meet_dims(vecs, outside)])
+        rows.append([kernel_dim + m for m in dims])
     return rows + [[u.n] * (len(vecs) + 1)]
 
 
@@ -566,16 +593,6 @@ def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
 
     place()
     return tuple(out)
-
-
-def shuffles(k: int) -> tuple[Permutation, ...]:
-    """Permutations interleaving the chains 1,3,..,n-2 and 2,4,..,n-1 with n free.
-
-    These are exactly the permutations whose coordinate flag is stable
-    under the shape-(k,k,1) operator of ``special_operator``, so they are
-    its ``fiber_permutations``: sorted, and refused above the enumeration bound.
-    """
-    return fiber_permutations(special_operator(k))
 
 
 def special_perm(d: int, n: int) -> Permutation:

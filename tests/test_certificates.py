@@ -11,6 +11,7 @@ from springerfiber.certificates import (
     WITNESS_CURVES,
     _recovery_identities,
     _v_full,
+    _w_power,
     CertificateError,
     Jet,
     SingularityCertificate,
@@ -21,13 +22,13 @@ from springerfiber.certificates import (
     f_family,
     operator_322,
     phi_map,
-    r_vectors,
     v_vectors,
     verify_curve_membership,
     verify_smooth_chart,
 )
 from springerfiber.exactlin import (
     Matrix,
+    as_fraction,
     chart_coords,
     in_span,
     restricted_type,
@@ -82,6 +83,25 @@ def level_recurrence(k, alpha):
         levels[level] = (tuple(rs), tuple(betas))
         vs.append(rs[-1])
     return levels, tuple(vs)
+
+
+def r_vectors(k, i, alpha):
+    """Level-``i`` auxiliary vectors r_1..r_i and their coefficients beta, in closed form.
+
+    Level k+1 is the v-recurrence itself (beta_j = alpha_j, with
+    alpha_1 = alpha_2 = 0).  Each next level re-seeds e_1, e_2 and shifts
+    the previous one by w, so level k+1+m is e_1..e_{2m}, w^m(v_1..v_{i-2m})
+    with the betas shifted up by 2m.
+    """
+    n = 2 * k + 1
+    if not k + 1 <= i <= n - 1:
+        raise ValueError(f"level {i} out of range {k + 1}..{n - 1}")
+    alpha = tuple(as_fraction(a) for a in alpha)
+    m = i - k - 1
+    units = tuple(unit_vector(n, j) for j in range(1, 2 * m + 1))
+    shifted = tuple(_w_power(v, m) for v in v_vectors(k, alpha)[: i - 2 * m])
+    betas = ((Fraction(0),) * (2 * m + 2) + alpha)[:i]
+    return units + shifted, betas
 
 
 fracs = st.fractions(

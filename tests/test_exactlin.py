@@ -11,7 +11,7 @@ from springerfiber.exactlin import (
     Matrix,
     Permutation,
     StabilityError,
-    _pivot_columns,
+    _rank_profile,
     bilinear_form,
     cell_of,
     cell_prime_of,
@@ -28,13 +28,14 @@ from springerfiber.exactlin import (
     perp_flag,
     quotient_type,
     restricted_type,
-    shuffles,
     special_basis_tableau,
     special_flag,
     special_operator,
     special_perm,
     unit_vector,
     vec_add,
+    vec_scale,
+    vector,
 )
 from springerfiber.certificates import phi_map
 from springerfiber.partitions import Partition, partitions_of
@@ -237,16 +238,20 @@ def rational_matrices(draw):
     return draw(st.permutations(rows))
 
 
+def pivot_columns(rows):
+    return tuple(c for _, c in _rank_profile(rows))
+
+
 class TestPivotColumns:
     @settings(max_examples=300, deadline=None)
     @given(rational_matrices())
     def test_matches_rref(self, rows):
-        assert _pivot_columns(rows) == Matrix(rows).rref()[1]
+        assert pivot_columns(rows) == Matrix(rows).rref()[1]
 
     def test_empty_shapes(self):
-        assert _pivot_columns([]) == ()
-        assert _pivot_columns([[], []]) == ()
-        assert _pivot_columns([[Fraction(0)] * 3] * 2) == ()
+        assert _rank_profile([]) == ()
+        assert _rank_profile([[], []]) == ()
+        assert _rank_profile([[Fraction(0)] * 3] * 2) == ()
 
     def test_dependency_hidden_by_denominators(self):
         # row 2 is row 1 times 3/65537; their numerators alone are independent
@@ -256,7 +261,7 @@ class TestPivotColumns:
             [Fraction(3, 65537 * p), Fraction(2, 65537), Fraction(0)],
             [Fraction(0), Fraction(1, 7), Fraction(5, p)],
         ]
-        assert _pivot_columns(rows) == Matrix(rows).rref()[1] == (0, 1)
+        assert pivot_columns(rows) == Matrix(rows).rref()[1] == (0, 1)
 
     def test_exact_division_keeps_entries_small(self):
         # a 40 x 40 diagonally dominant matrix: every Bareiss entry is a minor
@@ -271,10 +276,82 @@ class TestPivotColumns:
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(5)
         try:
-            assert _pivot_columns([[Fraction(x) for x in r] for r in rows]) == tuple(range(n))
+            assert pivot_columns([[Fraction(x) for x in r] for r in rows]) == tuple(range(n))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def leading_rank(rows, r, c):
+    """rank(rows[:r], columns[:c]) from the RREF."""
+    return len(Matrix([row[:c] for row in rows[:r]]).rref()[1])
+
+
+class TestRankProfile:
+    """rank(rows[:r], columns[:c]) is the number of pivot pairs above r and left of c."""
+
+    def check(self, rows):
+        pairs = _rank_profile(rows)
+        assert len({i for i, _ in pairs}) == len(pairs)
+        ncols = len(rows[0]) if rows else 0
+        for r in range(len(rows) + 1):
+            for c in range(ncols + 1):
+                assert sum(i < r and j < c for i, j in pairs) == leading_rank(rows, r, c), (r, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_leading_ranks_match_rref(self, rows):
+        self.check(rows)
+
+    def test_zero_empty_and_rank_deficient(self):
+        F = Fraction
+        equal_rows = [[F(1), F(2)], [F(1), F(2)]]
+        # a zero row on top, a row and its multiple, the first pivot at the bottom
+        deficient = [
+            [F(0), F(0), F(0)],
+            [F(0), F(3), F(1)],
+            [F(0), F(6), F(2)],
+            [F(1), F(0), F(1, 2)],
+        ]
+        for rows in ([], [[], []], [[F(0)] * 3] * 4, equal_rows, deficient):
+            self.check(rows)
+        # the pivot of equal rows is the top one, so rows[:1] has rank 1
+        assert _rank_profile(equal_rows) == ((0, 0),)
+        assert _rank_profile(deficient) == ((3, 0), (1, 1))
+
+
+@st.composite
+def sparse_vector_pairs(draw):
+    """Two rational vectors of one length, about half of their entries zero."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    vec = st.lists(st.one_of(st.just(Fraction(0)), RATIONAL), min_size=n, max_size=n)
+    return tuple(draw(vec)), tuple(draw(vec))
+
+
+class TestVectorArithmetic:
+    """Sums and multiples that skip zero entries equal the dense formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_vector_pairs(), st.one_of(st.integers(-3, 3), st.just(Fraction(0)), RATIONAL))
+    def test_match_dense_formulas(self, pair, c):
+        a, b = pair
+        total, multiple = vec_add(a, b), vec_scale(c, a)
+        assert total == tuple(x + y for x, y in zip(a, b))
+        assert multiple == tuple(Fraction(c) * x for x in a)
+        assert all(type(x) is Fraction for x in total + multiple)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            vec_add((Fraction(1),), ())
+
+    def test_vector_converts_lists_and_ints(self):
+        for entries in ([1, Fraction(1, 2)], (1, 2), [0], (Fraction(3), 0)):
+            v = vector(entries)
+            assert type(v) is tuple and v == tuple(Fraction(x) for x in entries)
+            assert all(type(x) is Fraction for x in v)
+        v = (Fraction(1), Fraction(0))
+        assert vector(v) is v
+        assert vector(iter(v)) == v
 
 
 class TestJordanOperator:
@@ -516,7 +593,7 @@ class TestCells:
 
     def test_jordan_flags_in_fiber_iff_shuffle(self):
         u = special_operator(2)
-        allowed = set(shuffles(2))
+        allowed = set(fiber_permutations(u))
         from itertools import permutations as iterperm
 
         for images in iterperm(range(1, 6)):
@@ -603,12 +680,12 @@ class TestShuffles:
         from math import factorial
 
         for k in (1, 2, 3):
-            assert len(shuffles(k)) == factorial(2 * k + 1) // (
+            assert len(fiber_permutations(special_operator(k))) == factorial(2 * k + 1) // (
                 factorial(k) * factorial(k)
             )
 
     def test_k1_is_all_of_s3(self):
-        assert len(shuffles(1)) == 6
+        assert len(fiber_permutations(special_operator(1))) == 6
 
     def test_matches_generic_fiber_test(self):
         # independent oracle: choose the position of n, then the positions of
@@ -626,14 +703,14 @@ class TestShuffles:
                     for p, v in zip(even_slots, range(2, n, 2)):
                         images[p] = v
                     expected.append(Permutation(images))
-            assert shuffles(k) == tuple(sorted(expected))
+            assert fiber_permutations(special_operator(k)) == tuple(sorted(expected))
 
     def test_interleaves_the_two_chains(self):
         # the odd chain 1,3,..,n-2 and the even chain 2,4,..,n-1 appear in
         # order; with test_count this is every shuffle, once, sorted
         for k in (1, 2, 3):
             n = 2 * k + 1
-            out = shuffles(k)
+            out = fiber_permutations(special_operator(k))
             assert list(out) == sorted(set(out))
             for sigma in out:
                 odds = [sigma.position_of(v) for v in range(1, n - 1, 2)]
@@ -643,13 +720,13 @@ class TestShuffles:
     def test_bound_checked_before_work(self):
         # k = 6 has n = 13 > DEFAULT_ENUM_BOUND; 12,012 shuffles if unbounded
         def timed_out(signum, frame):
-            raise AssertionError("shuffles(6) ran past the bound check")
+            raise AssertionError("k = 6 ran past the bound check")
 
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(5)
         try:
             with pytest.raises(ValueError, match="bound"):
-                shuffles(6)
+                fiber_permutations(special_operator(6))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -726,13 +803,14 @@ class TestDegeneration:
             assert degenerate_to_special(sigma, k) == sigma
 
     def test_k1_exhaustive(self):
-        terminal = {degenerate_to_special(s, 1).images for s in shuffles(1)}
+        sigmas = fiber_permutations(special_operator(1))
+        terminal = {degenerate_to_special(s, 1).images for s in sigmas}
         assert terminal == {(1, 2, 3)}
 
     def test_terminal_special_form(self):
         for k in (2, 3):
             n = 2 * k + 1
-            for sigma in shuffles(k):
+            for sigma in fiber_permutations(special_operator(k)):
                 t = degenerate_to_special(sigma, k)
                 d = t.position_of(n)
                 assert d >= 3
@@ -743,7 +821,7 @@ class TestDegeneration:
         # the position of n once it has passed the positions of 1 and 2
         for k in (2, 3):
             n = 2 * k + 1
-            for sigma in shuffles(k):
+            for sigma in fiber_permutations(special_operator(k)):
                 t = degenerate_to_special(sigma, k)
                 expected = max(
                     sigma.position_of(n), sigma.position_of(1), sigma.position_of(2)
@@ -755,7 +833,7 @@ class TestDegeneration:
         # phase alone already placed the largest value at position d <= k+2
         for k in (2, 3, 4):
             n = 2 * k + 1
-            for sigma in shuffles(k):
+            for sigma in fiber_permutations(special_operator(k)):
                 images = list(sigma.images)
                 changed = True
                 while changed:
