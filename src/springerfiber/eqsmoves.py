@@ -11,15 +11,18 @@ relate labels of equinonsingular components:
 * the block forms of both, acting on a run of columns that splits off as
   a standard subtableau (both endpoints are cut points).
 
-Each move is one routine on plain row lists (C and C⁻¹ here, evacuation
-in :mod:`springerfiber.tableaux`).  Only ``cut_points`` decides where a
+Each move is one routine on plain row lists holding a run of entries
+lo..hi (C and C⁻¹ here, evacuation in :mod:`springerfiber.tableaux`), so
+it acts on a block's own entries.  Only ``cut_points`` decides where a
 tableau splits.  The block between two cut points holds exactly the next
-run of entries in a straight shape, so one routine, ``_move``, shifts it
-to 1..size, moves it and puts it back as rows; ``_moves`` runs it on every
+run of entries in a straight shape, so one routine, ``_move``, cuts it
+out of the rows, moves it and puts it back; ``_moves`` runs it on every
 pair of cut points.  ``block_move``, ``legal_moves``, ``c_move`` and
-``c_inverse`` validate only the tableaux they return, and ``eqs_class``
-closes over ``_moves`` by row tuples, validating each member once.
-``eqs_partition`` partitions all tableaux of a shape into those classes.
+``c_inverse`` validate only the tableaux they return.  One worklist over
+row tuples, ``_closure``, serves both class callers: ``eqs_class``
+validates each new member once, and ``eqs_partition`` partitions all
+tableaux of a shape into classes whose members it takes from the
+enumeration, which has validated them already.
 For shapes (r,s,1) the ``dist`` statistic is constant on every class,
 which ``dist_class_invariant`` verifies exhaustively.
 
@@ -72,8 +75,8 @@ class MoveLabel:
         return f"{self.kind}[{self.columns[0]},{self.columns[1]}]"
 
 
-def _cyclic(rows: list[list[int]], n: int) -> list[list[int]]:
-    """C on the nonempty rows of a standard tableau of size ``n``, consumed."""
+def _cyclic(rows: list[list[int]], lo: int, hi: int) -> list[list[int]]:
+    """C on the nonempty rows of a tableau holding exactly lo..hi, consumed."""
     j = sum(len(row) == len(rows[0]) for row in rows)
     r, _ = _slide_out(rows)
     if r != j - 1:
@@ -82,17 +85,22 @@ def _cyclic(rows: list[list[int]], n: int) -> list[list[int]]:
         )
     rows = [[e - 1 for e in row] for row in rows]
     if j - 1 == len(rows):
-        rows.append([n])
+        rows.append([hi])
     else:
-        rows[j - 1].append(n)
+        rows[j - 1].append(hi)
     return rows
 
 
-def _cyclic_inverse(rows: list[list[int]], n: int) -> list[list[int]]:
-    """C⁻¹ on the nonempty rows of a standard tableau of size ``n``."""
-    jr = next(r for r, row in enumerate(rows) if row[-1] == n)
+def _cyclic_inverse(rows: list[list[int]], lo: int, hi: int) -> list[list[int]]:
+    """C⁻¹ on the nonempty rows of a tableau holding exactly lo..hi.
+
+    Errors name entries as in the block shifted to 1..size.
+    """
+    jr = next(r for r, row in enumerate(rows) if row[-1] == hi)
     if len(rows[jr]) != len(rows[0]):
-        raise MoveError(f"entry {n} does not close the leading block of equal rows")
+        raise MoveError(
+            f"entry {hi - lo + 1} does not close the leading block of equal rows"
+        )
     rows = [[e + 1 for e in row] for row in rows]
     r, c = jr, len(rows[jr]) - 1
     while (r, c) != (0, 0):
@@ -104,7 +112,7 @@ def _cyclic_inverse(rows: list[list[int]], n: int) -> list[list[int]]:
         else:
             rows[r][c] = above
             r -= 1
-    rows[0][0] = 1
+    rows[0][0] = lo
     return rows
 
 
@@ -117,7 +125,7 @@ def c_move(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("cyclic move undefined on the empty tableau")
-    return StandardTableau(_cyclic([list(row) for row in t.rows], t.n))
+    return StandardTableau(_cyclic([list(row) for row in t.rows], 1, t.n))
 
 
 def c_inverse(t: StandardTableau) -> StandardTableau:
@@ -129,7 +137,7 @@ def c_inverse(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("inverse cyclic move undefined on the empty tableau")
-    return StandardTableau(_cyclic_inverse([list(row) for row in t.rows], t.n))
+    return StandardTableau(_cyclic_inverse([list(row) for row in t.rows], 1, t.n))
 
 
 def cut_points(t: StandardTableau) -> tuple[int, ...]:
@@ -139,49 +147,54 @@ def cut_points(t: StandardTableau) -> tuple[int, ...]:
     the entries 1..(boxes in those columns), i.e. the entry atop column
     ``i+1`` is that count plus one.
     """
-    if not t.rows:
+    return _cut_points(t.rows)
+
+
+def _cut_points(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    if not rows:
         return (0,)
-    top = t.rows[0]
+    top = rows[0]
     points, boxes = [0], 0
     for i in range(1, len(top)):
-        boxes += sum(len(row) >= i for row in t.rows)
+        boxes += sum(len(row) >= i for row in rows)
         if top[i] == boxes + 1:
             points.append(i)
     points.append(len(top))
     return tuple(points)
 
 
-def _move(t: StandardTableau, kind: str, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of ``t`` after a move on columns a..b; a-1 and b must be cut points."""
-    shift = t.rows[0][a - 1] - 1
-    block = [[e - shift for e in row[a - 1 : b]] for row in t.rows if len(row) >= a]
-    size = sum(map(len, block))
-    if kind == "C":
-        moved = _cyclic(block, size)
-    elif kind == "Cinv":
-        moved = _cyclic_inverse(block, size)
-    else:
-        moved = _evacuate(block)
-    rows = []
-    for q, row in enumerate(t.rows):
-        middle = tuple(e + shift for e in moved[q]) if q < len(moved) else ()
-        rows.append(row[: a - 1] + middle + row[b:])
-    return tuple(rows)
+_BLOCK_MOVES = {"C": _cyclic, "Cinv": _cyclic_inverse, "SchBlock": _evacuate}
 
 
-def _moves(t: StandardTableau):
+def _move(
+    rows: tuple[tuple[int, ...], ...], kind: str, a: int, b: int
+) -> tuple[tuple[int, ...], ...]:
+    """``rows`` after a move on columns a..b; a-1 and b must be cut points.
+
+    The block holds the next run of entries lo..hi in a straight shape, and
+    the move keeps its shape, so the rows below it stay as they are.
+    """
+    block = [list(row[a - 1 : b]) for row in rows if len(row) >= a]
+    lo = block[0][0]
+    moved = _BLOCK_MOVES[kind](block, lo, lo + sum(map(len, block)) - 1)
+    return tuple(
+        row[: a - 1] + tuple(middle) + row[b:] for row, middle in zip(rows, moved)
+    ) + rows[len(moved) :]
+
+
+def _moves(rows: tuple[tuple[int, ...], ...]):
     """(kind, a, b, rows) for every applicable move on a block of two or more columns."""
-    cps = cut_points(t)
+    cps = _cut_points(rows)
     for x, left in enumerate(cps):
         for b in cps[x + 1 :]:
             if b == left + 1:
                 continue
             for kind in MOVE_KINDS:
                 try:
-                    rows = _move(t, kind, left + 1, b)
+                    moved = _move(rows, kind, left + 1, b)
                 except MoveError:
                     continue
-                yield kind, left + 1, b, rows
+                yield kind, left + 1, b, moved
 
 
 def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
@@ -196,12 +209,14 @@ def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
     cps = cut_points(t)
     if a - 1 not in cps or b not in cps:
         raise MoveError(f"columns [{a},{b}] do not split off as a block")
-    return StandardTableau(_move(t, label.kind, a, b))
+    return StandardTableau(_move(t.rows, label.kind, a, b))
 
 
 def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
     """All applicable block moves on at least two columns, with their results."""
-    return tuple((MoveLabel(k, (a, b)), StandardTableau(rows)) for k, a, b, rows in _moves(t))
+    return tuple(
+        (MoveLabel(k, (a, b)), StandardTableau(rows)) for k, a, b, rows in _moves(t.rows)
+    )
 
 
 def _dist_or_none(t: StandardTableau) -> int | None:
@@ -234,45 +249,55 @@ class EqsClass:
         return out
 
 
+def _closure(t: StandardTableau, member) -> EqsClass:
+    """Class of ``t`` by a worklist over row tuples.
+
+    ``member`` turns the rows of each newly reached tableau into that
+    tableau, once per member; ``t`` itself is taken as given.  Members are
+    sorted by rows and the representative is the smallest.
+    """
+    found = {t.rows: t}
+    todo = [t.rows]
+    while todo:
+        for *_, rows in _moves(todo.pop()):
+            if rows not in found:
+                found[rows] = member(rows)
+                todo.append(rows)
+    members = tuple(found[rows] for rows in sorted(found))
+    return EqsClass(t.shape, members, members[0], _dist_or_none(members[0]))
+
+
 def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     """Closure of a tableau under all applicable block moves, by a worklist.
 
-    The worklist is keyed by row tuples and validates each new member once.
-    Deterministic regardless of visiting order: the member set is canonical,
-    members are sorted in ``Tableau`` order (row reading word order within
-    one shape), and the representative is the smallest member.
+    Each new member is validated once.  Deterministic regardless of
+    visiting order: the member set is canonical, members are sorted in
+    ``Tableau`` order (row reading word order within one shape), and the
+    representative is the smallest member.
     """
     bound = DEFAULT_ENUM_BOUND if max_n is None else max_n
     if t.n > bound:
         raise ValueError(f"search bound exceeded: n={t.n} > {bound}")
-    visited = {t.rows: t}
-    todo = [t]
-    while todo:
-        for *_, rows in _moves(todo.pop()):
-            if rows not in visited:
-                visited[rows] = v = StandardTableau(rows)
-                todo.append(v)
-    members = tuple(sorted(visited.values()))
-    return EqsClass(t.shape, members, members[0], _dist_or_none(members[0]))
+    return _closure(t, StandardTableau)
 
 
 def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass, ...]:
     """Partition all standard tableaux of the shape into move classes.
 
     Each class is seeded by the first tableau in enumeration (row word)
-    order that no earlier class holds, which is its representative.
+    order that no earlier class holds, which is its representative.  Its
+    members are the enumerated tableaux themselves, taken by rows.
     """
-    tabs = enumerate_tableaux(shape, max_n=max_n)
-    remaining = set(tabs)
-    classes = []
-    for seed in tabs:
-        if seed not in remaining:
-            continue
-        cls = eqs_class(seed, max_n=max_n)
-        if not remaining.issuperset(cls.members):
+    remaining = {t.rows: t for t in enumerate_tableaux(shape, max_n=max_n)}
+
+    def take(rows):
+        if rows not in remaining:
             raise AssertionError("move closure escaped the remaining tableaux")
-        remaining.difference_update(cls.members)
-        classes.append(cls)
+        return remaining.pop(rows)
+
+    classes = []
+    while remaining:
+        classes.append(_closure(take(next(iter(remaining))), take))
     return tuple(classes)
 
 

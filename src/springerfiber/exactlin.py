@@ -634,17 +634,16 @@ def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
     n = flag.n
     perm = special_perm(d, n)
     rows = [[v[perm(j) - 1] for j in range(1, n + 1)] for v in flag.vectors]
-    etas: list[list[Fraction]] = []
+    etas: list[Vector] = []
     for i in range(n):
         row = list(rows[i])
         for j, eta in enumerate(etas):
             if row[j] != 0:
                 f = row[j]
-                row = [a - f * b for a, b in zip(row, eta)]
+                row = [a - f * b if b else a for a, b in zip(row, eta)]
         if row[i] == 0:
             raise ChartError(f"flag lies outside the chart around the special flag ({d})")
-        inv = Fraction(1) / row[i]
-        etas.append([x * inv for x in row])
+        etas.append(vec_scale(Fraction(1) / row[i], row))
     phi = {
         (i + 1, j + 1): etas[i][j]
         for i in range(n)

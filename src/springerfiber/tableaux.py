@@ -11,7 +11,8 @@ work on plain rows and validate only the tableau they return.
 ``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
 and slides out those below ``i``; it keeps the original entries, and
 ``standardize`` shifts them back to 1..n.  Evacuation (Schuetzenberger)
-numbers the boxes vacated by successive slides from ``n`` down to 1.
+is defined by successive slides but computed by row insertion, on the
+original entries of any block of consecutive entries.
 
 Also provided: enumeration of all standard tableaux of a shape, the row
 statistics driving the move calculus in :mod:`springerfiber.eqsmoves`
@@ -23,6 +24,7 @@ representatives.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -185,13 +187,26 @@ def _slide_out(rows: list[list[int]]) -> tuple[int, int]:
     return r, c
 
 
-def _evacuate(rows: list[list[int]]) -> list[list[int]]:
-    """Evacuation of the rows of a standard tableau, consumed by the slides."""
-    evacuated = [[0] * len(row) for row in rows]
-    for e in range(sum(len(row) for row in rows), 0, -1):
-        r, c = _slide_out(rows)
-        evacuated[r][c] = e
-    return evacuated
+def _evacuate(rows: Sequence[Sequence[int]], lo: int, hi: int) -> list[list[int]]:
+    """Evacuation of the rows of a tableau holding exactly the entries lo..hi.
+
+    Schuetzenberger's theorem: evac P(w) = P(w#), where w# reverses and
+    complements the row reading word w.  So the rows, taken top to bottom
+    and each right to left, are row-inserted as ``lo + hi - x``.
+    """
+    out: list[list[int]] = []
+    for row in rows:
+        for x in reversed(row):
+            y = lo + hi - x
+            for p in out:
+                i = bisect_right(p, y)
+                if i == len(p):
+                    p.append(y)
+                    break
+                p[i], y = y, p[i]
+            else:
+                out.append([y])
+    return out
 
 
 def jdt_remove_min(t: Tableau) -> tuple[Tableau, tuple[int, int]]:
@@ -269,13 +284,14 @@ def from_shape_chain(diagrams: Sequence[Partition]) -> StandardTableau:
 
 
 def schuetzenberger(t: StandardTableau) -> StandardTableau:
-    """Evacuation: slide out the entries one by one, numbering the vacated boxes.
+    """Evacuation, an involution of the standard tableaux of each shape.
 
-    The k-th slide vacates the box that the shape of the remaining ``n-k``
-    entries lacks; writing ``n-k+1`` there yields an involution of the
-    standard tableaux of each shape.
+    By definition the k-th of ``n`` successive slides vacates the box that
+    the shape of the remaining ``n-k`` entries lacks, and evacuation writes
+    ``n-k+1`` there.  It is computed by row insertion of the reversed and
+    complemented row reading word instead (Schuetzenberger's theorem).
     """
-    return StandardTableau(_evacuate([list(row) for row in t.rows]))
+    return StandardTableau(_evacuate(t.rows, 1, t.n))
 
 
 def tau(t: Tableau) -> frozenset[int]:
@@ -289,9 +305,8 @@ def tau(t: Tableau) -> frozenset[int]:
     entries = t.entries()
     if entries != tuple(range(entries[0], entries[0] + t.n)):
         raise ValueError("descents need consecutive entries")
-    return frozenset(
-        e for e in entries[:-1] if t.row_of(e + 1) > t.row_of(e)
-    )
+    row_of = {e: r for r, row in enumerate(t.rows) for e in row}
+    return frozenset(e for e in entries[:-1] if row_of[e + 1] > row_of[e])
 
 
 def _require_rs1(t: Tableau) -> None:

@@ -410,6 +410,25 @@ class TestEqsPartition:
             assert len(eqs_partition(shape)) == count
             assert len(union_find_classes(shape)) == count
 
+    def test_validates_only_the_enumeration(self, monkeypatch):
+        # members are the enumerated tableaux; none is validated twice
+        calls = count_validations(monkeypatch)
+        for parts in ((4, 3, 2, 1), (5, 5, 1)):
+            shape = Partition(parts)
+            calls.clear()
+            eqs_partition(shape)
+            assert len(calls) == shape.count_tableaux()
+
+    def test_closure_escaping_the_enumeration_is_caught(self, monkeypatch):
+        import springerfiber.eqsmoves as eqsmoves_module
+
+        def escaping_moves(rows):
+            yield "C", 1, 2, ((1, 2, 3),)
+
+        monkeypatch.setattr(eqsmoves_module, "_moves", escaping_moves)
+        with pytest.raises(AssertionError, match="escaped the remaining tableaux"):
+            eqs_partition(Partition((2, 1)))
+
     def test_partition_covers_all_tableaux(self):
         shape = Partition((2, 2, 1))
         classes = eqs_partition(shape)

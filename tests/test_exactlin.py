@@ -776,18 +776,23 @@ class TestChart:
         # nonzero multiple of itself keeps the flag, hence the coordinates
         from springerfiber.exactlin import ChartCoordinates, vec_add, vec_scale
 
-        phi = {
-            (i, j): Fraction(j - i, i + j) for i in range(1, 6) for j in range(i + 1, 6)
-        }
-        coords = ChartCoordinates(d=3, n=5, phi=phi)
-        flag = chart_flag(coords)
-        mixed = []
-        for i, v in enumerate(flag.vectors):
-            w = vec_scale(Fraction(i + 2, 3), v)
-            for p in range(i):
-                w = vec_add(w, vec_scale(Fraction(1, p + 5), flag.vectors[p]))
-            mixed.append(w)
-        assert chart_coords(Flag(mixed), 3).phi == phi
+        # the second chart point has zero coordinates, which the
+        # elimination must carry past
+        for zeros in ((), ((1, 2), (1, 5), (2, 4), (3, 4))):
+            phi = {
+                (i, j): Fraction(0) if (i, j) in zeros else Fraction(j - i, i + j)
+                for i in range(1, 6)
+                for j in range(i + 1, 6)
+            }
+            coords = ChartCoordinates(d=3, n=5, phi=phi)
+            flag = chart_flag(coords)
+            mixed = []
+            for i, v in enumerate(flag.vectors):
+                w = vec_scale(Fraction(i + 2, 3), v)
+                for p in range(i):
+                    w = vec_add(w, vec_scale(Fraction(1, p + 5), flag.vectors[p]))
+                mixed.append(w)
+            assert chart_coords(Flag(mixed), 3).phi == phi
 
     def test_outside_chart(self):
         # V_1 spanned by e_3 has no pivot at position (d)(1) = e_1

@@ -356,7 +356,8 @@ class TestSchuetzenberger:
         assert schuetzenberger(schuetzenberger(t)) == t
 
     def test_matches_shape_chain_oracle(self):
-        for n in range(9):
+        # insertion against slides: Schuetzenberger's theorem on every case
+        for n in range(11):
             for shape in partitions_of(n):
                 for t in enumerate_tableaux(shape):
                     assert schuetzenberger(t) == oracle_evacuation(t)
