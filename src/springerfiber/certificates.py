@@ -6,8 +6,8 @@ parametrizes flags inside the cell whenever a handful of coordinates stay
 nonzero, and seven curves of the family through the origin have linearly
 independent tangent vectors there.  Seven independent tangents at a point
 of a six-dimensional variety certify a singular point.  Tangents are read
-off with first-order jet arithmetic; every membership test is an exact
-cell check.
+off with first-order jet arithmetic into the one 7x7 layout of the family;
+every membership test is an exact cell check.
 
 Smoothness certificates for the components labelled by ``Q(k,k,1)``: for
 every special flag (d) an explicit affine (k+2)-parameter family of flags
@@ -34,6 +34,7 @@ from .exactlin import (
     Matrix,
     NilpotentOperator,
     Vector,
+    _check_special,
     as_fraction,
     chart_coords,
     in_cell,
@@ -137,15 +138,24 @@ def f_entries(t: Sequence) -> dict[tuple[int, int], object]:
     }
 
 
-def f_family(t: Sequence) -> Matrix:
-    """The 7x7 strictly lower triangular matrix of the family at rational ``t``."""
+def _parameters(t: Sequence) -> tuple[Fraction, ...]:
+    t = tuple(as_fraction(x) for x in t)
     if len(t) != 6:
         raise ValueError("the family takes six parameters")
-    values = f_entries(tuple(as_fraction(x) for x in t))
-    rows = [[Fraction(0)] * 7 for _ in range(7)]
-    for (i, j), v in values.items():
+    return t
+
+
+def _matrix_7x7(entries: dict[tuple[int, int], Fraction], diagonal: int = 0) -> Matrix:
+    """The 7x7 matrix with ``entries`` at their 1-based cells and ``diagonal`` on the diagonal."""
+    rows = [[Fraction(diagonal if i == j else 0) for j in range(7)] for i in range(7)]
+    for (i, j), v in entries.items():
         rows[i - 1][j - 1] = v
     return Matrix(rows)
+
+
+def f_family(t: Sequence) -> Matrix:
+    """The 7x7 strictly lower triangular matrix of the family at rational ``t``."""
+    return _matrix_7x7(f_entries(_parameters(t)))
 
 
 def _membership_conditions(t: Sequence[Fraction]) -> list[tuple[str, Fraction]]:
@@ -165,18 +175,12 @@ def verify_curve_membership(t: Sequence) -> bool:
     by the columns of f(t) + I over the (3,2,2) Jordan basis and must lie in
     the cell of the tableau 1,2,5/3,4/6,7.
     """
-    t = tuple(as_fraction(x) for x in t)
-    if len(t) != 6:
-        raise ValueError("the family takes six parameters")
+    t = _parameters(t)
     for name, value in _membership_conditions(t):
         if value == 0:
             raise ValueError(f"membership precondition violated: {name} must be nonzero")
-    g = f_family(t)
-    columns = [list(g.column(i)) for i in range(1, 8)]
-    for i in range(7):
-        columns[i][i] += Fraction(1)
-    flag = Flag(tuple(tuple(col) for col in columns))
-    return in_cell(flag, operator_322(), CELL_TABLEAU_322)
+    g = _matrix_7x7(f_entries(t), diagonal=1)
+    return in_cell(Flag(tuple(zip(*g.rows))), operator_322(), CELL_TABLEAU_322)
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.
@@ -197,13 +201,10 @@ def curve_tangent(const: Sequence, slope: Sequence) -> Matrix:
     """Tangent matrix at s = 0 of the curve s -> f(const + slope*s), via jets."""
     jets = [Jet(c, b) for c, b in zip(const, slope, strict=True)]
     values = f_entries(jets)
-    rows = [[Fraction(0)] * 7 for _ in range(7)]
-    for (i, j), v in values.items():
-        jet = v if isinstance(v, Jet) else Jet(v)
+    for (i, j), jet in values.items():
         if jet.value != 0:
             raise CertificateError(f"curve does not pass through the origin at ({i},{j})")
-        rows[i - 1][j - 1] = jet.deriv
-    return Matrix(rows)
+    return _matrix_7x7({cell: jet.deriv for cell, jet in values.items()})
 
 
 def _admissible_point(
@@ -341,11 +342,6 @@ def _v_full(k: int, alpha: Sequence) -> tuple[Vector, ...]:
     return vs + tuple(_w_power(vs[k - m], m) for m in range(1, k))
 
 
-def _check_d(k: int, d: int) -> None:
-    if not 3 <= d <= k + 2:
-        raise ValueError(f"d must lie in 3..{k + 2}, got {d}")
-
-
 def _decode_params(k: int, d: int, params: tuple[Fraction, ...]) -> tuple[
     dict[int, Fraction],
     dict[int, Fraction],
@@ -397,7 +393,7 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     remaining gammas satisfy gamma_i = -alpha_{i+2} gamma_{i+1} downwards,
     with gamma_1 = -(alpha_3 - alpha_1) gamma_2.
     """
-    _check_d(k, d)
+    _check_special(k, d)
     params = tuple(as_fraction(p) for p in params)
     if len(params) != k + 2:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
@@ -472,7 +468,7 @@ def verify_smooth_chart(
     back; and a mixed tuple with zero entries still lands in the fiber and
     the chart.  Returns a JSON-ready report with one entry per check.
     """
-    _check_d(k, d)
+    _check_special(k, d)
     if parameter_tuples is None:
         tuples = default_chart_parameters(k)
     else:

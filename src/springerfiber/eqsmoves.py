@@ -13,17 +13,17 @@ relate labels of equinonsingular components:
 
 Each move is one routine on plain row lists holding a run of entries
 lo..hi (C and C⁻¹ here, evacuation in :mod:`springerfiber.tableaux`), so
-it acts on a block's own entries.  Only ``cut_points`` decides where a
-tableau splits.  The block between two cut points holds exactly the next
-run of entries in a straight shape, so one routine, ``_move``, cuts it
-out of the rows, moves it and puts it back; ``_moves`` runs it on every
-pair of cut points.  ``block_move``, ``legal_moves``, ``c_move`` and
-``c_inverse`` validate only the tableaux they return.  One worklist over
-row tuples, ``_closure``, serves both class callers: ``eqs_class``
-validates each new member once, and ``eqs_partition`` partitions all
-tableaux of a shape into classes whose members it takes from the
-enumeration, which has validated them already.
-For shapes (r,s,1) the ``dist`` statistic is constant on every class,
+it acts on a block's own entries; ``MOVE_KINDS`` is read off the table of
+these routines.  Only ``cut_points`` decides where a tableau splits.  The
+block between two cut points holds exactly the next run of entries in a
+straight shape, so one routine, ``_move``, cuts it out of the rows, moves
+it and puts it back; ``_moves`` runs it on every pair of cut points.
+``block_move``, ``legal_moves``, ``c_move`` and ``c_inverse`` validate
+only the tableaux they return.  One worklist over row tuples,
+``_closure``, serves both class callers: ``eqs_class`` validates each new
+member once, and ``eqs_partition`` partitions all tableaux of a shape
+into classes whose members it takes from the enumeration, which has
+validated them already.  For shapes (r,s,1) the ``dist`` statistic is constant on every class,
 which ``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
@@ -41,16 +41,14 @@ from dataclasses import dataclass
 
 from .partitions import Partition
 from .tableaux import (
-    DEFAULT_ENUM_BOUND,
     StandardTableau,
+    _check_bound,
     _evacuate,
     _slide_out,
     dist,
     enumerate_tableaux,
     jdt_remove_min,  # unused; perfbench/check_bench.py checks the tracer wraps it here
 )
-
-MOVE_KINDS = ("C", "Cinv", "SchBlock")
 
 
 class MoveError(ValueError):
@@ -59,7 +57,7 @@ class MoveError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class MoveLabel:
-    """A block move: kind in {"C", "Cinv", "SchBlock"} acting on columns i..j."""
+    """A block move: a kind in ``MOVE_KINDS`` acting on columns i..j."""
 
     kind: str
     columns: tuple[int, int]
@@ -164,6 +162,7 @@ def _cut_points(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 _BLOCK_MOVES = {"C": _cyclic, "Cinv": _cyclic_inverse, "SchBlock": _evacuate}
+MOVE_KINDS = tuple(_BLOCK_MOVES)
 
 
 def _move(
@@ -219,13 +218,6 @@ def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], 
     )
 
 
-def _dist_or_none(t: StandardTableau) -> int | None:
-    p = t.shape.parts
-    if len(p) == 3 and p[2] == 1:
-        return dist(t)
-    return None
-
-
 @dataclass(frozen=True)
 class EqsClass:
     """A class of tableaux labelling pairwise equinonsingular components."""
@@ -264,7 +256,8 @@ def _closure(t: StandardTableau, member) -> EqsClass:
                 found[rows] = member(rows)
                 todo.append(rows)
     members = tuple(found[rows] for rows in sorted(found))
-    return EqsClass(t.shape, members, members[0], _dist_or_none(members[0]))
+    shape = t.shape
+    return EqsClass(shape, members, members[0], dist(members[0]) if shape.is_rs1 else None)
 
 
 def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
@@ -275,9 +268,7 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     ``Tableau`` order (row reading word order within one shape), and the
     representative is the smallest member.
     """
-    bound = DEFAULT_ENUM_BOUND if max_n is None else max_n
-    if t.n > bound:
-        raise ValueError(f"search bound exceeded: n={t.n} > {bound}")
+    _check_bound(t.n, max_n)
     return _closure(t, StandardTableau)
 
 
@@ -301,9 +292,7 @@ def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass,
     return tuple(classes)
 
 
-def partition_report(shape: Partition, max_n: int | None = None) -> dict:
-    """JSON-ready report of the class partition of a shape."""
-    classes = eqs_partition(shape, max_n=max_n)
+def _report(shape: Partition, classes: tuple[EqsClass, ...]) -> dict:
     return {
         "shape": str(shape),
         "class_count": len(classes),
@@ -311,15 +300,19 @@ def partition_report(shape: Partition, max_n: int | None = None) -> dict:
     }
 
 
-def dist_class_invariant(shape: Partition, max_n: int | None = None) -> dict:
+def partition_report(shape: Partition, max_n: int | None = None) -> dict:
+    """JSON-ready report of the class partition of a shape."""
+    return _report(shape, eqs_partition(shape, max_n=max_n))
+
+
+def dist_class_invariant(shape: Partition) -> dict:
     """Check that ``dist`` is constant on every class of a shape (r,s,1).
 
     Never raises on a violation; the report carries the findings.
     """
-    p = shape.parts
-    if len(p) != 3 or p[2] != 1:
+    if not shape.is_rs1:
         raise ValueError(f"invariant needs shape (r,s,1), got {shape}")
-    classes = eqs_partition(shape, max_n=max_n)
+    classes = eqs_partition(shape)
     violations = []
     for cls in classes:
         values = sorted({dist(member) for member in cls.members})
@@ -327,10 +320,4 @@ def dist_class_invariant(shape: Partition, max_n: int | None = None) -> dict:
             violations.append(
                 {"representative": cls.representative.text(), "dists": values}
             )
-    return {
-        "shape": str(shape),
-        "class_count": len(classes),
-        "classes": [cls.to_json() for cls in classes],
-        "violations": violations,
-        "ok": not violations,
-    }
+    return {**_report(shape, classes), "violations": violations, "ok": not violations}

@@ -7,8 +7,9 @@ columns by operators and as rows by spans; sums and multiples leave zero
 entries as they are.  Two elimination routines (``chart_coords`` aside)
 serve two kinds of question.  ``_rank_profile`` answers every question
 that needs only pivots, by fraction-free integer elimination: ranks, the
-independence of a flag basis, fiber membership, subspace stability and
-flag equality read its pivot columns, and a flag's whole cell table reads
+independence of a flag basis, fiber membership and flag equality read its
+pivot columns, one elimination of a subspace basis and its images decides
+both independence and stability, and a flag's whole cell table reads
 its (row, column) pairs: with the coordinates ordered so that every power
 of the operator cuts a leading block of rows, one elimination per table
 gives the dimension for every prefix and every power.  ``Matrix.rref`` is
@@ -30,9 +31,10 @@ flag map, which exchanges the two kinds of cells up to evacuation.
 
 For the one-box-third-row shapes (k,k,1) the module also provides the
 special operator, whose fiber permutations are the shuffles of its two
-chains, the special permutations (d) and flags, coordinates on the open
-chart around each special flag, and the combinatorial degeneration taking
-any shuffle flag to a special one.
+chains, the special permutations (d) and flags with one check of the range
+of d, coordinates on the open chart around each special flag, and the
+combinatorial degeneration taking any shuffle flag to a special one, in
+closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
-from .tableaux import DEFAULT_ENUM_BOUND, StandardTableau, from_shape_chain, schuetzenberger
+from .tableaux import StandardTableau, _check_bound, from_shape_chain, schuetzenberger
 
 Vector = tuple[Fraction, ...]
 
@@ -104,10 +106,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def column(self, j: int) -> Vector:
-        """Column ``j`` (1-based)."""
-        return tuple(row[j - 1] for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -395,12 +393,15 @@ def jordan_operator(t: StandardTableau) -> NilpotentOperator:
 def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vector, ...]:
     """The given basis: ValueError if dependent, StabilityError if not u-stable.
 
-    Stable exactly when adding the images u(w) raises no rank.
+    One elimination of the m vectors, then their images u(w): independent when
+    m pivots lie in the first m rows, stable when the images add no pivot.
     """
     vecs = Matrix(subspace).rows
-    if len(_rank_profile(vecs)) != len(vecs):
+    m = len(vecs)
+    pivots = _rank_profile(vecs + tuple(u.apply(w) for w in vecs))
+    if sum(r < m for r, _ in pivots) < m:
         raise ValueError("subspace basis is linearly dependent")
-    if len(_rank_profile(vecs + tuple(u.apply(w) for w in vecs))) != len(vecs):
+    if len(pivots) > m:
         raise StabilityError("subspace is not stable under the operator")
     return vecs
 
@@ -568,8 +569,7 @@ def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
     the enumeration bound.
     """
     n = u.n
-    if n > DEFAULT_ENUM_BOUND:
-        raise ValueError(f"enumeration bound exceeded: n={n} > {DEFAULT_ENUM_BOUND}")
+    _check_bound(n)
     # pred[v] is the chain predecessor of v, or 0 (always placed) for a row start
     pred = [0] * (n + 1)
     for row in u.tableau.rows:
@@ -595,13 +595,17 @@ def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
+def _check_special(k: int, d: int) -> None:
+    """Reject ``d`` unless (d) is a special flag of shape (k,k,1): 3 <= d <= k+2."""
+    if not 3 <= d <= k + 2:
+        raise ValueError(f"d must lie in 3..{k + 2}, got {d}")
+
+
 def special_perm(d: int, n: int) -> Permutation:
     """The permutation fixing 1..d-1, sending d to n, and shifting the rest down."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and at least 3, got {n}")
-    k = (n - 1) // 2
-    if not 3 <= d <= k + 2:
-        raise ValueError(f"d must lie in 3..{k + 2}, got {d}")
+    _check_special((n - 1) // 2, d)
     return Permutation(tuple(range(1, d)) + (n,) + tuple(range(d, n)))
 
 
@@ -672,8 +676,9 @@ def degenerate_to_special(sigma: Permutation, k: int) -> Permutation:
 
     First, while the largest value sits before 1 or 2, swap it with that
     value (each swap moves it later).  Then bubble the values 1..n-1 into
-    increasing position order; the largest value never moves again.  The
-    terminal permutation fixes 1..d-1 and sends d to n for d its position.
+    increasing position order; the largest value never moves again.  So the
+    terminal permutation is 1..d-1, n, d..n-1, where d, the last position
+    that n reaches, is the largest of the positions of 1, 2 and n.
     """
     n = 2 * k + 1
     if sigma.n != n:
@@ -682,24 +687,5 @@ def degenerate_to_special(sigma: Permutation, k: int) -> Permutation:
     evens = [sigma.position_of(v) for v in range(2, n, 2)]
     if odds != sorted(odds) or evens != sorted(evens):
         raise ValueError("permutation is not a shuffle of the two chains")
-    images = list(sigma.images)
-
-    def swap_values(a: int, b: int) -> None:
-        pa, pb = images.index(a), images.index(b)
-        images[pa], images[pb] = images[pb], images[pa]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in (1, 2):
-            if images.index(n) < images.index(i):
-                swap_values(i, n)
-                changed = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(2, n):
-            if images.index(i - 1) > images.index(i):
-                swap_values(i - 1, i)
-                changed = True
-    return Permutation(images)
+    d = max(sigma.position_of(v) for v in (1, 2, n))
+    return Permutation(tuple(range(1, d)) + (n,) + tuple(range(d, n)))

@@ -4,7 +4,8 @@ A partition is stored as its non-increasing tuple of positive parts and
 doubles as the Young diagram whose row ``i`` has ``parts[i]`` boxes.  On
 top of conjugation the module knows the dimension of the irreducible
 components of a Springer fiber whose nilpotent has this Jordan type, the
-classification of shapes all of whose components are nonsingular, and the
+classification of shapes all of whose components are nonsingular, the
+test for the shapes (r,s,1) on which the ``dist`` statistic lives, and the
 hook-length count of standard tableaux, used as an oracle for the
 explicit enumerator in :mod:`springerfiber.tableaux`.
 """
@@ -119,6 +120,11 @@ class Partition:
         """
         return sum(i * p for i, p in enumerate(self.parts))
 
+    @property
+    def is_rs1(self) -> bool:
+        """True for the shapes (r,s,1): two rows plus one box, the domain of ``dist``."""
+        return len(self.parts) == 3 and self.parts[2] == 1
+
     def classify_smooth(self) -> SmoothnessVerdict:
         """Place the shape in the smoothness classification.
 
@@ -132,7 +138,7 @@ class Partition:
             return SmoothnessVerdict.HOOK
         if len(p) == 2:
             return SmoothnessVerdict.TWO_ROW
-        if len(p) == 3 and p[2] == 1:
+        if self.is_rs1:
             return SmoothnessVerdict.TWO_ROW_PLUS_BOX
         if p == (2, 2, 2):
             return SmoothnessVerdict.TWO_TWO_TWO

@@ -10,16 +10,19 @@ removes the entry at (1,1) and reports the box it vacates, so operations
 work on plain rows and validate only the tableau they return.
 ``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
 and slides out those below ``i``; it keeps the original entries, and
-``standardize`` shifts them back to 1..n.  Evacuation (Schuetzenberger)
-is defined by successive slides but computed by row insertion, on the
-original entries of any block of consecutive entries.
+``standardize`` shifts them back to 1..n.  Both, and ``tau``, take the
+entry range lo..hi of a tableau from one helper that rejects gaps.
+Evacuation (Schuetzenberger) is defined by successive slides but computed
+by row insertion, on the original entries of any block of consecutive
+entries.
 
-Also provided: enumeration of all standard tableaux of a shape, the row
-statistics driving the move calculus in :mod:`springerfiber.eqsmoves`
-(row reader ``row_of``, descent set ``tau``, and the ``dist`` statistic of
-shapes (r,s,1)), concatenation of column blocks, and the named tableau
-families ``P(r,s)`` and ``Q(k,k,1)`` that serve as canonical class
-representatives.
+Also provided: enumeration of all standard tableaux of a shape, behind
+the one bound check that the move classes and fiber permutations share,
+the row statistics driving the move calculus in
+:mod:`springerfiber.eqsmoves` (row reader ``row_of``, descent set ``tau``,
+and the ``dist`` statistic of the shapes that ``Partition.is_rs1``
+accepts), concatenation of column blocks, and the named tableau families
+``P(r,s)`` and ``Q(k,k,1)`` that serve as canonical class representatives.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from typing import Iterable, Sequence
 from .partitions import Partition
 
 DEFAULT_ENUM_BOUND = 12
+
+
+def _check_bound(n: int, max_n: int | None = None) -> None:
+    """Reject ``n`` above the enumeration and search bound, by default 12 boxes."""
+    bound = DEFAULT_ENUM_BOUND if max_n is None else max_n
+    if n > bound:
+        raise ValueError(f"enumeration bound exceeded: n={n} > {bound}")
 
 
 def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
@@ -53,6 +63,11 @@ def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
         for a, b in zip(upper, lower):
             if b <= a:
                 raise ValueError(f"column not increasing at {a} over {b}")
+
+
+def _is_standard(rows: Sequence[Sequence[int]]) -> bool:
+    # distinct positive integers are exactly 1..n when the largest is n
+    return max((row[-1] for row in rows if row), default=0) == sum(map(len, rows))
 
 
 class Tableau:
@@ -95,10 +110,6 @@ class Tableau:
         """1-based row index of entry ``e``."""
         return self.position_of(e)[0]
 
-    def is_standard(self) -> bool:
-        # distinct positive integers are exactly 1..n when the largest is n
-        return max((row[-1] for row in self.rows), default=0) == self.n
-
     def row_word(self) -> tuple[int, ...]:
         """Row reading word: rows concatenated top to bottom."""
         return tuple(chain.from_iterable(self.rows))
@@ -132,16 +143,14 @@ class StandardTableau(Tableau):
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         super().__init__(rows)
-        if not self.is_standard():
+        if not _is_standard(self.rows):
             raise ValueError(f"entries must be exactly 1..{self.n}, got {self.entries()}")
 
 
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
     """Validate rows, returning a StandardTableau when the entries are 1..n."""
     rows = tuple(tuple(int(e) for e in row) for row in rows)
-    largest = max((row[-1] for row in rows if row), default=0)
-    standard = largest == sum(len(row) for row in rows)
-    return (StandardTableau if standard else Tableau)(rows)
+    return (StandardTableau if _is_standard(rows) else Tableau)(rows)
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -222,6 +231,16 @@ def jdt_remove_min(t: Tableau) -> tuple[Tableau, tuple[int, int]]:
     return tableau(rows), hole
 
 
+def _entry_range(t: Tableau) -> tuple[int, int]:
+    """(lo, hi) when ``t`` holds exactly the entries lo..hi; (1, 0) when it is empty."""
+    if not t.rows:
+        return 1, 0
+    lo, hi = t.rows[0][0], max(row[-1] for row in t.rows)
+    if hi - lo + 1 != t.n:
+        raise ValueError(f"entries {t.entries()} are not consecutive")
+    return lo, hi
+
+
 def restrict(t: Tableau, i: int, j: int) -> Tableau:
     """Keep entries ``i..j``: drop the larger entries, then slide out the smaller.
 
@@ -231,10 +250,7 @@ def restrict(t: Tableau, i: int, j: int) -> Tableau:
     """
     if t.n == 0:
         raise ValueError("cannot restrict the empty tableau")
-    entries = t.entries()
-    lo, hi = entries[0], entries[-1]
-    if entries != tuple(range(lo, hi + 1)):
-        raise ValueError("restriction needs consecutive entries")
+    lo, hi = _entry_range(t)
     if not lo <= i <= j <= hi:
         raise ValueError(f"restriction range [{i},{j}] out of range {lo}..{hi}")
     rows = [[e for e in row if e <= j] for row in t.rows if row[0] <= j]
@@ -245,12 +261,7 @@ def restrict(t: Tableau, i: int, j: int) -> Tableau:
 
 def standardize(t: Tableau) -> StandardTableau:
     """Shift a block of consecutive entries down to 1..n."""
-    if t.n == 0:
-        return StandardTableau(())
-    entries = t.entries()
-    lo = entries[0]
-    if entries != tuple(range(lo, lo + t.n)):
-        raise ValueError(f"entries {entries} are not consecutive")
+    lo, _ = _entry_range(t)
     return StandardTableau(tuple(e - lo + 1 for e in row) for row in t.rows)
 
 
@@ -300,32 +311,23 @@ def tau(t: Tableau) -> frozenset[int]:
     Defined for any tableau whose entries are consecutive; restrictions keep
     their original entries, so their descents live in the same range.
     """
-    if t.n == 0:
-        return frozenset()
-    entries = t.entries()
-    if entries != tuple(range(entries[0], entries[0] + t.n)):
-        raise ValueError("descents need consecutive entries")
+    lo, hi = _entry_range(t)
     row_of = {e: r for r, row in enumerate(t.rows) for e in row}
-    return frozenset(e for e in entries[:-1] if row_of[e + 1] > row_of[e])
-
-
-def _require_rs1(t: Tableau) -> None:
-    p = t.shape.parts
-    if len(p) != 3 or p[2] != 1:
-        raise ValueError(f"statistic needs shape (r,s,1), got {t.shape}")
+    return frozenset(e for e in range(lo, hi) if row_of[e + 1] > row_of[e])
 
 
 def j_stat(t: StandardTableau) -> int:
     """Largest descent below the third-row entry, for shapes (r,s,1)."""
-    _require_rs1(t)
+    if not t.shape.is_rs1:
+        raise ValueError(f"statistic needs shape (r,s,1), got {t.shape}")
     bottom = t.entry(3, 1)
     return max(i for i in tau(t) if i < bottom - 1)
 
 
 def dist(t: StandardTableau) -> int:
     """Gap between the third-row entry and the previous descent, for shapes (r,s,1)."""
-    _require_rs1(t)
-    return t.entry(3, 1) - 1 - j_stat(t)
+    j = j_stat(t)  # checks the shape before the third row is read
+    return t.entry(3, 1) - 1 - j
 
 
 def concat(*tabs: Tableau) -> Tableau:
@@ -396,9 +398,7 @@ def enumerate_tableaux(
     Entries 1..n are placed depth-first into the available corner cells; a
     guard rejects shapes above the enumeration bound (default 12 boxes).
     """
-    bound = DEFAULT_ENUM_BOUND if max_n is None else max_n
-    if shape.n > bound:
-        raise ValueError(f"enumeration bound exceeded: n={shape.n} > {bound}")
+    _check_bound(shape.n, max_n)
     parts = shape.parts
     results: list[StandardTableau] = []
     rows: list[list[int]] = [[] for _ in parts]

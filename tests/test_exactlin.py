@@ -419,6 +419,17 @@ class TestRestrictedType:
         with pytest.raises(ValueError):
             restricted_type(u, [unit_vector(2, 1), unit_vector(2, 1)])
 
+    def test_dependent_and_unstable_basis_is_reported_as_dependent(self):
+        # e_3, e_4, e_3 + e_4: dependent, and the images e_1, e_2 raise the
+        # rank to 4 > 3; one elimination decides both, dependence first
+        u = special_operator(2)
+        basis = [unit_vector(5, 3), unit_vector(5, 4), vec_add(unit_vector(5, 3), unit_vector(5, 4))]
+        for restricted in (restricted_type, quotient_type):
+            with pytest.raises(ValueError) as exc:
+                restricted(u, basis)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == "subspace basis is linearly dependent"
+
 
 class TestQuotientType:
     def test_trivial_cases(self):
@@ -801,7 +812,45 @@ class TestChart:
             chart_coords(flag, 3)
 
 
+def degenerate_by_swaps(sigma, k):
+    """The degeneration as a swap simulation, an oracle for the closed form.
+
+    While the largest value sits before 1 or 2 it is swapped with that
+    value; then the values 1..n-1 are bubbled into increasing position order.
+    """
+    n = 2 * k + 1
+    images = list(sigma.images)
+
+    def swap_values(a, b):
+        pa, pb = images.index(a), images.index(b)
+        images[pa], images[pb] = images[pb], images[pa]
+
+    changed = True
+    while changed:
+        changed = False
+        for i in (1, 2):
+            if images.index(n) < images.index(i):
+                swap_values(i, n)
+                changed = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(2, n):
+            if images.index(i - 1) > images.index(i):
+                swap_values(i - 1, i)
+                changed = True
+    return Permutation(images)
+
+
 class TestDegeneration:
+    def test_matches_swap_simulation(self):
+        checked = 0
+        for k in range(1, 6):
+            for sigma in fiber_permutations(special_operator(k)):
+                assert degenerate_to_special(sigma, k) == degenerate_by_swaps(sigma, k), sigma
+                checked += 1
+        assert checked == 3578
+
     def test_fixed_points(self):
         for k, d in ((2, 3), (2, 4), (3, 5)):
             sigma = special_perm(d, 2 * k + 1)

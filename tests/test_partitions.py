@@ -131,6 +131,29 @@ class TestClassify:
                     assert not sufficient, p
 
 
+class TestRs1:
+    def test_agrees_with_classifier_and_dist_domain(self):
+        # every partition with n <= 12: the classifier reports TwoRowPlusBox
+        # exactly for the (r,s,1) shapes that are no hook (r,1,1), and dist
+        # is defined exactly on the (r,s,1) shapes
+        from springerfiber.tableaux import column_superstandard, dist
+
+        for n in range(13):
+            for p in partitions_of(n):
+                expected = len(p) == 3 and p[2] == 1
+                assert p.is_rs1 is expected, p
+                verdict = p.classify_smooth()
+                assert (verdict is SmoothnessVerdict.TWO_ROW_PLUS_BOX) == (
+                    expected and p[1] > 1
+                ), p
+                t = column_superstandard(p)
+                if expected:
+                    assert dist(t) >= 1, p
+                else:
+                    with pytest.raises(ValueError, match=r"needs shape \(r,s,1\)"):
+                        dist(t)
+
+
 class TestCountTableaux:
     def test_single_row(self):
         for n in range(9):

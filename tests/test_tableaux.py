@@ -210,6 +210,26 @@ class TestEnumerate:
             enumerate_tableaux(Partition((13,)))
         assert len(enumerate_tableaux(Partition((13,)), max_n=13)) == 1
 
+    def test_one_bound_message_for_every_bounded_search(self):
+        # enumeration, the class closure and the fiber permutations share one
+        # bound check, so n = 13 is refused in the same words by all three
+        from springerfiber.eqsmoves import eqs_class
+        from springerfiber.exactlin import fiber_permutations, special_operator
+
+        searches = {
+            "enumerate_tableaux": lambda: enumerate_tableaux(Partition((6, 6, 1))),
+            "eqs_class": lambda: eqs_class(make_Q(6)),
+            "fiber_permutations": lambda: fiber_permutations(special_operator(6)),
+        }
+        for name, search in searches.items():
+            with pytest.raises(ValueError) as exc:
+                search()
+            assert str(exc.value) == "enumeration bound exceeded: n=13 > 12", name
+        for search, arg in ((enumerate_tableaux, Partition((6, 6, 1))), (eqs_class, make_Q(6))):
+            with pytest.raises(ValueError) as exc:
+                search(arg, max_n=5)
+            assert str(exc.value) == "enumeration bound exceeded: n=13 > 5"
+
 
 class TestRowStatistics:
     def test_row_of(self):
@@ -226,6 +246,26 @@ class TestRowStatistics:
         assert tau(t) == frozenset({3, 5})
         assert tau(T("1,3,6/2,5/4")) == frozenset({1, 3})
         assert tau(T("1,2,3,4")) == frozenset()
+
+    def test_non_consecutive_entries_rejected_alike(self):
+        # restrict, standardize and tau read the entry range from one helper
+        for rows in (((1, 2), (4,)), ((2, 3, 7), (5,)), ((1,), (3,), (4,))):
+            t = tableau(rows)
+            assert not isinstance(t, StandardTableau)
+            expected = f"entries {t.entries()} are not consecutive"
+            lo = t.entries()[0]
+            for op in (lambda: restrict(t, lo, lo), lambda: standardize(t), lambda: tau(t)):
+                with pytest.raises(ValueError) as exc:
+                    op()
+                assert str(exc.value) == expected
+
+    def test_consecutive_entries_accepted_from_any_start(self):
+        t = tableau(((3, 4, 6), (5,)))
+        assert tau(t) == frozenset({4})
+        assert standardize(t).text() == "1,2,4/3"
+        assert restrict(t, 4, 5).text() == "4/5"
+        assert tau(StandardTableau(())) == frozenset()
+        assert standardize(StandardTableau(())) == StandardTableau(())
 
     def test_j_stat_shape_errors(self):
         with pytest.raises(ValueError):
