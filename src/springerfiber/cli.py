@@ -105,15 +105,8 @@ def _cmd_restrict(args):
 def _cmd_eqs_class(args):
     t = _parse_standard(args.tableau)
     cls = eqs_class(t, max_n=_max_n(args))
-    out = {
-        "shape": str(cls.shape),
-        "representative": cls.representative.text(),
-        "size": cls.size,
-        "members": [m.text() for m in cls.members],
-    }
-    if cls.dist is not None:
-        out["dist"] = cls.dist
-    return out, 0
+    members = [m.text() for m in cls.members]
+    return {"shape": str(cls.shape), **cls.to_json(), "members": members}, 0
 
 
 def _cmd_eqs_partition(args):

@@ -4,9 +4,12 @@ Entries are ``fractions.Fraction`` and pivot questions run on integers
 scaled from them; there is no floating point anywhere, so rank, kernel,
 and membership answers are exact.  Vectors are plain tuples used as
 columns by operators and as rows by spans; sums and multiples leave zero
-entries as they are.  Two elimination routines (``chart_coords`` aside)
-serve two kinds of question.  ``_rank_profile`` answers every question
-that needs only pivots, by fraction-free integer elimination: ranks, the
+entries as they are, and coordinate vectors share one zero and one one.
+Two elimination routines (``chart_coords`` aside) serve two kinds of
+question, and neither does arithmetic on zeros: most of the matrices are
+0/1 coordinate flags.  ``_rank_profile`` answers every question that needs
+only pivots, by fraction-free integer elimination that updates only the
+rows nonzero in the pivot column and scales the others lazily: ranks, the
 independence of a flag basis, fiber membership and flag equality read its
 pivot columns, one elimination of a subspace basis and its images decides
 both independence and stability, and a flag's whole cell table reads
@@ -50,6 +53,10 @@ from .tableaux import StandardTableau, _check_bound, from_shape_chain, schuetzen
 
 Vector = tuple[Fraction, ...]
 
+# shared entries of coordinate vectors; a Fraction is immutable
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class ChartError(ValueError):
     """A flag lies outside the requested coordinate chart."""
@@ -74,7 +81,7 @@ def unit_vector(n: int, i: int) -> Vector:
     """The ``i``-th coordinate vector (1-based) in dimension ``n``."""
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} out of range 1..{n}")
-    return tuple(Fraction(int(j == i - 1)) for j in range(n))
+    return (_ZERO,) * (i - 1) + (_ONE,) + (_ZERO,) * (n - i)
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -123,7 +130,14 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-        """Reduced row echelon form: (nonzero rows, pivot column indices)."""
+        """Reduced row echelon form: (nonzero rows, pivot column indices).
+
+        Gauss-Jordan over ``Fraction`` that does no work on zeros: a pivot
+        row is divided only where it is nonzero, and not at all when its
+        pivot is already 1; another row is updated only when it is nonzero
+        in the pivot column, and only where the pivot row is nonzero.  The
+        skipped operations would leave their entries unchanged.
+        """
         rows = [list(r) for r in self.rows]
         nrows, ncols = len(rows), self.ncols
         pivots = []
@@ -133,12 +147,14 @@ class Matrix:
             if pivot_row is None:
                 continue
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = Fraction(1) / rows[pr][c]
-            rows[pr] = [x * inv for x in rows[pr]]
+            top = rows[pr]
+            pivot = top[c]
+            if pivot != 1:
+                top = rows[pr] = [x / pivot if x else x for x in top]
             for r in range(nrows):
-                if r != pr and rows[r][c] != 0:
-                    f = rows[r][c]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+                f = rows[r][c]
+                if f and r != pr:
+                    rows[r] = [a - f * b if b else a for a, b in zip(rows[r], top)]
             pivots.append(c)
             pr += 1
             if pr == nrows:
@@ -183,11 +199,20 @@ def _rank_profile(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, int], 
     Scaling each row to integers by the lcm of its denominators keeps every
     column dependency.  Bareiss elimination then runs in column order: a
     column where some remaining row is nonzero is a pivot, the topmost such
-    row leaves, and every remaining row, also one that is 0 there, becomes
-    (pivot * row - entry * pivot row) divided by the previous pivot.  By
+    row leaves, and with p_0 = 1 and p_s the s-th pivot, step s + 1 turns
+    every remaining row into (pivot * row - entry * pivot row) / p_s.  By
     Sylvester's identity each entry is a minor of the scaled matrix, so the
     division is exact and no ``Fraction`` is built.  The columns are the
     pivot columns of the RREF.
+
+    The rows are kept full width and only those nonzero in the pivot column
+    are updated.  A row that is 0 there would just be scaled by p_{s+1} / p_s,
+    so that is done lazily: each row records the number t of pivots it has
+    seen, and when it becomes the pivot or must be updated it is first
+    brought to step s as row * p_s // p_t.  This equals the skipped steps
+    composed, each of which is exact, so every entry is still the minor that
+    eager Bareiss holds and entries stay as small.  Scaling by a nonzero
+    number keeps zero patterns, so the pivot pairs are the eager ones.
 
     Each step only scales rows and adds multiples of a row to rows below
     it, so the span of every leading block of rows is kept, and each pivot
@@ -196,28 +221,34 @@ def _rank_profile(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, int], 
     and j < c (Dumas, Pernet & Sultan, J. Symbolic Comput. 83, 2017).
     """
     rest = []
-    for row in rows:
+    for i, row in enumerate(rows):
         ratios = [x.as_integer_ratio() for x in row]
         scale = lcm(*[d for _, d in ratios])
-        rest.append([a * (scale // d) for a, d in ratios])
-    # ``rest`` holds the rows not yet used as pivots, cut to columns c onwards,
-    # and ``origin`` their indices in ``rows``
-    origin = list(range(len(rest)))
+        rest.append((i, 0, [a * (scale // d) for a, d in ratios]))
+    # ``rest`` holds the rows not yet used as pivots as (index in ``rows``,
+    # pivots seen t, entries at step t); ``scales`` is p_0 = 1, p_1, .., p_s
+    scales = [1]
     pivots: list[tuple[int, int]] = []
-    previous = 1
-    for c in range(len(rest[0]) if rest else 0):
-        found = next((i for i, row in enumerate(rest) if row[0]), None)
+    for c in range(len(rest[0][2]) if rest else 0):
+        found = next((k for k, (_, _, row) in enumerate(rest) if row[c]), None)
         if found is None:
-            rest = [row[1:] for row in rest]
             continue
-        top = rest.pop(found)
-        pivot, tail = top[0], top[1:]
-        rest = [
-            [(pivot * a - row[0] * b) // previous for a, b in zip(row[1:], tail)]
-            for row in rest
-        ]
-        previous = pivot
-        pivots.append((origin.pop(found), c))
+        i, t, top = rest.pop(found)
+        s = len(scales) - 1
+        previous = scales[s]
+        if scales[t] != previous:
+            top = [x * previous // scales[t] for x in top]
+        pivot = top[c]
+        for k, (j, t, row) in enumerate(rest):
+            f = row[c]
+            if not f:
+                continue
+            if scales[t] != previous:
+                row = [x * previous // scales[t] for x in row]
+                f = row[c]
+            rest[k] = (j, s + 1, [(pivot * a - f * b) // previous for a, b in zip(row, top)])
+        scales.append(pivot)
+        pivots.append((i, c))
         if not rest:
             break
     return tuple(pivots)

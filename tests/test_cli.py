@@ -111,6 +111,16 @@ class TestClassCommands:
         assert "1,3,5/2,4,6" in payload["members"]
         assert payload["representative"] == payload["members"][0]
 
+    def test_class_forms_share_key_order(self, capsys):
+        # eqs-class prints one class of the partition that eqs-partition prints
+        _, single, _ = run(capsys, "eqs-class", "1,2,3/4,5,6/7")
+        _, report, _ = run(capsys, "eqs-partition", "3,3,1")
+        listed = next(c for c in report["classes"] if c["representative"] == single["representative"])
+        shared = [key for key in single if key in listed]
+        assert shared == list(listed) == ["representative", "size", "dist"]
+        assert list(single) == ["shape", *shared, "members"]
+        assert {key: single[key] for key in shared} == listed
+
     def test_eqs_partition(self, capsys):
         code, payload, _ = run(capsys, "eqs-partition", "2,2,1")
         assert code == 0

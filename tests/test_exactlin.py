@@ -47,7 +47,7 @@ from springerfiber.tableaux import (
     schuetzenberger,
 )
 
-from matrix_helpers import identity, is_zero, transpose
+from matrix_helpers import gauss_jordan, identity, is_zero, transpose
 
 T = parse_tableau
 
@@ -238,6 +238,48 @@ def rational_matrices(draw):
     return draw(st.permutations(rows))
 
 
+# Mostly zero; the nonzero entries are rarely 1, so pivots are mostly not units.
+SPARSE_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.sampled_from([2, 3, -2, 5, -7]).map(Fraction),
+    RATIONAL,
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Permutation matrices, mostly-zero rows, and fiber-style columns v1, u v1, v2, u v2, ..
+
+    The elimination skips rows that are zero in the pivot column; these
+    shapes leave rows untouched across many pivots, most of them not 1.
+    """
+    kind = draw(st.sampled_from(["permutation", "sparse", "interleaved"]))
+    n = draw(st.integers(min_value=1, max_value=7))
+    if kind == "permutation":
+        order = draw(st.permutations(range(n)))
+        rows = [list(unit_vector(n, j + 1)) for j in order]
+        # drop rows or repeat them scaled, so the profile is not always the diagonal
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows = [r for r, k in zip(rows, keep) if k] or rows
+        scale = draw(SPARSE_ENTRY)
+        rows += [vec_scale(scale, r) for r in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    elif kind == "sparse":
+        ncols = draw(st.integers(min_value=0, max_value=8))
+        row = st.lists(SPARSE_ENTRY, min_size=ncols, max_size=ncols)
+        rows = draw(st.lists(row, min_size=1, max_size=8))
+    else:
+        u = jordan_operator(column_superstandard(draw(st.sampled_from(list(partitions_of(n))))))
+        if draw(st.booleans()):
+            vs = jordan_flag(Permutation(draw(st.permutations(range(1, n + 1))))).vectors
+        else:
+            vs = draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=1, max_size=n))
+        columns = [x for v in vs for x in (v, u.apply(vector(v)))]
+        rows = [list(r) for r in zip(*columns)]
+    return draw(st.permutations(rows))
+
+
 def pivot_columns(rows):
     return tuple(c for _, c in _rank_profile(rows))
 
@@ -247,6 +289,11 @@ class TestPivotColumns:
     @given(rational_matrices())
     def test_matches_rref(self, rows):
         assert pivot_columns(rows) == Matrix(rows).rref()[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_matches_gauss_jordan(self, rows):
+        assert pivot_columns(rows) == gauss_jordan(rows)[1]
 
     def test_empty_shapes(self):
         assert _rank_profile([]) == ()
@@ -268,40 +315,82 @@ class TestPivotColumns:
         # of a few hundred bits, while elimination without the division by
         # the previous pivot doubles the bit length at every step
         n = 40
-        rows = [[2 * n if i == j else (i * j) % 3 - 1 for j in range(n)] for i in range(n)]
+        assert_diagonal_profile_in_time(
+            [[2 * n if i == j else (i * j) % 3 - 1 for j in range(n)] for i in range(n)]
+        )
 
-        def timed_out(signum, frame):
-            raise AssertionError("entries grew beyond the minors of the matrix")
+    def test_lazy_scaling_keeps_entries_small(self):
+        # a 60 x 60 banded matrix whose nonzeros sit every 4th column, so each
+        # row is updated, then skipped by 3 pivots (none of them 1), then
+        # caught up; catching up must divide by the pivot it last saw, or the
+        # entries outgrow the minors at every catch-up
+        n, stride, width = 60, 4, 12
+        assert_diagonal_profile_in_time(
+            [
+                [
+                    2 * n if i == j else (i * j) % 3 - 1 if abs(i - j) <= width and (i - j) % stride == 0 else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
 
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(5)
-        try:
-            assert pivot_columns([[Fraction(x) for x in r] for r in rows]) == tuple(range(n))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+
+def assert_diagonal_profile_in_time(rows, seconds=5):
+    """The rank profile of a diagonally dominant integer matrix is its diagonal, within ``seconds``."""
+
+    def timed_out(signum, frame):
+        raise AssertionError("entries grew beyond the minors of the matrix")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        pairs = _rank_profile([[Fraction(x) for x in r] for r in rows])
+        assert pairs == tuple((i, i) for i in range(len(rows)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-def leading_rank(rows, r, c):
-    """rank(rows[:r], columns[:c]) from the RREF."""
-    return len(Matrix([row[:c] for row in rows[:r]]).rref()[1])
+class TestRref:
+    """``Matrix.rref`` against the textbook Gauss-Jordan of ``matrix_helpers``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    def test_rational_matches_gauss_jordan(self, rows):
+        assert Matrix(rows).rref() == gauss_jordan(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_matches_gauss_jordan(self, rows):
+        assert Matrix(rows).rref() == gauss_jordan(rows)
+
+
+def rref_rank(rows):
+    return len(Matrix(rows).rref()[1])
 
 
 class TestRankProfile:
     """rank(rows[:r], columns[:c]) is the number of pivot pairs above r and left of c."""
 
-    def check(self, rows):
+    def check(self, rows, rank=rref_rank):
         pairs = _rank_profile(rows)
         assert len({i for i, _ in pairs}) == len(pairs)
         ncols = len(rows[0]) if rows else 0
         for r in range(len(rows) + 1):
             for c in range(ncols + 1):
-                assert sum(i < r and j < c for i, j in pairs) == leading_rank(rows, r, c), (r, c)
+                leading = rank([row[:c] for row in rows[:r]])
+                assert sum(i < r and j < c for i, j in pairs) == leading, (r, c)
 
     @settings(max_examples=300, deadline=None)
     @given(rational_matrices())
     def test_leading_ranks_match_rref(self, rows):
         self.check(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_leading_ranks_match_gauss_jordan(self, rows):
+        self.check(rows, lambda block: len(gauss_jordan(block)[1]))
 
     def test_zero_empty_and_rank_deficient(self):
         F = Fraction
@@ -640,6 +729,27 @@ class TestDuality:
         g = bilinear_form(u)
         flag = jordan_flag(Permutation((2, 1, 4, 3, 5)))
         assert perp_flag(perp_flag(flag, g), g).same_flag(flag)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_perp_of_dense_rational_flags(self, data):
+        # dense flags reduce through pivots that are not 1, unlike coordinate flags
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        u = jordan_operator(column_superstandard(data.draw(st.sampled_from(list(partitions_of(n))))))
+        g = bilinear_form(u)
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+        vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(Matrix(vectors).rank() == n)
+        flag = Flag(vectors)
+        perp = perp_flag(flag, g)
+
+        def pairing(x, y):
+            return sum(x[c] * y[g(c + 1) - 1] for c in range(n))
+
+        # perp vector k pairs to 1 with flag vector n-1-k (0-based) and to 0 with the rest
+        for k, w in enumerate(perp.vectors):
+            assert [pairing(w, v) for v in flag.vectors] == [int(j == n - 1 - k) for j in range(n)]
+        assert perp_flag(perp, g).same_flag(flag)
 
     def test_perp_swaps_cells_up_to_evacuation(self):
         u = special_operator(2)
