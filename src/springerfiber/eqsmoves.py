@@ -23,8 +23,11 @@ only the tableaux they return.  One worklist over row tuples,
 ``_closure``, serves both class callers: ``eqs_class`` validates each new
 member once, and ``eqs_partition`` partitions all tableaux of a shape
 into classes whose members it takes from the enumeration, which has
-validated them already.  For shapes (r,s,1) the ``dist`` statistic is constant on every class,
-which ``dist_class_invariant`` verifies exhaustively.
+validated them already.  The closure computes each move pair once: C and
+C⁻¹ on the same block undo each other and evacuation is an involution,
+so a tableau reached by a move never tries the reverse move, whose result
+is already found.  For shapes (r,s,1) the ``dist`` statistic is constant
+on every class, which ``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
 appends ``n`` in the vacated box wherever the slide hole lands, not only
@@ -152,9 +155,11 @@ def _cut_points(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     if not rows:
         return (0,)
     top = rows[0]
-    points, boxes = [0], 0
+    points, boxes, height = [0], 0, len(rows)
     for i in range(1, len(top)):
-        boxes += sum(len(row) >= i for row in rows)
+        while len(rows[height - 1]) < i:
+            height -= 1
+        boxes += height
         if top[i] == boxes + 1:
             points.append(i)
     points.append(len(top))
@@ -163,6 +168,8 @@ def _cut_points(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 _BLOCK_MOVES = {"C": _cyclic, "Cinv": _cyclic_inverse, "SchBlock": _evacuate}
 MOVE_KINDS = tuple(_BLOCK_MOVES)
+# The move on the same block that undoes each kind; evacuation is an involution.
+_REVERSE = {"C": "Cinv", "Cinv": "C", "SchBlock": "SchBlock"}
 
 
 def _move(
@@ -181,14 +188,19 @@ def _move(
     ) + rows[len(moved) :]
 
 
-def _moves(rows: tuple[tuple[int, ...], ...]):
-    """(kind, a, b, rows) for every applicable move on a block of two or more columns."""
+def _moves(rows: tuple[tuple[int, ...], ...], skip):
+    """(kind, a, b, rows) for every applicable move on a block of two or more columns.
+
+    Moves whose label (kind, a, b) is in ``skip`` are not tried.
+    """
     cps = _cut_points(rows)
     for x, left in enumerate(cps):
         for b in cps[x + 1 :]:
             if b == left + 1:
                 continue
             for kind in MOVE_KINDS:
+                if (kind, left + 1, b) in skip:
+                    continue
                 try:
                     moved = _move(rows, kind, left + 1, b)
                 except MoveError:
@@ -214,7 +226,7 @@ def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
 def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
     """All applicable block moves on at least two columns, with their results."""
     return tuple(
-        (MoveLabel(k, (a, b)), StandardTableau(rows)) for k, a, b, rows in _moves(t.rows)
+        (MoveLabel(k, (a, b)), StandardTableau(rows)) for k, a, b, rows in _moves(t.rows, ())
     )
 
 
@@ -242,19 +254,28 @@ class EqsClass:
 
 
 def _closure(t: StandardTableau, member) -> EqsClass:
-    """Class of ``t`` by a worklist over row tuples.
+    """Class of ``t`` by a worklist over row tuples, each move pair computed once.
 
     ``member`` turns the rows of each newly reached tableau into that
-    tableau, once per member; ``t`` itself is taken as given.  Members are
-    sorted by rows and the representative is the smallest.
+    tableau, once per member; ``t`` itself is taken as given.  A block move
+    keeps the block's entries and shape, so when x reaches y by (kind, a, b),
+    a-1 and b are cut points of y and the reverse move on y gives x back.
+    Each tableau found but not yet expanded therefore keeps the labels of
+    its moves whose result is already found, and its expansion skips them.
+    Members are sorted by rows and the representative is the smallest.
     """
     found = {t.rows: t}
+    known = {t.rows: set()}
     todo = [t.rows]
     while todo:
-        for *_, rows in _moves(todo.pop()):
+        x = todo.pop()
+        for kind, a, b, rows in _moves(x, known.pop(x)):
             if rows not in found:
                 found[rows] = member(rows)
+                known[rows] = {(_REVERSE[kind], a, b)}
                 todo.append(rows)
+            elif rows in known:
+                known[rows].add((_REVERSE[kind], a, b))
     members = tuple(found[rows] for rows in sorted(found))
     shape = t.shape
     return EqsClass(shape, members, members[0], dist(members[0]) if shape.is_rs1 else None)

@@ -1,7 +1,9 @@
 import pytest
 
+import springerfiber.eqsmoves as eqsmoves_module
 import springerfiber.tableaux as tableaux_module
 from springerfiber.eqsmoves import (
+    _REVERSE,
     MOVE_KINDS,
     MoveError,
     MoveLabel,
@@ -14,6 +16,9 @@ from springerfiber.eqsmoves import (
     eqs_partition,
     legal_moves,
     partition_report,
+    _cut_points,
+    _move,
+    _moves,
 )
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
@@ -227,6 +232,17 @@ class TestRowLevelMovesMatchOracle:
                     assert outcome(c_inverse, t) == outcome(oracle_c_inverse, t)
                     assert schuetzenberger(t) == oracle_evacuation(t)
 
+    def test_every_move_is_undone_by_its_reverse(self):
+        # the closure skips the reverse of each move it has found, which
+        # needs the block to stay a block and the reverse to lead back
+        for n in range(9):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    for kind, a, b, moved in _moves(t.rows, ()):
+                        cps = _cut_points(moved)
+                        assert a - 1 in cps and b in cps
+                        assert _move(moved, _REVERSE[kind], a, b) == t.rows
+
     def test_out_of_range_columns(self):
         t = T("1,2,5/3,4,6")
         for columns in ((1, 4), (3, 5)):
@@ -304,7 +320,10 @@ class TestCutPoints:
         assert cut_points(T("1/2/3")) == (0, 1)
 
     def test_definition(self):
-        for shape in (Partition((3, 2, 1)), Partition((2, 2, 2))):
+        # (3,1,1), (4,1,1,1) and (3,3,1,1) drop by more than one row from
+        # one column to the next
+        for parts in ((3, 2, 1), (2, 2, 2), (3, 1, 1), (4, 1, 1, 1), (3, 3, 1, 1)):
+            shape = Partition(parts)
             for t in enumerate_tableaux(shape):
                 pts = cut_points(t)
                 m = shape.num_columns
@@ -419,10 +438,31 @@ class TestEqsPartition:
             eqs_partition(shape)
             assert len(calls) == shape.count_tableaux()
 
-    def test_closure_escaping_the_enumeration_is_caught(self, monkeypatch):
-        import springerfiber.eqsmoves as eqsmoves_module
+    def test_computes_each_move_pair_once(self, monkeypatch):
+        # a move x -> y and its reverse y -> x run once between them, and a
+        # move that fixes its tableau runs once: (M + F) / 2 successes
+        successes = []
 
-        def escaping_moves(rows):
+        def counting(rows, kind, a, b):
+            moved = _move(rows, kind, a, b)
+            successes.append(moved)
+            return moved
+
+        monkeypatch.setattr(eqsmoves_module, "_move", counting)
+        for parts in ((4, 3, 2, 1), (5, 5, 1)):
+            shape = Partition(parts)
+            labelled = fixed = 0
+            for t in enumerate_tableaux(shape):
+                for _, moved in oracle_legal_moves(t):
+                    labelled += 1
+                    fixed += moved == t
+            assert (labelled + fixed) % 2 == 0
+            successes.clear()
+            eqs_partition(shape)
+            assert len(successes) == (labelled + fixed) // 2
+
+    def test_closure_escaping_the_enumeration_is_caught(self, monkeypatch):
+        def escaping_moves(rows, skip):
             yield "C", 1, 2, ((1, 2, 3),)
 
         monkeypatch.setattr(eqsmoves_module, "_moves", escaping_moves)
