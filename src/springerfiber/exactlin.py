@@ -5,19 +5,20 @@ scaled from them; there is no floating point anywhere, so rank, kernel,
 and membership answers are exact.  Vectors are plain tuples used as
 columns by operators and as rows by spans; sums and multiples leave zero
 entries as they are, and coordinate vectors share one zero and one one.
-Two elimination routines (``chart_coords`` aside) serve two kinds of
-question, and neither does arithmetic on zeros: most of the matrices are
-0/1 coordinate flags.  ``_rank_profile`` answers every question that needs
-only pivots, by fraction-free integer elimination that updates only the
-rows nonzero in the pivot column and scales the others lazily: ranks, the
-independence of a flag basis, fiber membership and flag equality read its
-pivot columns, one elimination of a subspace basis and its images decides
-both independence and stability, and a flag's whole cell table reads
-its (row, column) pairs: with the coordinates ordered so that every power
-of the operator cuts a leading block of rows, one elimination per table
-gives the dimension for every prefix and every power.  ``Matrix.rref`` is
-the routine for reduced rows: span membership, kernels and the complement
-flag's inverse.
+One elimination routine serves every question, and it does no arithmetic
+on zeros: most of the matrices are 0/1 coordinate flags.  ``_rank_profile``
+is fraction-free integer elimination that updates only the rows nonzero in
+the pivot column and scales the others lazily; it returns the (row, column)
+pivot pairs and each pivot row as it stands when chosen, an integer echelon
+form.  Ranks, the independence of a flag basis, span and fiber membership
+and flag equality read its pairs; one elimination of a subspace basis and
+its images decides both independence and stability, and a flag's whole
+cell table reads its pairs too: with the coordinates ordered so that every
+power of the operator cuts a leading block of rows, one elimination per
+table gives the dimension for every prefix and every power.  ``Matrix.rref``
+back-substitutes the echelon rows over ``Fraction`` (kernels and the
+complement flag's inverse), and chart coordinates are ratios of their
+entries.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -132,38 +133,35 @@ class Matrix:
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form: (nonzero rows, pivot column indices).
 
-        Gauss-Jordan over ``Fraction`` that does no work on zeros: a pivot
-        row is divided only where it is nonzero, and not at all when its
-        pivot is already 1; another row is updated only when it is nonzero
-        in the pivot column, and only where the pivot row is nonzero.  The
-        skipped operations would leave their entries unchanged.
+        Back substitution over ``Fraction`` on the integer echelon rows of
+        ``_rank_profile``, from the last pivot up: for the echelon row E with
+        pivot p and the reduced rows R_j below it, with pivot columns c_j,
+        the reduced row is (E - sum of E[c_j] R_j) / p, because each R_j is 1
+        at c_j and 0 at the other pivot columns.  E is divided only where it
+        is nonzero, and not at all when p is 1; a term is taken off only when
+        E[c_j] is nonzero, and only where R_j is nonzero.
         """
-        rows = [list(r) for r in self.rows]
-        nrows, ncols = len(rows), self.ncols
-        pivots = []
-        pr = 0
-        for c in range(ncols):
-            pivot_row = next((r for r in range(pr, nrows) if rows[r][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            top = rows[pr]
-            pivot = top[c]
-            if pivot != 1:
-                top = rows[pr] = [x / pivot if x else x for x in top]
-            for r in range(nrows):
-                f = rows[r][c]
-                if f and r != pr:
-                    rows[r] = [a - f * b if b else a for a, b in zip(rows[r], top)]
-            pivots.append(c)
-            pr += 1
-            if pr == nrows:
-                break
-        return tuple(tuple(r) for r in rows[:pr]), tuple(pivots)
+        pairs, tops = _rank_profile(self.rows)
+        pivots = tuple(c for _, c in pairs)
+        # reduced rows from the last pivot up, with their pivot columns
+        done: list[tuple[list[Fraction], int]] = []
+        for top, c in zip(reversed(tops), reversed(pivots)):
+            p = top[c]
+            if p == 1:
+                row = [(_ONE if x == 1 else Fraction(x)) if x else _ZERO for x in top]
+            else:
+                row = [Fraction(x, p) if x else _ZERO for x in top]
+            for below, d in done:
+                f = top[d]
+                if f:
+                    f = Fraction(f, p)
+                    row = [a - f * b if b else a for a, b in zip(row, below)]
+            done.append((row, c))
+        return tuple(tuple(row) for row, _ in reversed(done)), pivots
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
-        return len(_rank_profile(self.rows))
+        return len(_rank_profile(self.rows)[0])
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, one vector per free column."""
@@ -174,8 +172,8 @@ class Matrix:
         for free in range(ncols):
             if free in pivot_set:
                 continue
-            v = [Fraction(0)] * ncols
-            v[free] = Fraction(1)
+            v = [_ZERO] * ncols
+            v[free] = _ONE
             for r, p in enumerate(pivots):
                 v[p] = -reduced[r][free]
             basis.append(tuple(v))
@@ -193,11 +191,14 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def _rank_profile(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, int], ...]:
-    """The (row, column) pivots of ``rows`` by fraction-free elimination, in column order.
+def _rank_profile(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+    """Fraction-free elimination: the (row, column) pivots in column order, and the pivot rows.
 
     Scaling each row to integers by the lcm of its denominators keeps every
-    column dependency.  Bareiss elimination then runs in column order: a
+    column dependency; the shared zero is read without a call, and a row
+    whose lcm is 1 is taken as its numerators.  Bareiss elimination then runs in column order: a
     column where some remaining row is nonzero is a pivot, the topmost such
     row leaves, and with p_0 = 1 and p_s the s-th pivot, step s + 1 turns
     every remaining row into (pivot * row - entry * pivot row) / p_s.  By
@@ -218,17 +219,24 @@ def _rank_profile(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, int], 
     it, so the span of every leading block of rows is kept, and each pivot
     row is zero left of its pivot.  Hence the pairs are the rank profile:
     rank(rows[:r], columns[:c]) is the number of pivots (i, j) with i < r
-    and j < c (Dumas, Pernet & Sultan, J. Symbolic Comput. 83, 2017).
+    and j < c (Dumas, Pernet & Sultan, J. Symbolic Comput. 83, 2017).  The
+    pivot rows, as they stand when chosen, are an integer echelon form of
+    ``rows`` (Bareiss 1968): the s-th is zero left of the s-th pivot column,
+    nonzero at it, and a combination of the rows up to its own index.
     """
     rest = []
     for i, row in enumerate(rows):
-        ratios = [x.as_integer_ratio() for x in row]
+        ratios = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in row]
         scale = lcm(*[d for _, d in ratios])
-        rest.append((i, 0, [a * (scale // d) for a, d in ratios]))
+        if scale == 1:
+            rest.append((i, 0, [a for a, _ in ratios]))
+        else:
+            rest.append((i, 0, [a * (scale // d) for a, d in ratios]))
     # ``rest`` holds the rows not yet used as pivots as (index in ``rows``,
     # pivots seen t, entries at step t); ``scales`` is p_0 = 1, p_1, .., p_s
     scales = [1]
     pivots: list[tuple[int, int]] = []
+    tops: list[list[int]] = []
     for c in range(len(rest[0][2]) if rest else 0):
         found = next((k for k, (_, _, row) in enumerate(rest) if row[c]), None)
         if found is None:
@@ -249,9 +257,10 @@ def _rank_profile(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, int], 
             rest[k] = (j, s + 1, [(pivot * a - f * b) // previous for a, b in zip(row, top)])
         scales.append(pivot)
         pivots.append((i, c))
+        tops.append(top)
         if not rest:
             break
-    return tuple(pivots)
+    return tuple(pivots), tops
 
 
 def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
@@ -260,7 +269,7 @@ def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
     By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
     """
     columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
-    return all(c % 2 == 0 for _, c in _rank_profile(zip(*columns)))
+    return all(c % 2 == 0 for _, c in _rank_profile(zip(*columns))[0])
 
 
 def _nested_meet_dims(
@@ -272,7 +281,7 @@ def _nested_meet_dims(
     ``order`` as rows, up to the largest cut, and the vectors as columns;
     each vector that is no pivot column above row r adds one.
     """
-    pairs = _rank_profile([[w[c] for w in vecs] for c in order[: max(cuts, default=0)]])
+    pairs, _ = _rank_profile([[w[c] for w in vecs] for c in order[: max(cuts, default=0)]])
     out = []
     for r in cuts:
         pivots = {c for i, c in pairs if i < r}
@@ -285,14 +294,10 @@ def span_rank(vectors: Sequence[Vector]) -> int:
 
 
 def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
-    """True when ``v`` minus its combination of the RREF rows of ``vectors`` is zero."""
-    reduced, pivots = Matrix(vectors).rref()
-    w = vector(v)
-    for row, p in zip(reduced, pivots):
-        c = w[p]
-        if c:
-            w = [a - c * b for a, b in zip(w, row)]
-    return not any(w)
+    """True when ``v``, eliminated after ``vectors``, takes no pivot."""
+    m = len(vectors)
+    pairs, _ = _rank_profile(Matrix((*vectors, v)).rows)
+    return all(i != m for i, _ in pairs)
 
 
 def intersection_dim(a: Sequence[Vector], b: Sequence[Vector]) -> int:
@@ -353,7 +358,7 @@ class Flag:
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        if n and len(_rank_profile(vectors)) != n:
+        if n and len(_rank_profile(vectors)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
         self.vectors = vectors
 
@@ -409,8 +414,7 @@ class NilpotentOperator:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.n:
             raise ValueError("vector length does not match")
-        zero = Fraction(0)
-        return tuple(zero if r is None else v[r] for r in self.right)
+        return tuple(_ZERO if r is None else v[r] for r in self.right)
 
     def __repr__(self) -> str:
         return f"NilpotentOperator(type={self.jordan_type}, basis={self.tableau.text()!r})"
@@ -429,7 +433,7 @@ def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vec
     """
     vecs = Matrix(subspace).rows
     m = len(vecs)
-    pivots = _rank_profile(vecs + tuple(u.apply(w) for w in vecs))
+    pivots, _ = _rank_profile(vecs + tuple(u.apply(w) for w in vecs))
     if sum(r < m for r, _ in pivots) < m:
         raise ValueError("subspace basis is linearly dependent")
     if len(pivots) > m:
@@ -661,27 +665,21 @@ class ChartCoordinates:
 def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
     """Extract the unique chart coordinates of a flag near the special flag (d).
 
-    In the permuted coordinate order the flag must reduce to a basis with
-    unit pivots on the diagonal and zeros to the left; the entries to the
-    right of the pivots are the coordinates.  Raises ChartError when a
-    pivot vanishes, i.e. the flag is outside the chart.
+    In the permuted coordinate order the flag is in the chart when its rank
+    profile is the diagonal, i.e. every leading minor is nonzero; then the
+    echelon row eta_i, divided by its pivot, is the unique chart basis
+    vector with a unit pivot at i and zeros to its left, and its entries to
+    the right are the coordinates.  Raises ChartError otherwise.
     """
     n = flag.n
     perm = special_perm(d, n)
     rows = [[v[perm(j) - 1] for j in range(1, n + 1)] for v in flag.vectors]
-    etas: list[Vector] = []
-    for i in range(n):
-        row = list(rows[i])
-        for j, eta in enumerate(etas):
-            if row[j] != 0:
-                f = row[j]
-                row = [a - f * b if b else a for a, b in zip(row, eta)]
-        if row[i] == 0:
-            raise ChartError(f"flag lies outside the chart around the special flag ({d})")
-        etas.append(vec_scale(Fraction(1) / row[i], row))
+    pairs, etas = _rank_profile(rows)
+    if pairs != tuple((i, i) for i in range(n)):
+        raise ChartError(f"flag lies outside the chart around the special flag ({d})")
     phi = {
-        (i + 1, j + 1): etas[i][j]
-        for i in range(n)
+        (i + 1, j + 1): Fraction(eta[j], eta[i]) if eta[j] else _ZERO
+        for i, eta in enumerate(etas)
         for j in range(i + 1, n)
     }
     return ChartCoordinates(d=d, n=n, phi=phi)
@@ -695,7 +693,7 @@ def chart_flag(coords: ChartCoordinates) -> Flag:
     for i in range(1, n + 1):
         v = list(unit_vector(n, perm(i)))
         for j in range(i + 1, n + 1):
-            coeff = coords.phi.get((i, j), Fraction(0))
+            coeff = coords.phi.get((i, j), _ZERO)
             if coeff:
                 v[perm(j) - 1] += coeff
         vectors.append(tuple(v))

@@ -200,7 +200,7 @@ class TestMatrix:
             v = tuple(sum(c * w[i] for c, w in zip(coeffs, vs)) for i in range(4))
         else:
             v = data.draw(row)
-        assert in_span(vs, v) == (Matrix(vs + (v,)).rank() == Matrix(vs).rank())
+        assert in_span(vs, v) == (len(gauss_jordan(vs + (v,))[1]) == len(gauss_jordan(vs)[1]))
 
     def test_nullspace_vectors_are_killed(self):
         m = Matrix([[1, 2, 0], [0, 0, 1]])
@@ -281,14 +281,14 @@ def sparse_matrices(draw):
 
 
 def pivot_columns(rows):
-    return tuple(c for _, c in _rank_profile(rows))
+    return tuple(c for _, c in _rank_profile(rows)[0])
 
 
 class TestPivotColumns:
     @settings(max_examples=300, deadline=None)
     @given(rational_matrices())
     def test_matches_rref(self, rows):
-        assert pivot_columns(rows) == Matrix(rows).rref()[1]
+        assert pivot_columns(rows) == gauss_jordan(rows)[1]
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices())
@@ -296,9 +296,9 @@ class TestPivotColumns:
         assert pivot_columns(rows) == gauss_jordan(rows)[1]
 
     def test_empty_shapes(self):
-        assert _rank_profile([]) == ()
-        assert _rank_profile([[], []]) == ()
-        assert _rank_profile([[Fraction(0)] * 3] * 2) == ()
+        assert _rank_profile([]) == ((), [])
+        assert _rank_profile([[], []]) == ((), [])
+        assert _rank_profile([[Fraction(0)] * 3] * 2) == ((), [])
 
     def test_dependency_hidden_by_denominators(self):
         # row 2 is row 1 times 3/65537; their numerators alone are independent
@@ -308,7 +308,7 @@ class TestPivotColumns:
             [Fraction(3, 65537 * p), Fraction(2, 65537), Fraction(0)],
             [Fraction(0), Fraction(1, 7), Fraction(5, p)],
         ]
-        assert pivot_columns(rows) == Matrix(rows).rref()[1] == (0, 1)
+        assert pivot_columns(rows) == gauss_jordan(rows)[1] == (0, 1)
 
     def test_exact_division_keeps_entries_small(self):
         # a 40 x 40 diagonally dominant matrix: every Bareiss entry is a minor
@@ -345,7 +345,7 @@ def assert_diagonal_profile_in_time(rows, seconds=5):
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(seconds)
     try:
-        pairs = _rank_profile([[Fraction(x) for x in r] for r in rows])
+        pairs, _ = _rank_profile([[Fraction(x) for x in r] for r in rows])
         assert pairs == tuple((i, i) for i in range(len(rows)))
     finally:
         signal.alarm(0)
@@ -366,15 +366,15 @@ class TestRref:
         assert Matrix(rows).rref() == gauss_jordan(rows)
 
 
-def rref_rank(rows):
-    return len(Matrix(rows).rref()[1])
+def rank(rows):
+    return len(gauss_jordan(rows)[1])
 
 
 class TestRankProfile:
     """rank(rows[:r], columns[:c]) is the number of pivot pairs above r and left of c."""
 
-    def check(self, rows, rank=rref_rank):
-        pairs = _rank_profile(rows)
+    def check(self, rows):
+        pairs, _ = _rank_profile(rows)
         assert len({i for i, _ in pairs}) == len(pairs)
         ncols = len(rows[0]) if rows else 0
         for r in range(len(rows) + 1):
@@ -390,7 +390,7 @@ class TestRankProfile:
     @settings(max_examples=150, deadline=None)
     @given(sparse_matrices())
     def test_sparse_leading_ranks_match_gauss_jordan(self, rows):
-        self.check(rows, lambda block: len(gauss_jordan(block)[1]))
+        self.check(rows)
 
     def test_zero_empty_and_rank_deficient(self):
         F = Fraction
@@ -405,8 +405,36 @@ class TestRankProfile:
         for rows in ([], [[], []], [[F(0)] * 3] * 4, equal_rows, deficient):
             self.check(rows)
         # the pivot of equal rows is the top one, so rows[:1] has rank 1
-        assert _rank_profile(equal_rows) == ((0, 0),)
-        assert _rank_profile(deficient) == ((3, 0), (1, 1))
+        assert _rank_profile(equal_rows) == (((0, 0),), [[1, 2]])
+        assert _rank_profile(deficient)[0] == ((3, 0), (1, 1))
+
+
+class TestEchelonRows:
+    """Each pivot row is zero left of its pivot, nonzero at it, and in the span up to its row."""
+
+    def check(self, rows):
+        pairs, tops = _rank_profile(rows)
+        assert len(tops) == len(pairs)
+        for (i, c), top in zip(pairs, tops):
+            assert all(isinstance(x, int) for x in top)
+            assert not any(top[:c]) and top[c], (i, c, top)
+            assert rank(rows[: i + 1] + [top]) == rank(rows[: i + 1]), (i, c, top)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    def test_rational(self, rows):
+        self.check(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse(self, rows):
+        self.check(rows)
+
+    def test_rows_are_scaled_to_integers(self):
+        # each row is scaled by the lcm of its denominators before elimination
+        F = Fraction
+        rows = [[F(1, 2), F(1, 3)], [F(1), F(1, 2)]]
+        assert _rank_profile(rows) == (((0, 0), (1, 1)), [[3, 2], [0, -1]])
 
 
 @st.composite
@@ -920,6 +948,122 @@ class TestChart:
         flag = jordan_flag(Permutation((3, 2, 5, 1, 4)))
         with pytest.raises(ChartError):
             chart_coords(flag, 3)
+
+    def test_outside_chart_at_a_later_pivot(self):
+        # (3)(1..5) is 1, 2, 5, 3, 4; both flags leave the chart at pivot 2
+        # (position 3 of the permuted coordinates), not at the first
+        d, perm = 3, special_perm(3, 5)
+        # row 2 is zero in column 2 from the start, and row 3 takes column 2
+        zero_entry = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]
+        # row 2 is nonzero in column 2, but the leading 3 x 3 minor is 0
+        # (row 2 = row 0 + row 1 there), so row 4 takes column 2
+        cancelled = [[1, 0, 1, 0, 0], [0, 1, 1, 2, 0], [1, 1, 2, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 1]]
+        for permuted, late_row in ((zero_entry, 3), (cancelled, 4)):
+            flag = unpermuted_flag(permuted, perm)
+            assert _rank_profile(permuted_rows(flag, perm))[0][:3] == ((0, 0), (1, 1), (late_row, 2))
+            with pytest.raises(ChartError):
+                chart_coords(flag, d)
+            with pytest.raises(ChartError):
+                chart_coords_by_rows(flag, d)
+
+
+def permuted_rows(flag, perm):
+    return [[v[perm(j) - 1] for j in range(1, flag.n + 1)] for v in flag.vectors]
+
+
+def unpermuted_flag(permuted, perm):
+    """The flag whose rows in the coordinate order of ``perm`` are ``permuted``."""
+    n = len(permuted)
+    vectors = [[Fraction(0)] * n for _ in permuted]
+    for v, row in zip(vectors, permuted):
+        for j, x in enumerate(row):
+            v[perm(j + 1) - 1] = Fraction(x)
+    return Flag(vectors)
+
+
+def chart_coords_by_rows(flag, d):
+    """The chart coordinates row by row, an oracle for ``chart_coords``.
+
+    Row i of the permuted flag, less its multiples of the earlier chart
+    vectors eta_j (j < i), must be nonzero at i; divided by that entry it is
+    eta_i, and its entries to the right are the coordinates.
+    """
+    n = flag.n
+    rows = permuted_rows(flag, special_perm(d, n))
+    etas = []
+    for i in range(n):
+        row = list(rows[i])
+        for j, eta in enumerate(etas):
+            if row[j] != 0:
+                f = row[j]
+                row = [a - f * b for a, b in zip(row, eta)]
+        if row[i] == 0:
+            raise ChartError(f"row {i} vanishes at its pivot")
+        etas.append([x / row[i] for x in row])
+    return {(i + 1, j + 1): etas[i][j] for i in range(n) for j in range(i + 1, n)}
+
+
+def chart_outcome(chart, flag, d):
+    try:
+        return chart(flag, d)
+    except ChartError:
+        return ChartError
+
+
+class TestChartMatchesRowOracle:
+    """``chart_coords`` against the row-by-row reduction, on and off the chart."""
+
+    def check(self, flag, d, expected=None):
+        phi = chart_outcome(lambda f, d: chart_coords(f, d).phi, flag, d)
+        assert phi == chart_outcome(chart_coords_by_rows, flag, d)
+        if expected is not None:
+            assert phi == expected
+
+    def test_chart_flag_round_trips(self):
+        import random
+
+        from springerfiber.exactlin import ChartCoordinates
+
+        rng = random.Random(11)
+        for k in (1, 2, 3):
+            n = 2 * k + 1
+            for d in range(3, k + 3):
+                for _ in range(4):
+                    phi = {
+                        (i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7 else Fraction(0)
+                        for i in range(1, n + 1)
+                        for j in range(i + 1, n + 1)
+                    }
+                    self.check(chart_flag(ChartCoordinates(d=d, n=n, phi=phi)), d, phi)
+
+    def test_dense_phi_map_flags_on_every_chart(self):
+        # phi_map(k, d, ps) lies on chart d; the other charts may or may not hold it
+        for k in (2, 3, 4):
+            for d in range(3, k + 3):
+                for ps in ((2, 3, 5, 7, 11, 13)[: k + 2], (Fraction(1, 3), -2, Fraction(5, 7), 1, 4, 0)[: k + 2]):
+                    flag = phi_map(k, d, ps)
+                    for chart in range(3, k + 3):
+                        self.check(flag, chart)
+
+    def test_coordinate_flags_on_and_off_the_chart(self):
+        # every shuffle flag of (2,2,1) and (3,3,1) on every chart: the
+        # special one is on it, most others are not
+        outcomes = set()
+        for k in (2, 3):
+            for sigma in fiber_permutations(special_operator(k)):
+                for d in range(3, k + 3):
+                    self.check(jordan_flag(sigma), d)
+                    outcomes.add(chart_outcome(chart_coords, jordan_flag(sigma), d) is ChartError)
+        assert outcomes == {True, False}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sparse_flags(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        n = 2 * k + 1
+        vectors = data.draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(Matrix(vectors).rank() == n)
+        self.check(Flag(vectors), data.draw(st.integers(min_value=3, max_value=k + 2)))
 
 
 def degenerate_by_swaps(sigma, k):
