@@ -35,12 +35,13 @@ from .exactlin import (
     NilpotentOperator,
     Vector,
     _check_special,
+    _special_perm,
     as_fraction,
     chart_coords,
     in_cell,
     in_springer_fiber,
+    jordan_flag,
     jordan_operator,
-    special_flag,
     special_operator,
     unit_vector,
     vec_add,
@@ -394,7 +395,11 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     with gamma_1 = -(alpha_3 - alpha_1) gamma_2.
     """
     _check_special(k, d)
-    params = tuple(as_fraction(p) for p in params)
+    return _phi_flag(k, d, tuple(as_fraction(p) for p in params))
+
+
+def _phi_flag(k: int, d: int, params: tuple[Fraction, ...]) -> Flag:
+    """``phi_map`` for a ``d`` already checked and ``Fraction`` parameters."""
     if len(params) != k + 2:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
     n = 2 * k + 1
@@ -468,6 +473,8 @@ def verify_smooth_chart(
     back; and a mixed tuple with zero entries still lands in the fiber and
     the chart.  Returns a JSON-ready report with one entry per check.
     """
+    # d is checked here once for the chart family and the special flag;
+    # chart_coords checks it again, as the public entry it is
     _check_special(k, d)
     if parameter_tuples is None:
         tuples = default_chart_parameters(k)
@@ -479,7 +486,7 @@ def verify_smooth_chart(
     checks = [
         _check(
             "zero-parameters-give-special-flag",
-            phi_map(k, d, zero).same_flag(special_flag(d, k)),
+            _phi_flag(k, d, zero).same_flag(jordan_flag(_special_perm(d, 2 * k + 1))),
             f"family at 0 compared with the coordinate flag ({d})",
         )
     ]
@@ -487,7 +494,7 @@ def verify_smooth_chart(
     for idx, ps in enumerate(tuples):
         if any(p == 0 for p in ps):
             raise ValueError("cell membership tuples must be entirely nonzero")
-        flag = phi_map(k, d, ps)
+        flag = _phi_flag(k, d, ps)
         checks.append(
             _check(
                 f"nonzero-tuple-{idx}-in-cell",
@@ -506,7 +513,7 @@ def verify_smooth_chart(
         )
 
     mixed = tuple(Fraction(1) if i % 2 else Fraction(0) for i in range(k + 2))
-    flag = phi_map(k, d, mixed)
+    flag = _phi_flag(k, d, mixed)
     in_fiber = in_springer_fiber(flag, u)
     in_chart = True
     try:

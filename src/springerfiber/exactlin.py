@@ -12,10 +12,14 @@ the pivot column and scales the others lazily; it returns the (row, column)
 pivot pairs and each pivot row as it stands when chosen, an integer echelon
 form.  Ranks, the independence of a flag basis, span and fiber membership
 and flag equality read its pairs; one elimination of a subspace basis and
-its images decides both independence and stability, and a flag's whole
-cell table reads its pairs too: with the coordinates ordered so that every
-power of the operator cuts a leading block of rows, one elimination per
-table gives the dimension for every prefix and every power.  ``Matrix.rref``
+its images decides both independence and stability.  A cell label costs
+one elimination: with the coordinates ordered so that every power of the
+operator cuts a leading block of rows, and each flag vector followed by
+its image as columns, the pairs show whether every prefix is stable (no
+image takes a pivot) and give the dimension for every prefix and every
+power, and the tableau is read straight off that table.  The coordinate
+flag of a permutation and the complement flag are independent by
+construction and skip the independence elimination.  ``Matrix.rref``
 back-substitutes the echelon rows over ``Fraction`` (kernels and the
 complement flag's inverse), and chart coordinates are ratios of their
 entries.
@@ -50,7 +54,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
-from .tableaux import StandardTableau, _check_bound, from_shape_chain, schuetzenberger
+from .tableaux import StandardTableau, _check_bound, schuetzenberger
 
 Vector = tuple[Fraction, ...]
 
@@ -273,18 +277,37 @@ def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
 
 
 def _nested_meet_dims(
-    vecs: Sequence[Vector], order: Sequence[int], cuts: Sequence[int]
+    vecs: Sequence[Vector],
+    order: Sequence[int],
+    cuts: Sequence[int],
+    u: NilpotentOperator | None = None,
 ) -> list[list[int]]:
     """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs).
 
     ``vecs`` must be independent.  One elimination has the coordinates in
     ``order`` as rows, up to the largest cut, and the vectors as columns;
     each vector that is no pivot column above row r adds one.
+
+    Given ``u``, ``vecs`` must be a flag basis, and the same elimination
+    also checks that every prefix is u-stable: all n coordinates are rows and
+    each u(v_i) follows v_i as a column.  By induction on i the first u(v_i)
+    outside span(v_1..v_i) is the first image to take a pivot, so an odd
+    pivot column raises StabilityError; otherwise the columns up to v_i span
+    span(v_1..v_i) and the images take no pivot, so the cut reads the
+    vector pivots as before.  Pivot columns do not depend on the row order.
     """
-    pairs, _ = _rank_profile([[w[c] for w in vecs] for c in order[: max(cuts, default=0)]])
+    if u is None:
+        columns, stride = vecs, 1
+        rows = order[: max(cuts, default=0)]
+    else:
+        columns, stride = [x for v in vecs for x in (v, u.apply(v))], 2
+        rows = order
+    pairs, _ = _rank_profile([[w[c] for w in columns] for c in rows])
+    if u is not None and any(c % 2 for _, c in pairs):
+        raise StabilityError("flag is not stable under the operator")
     out = []
     for r in cuts:
-        pivots = {c for i, c in pairs if i < r}
+        pivots = {c // stride for i, c in pairs if i < r}
         out.append(list(accumulate((i not in pivots for i in range(len(vecs))), initial=0)))
     return out
 
@@ -374,6 +397,17 @@ class Flag:
         return f"Flag(n={self.n})"
 
 
+def _independent_flag(vectors: tuple[Vector, ...]) -> Flag:
+    """The flag of ``vectors`` without the elimination that ``Flag`` runs.
+
+    Only for callers that know ``vectors`` to be n independent tuples of n
+    ``Fraction`` entries; each says why at its call.
+    """
+    flag = object.__new__(Flag)
+    flag.vectors = vectors
+    return flag
+
+
 class NilpotentOperator:
     """Nilpotent operator with a tableau-labelled Jordan basis, held as index maps.
 
@@ -441,29 +475,36 @@ def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vec
     return vecs
 
 
-def _kernel_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
+def _kernel_dims(
+    u: NilpotentOperator, vecs: Sequence[Vector], check_prefixes: bool = False
+) -> list[list[int]]:
     """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree.
 
     ker u^j is spanned by the e_i in the first ``j`` tableau columns, so with
     the coordinates ordered by column, descending, the ones outside it lead.
+    With ``check_prefixes``, ``vecs`` is a flag basis and StabilityError is
+    raised unless every prefix is stable (``_nested_meet_dims``).
     """
     order = sorted(range(u.n), key=lambda i: -u.column[i])
     cuts = [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
-    return [[0] * (len(vecs) + 1)] + _nested_meet_dims(vecs, order, cuts)
+    dims = _nested_meet_dims(vecs, order, cuts, u if check_prefixes else None)
+    return [[0] * (len(vecs) + 1)] + dims
 
 
-def _preimage_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
+def _preimage_dims(
+    u: NilpotentOperator, vecs: Sequence[Vector], check_prefixes: bool = False
+) -> list[list[int]]:
     """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree.
 
     That is dim ker u^j + dim(span meet im u^j), where im u^j is spanned by
     the e_i with at least ``j`` boxes to their right, so with the coordinates
     ordered by boxes to the right, ascending, the ones outside it lead; and
-    u^degree = 0.
+    u^degree = 0.  ``check_prefixes`` is as in ``_kernel_dims``.
     """
     order = sorted(range(u.n), key=lambda i: u.boxes_right[i])
     cuts = [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
     rows = []
-    for j, dims in enumerate(_nested_meet_dims(vecs, order, cuts)):
+    for j, dims in enumerate(_nested_meet_dims(vecs, order, cuts, u if check_prefixes else None)):
         kernel_dim = sum(c <= j for c in u.column)
         rows.append([kernel_dim + m for m in dims])
     return rows + [[u.n] * (len(vecs) + 1)]
@@ -472,6 +513,35 @@ def _preimage_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[in
 def _jordan_type(dims: Sequence[int]) -> Partition:
     """The Jordan type whose column j has dims[j] - dims[j-1] boxes (power-kernel jumps)."""
     return Partition([b - a for a, b in zip(dims, dims[1:]) if b > a]).conjugate()
+
+
+def _tableau_from_dims(table: Sequence[Sequence[int]]) -> StandardTableau:
+    """The tableau of the chain ``_jordan_type(column i of table)``, i = 0..n, read off directly.
+
+    Column j of the i-th type has height table[j][i] - table[j-1][i], and
+    every height is 0 at i = 0.  From i - 1 to i exactly one column j must
+    grow, by one box; entry i goes in row (new height - 1), which must hold
+    j entries before it.  By induction the entries up to i then have the
+    table's column heights, so no Partition is built: each type is the shape
+    of those entries.  Any other step raises ValueError, as
+    ``from_shape_chain`` does.
+    """
+    heights = [[b - a for a, b in zip(lower, upper)] for lower, upper in zip(table, table[1:])]
+    if any(h[0] for h in heights):
+        raise ValueError("chain must start with the empty diagram")
+    rows: list[list[int]] = []
+    for i in range(1, len(table[0])):
+        grown = [j for j, h in enumerate(heights) if h[i] != h[i - 1]]
+        if len(grown) != 1 or heights[grown[0]][i] != heights[grown[0]][i - 1] + 1:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        j = grown[0]
+        r = heights[j][i] - 1
+        if r == len(rows):
+            rows.append([])
+        if len(rows[r]) != j:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        rows[r].append(i)
+    return StandardTableau(rows)
 
 
 def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
@@ -491,10 +561,13 @@ def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition
 
 
 def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
-    """The standard tableau whose shape chain is the Jordan types on the flag prefixes."""
-    if not in_springer_fiber(flag, u):
-        raise StabilityError("flag is not stable under the operator")
-    return from_shape_chain([_jordan_type(dims) for dims in zip(*_kernel_dims(u, flag.vectors))])
+    """The standard tableau whose shape chain is the Jordan types on the flag prefixes.
+
+    One elimination gives the dimensions of every prefix meeting every power
+    kernel and checks that the flag is in the fiber (StabilityError if not);
+    the tableau is read straight off that table.
+    """
+    return _tableau_from_dims(_kernel_dims(u, flag.vectors, check_prefixes=True))
 
 
 def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
@@ -507,12 +580,11 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
 
     The quotient types along the flag, read from the top down, grow one box
     at a time; the tableau built from that chain is the evacuation of the
-    dual-cell label, so one more evacuation recovers it.
+    dual-cell label, so one more evacuation recovers it.  As in ``cell_of``,
+    one elimination gives the preimage table and checks the fiber.
     """
-    if not in_springer_fiber(flag, u):
-        raise StabilityError("flag is not stable under the operator")
-    types = [_jordan_type(dims) for dims in zip(*_preimage_dims(u, flag.vectors))]
-    return schuetzenberger(from_shape_chain(types[::-1]))
+    table = _preimage_dims(u, flag.vectors, check_prefixes=True)
+    return schuetzenberger(_tableau_from_dims([row[::-1] for row in table]))
 
 
 def bilinear_form(u: NilpotentOperator) -> Permutation:
@@ -566,7 +638,9 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     reduced, pivots = augmented.rref()
     if pivots != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
-    return Flag(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
+    # pivots 0..n-1 make P invertible, so the columns of P^-1 are independent
+    columns = tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
+    return _independent_flag(columns)
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
@@ -592,7 +666,8 @@ def special_operator(k: int) -> NilpotentOperator:
 def jordan_flag(perm: Permutation) -> Flag:
     """Coordinate flag ordering the Jordan basis by a permutation."""
     n = perm.n
-    return Flag(tuple(unit_vector(n, perm(i)) for i in range(1, n + 1)))
+    # a Permutation is a bijection of 1..n, so these are the n unit vectors
+    return _independent_flag(tuple(unit_vector(n, perm(i)) for i in range(1, n + 1)))
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
@@ -641,6 +716,11 @@ def special_perm(d: int, n: int) -> Permutation:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and at least 3, got {n}")
     _check_special((n - 1) // 2, d)
+    return _special_perm(d, n)
+
+
+def _special_perm(d: int, n: int) -> Permutation:
+    """``special_perm`` for a ``d`` already checked."""
     return Permutation(tuple(range(1, d)) + (n,) + tuple(range(d, n)))
 
 
@@ -717,4 +797,4 @@ def degenerate_to_special(sigma: Permutation, k: int) -> Permutation:
     if odds != sorted(odds) or evens != sorted(evens):
         raise ValueError("permutation is not a shuffle of the two chains")
     d = max(sigma.position_of(v) for v in (1, 2, n))
-    return Permutation(tuple(range(1, d)) + (n,) + tuple(range(d, n)))
+    return _special_perm(d, n)

@@ -1,17 +1,23 @@
 import signal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import springerfiber.exactlin as exactlin_module
 from springerfiber.exactlin import (
     ChartError,
     Flag,
     Matrix,
     Permutation,
     StabilityError,
+    _jordan_type,
+    _kernel_dims,
+    _preimage_dims,
     _rank_profile,
+    _tableau_from_dims,
     bilinear_form,
     cell_of,
     cell_prime_of,
@@ -45,6 +51,7 @@ from springerfiber.tableaux import (
     from_shape_chain,
     parse_tableau,
     schuetzenberger,
+    shape_chain,
 )
 
 from matrix_helpers import gauss_jordan, identity, is_zero, transpose
@@ -536,6 +543,11 @@ class TestRestrictedType:
         with pytest.raises(ValueError):
             restricted_type(u, [unit_vector(2, 1), unit_vector(2, 1)])
 
+    def test_stable_span_with_unstable_prefixes(self):
+        # span(e_2) is not stable (u e_2 = e_1), but span(e_2, e_1) is everything
+        u = jordan_operator(T("1,2"))
+        assert restricted_type(u, [unit_vector(2, 2), unit_vector(2, 1)]) == Partition((2,))
+
     def test_dependent_and_unstable_basis_is_reported_as_dependent(self):
         # e_3, e_4, e_3 + e_4: dependent, and the images e_1, e_2 raise the
         # rank to 4 > 3; one elimination decides both, dependence first
@@ -566,6 +578,10 @@ class TestQuotientType:
         assert jordan_type_by_rank(induced) == (2, 2, 2)
         assert quotient_type(u, [unit_vector(7, 1)]) == Partition((2, 2, 2))
 
+    def test_stable_span_with_unstable_prefixes(self):
+        u = jordan_operator(T("1,2"))
+        assert quotient_type(u, [unit_vector(2, 2), unit_vector(2, 1)]) == Partition(())
+
 
 
 class TestDenseOracle:
@@ -594,17 +610,36 @@ class TestDenseOracle:
 
 
 # Per-prefix definitions that the whole-flag eliminations replace: one
-# restricted or quotient type per prefix, stability and equality checked
-# prefix by prefix with ranks.
+# restricted or quotient type per prefix, from the dense powers and their
+# kernels, and stability and equality checked prefix by prefix with ranks.
+# They share no code with the cell tables or the read-off.
+
+
+@lru_cache(maxsize=None)
+def dense_powers_and_kernels(t):
+    powers = oracle_powers(oracle_operator(t))
+    return powers, [p.nullspace() for p in powers]
+
+
+# coordinate flags of one operator share most of their prefixes
+@lru_cache(maxsize=None)
+def dense_restricted_type(t, vecs):
+    return oracle_restricted_type(dense_powers_and_kernels(t)[1], vecs)
+
+
+@lru_cache(maxsize=None)
+def dense_quotient_type(t, vecs):
+    return oracle_quotient_type(dense_powers_and_kernels(t)[0], vecs)
 
 
 def oracle_cell_of(flag: Flag, u):
-    return from_shape_chain([restricted_type(u, flag.vectors[:i]) for i in range(flag.n + 1)])
+    chain = [dense_restricted_type(u.tableau, flag.vectors[:i]) for i in range(flag.n + 1)]
+    return from_shape_chain(chain)
 
 
 def oracle_cell_prime_of(flag: Flag, u):
     n = flag.n
-    chain = [quotient_type(u, flag.vectors[: n - j]) for j in range(n + 1)]
+    chain = [dense_quotient_type(u.tableau, flag.vectors[: n - j]) for j in range(n + 1)]
     return schuetzenberger(from_shape_chain(chain))
 
 
@@ -699,6 +734,119 @@ class TestWholeFlag:
         u = jordan_operator(column_superstandard(shape))
         tilt = data.draw(st.integers(min_value=0, max_value=8))
         assert_matches_prefix_oracles(u, Flag(vectors), tilt)
+
+
+# The chain read-off that one elimination per label replaced: a separate
+# fiber check, then one Partition per prefix through ``from_shape_chain``.
+
+
+def chain_cell_of(flag: Flag, u):
+    if not in_springer_fiber(flag, u):
+        raise StabilityError("flag is not stable under the operator")
+    return from_shape_chain([_jordan_type(dims) for dims in zip(*_kernel_dims(u, flag.vectors))])
+
+
+def chain_cell_prime_of(flag: Flag, u):
+    if not in_springer_fiber(flag, u):
+        raise StabilityError("flag is not stable under the operator")
+    types = [_jordan_type(dims) for dims in zip(*_preimage_dims(u, flag.vectors))]
+    return schuetzenberger(from_shape_chain(types[::-1]))
+
+
+def assert_matches_chain_read_off(u, flag: Flag) -> None:
+    for fast, slow in ((cell_of, chain_cell_of), (cell_prime_of, chain_cell_prime_of)):
+        try:
+            want = slow(flag, u)
+        except StabilityError:
+            with pytest.raises(StabilityError, match="^flag is not stable under the operator$"):
+                fast(flag, u)
+        else:
+            assert fast(flag, u) == want
+
+
+def kernel_table(chain):
+    """Row j, entry i: the boxes of diagram i in its first j columns, as ``_kernel_dims`` gives."""
+    width = max((p.parts[0] for p in chain if p.parts), default=0)
+    return [[sum(min(part, j) for part in p.parts) for p in chain] for j in range(width + 1)]
+
+
+class TestCellReadOff:
+    def test_every_coordinate_flag_up_to_7(self):
+        for n in range(1, 8):
+            for shape in partitions_of(n):
+                u = jordan_operator(column_superstandard(shape))
+                for sigma in fiber_permutations(u):
+                    assert_matches_chain_read_off(u, jordan_flag(sigma))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dense_chart_flags(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        d = data.draw(st.integers(min_value=3, max_value=k + 2))
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        params = data.draw(st.lists(entry, min_size=k + 2, max_size=k + 2))
+        assert_matches_chain_read_off(special_operator(k), phi_map(k, d, params))
+
+    def test_stable_prefixes_then_an_unstable_one(self):
+        # one chain e_4 -> e_3 -> e_2 -> e_1: prefixes 1 and 2 are stable, 3 is not
+        u = jordan_operator(T("1,2,3,4"))
+        e = lambda i: unit_vector(4, i)
+        coordinate = Flag([e(1), e(2), e(4), e(3)])
+        dense = Flag(
+            [e(1), vec_add(e(2), e(1)), vec_add(e(4), vec_scale(2, e(1))), vec_add(e(3), e(2))]
+        )
+        for flag in (coordinate, dense):
+            vs = flag.vectors
+            ranks = [Matrix(vs[:i] + tuple(u.apply(v) for v in vs[:i])).rank() for i in (1, 2, 3)]
+            assert ranks == [1, 2, 4]
+            assert_matches_chain_read_off(u, flag)
+            for cell in (cell_of, cell_prime_of):
+                with pytest.raises(StabilityError, match="^flag is not stable under the operator$"):
+                    cell(flag, u)
+
+    def test_read_off_matches_shape_chain(self):
+        for n in range(7):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    table = kernel_table(shape_chain(t))
+                    assert _tableau_from_dims(table) == t
+                    assert from_shape_chain([_jordan_type(d) for d in zip(*table)]) == t
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 0], [1, 1]],  # the first diagram is not empty
+            [[0, 0], [0, 1], [0, 2]],  # two columns grow at once
+            [[0, 0], [0, 2]],  # one column grows by two boxes
+            [[0, 0, 0], [0, 1, 0]],  # a box is taken away
+            [[0, 0], [0, 0], [0, 1]],  # column 2 grows while column 1 is empty
+            [[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 1, 3]],  # (1) to (3) in one step
+        ],
+    )
+    def test_read_off_rejects_steps_that_add_no_single_box(self, table):
+        with pytest.raises(ValueError, match="empty diagram|does not add a single box"):
+            _tableau_from_dims(table)
+
+    def test_one_elimination_per_cell_label(self, monkeypatch):
+        u = special_operator(2)
+        dense = phi_map(2, 3, (1, Fraction(1, 2), 3, -2))
+        calls = []
+
+        def counting(rows):
+            calls.append(1)
+            return _rank_profile(rows)
+
+        monkeypatch.setattr(exactlin_module, "_rank_profile", counting)
+        flag = jordan_flag(Permutation((1, 2, 5, 3, 4)))
+        assert calls == []
+        for f in (flag, dense):
+            for cell in (cell_of, cell_prime_of):
+                calls.clear()
+                cell(f, u)
+                assert len(calls) == 1
+            calls.clear()
+            perp_flag(f, bilinear_form(u))
+            assert len(calls) == 1
 
 
 class TestCells:
