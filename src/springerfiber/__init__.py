@@ -25,7 +25,6 @@ from .tableaux import (
     standardize,
     tableau,
     tau,
-    truncate,
 )
 from .eqsmoves import (
     EqsClass,
@@ -51,7 +50,6 @@ from .exactlin import (
     cell_of,
     cell_prime_of,
     chart_coords,
-    chart_flag,
     degenerate_to_special,
     in_cell,
     jordan_flag,

@@ -18,7 +18,9 @@ immersion of affine space through each special flag of the component.
 Its vectors are v_1..v_{n-1}, the v-recurrence continued in closed form:
 level k+1+m of the r-recurrence is e_1..e_{2m}, then w^m of the v-vectors.
 Every parameter is read back through one table per case of the chart
-cells that show it, built where the parameters are decoded.
+cells that show it, built where the parameters are decoded.  The verifier
+checks d before it reads any parameter tuple, then builds the family and
+the special flag through ``phi_map`` and ``special_flag`` themselves.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ from .exactlin import (
     NilpotentOperator,
     Vector,
     _check_special,
-    _special_perm,
     as_fraction,
     chart_coords,
     in_cell,
     in_springer_fiber,
-    jordan_flag,
     jordan_operator,
+    special_flag,
     special_operator,
     unit_vector,
     vec_add,
@@ -395,11 +396,7 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     with gamma_1 = -(alpha_3 - alpha_1) gamma_2.
     """
     _check_special(k, d)
-    return _phi_flag(k, d, tuple(as_fraction(p) for p in params))
-
-
-def _phi_flag(k: int, d: int, params: tuple[Fraction, ...]) -> Flag:
-    """``phi_map`` for a ``d`` already checked and ``Fraction`` parameters."""
+    params = tuple(as_fraction(p) for p in params)
     if len(params) != k + 2:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
     n = 2 * k + 1
@@ -473,8 +470,7 @@ def verify_smooth_chart(
     back; and a mixed tuple with zero entries still lands in the fiber and
     the chart.  Returns a JSON-ready report with one entry per check.
     """
-    # d is checked here once for the chart family and the special flag;
-    # chart_coords checks it again, as the public entry it is
+    # d is checked before any parameter tuple is read
     _check_special(k, d)
     if parameter_tuples is None:
         tuples = default_chart_parameters(k)
@@ -486,7 +482,7 @@ def verify_smooth_chart(
     checks = [
         _check(
             "zero-parameters-give-special-flag",
-            _phi_flag(k, d, zero).same_flag(jordan_flag(_special_perm(d, 2 * k + 1))),
+            phi_map(k, d, zero).same_flag(special_flag(d, k)),
             f"family at 0 compared with the coordinate flag ({d})",
         )
     ]
@@ -494,7 +490,7 @@ def verify_smooth_chart(
     for idx, ps in enumerate(tuples):
         if any(p == 0 for p in ps):
             raise ValueError("cell membership tuples must be entirely nonzero")
-        flag = _phi_flag(k, d, ps)
+        flag = phi_map(k, d, ps)
         checks.append(
             _check(
                 f"nonzero-tuple-{idx}-in-cell",
@@ -513,7 +509,7 @@ def verify_smooth_chart(
         )
 
     mixed = tuple(Fraction(1) if i % 2 else Fraction(0) for i in range(k + 2))
-    flag = _phi_flag(k, d, mixed)
+    flag = phi_map(k, d, mixed)
     in_fiber = in_springer_fiber(flag, u)
     in_chart = True
     try:

@@ -11,18 +11,17 @@ is fraction-free integer elimination that updates only the rows nonzero in
 the pivot column and scales the others lazily; it returns the (row, column)
 pivot pairs and each pivot row as it stands when chosen, an integer echelon
 form.  Ranks, the independence of a flag basis, span and fiber membership
-and flag equality read its pairs; one elimination of a subspace basis and
-its images decides both independence and stability.  A cell label costs
-one elimination: with the coordinates ordered so that every power of the
-operator cuts a leading block of rows, and each flag vector followed by
-its image as columns, the pairs show whether every prefix is stable (no
-image takes a pivot) and give the dimension for every prefix and every
-power, and the tableau is read straight off that table.  The coordinate
-flag of a permutation and the complement flag are independent by
-construction and skip the independence elimination.  ``Matrix.rref``
-back-substitutes the echelon rows over ``Fraction`` (kernels and the
-complement flag's inverse), and chart coordinates are ratios of their
-entries.
+and flag equality read its pairs.  With the coordinates ordered so that
+every power of the operator cuts a leading block of them, one elimination
+of a subspace basis followed by its images decides independence,
+stability and the dimension meeting every power (a Jordan type), and one
+with each flag vector followed by its image shows whether every prefix is
+stable and gives that dimension for every prefix: the cell label is read
+off that table by ``tableaux``.  The coordinate flag of a permutation and
+the complement flag are independent by construction and skip the
+independence elimination.  ``Matrix.rref`` back-substitutes the echelon
+rows over ``Fraction`` (kernels and the complement flag's inverse), and
+chart coordinates are ratios of their entries.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -54,7 +53,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
-from .tableaux import StandardTableau, _check_bound, schuetzenberger
+from .tableaux import StandardTableau, _check_bound, _tableau_from_dims, schuetzenberger
 
 Vector = tuple[Fraction, ...]
 
@@ -277,39 +276,49 @@ def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
 
 
 def _nested_meet_dims(
-    vecs: Sequence[Vector],
-    order: Sequence[int],
-    cuts: Sequence[int],
-    u: NilpotentOperator | None = None,
+    u: NilpotentOperator, vecs: Sequence[Vector], order: Sequence[int], cuts: Sequence[int]
 ) -> list[list[int]]:
     """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs).
 
-    ``vecs`` must be independent.  One elimination has the coordinates in
-    ``order`` as rows, up to the largest cut, and the vectors as columns;
-    each vector that is no pivot column above row r adds one.
-
-    Given ``u``, ``vecs`` must be a flag basis, and the same elimination
-    also checks that every prefix is u-stable: all n coordinates are rows and
-    each u(v_i) follows v_i as a column.  By induction on i the first u(v_i)
-    outside span(v_1..v_i) is the first image to take a pivot, so an odd
-    pivot column raises StabilityError; otherwise the columns up to v_i span
-    span(v_1..v_i) and the images take no pivot, so the cut reads the
-    vector pivots as before.  Pivot columns do not depend on the row order.
+    ``vecs`` must be a flag basis; StabilityError unless every prefix is
+    u-stable.  One elimination has the coordinates in ``order`` as rows and
+    each v_i followed by u(v_i) as columns.  By induction on i the first
+    u(v_i) outside span(v_1..v_i) is the first image to take a pivot, so an
+    odd pivot column raises StabilityError; otherwise the columns up to v_i
+    span span(v_1..v_i) and the images take no pivot, so each vector that
+    is no pivot column above row r adds one.
     """
-    if u is None:
-        columns, stride = vecs, 1
-        rows = order[: max(cuts, default=0)]
-    else:
-        columns, stride = [x for v in vecs for x in (v, u.apply(v))], 2
-        rows = order
-    pairs, _ = _rank_profile([[w[c] for w in columns] for c in rows])
-    if u is not None and any(c % 2 for _, c in pairs):
+    columns = [x for v in vecs for x in (v, u.apply(v))]
+    pairs, _ = _rank_profile([[w[c] for w in columns] for c in order])
+    if any(c % 2 for _, c in pairs):
         raise StabilityError("flag is not stable under the operator")
     out = []
     for r in cuts:
-        pivots = {c // stride for i, c in pairs if i < r}
+        pivots = {c // 2 for i, c in pairs if i < r}
         out.append(list(accumulate((i not in pivots for i in range(len(vecs))), initial=0)))
     return out
+
+
+def _subspace_meet_dims(
+    u: NilpotentOperator, subspace: Sequence[Vector], order: Sequence[int], cuts: Sequence[int]
+) -> list[int]:
+    """Per cut r: dim(W meet the coordinates zero on order[:r]), W spanned by ``subspace``.
+
+    One elimination has the m basis vectors, then their images u(w), as
+    rows and the coordinates in ``order`` as columns.  ValueError unless m
+    pivots lie in the first m rows (the basis is independent), checked
+    first; StabilityError if an image row takes a pivot (W is not u-stable).
+    Then every pivot lies in a basis row, so W has rank #{pivots with column
+    < r} on order[:r] and the meet has dimension m minus that.
+    """
+    vecs = Matrix(subspace).rows
+    m = len(vecs)
+    pairs, _ = _rank_profile([[w[c] for c in order] for w in vecs + tuple(u.apply(w) for w in vecs)])
+    if sum(i < m for i, _ in pairs) < m:
+        raise ValueError("subspace basis is linearly dependent")
+    if len(pairs) > m:
+        raise StabilityError("subspace is not stable under the operator")
+    return [m - sum(c < r for _, c in pairs) for r in cuts]
 
 
 def span_rank(vectors: Sequence[Vector]) -> int:
@@ -459,55 +468,44 @@ def jordan_operator(t: StandardTableau) -> NilpotentOperator:
     return NilpotentOperator(t)
 
 
-def _stable_basis(u: NilpotentOperator, subspace: Sequence[Vector]) -> tuple[Vector, ...]:
-    """The given basis: ValueError if dependent, StabilityError if not u-stable.
+def _kernel_order(u: NilpotentOperator) -> tuple[list[int], list[int]]:
+    """Coordinates by tableau column, descending, and the cut r_j for j = 1..degree.
 
-    One elimination of the m vectors, then their images u(w): independent when
-    m pivots lie in the first m rows, stable when the images add no pivot.
-    """
-    vecs = Matrix(subspace).rows
-    m = len(vecs)
-    pivots, _ = _rank_profile(vecs + tuple(u.apply(w) for w in vecs))
-    if sum(r < m for r, _ in pivots) < m:
-        raise ValueError("subspace basis is linearly dependent")
-    if len(pivots) > m:
-        raise StabilityError("subspace is not stable under the operator")
-    return vecs
-
-
-def _kernel_dims(
-    u: NilpotentOperator, vecs: Sequence[Vector], check_prefixes: bool = False
-) -> list[list[int]]:
-    """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree.
-
-    ker u^j is spanned by the e_i in the first ``j`` tableau columns, so with
-    the coordinates ordered by column, descending, the ones outside it lead.
-    With ``check_prefixes``, ``vecs`` is a flag basis and StabilityError is
-    raised unless every prefix is stable (``_nested_meet_dims``).
+    ker u^j is the subspace zero on order[:r_j].
     """
     order = sorted(range(u.n), key=lambda i: -u.column[i])
-    cuts = [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
-    dims = _nested_meet_dims(vecs, order, cuts, u if check_prefixes else None)
-    return [[0] * (len(vecs) + 1)] + dims
+    return order, [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
 
 
-def _preimage_dims(
-    u: NilpotentOperator, vecs: Sequence[Vector], check_prefixes: bool = False
-) -> list[list[int]]:
-    """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree.
+def _image_order(u: NilpotentOperator) -> tuple[list[int], list[int]]:
+    """Coordinates by boxes to the right, ascending, and the cut r_j for j = 0..degree-1.
 
-    That is dim ker u^j + dim(span meet im u^j), where im u^j is spanned by
-    the e_i with at least ``j`` boxes to their right, so with the coordinates
-    ordered by boxes to the right, ascending, the ones outside it lead; and
-    u^degree = 0.  ``check_prefixes`` is as in ``_kernel_dims``.
+    im u^j is the subspace zero on order[:r_j], and r_j is also dim ker u^j:
+    each tableau row of length m gives min(j, m) to both.
     """
     order = sorted(range(u.n), key=lambda i: u.boxes_right[i])
-    cuts = [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
-    rows = []
-    for j, dims in enumerate(_nested_meet_dims(vecs, order, cuts, u if check_prefixes else None)):
-        kernel_dim = sum(c <= j for c in u.column)
-        rows.append([kernel_dim + m for m in dims])
-    return rows + [[u.n] * (len(vecs) + 1)]
+    return order, [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
+
+
+def _kernel_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
+    """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree.
+
+    ``vecs`` is a flag basis, and StabilityError is raised unless every
+    prefix is stable (``_nested_meet_dims``).  Row 0 is all zeros.
+    """
+    return [[0] * (len(vecs) + 1)] + _nested_meet_dims(u, vecs, *_kernel_order(u))
+
+
+def _preimage_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
+    """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree.
+
+    That is dim ker u^j + dim(span meet im u^j), the cut r_j of
+    ``_image_order`` plus the meet; row degree is all n, as u^degree = 0.
+    Stability is checked as in ``_kernel_dims``.
+    """
+    order, cuts = _image_order(u)
+    dims = _nested_meet_dims(u, vecs, order, cuts)
+    return [[r + m for m in row] for r, row in zip(cuts, dims)] + [[u.n] * (len(vecs) + 1)]
 
 
 def _jordan_type(dims: Sequence[int]) -> Partition:
@@ -515,49 +513,24 @@ def _jordan_type(dims: Sequence[int]) -> Partition:
     return Partition([b - a for a, b in zip(dims, dims[1:]) if b > a]).conjugate()
 
 
-def _tableau_from_dims(table: Sequence[Sequence[int]]) -> StandardTableau:
-    """The tableau of the chain ``_jordan_type(column i of table)``, i = 0..n, read off directly.
-
-    Column j of the i-th type has height table[j][i] - table[j-1][i], and
-    every height is 0 at i = 0.  From i - 1 to i exactly one column j must
-    grow, by one box; entry i goes in row (new height - 1), which must hold
-    j entries before it.  By induction the entries up to i then have the
-    table's column heights, so no Partition is built: each type is the shape
-    of those entries.  Any other step raises ValueError, as
-    ``from_shape_chain`` does.
-    """
-    heights = [[b - a for a, b in zip(lower, upper)] for lower, upper in zip(table, table[1:])]
-    if any(h[0] for h in heights):
-        raise ValueError("chain must start with the empty diagram")
-    rows: list[list[int]] = []
-    for i in range(1, len(table[0])):
-        grown = [j for j, h in enumerate(heights) if h[i] != h[i - 1]]
-        if len(grown) != 1 or heights[grown[0]][i] != heights[grown[0]][i - 1] + 1:
-            raise ValueError(f"step {i} of chain does not add a single box")
-        j = grown[0]
-        r = heights[j][i] - 1
-        if r == len(rows):
-            rows.append([])
-        if len(rows[r]) != j:
-            raise ValueError(f"step {i} of chain does not add a single box")
-        rows[r].append(i)
-    return StandardTableau(rows)
-
-
 def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type of the operator on a stable subspace.
 
-    Only the full span is read: the prefixes of the given basis need not be stable.
+    One elimination gives dim(W meet ker u^j) for every j; the prefixes of
+    the given basis need not be stable.
     """
-    return _jordan_type([row[-1] for row in _kernel_dims(u, _stable_basis(u, subspace))])
+    return _jordan_type([0] + _subspace_meet_dims(u, subspace, *_kernel_order(u)))
 
 
 def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type induced on the quotient by a stable subspace.
 
-    The kernel of the ``j``-th induced power has dimension dim (u^j)^-1(W) - dim W.
+    The kernel of the ``j``-th induced power has dimension dim (u^j)^-1(W) - dim W,
+    and dim (u^j)^-1(W) = dim ker u^j + dim(W meet im u^j), as in ``_preimage_dims``.
     """
-    return _jordan_type([row[-1] for row in _preimage_dims(u, _stable_basis(u, subspace))])
+    order, cuts = _image_order(u)
+    meets = _subspace_meet_dims(u, subspace, order, cuts)
+    return _jordan_type([r + m for r, m in zip(cuts, meets)] + [u.n])
 
 
 def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
@@ -567,7 +540,7 @@ def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     kernel and checks that the flag is in the fiber (StabilityError if not);
     the tableau is read straight off that table.
     """
-    return _tableau_from_dims(_kernel_dims(u, flag.vectors, check_prefixes=True))
+    return _tableau_from_dims(_kernel_dims(u, flag.vectors))
 
 
 def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
@@ -583,7 +556,7 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     dual-cell label, so one more evacuation recovers it.  As in ``cell_of``,
     one elimination gives the preimage table and checks the fiber.
     """
-    table = _preimage_dims(u, flag.vectors, check_prefixes=True)
+    table = _preimage_dims(u, flag.vectors)
     return schuetzenberger(_tableau_from_dims([row[::-1] for row in table]))
 
 
@@ -763,21 +736,6 @@ def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
         for j in range(i + 1, n)
     }
     return ChartCoordinates(d=d, n=n, phi=phi)
-
-
-def chart_flag(coords: ChartCoordinates) -> Flag:
-    """Rebuild the flag with the given chart coordinates; inverts ``chart_coords``."""
-    n = coords.n
-    perm = special_perm(coords.d, n)
-    vectors = []
-    for i in range(1, n + 1):
-        v = list(unit_vector(n, perm(i)))
-        for j in range(i + 1, n + 1):
-            coeff = coords.phi.get((i, j), _ZERO)
-            if coeff:
-                v[perm(j) - 1] += coeff
-        vectors.append(tuple(v))
-    return Flag(vectors)
 
 
 def degenerate_to_special(sigma: Permutation, k: int) -> Permutation:

@@ -14,7 +14,10 @@ and slides out those below ``i``; it keeps the original entries, and
 entry range lo..hi of a tableau from one helper that rejects gaps.
 Evacuation (Schuetzenberger) is defined by successive slides but computed
 by row insertion, on the original entries of any block of consecutive
-entries.
+entries.  A chain of diagrams growing one box at a time is turned back into
+its standard tableau from the chain's column heights, by the one read-off
+that ``from_shape_chain`` and the cell labels of
+:mod:`springerfiber.exactlin` share.
 
 Also provided: enumeration of all standard tableaux of a shape, behind
 the one bound check that the move classes and fiber permutations share,
@@ -161,14 +164,6 @@ def parse_tableau(text: str) -> Tableau:
     return tableau([piece.split(",") for piece in text.split("/")])
 
 
-def truncate(t: StandardTableau, i: int) -> StandardTableau:
-    """Delete the boxes of entries ``i+1..n``; their boxes are removable corners."""
-    if not 0 <= i <= t.n:
-        raise ValueError(f"truncation index {i} out of range 0..{t.n}")
-    rows = [tuple(e for e in row if e <= i) for row in t.rows]
-    return StandardTableau(row for row in rows if row)
-
-
 def _slide_out(rows: list[list[int]]) -> tuple[int, int]:
     """Slide the entry at (1,1) out of nonempty ``rows`` in place.
 
@@ -275,23 +270,43 @@ def shape_chain(t: StandardTableau) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def from_shape_chain(diagrams: Sequence[Partition]) -> StandardTableau:
-    """Rebuild the standard tableau from a chain of diagrams growing one box at a time."""
-    if not diagrams or diagrams[0].n != 0:
+def _tableau_from_dims(table: Sequence[Sequence[int]]) -> StandardTableau:
+    """The standard tableau of a chain of diagrams given by its column heights.
+
+    ``table[j][i]`` is the number of boxes of diagram i in its first j
+    columns, so column j of diagram i has height table[j][i] - table[j-1][i],
+    and every height must be 0 at i = 0.  From i - 1 to i exactly one column
+    j must grow, by one box; entry i goes in row (new height - 1), which
+    must hold j entries before it.  By induction the entries up to i then
+    have the table's column heights, so no Partition is built: each diagram
+    is the shape of those entries.  Any other step raises ValueError.
+    """
+    heights = [[b - a for a, b in zip(lower, upper)] for lower, upper in zip(table, table[1:])]
+    if any(h[0] for h in heights):
         raise ValueError("chain must start with the empty diagram")
     rows: list[list[int]] = []
-    for e, (prev, cur) in enumerate(zip(diagrams, diagrams[1:]), start=1):
-        prev_parts = prev.parts + (0,) * (len(cur) - len(prev))
-        if cur.n != prev.n + 1 or len(cur) < len(prev):
-            raise ValueError(f"step {e} of chain does not add a single box")
-        grown = [r for r in range(len(cur)) if cur[r] != prev_parts[r]]
-        if len(grown) != 1 or cur[grown[0]] != prev_parts[grown[0]] + 1:
-            raise ValueError(f"step {e} of chain does not add a single box")
-        r = grown[0]
+    for i in range(1, len(table[0])):
+        grown = [j for j, h in enumerate(heights) if h[i] != h[i - 1]]
+        if len(grown) != 1 or heights[grown[0]][i] != heights[grown[0]][i - 1] + 1:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        j = grown[0]
+        r = heights[j][i] - 1
         if r == len(rows):
             rows.append([])
-        rows[r].append(e)
+        if len(rows[r]) != j:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        rows[r].append(i)
     return StandardTableau(rows)
+
+
+def from_shape_chain(diagrams: Sequence[Partition]) -> StandardTableau:
+    """Rebuild the standard tableau from a chain of diagrams growing one box at a time."""
+    if not diagrams:
+        raise ValueError("chain must start with the empty diagram")
+    width = max(p.parts[0] if p.parts else 0 for p in diagrams)
+    return _tableau_from_dims(
+        [[sum(min(part, j) for part in p.parts) for p in diagrams] for j in range(width + 1)]
+    )
 
 
 def schuetzenberger(t: StandardTableau) -> StandardTableau:

@@ -485,6 +485,25 @@ class TestVerifySmoothChart:
         with pytest.raises(ValueError):
             verify_smooth_chart(2, 4, parameter_tuples=[(0, 1, 1, 1)])
 
+    @pytest.mark.parametrize(
+        "k, d, message",
+        [
+            (2, 2, "d must lie in 3..4, got 2"),
+            (2, 5, "d must lie in 3..4, got 5"),
+            (0, 3, "d must lie in 3..2, got 3"),
+        ],
+    )
+    def test_argument_errors_come_before_any_tuple_is_read(self, k, d, message):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("a parameter tuple was read")
+
+        for tuples in (None, [], Unread(), [Unread()], [("x", 1)], [(1, 2)], [(0,) * (k + 2)]):
+            with pytest.raises(ValueError) as exc:
+                verify_smooth_chart(k, d, parameter_tuples=tuples)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == message
+
     def test_unexpected_chart_error_propagates(self, monkeypatch):
         # with no parameter tuples the mixed-tuple check is the only chart call
         def broken(flag, d):

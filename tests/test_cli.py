@@ -1,6 +1,10 @@
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
+import re
 import shlex
 import signal
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import springerfiber
 import springerfiber.cli as cli
 from springerfiber.cli import main
 from springerfiber.exactlin import Permutation
@@ -23,6 +28,51 @@ def readme_command_lines():
     text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
     block = text.split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("springerfiber ")]
+
+
+def readme_layout_identifiers():
+    """The backticked identifiers of the README's ``Library layout`` table, ``()`` stripped."""
+    text = README.read_text(encoding="utf-8").split("## Library layout", 1)[1]
+    table = [line for line in text.split("\n\n", 2)[1].splitlines() if line.startswith("|")]
+    names = (token.replace("()", "") for line in table for token in re.findall(r"`([^`]*)`", line))
+    return sorted({name for name in names if len(name) >= 2 and re.fullmatch(r"[A-Za-z_][\w.]*", name)})
+
+
+def package_modules():
+    # ``__main__`` runs the command line when imported
+    return {
+        f"springerfiber.{info.name}": importlib.import_module(f"springerfiber.{info.name}")
+        for info in pkgutil.iter_modules(springerfiber.__path__)
+        if info.name != "__main__"
+    }
+
+
+def resolves(name: str) -> bool:
+    """True when ``name`` is a package module, a name bound in one, or a package class attribute.
+
+    A dotted name is a module path or a chain of attributes from a bound
+    name (``Matrix.rref``); a bare method name (``same_flag``) is looked up
+    on every class defined in the package.
+    """
+    modules = package_modules()
+    if name in modules:
+        return True
+    head, *rest = name.split(".")
+    for module in modules.values():
+        owner = getattr(module, head, None)
+        for part in rest:
+            owner = getattr(owner, part, None)
+        if owner is not None:
+            return True
+    if rest:
+        return False
+    classes = {
+        cls
+        for module in modules.values()
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__.startswith("springerfiber.")
+    }
+    return any(name in vars(cls) for cls in classes)
 
 
 def run(capsys, *argv):
@@ -397,3 +447,22 @@ class TestReadmeCommands:
     def test_six_lines_document_their_output(self):
         commented = [line for line in readme_command_lines() if "#" in line]
         assert len(commented) == 6
+
+
+class TestReadmeLayout:
+    """The README's ``Library layout`` table names only what the package defines."""
+
+    def test_table_has_identifiers(self):
+        names = readme_layout_identifiers()
+        assert {"springerfiber.exactlin", "Matrix.rref", "same_flag", "phi_map"} <= set(names)
+        assert len(names) >= 50
+
+    @pytest.mark.parametrize("name", readme_layout_identifiers())
+    def test_identifier_resolves(self, name):
+        assert resolves(name), f"README layout names {name!r}, which the package does not define"
+
+    @pytest.mark.parametrize(
+        "name", ["chart_flag", "truncate", "_stable_basis", "_phi_flag", "Matrix.transpose"]
+    )
+    def test_stale_names_do_not_resolve(self, name):
+        assert not resolves(name)

@@ -17,12 +17,10 @@ from springerfiber.exactlin import (
     _kernel_dims,
     _preimage_dims,
     _rank_profile,
-    _tableau_from_dims,
     bilinear_form,
     cell_of,
     cell_prime_of,
     chart_coords,
-    chart_flag,
     degenerate_to_special,
     fiber_permutations,
     in_cell,
@@ -46,6 +44,8 @@ from springerfiber.exactlin import (
 from springerfiber.certificates import phi_map
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
+    StandardTableau,
+    _tableau_from_dims,
     column_superstandard,
     enumerate_tableaux,
     from_shape_chain,
@@ -582,6 +582,11 @@ class TestQuotientType:
         u = jordan_operator(T("1,2"))
         assert quotient_type(u, [unit_vector(2, 2), unit_vector(2, 1)]) == Partition(())
 
+    def test_unstable_subspace(self):
+        u = jordan_operator(T("1,2"))
+        with pytest.raises(StabilityError, match="^subspace is not stable under the operator$"):
+            quotient_type(u, [unit_vector(2, 2)])
+
 
 
 class TestDenseOracle:
@@ -609,6 +614,30 @@ class TestDenseOracle:
         assert_matches_oracle(special_operator(k), [phi_map(k, d, params)])
 
 
+def chain_tableau(diagrams):
+    """The standard tableau of a chain of diagrams, one ``Partition`` step at a time.
+
+    Each step compares two partitions row by row.  It shares no code with
+    the column-height read-off behind ``from_shape_chain`` and the cell
+    labels, so the cell oracles below build their tableaux with it.
+    """
+    if not diagrams or diagrams[0].n != 0:
+        raise ValueError("chain must start with the empty diagram")
+    rows = []
+    for e, (prev, cur) in enumerate(zip(diagrams, diagrams[1:]), start=1):
+        prev_parts = prev.parts + (0,) * (len(cur) - len(prev))
+        if cur.n != prev.n + 1 or len(cur) < len(prev):
+            raise ValueError(f"step {e} of chain does not add a single box")
+        grown = [r for r in range(len(cur)) if cur[r] != prev_parts[r]]
+        if len(grown) != 1 or cur[grown[0]] != prev_parts[grown[0]] + 1:
+            raise ValueError(f"step {e} of chain does not add a single box")
+        r = grown[0]
+        if r == len(rows):
+            rows.append([])
+        rows[r].append(e)
+    return StandardTableau(rows)
+
+
 # Per-prefix definitions that the whole-flag eliminations replace: one
 # restricted or quotient type per prefix, from the dense powers and their
 # kernels, and stability and equality checked prefix by prefix with ranks.
@@ -634,13 +663,13 @@ def dense_quotient_type(t, vecs):
 
 def oracle_cell_of(flag: Flag, u):
     chain = [dense_restricted_type(u.tableau, flag.vectors[:i]) for i in range(flag.n + 1)]
-    return from_shape_chain(chain)
+    return chain_tableau(chain)
 
 
 def oracle_cell_prime_of(flag: Flag, u):
     n = flag.n
     chain = [dense_quotient_type(u.tableau, flag.vectors[: n - j]) for j in range(n + 1)]
-    return schuetzenberger(from_shape_chain(chain))
+    return schuetzenberger(chain_tableau(chain))
 
 
 def oracle_in_fiber(flag: Flag, u) -> bool:
@@ -698,7 +727,7 @@ def chain_segment_cells(u, sigma: Permutation):
         rest = [len(row) - h for row, h in zip(rows, held)]
         restricted.append(Partition(sorted((h for h in held if h), reverse=True)))
         quotient.append(Partition(sorted((r for r in rest if r), reverse=True)))
-    return from_shape_chain(restricted), schuetzenberger(from_shape_chain(quotient[::-1]))
+    return chain_tableau(restricted), schuetzenberger(chain_tableau(quotient[::-1]))
 
 
 class TestWholeFlag:
@@ -737,20 +766,20 @@ class TestWholeFlag:
 
 
 # The chain read-off that one elimination per label replaced: a separate
-# fiber check, then one Partition per prefix through ``from_shape_chain``.
+# fiber check, then one Partition per prefix through ``chain_tableau``.
 
 
 def chain_cell_of(flag: Flag, u):
     if not in_springer_fiber(flag, u):
         raise StabilityError("flag is not stable under the operator")
-    return from_shape_chain([_jordan_type(dims) for dims in zip(*_kernel_dims(u, flag.vectors))])
+    return chain_tableau([_jordan_type(dims) for dims in zip(*_kernel_dims(u, flag.vectors))])
 
 
 def chain_cell_prime_of(flag: Flag, u):
     if not in_springer_fiber(flag, u):
         raise StabilityError("flag is not stable under the operator")
     types = [_jordan_type(dims) for dims in zip(*_preimage_dims(u, flag.vectors))]
-    return schuetzenberger(from_shape_chain(types[::-1]))
+    return schuetzenberger(chain_tableau(types[::-1]))
 
 
 def assert_matches_chain_read_off(u, flag: Flag) -> None:
@@ -808,9 +837,11 @@ class TestCellReadOff:
         for n in range(7):
             for shape in partitions_of(n):
                 for t in enumerate_tableaux(shape):
-                    table = kernel_table(shape_chain(t))
+                    chain = shape_chain(t)
+                    table = kernel_table(chain)
                     assert _tableau_from_dims(table) == t
-                    assert from_shape_chain([_jordan_type(d) for d in zip(*table)]) == t
+                    assert from_shape_chain(chain) == t
+                    assert chain_tableau([_jordan_type(d) for d in zip(*table)]) == t
 
     @pytest.mark.parametrize(
         "table",
@@ -847,6 +878,11 @@ class TestCellReadOff:
             calls.clear()
             perp_flag(f, bilinear_form(u))
             assert len(calls) == 1
+            # the prefixes of a fiber flag are stable subspaces
+            for subspace_type in (restricted_type, quotient_type):
+                calls.clear()
+                subspace_type(u, f.vectors[:3])
+                assert len(calls) == 1
 
 
 class TestCells:
@@ -1048,6 +1084,25 @@ class TestSpecialPermAndFlag:
     def test_special_basis_tableau(self):
         assert special_basis_tableau(2) == T("1,3/2,4/5")
         assert special_basis_tableau(3) == T("1,3,5/2,4,6/7")
+
+
+def chart_flag(coords):
+    """The flag with the given chart coordinates, the inverse of ``chart_coords``.
+
+    Chart vector i is the i-th permuted unit vector plus phi(i, j) times
+    the j-th one for every j > i.
+    """
+    n = coords.n
+    perm = special_perm(coords.d, n)
+    vectors = []
+    for i in range(1, n + 1):
+        v = list(unit_vector(n, perm(i)))
+        for j in range(i + 1, n + 1):
+            coeff = coords.phi.get((i, j), Fraction(0))
+            if coeff:
+                v[perm(j) - 1] += coeff
+        vectors.append(tuple(v))
+    return Flag(vectors)
 
 
 class TestChart:

@@ -26,7 +26,6 @@ from springerfiber.tableaux import (
     standardize,
     tableau,
     tau,
-    truncate,
 )
 
 T = parse_tableau
@@ -42,6 +41,14 @@ def oracle_evacuation(t):
         u, _ = jdt_remove_min(u)
         shapes[m] = u.shape
     return from_shape_chain(shapes)
+
+
+def truncate(t, i):
+    """Delete the boxes of entries ``i+1..n``; their boxes are removable corners."""
+    if not 0 <= i <= t.n:
+        raise ValueError(f"truncation index {i} out of range 0..{t.n}")
+    rows = [tuple(e for e in row if e <= i) for row in t.rows]
+    return StandardTableau(row for row in rows if row)
 
 
 def oracle_restrict(t, i, j):
@@ -374,6 +381,32 @@ class TestShapeChain:
     def test_from_chain_rejects_jump(self):
         with pytest.raises(ValueError):
             from_shape_chain([Partition(()), Partition((2,))])
+
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ([], "chain must start with the empty diagram"),
+            ([(1,)], "chain must start with the empty diagram"),
+            ([(1,), (2,)], "chain must start with the empty diagram"),
+            ([(), (1,), ()], "step 2 of chain does not add a single box"),
+            ([(), (1, 1)], "step 1 of chain does not add a single box"),
+            ([(), (1,), (3,)], "step 2 of chain does not add a single box"),
+            ([(), (1,), (2,), (1, 1)], "step 3 of chain does not add a single box"),
+        ],
+        ids=[
+            "empty-list",
+            "first-not-empty",
+            "first-not-empty-then-grows",
+            "box-taken-away",
+            "two-boxes-in-one-column",
+            "row-jumps",
+            "box-moves",
+        ],
+    )
+    def test_from_chain_rejects_malformed_chains(self, chain, message):
+        with pytest.raises(ValueError) as exc:
+            from_shape_chain([Partition(p) for p in chain])
+        assert str(exc.value) == message
 
 
 class TestSlide:
