@@ -7,7 +7,8 @@ nonzero, and seven curves of the family through the origin have linearly
 independent tangent vectors there.  Seven independent tangents at a point
 of a six-dimensional variety certify a singular point.  Tangents are read
 off with first-order jet arithmetic into the one 7x7 layout of the family;
-every membership test is an exact cell check.
+every membership test is an exact cell check, on the flag of the columns
+of f(t) + I, a unit triangle in plain order.
 
 Smoothness certificates for the components labelled by ``Q(k,k,1)``: for
 every special flag (d) an explicit affine (k+2)-parameter family of flags
@@ -21,6 +22,13 @@ Every parameter is read back through one table per case of the chart
 cells that show it, built where the parameters are decoded.  The verifier
 checks d before it reads any parameter tuple, then builds the family and
 the special flag through ``phi_map`` and ``special_flag`` themselves.
+
+Both families are unit triangles by construction, so their flags are
+proved independent by checking that triangle, not by an elimination; a
+family that breaks it raises ValueError.  The zeros they build by
+structure (shift padding, cells outside the family, zero parameters and
+zero multiples) are the shared zero of :mod:`springerfiber.exactlin`,
+which its elimination reads without converting.
 """
 
 from __future__ import annotations
@@ -36,7 +44,11 @@ from .exactlin import (
     Matrix,
     NilpotentOperator,
     Vector,
+    _ONE,
+    _ZERO,
     _check_special,
+    _special_perm,
+    _triangular_flag,
     as_fraction,
     chart_coords,
     in_cell,
@@ -148,8 +160,14 @@ def _parameters(t: Sequence) -> tuple[Fraction, ...]:
 
 
 def _matrix_7x7(entries: dict[tuple[int, int], Fraction], diagonal: int = 0) -> Matrix:
-    """The 7x7 matrix with ``entries`` at their 1-based cells and ``diagonal`` on the diagonal."""
-    rows = [[Fraction(diagonal if i == j else 0) for j in range(7)] for i in range(7)]
+    """The 7x7 matrix with ``entries`` at their 1-based cells and ``diagonal`` on the diagonal.
+
+    Every other cell is the shared zero.
+    """
+    rows = [[_ZERO] * 7 for _ in range(7)]
+    if diagonal:
+        for i in range(7):
+            rows[i][i] = as_fraction(diagonal)
     for (i, j), v in entries.items():
         rows[i - 1][j - 1] = v
     return Matrix(rows)
@@ -175,14 +193,17 @@ def verify_curve_membership(t: Sequence) -> bool:
 
     Requires t3, t4, t5, t6 and t4 - t1 to be nonzero; the flag is spanned
     by the columns of f(t) + I over the (3,2,2) Jordan basis and must lie in
-    the cell of the tableau 1,2,5/3,4/6,7.
+    the cell of the tableau 1,2,5/3,4/6,7.  f(t) is strictly lower
+    triangular, so column j of f(t) + I is 1 at j and 0 above it: a unit
+    triangle in plain order, independent with no elimination.
     """
     t = _parameters(t)
     for name, value in _membership_conditions(t):
         if value == 0:
             raise ValueError(f"membership precondition violated: {name} must be nonzero")
     g = _matrix_7x7(f_entries(t), diagonal=1)
-    return in_cell(Flag(tuple(zip(*g.rows))), operator_322(), CELL_TABLEAU_322)
+    flag = _triangular_flag(tuple(zip(*g.rows)), range(7))
+    return in_cell(flag, operator_322(), CELL_TABLEAU_322)
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.
@@ -316,7 +337,7 @@ def _w_power(v: Vector, m: int) -> Vector:
     if v[n - 1] != 0:
         raise ValueError("shift map is undefined on the last coordinate")
     shift = min(2 * m, n - 1)
-    return (Fraction(0),) * shift + v[: n - 1 - shift] + (Fraction(0),)
+    return (_ZERO,) * shift + v[: n - 1 - shift] + (_ZERO,)
 
 
 def v_vectors(k: int, alpha: Sequence) -> tuple[Vector, ...]:
@@ -394,6 +415,10 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     gamma_{d-1}, nu) with alpha_{d+1} = -nu * gamma_{d-1} derived.  The
     remaining gammas satisfy gamma_i = -alpha_{i+2} gamma_{i+1} downwards,
     with gamma_1 = -(alpha_3 - alpha_1) gamma_2.
+
+    Flag vector i is 1 at the i-th coordinate of the special permutation's
+    order and 0 at the earlier ones, so the basis is checked as that unit
+    triangle instead of eliminated; ValueError if it is not one.
     """
     _check_special(k, d)
     params = tuple(as_fraction(p) for p in params)
@@ -415,7 +440,7 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
             etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
         etas.append(vs[k])
     etas.extend(vs[k + 1 :])
-    return Flag(etas)
+    return _triangular_flag(etas, [p - 1 for p in _special_perm(d, n).images])
 
 
 def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -442,7 +467,7 @@ def _recovery_identities(
     phi = coords.phi
     alpha, _, _, cells, shown = _decode_params(k, d, params)
     given = {name: phi[cell] for name, cell, _ in shown}
-    tilde = {1: Fraction(0), 2: Fraction(0)}
+    tilde = {1: _ZERO, 2: _ZERO}
     read = dict(tilde)
     recovered = []
     for i in range(3, max(alpha) + 1):
@@ -478,7 +503,7 @@ def verify_smooth_chart(
         tuples = tuple(tuple(as_fraction(p) for p in ps) for ps in parameter_tuples)
     u = special_operator(k)
     target = make_Q(k)
-    zero = tuple(Fraction(0) for _ in range(k + 2))
+    zero = (_ZERO,) * (k + 2)
     checks = [
         _check(
             "zero-parameters-give-special-flag",
@@ -508,7 +533,7 @@ def verify_smooth_chart(
             )
         )
 
-    mixed = tuple(Fraction(1) if i % 2 else Fraction(0) for i in range(k + 2))
+    mixed = tuple(_ONE if i % 2 else _ZERO for i in range(k + 2))
     flag = phi_map(k, d, mixed)
     in_fiber = in_springer_fiber(flag, u)
     in_chart = True

@@ -1,8 +1,10 @@
 """Command line front end: thin JSON adapters over the library operations.
 
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
-Exit codes: 0 on success, 1 when an operation or verification check fails,
-2 on unparsable input.  The environment variable SPRINGERFIBER_MAX_N
+Exit codes: 0 on success, 1 when an operation or verification check fails
+or stdout is closed before the JSON is written (a one-line note on stderr,
+no traceback; ``--help`` keeps exit 0, as argparse ignores a closed
+stdout), 2 on unparsable input.  The environment variable SPRINGERFIBER_MAX_N
 overrides the default bound on n of the enumeration-backed subcommands and
 of ``verify-q``; like ``--max-n``, it must be a nonnegative integer, else
 the input is unparsable.
@@ -244,12 +246,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_stdout() -> None:
+    """Point a stdout whose reader has gone at os.devnull, so the flush at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # argparse ignores a closed stdout when it prints help
+            _release_stdout()
         return int(exc.code or 0)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        _release_stdout()
+        print(f"{args.command}: stdout closed before the output was written", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
+    """Run the parsed command; print its JSON, flushed, then the summary line."""
     start = time.perf_counter()
     try:
         payload, code = args.fn(args)
@@ -274,6 +296,7 @@ def main(argv=None) -> int:
             "elapsed_ms": elapsed_ms,
         }
     print(json.dumps(payload))
+    sys.stdout.flush()
     print(f"{args.command}: {status} in {elapsed_ms} ms", file=sys.stderr)
     return code
 

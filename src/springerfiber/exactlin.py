@@ -19,7 +19,12 @@ with each flag vector followed by its image shows whether every prefix is
 stable and gives that dimension for every prefix: the cell label is read
 off that table by ``tableaux``.  The coordinate flag of a permutation and
 the complement flag are independent by construction and skip the
-independence elimination.  ``Matrix.rref`` back-substitutes the echelon
+independence elimination; so do the chart families and the (3,2,2) family
+of :mod:`springerfiber.certificates`, whose bases are unit triangles (1 on
+a diagonal, 0 before it, in the special permutation's coordinate order or
+in plain order): checking that triangle proves independence exactly, as
+its determinant is 1, and any other basis raises ValueError.  Every other
+``Flag`` runs the elimination.  ``Matrix.rref`` back-substitutes the echelon
 rows over ``Fraction`` (kernels and the complement flag's inverse), and
 chart coordinates are ratios of their entries.
 
@@ -94,8 +99,10 @@ def vec_add(a: Vector, b: Vector) -> Vector:
 
 
 def vec_scale(c, a: Vector) -> Vector:
-    """``c`` times ``a``; zero entries are kept as they are."""
+    """``c`` times ``a``; zero entries are kept as they are, and a zero ``c`` gives shared zeros."""
     c = as_fraction(c)
+    if not c:
+        return (_ZERO,) * len(a)
     return tuple(c * x if x else x for x in a)
 
 
@@ -415,6 +422,27 @@ def _independent_flag(vectors: tuple[Vector, ...]) -> Flag:
     flag = object.__new__(Flag)
     flag.vectors = vectors
     return flag
+
+
+def _triangular_flag(vectors: Sequence[Vector], order: Sequence[int]) -> Flag:
+    """The flag of n ``Fraction`` vectors that form a unit triangle in the coordinate ``order``.
+
+    Vector i must have length n, be exactly 1 at coordinate order[i] and 0
+    at every earlier coordinate of the order; ValueError otherwise.  Then
+    the matrix with entries vectors[i][order[j]] is unit upper triangular,
+    of determinant 1, so the vectors are independent and no elimination is
+    run.  ``order`` must be a permutation of range(n).  The zeros are
+    counted, and ``list.count`` matches the shared zero by identity, with
+    no call.
+    """
+    vectors = tuple(vectors)
+    n = len(vectors)
+    if any(len(v) != n for v in vectors):
+        raise ValueError("flag needs n vectors of length n")
+    for i, v in enumerate(vectors):
+        if v[order[i]] != 1 or [v[c] for c in order[:i]].count(_ZERO) != i:
+            raise ValueError(f"flag vector {i + 1} breaks the unit triangle")
+    return _independent_flag(vectors)
 
 
 class NilpotentOperator:

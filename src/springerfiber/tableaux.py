@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
+from operator import lt
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -47,6 +48,13 @@ def _check_bound(n: int, max_n: int | None = None) -> None:
 
 
 def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
+    """ValueError unless the rows form a tableau, naming the first fault.
+
+    A row passes when it starts at 1 or more, increases strictly and shares
+    no entry with the rows above; a column pair passes when it increases.
+    Only a row or pair that fails is walked entry by entry, to name the
+    fault that the walk meets first.
+    """
     lengths = [len(r) for r in rows]
     if any(length == 0 for length in lengths):
         raise ValueError("tableau rows must be nonempty")
@@ -54,18 +62,20 @@ def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
         raise ValueError(f"row lengths must be non-increasing, got {lengths}")
     seen: set[int] = set()
     for row in rows:
-        for e in row:
-            if e < 1:
-                raise ValueError(f"entries must be positive, got {e}")
-            if e in seen:
-                raise ValueError(f"duplicate entry {e}")
-            seen.add(e)
-        if any(b <= a for a, b in zip(row, row[1:])):
+        if not (row[0] >= 1 and all(map(lt, row, row[1:])) and seen.isdisjoint(row)):
+            for e in row:
+                if e < 1:
+                    raise ValueError(f"entries must be positive, got {e}")
+                if e in seen:
+                    raise ValueError(f"duplicate entry {e}")
+                seen.add(e)
             raise ValueError(f"row {row} is not increasing")
+        seen.update(row)
     for upper, lower in zip(rows, rows[1:]):
-        for a, b in zip(upper, lower):
-            if b <= a:
-                raise ValueError(f"column not increasing at {a} over {b}")
+        if not all(map(lt, upper, lower)):
+            for a, b in zip(upper, lower):
+                if b <= a:
+                    raise ValueError(f"column not increasing at {a} over {b}")
 
 
 def _is_standard(rows: Sequence[Sequence[int]]) -> bool:
@@ -79,7 +89,7 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         _validate_rows(rows)
         self.rows = rows
 
@@ -152,8 +162,12 @@ class StandardTableau(Tableau):
 
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
     """Validate rows, returning a StandardTableau when the entries are 1..n."""
-    rows = tuple(tuple(int(e) for e in row) for row in rows)
-    return (StandardTableau if _is_standard(rows) else Tableau)(rows)
+    rows = tuple(tuple(map(int, row)) for row in rows)
+    _validate_rows(rows)
+    # valid rows are standard when their entries are 1..n; no constructor runs again
+    t = object.__new__(StandardTableau if _is_standard(rows) else Tableau)
+    t.rows = rows
+    return t
 
 
 def parse_tableau(text: str) -> Tableau:

@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -5,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import springerfiber.certificates as certificates_module
+import springerfiber.exactlin as exactlin_module
 from springerfiber.certificates import (
     BASIS_TABLEAU_322,
     CELL_TABLEAU_322,
     WITNESS_CURVES,
+    _matrix_7x7,
     _recovery_identities,
     _v_full,
     _w_power,
@@ -28,19 +32,22 @@ from springerfiber.certificates import (
 )
 from springerfiber.exactlin import (
     Matrix,
+    _ZERO,
+    _triangular_flag,
     as_fraction,
     chart_coords,
     in_span,
     restricted_type,
     special_flag,
     special_operator,
+    special_perm,
     unit_vector,
     vec_add,
     vec_scale,
 )
 from springerfiber.partitions import Partition
 
-from matrix_helpers import identity, is_zero
+from matrix_helpers import gauss_jordan, identity, is_zero
 
 
 def dense_power(u, j) -> Matrix:
@@ -460,6 +467,118 @@ class TestPhiMap:
             phi_map(2, 4, (1, 1, 1))
         with pytest.raises(ValueError):
             phi_map(2, 5, (1, 1, 1, 1))
+
+
+def chart_tuples(k, signed=False):
+    """The zero and mixed tuples of ``verify_smooth_chart`` and three seeded tuples.
+
+    Seeded entries are rationals with 0 among them; unsigned ones are at
+    least 0, so no sum in the family cancels to an arithmetic zero.
+    """
+    rng = random.Random(1900 + k)
+    low = -9 if signed else 0
+    seeded = [tuple(Fraction(rng.randint(low, 9), rng.randint(1, 9)) for _ in range(k + 2)) for _ in range(3)]
+    return [(0,) * (k + 2), tuple(i % 2 for i in range(k + 2))] + seeded
+
+
+def chart_order(k, d):
+    """The 0-based coordinate order of the special permutation (d)."""
+    return [p - 1 for p in special_perm(d, 2 * k + 1).images]
+
+
+def recording_triangles(monkeypatch):
+    """List that grows by the (vectors, order) of every ``_triangular_flag`` call of ``certificates``."""
+    calls = []
+
+    def recording(vectors, order):
+        flag = _triangular_flag(vectors, order)
+        calls.append((flag.vectors, list(order)))
+        return flag
+
+    monkeypatch.setattr(certificates_module, "_triangular_flag", recording)
+    return calls
+
+
+class TestTriangularFlags:
+    """Every family flag is a unit triangle, proved so without an elimination."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_every_chart_flag(self, k):
+        n = 2 * k + 1
+        for d in range(3, k + 3):
+            order = chart_order(k, d)
+            for ps in chart_tuples(k) + chart_tuples(k, signed=True):
+                vectors = phi_map(k, d, ps).vectors
+                assert _triangular_flag(vectors, order).vectors == vectors
+                assert len(gauss_jordan(vectors)[1]) == n
+
+    def test_every_membership_flag(self, monkeypatch):
+        calls = recording_triangles(monkeypatch)
+        assert certify_322().singular
+        assert verify_curve_membership((Fraction(1, 2), 0, 3, -1, 2, 5))
+        assert len(calls) == 2 * len(WITNESS_CURVES) + 1
+        for vectors, order in calls:
+            assert order == list(range(7))
+            assert len(gauss_jordan(vectors)[1]) == 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=6, max_size=6))
+    def test_membership_flags_of_any_point(self, t):
+        t = [x if x else Fraction(1, 3) for x in t]
+        if t[3] == t[0]:
+            t[3] += 1
+        g = _matrix_7x7(f_entries(tuple(t)), diagonal=1)
+        vectors = tuple(zip(*g.rows))
+        assert _triangular_flag(vectors, range(7)).vectors == vectors
+
+    def test_swapped_chart_vectors_fail_loudly(self, monkeypatch):
+        # a phi_map that lists two flag vectors in the wrong order builds an
+        # independent basis of another flag: the triangle check raises, so
+        # the report cannot turn it into a quiet "fail"
+        def swapping(vectors, order):
+            vectors = list(vectors)
+            vectors[1], vectors[2] = vectors[2], vectors[1]
+            return _triangular_flag(vectors, order)
+
+        monkeypatch.setattr(certificates_module, "_triangular_flag", swapping)
+        for k, d in ((2, 3), (2, 4), (4, 5)):
+            with pytest.raises(ValueError, match="breaks the unit triangle"):
+                verify_smooth_chart(k, d)
+
+    def test_flags_run_no_elimination_for_independence(self, monkeypatch):
+        def no_init(self, vectors):
+            raise AssertionError("Flag.__init__ ran")
+
+        monkeypatch.setattr(exactlin_module.Flag, "__init__", no_init)
+        assert verify_smooth_chart(3, 4)["verdict"] == "pass"
+        assert verify_curve_membership((1, 1, 1, 2, 1, 1))
+
+
+class TestSharedZeros:
+    """Zeros the families build by structure are the shared zero of ``exactlin``."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_chart_flag_zeros(self, k):
+        for d in range(3, k + 3):
+            for ps in chart_tuples(k):
+                zeros = [x for v in phi_map(k, d, ps).vectors for x in v if not x]
+                assert zeros and all(x is _ZERO for x in zeros)
+
+    def test_family_matrix_cells_outside_the_family(self):
+        for t in ((1, 2, 3, 4, 5, 6), (0,) * 6):
+            entries = f_entries(tuple(Fraction(x) for x in t))
+            for diagonal in (0, 1):
+                rows = _matrix_7x7(entries, diagonal).rows
+                for i in range(7):
+                    for j in range(7):
+                        if (i + 1, j + 1) not in entries and not (diagonal and i == j):
+                            assert rows[i][j] is _ZERO
+
+    def test_shift_padding(self):
+        v = tuple(Fraction(x) for x in (1, 2, 3, 4, 0))
+        shifted = _w_power(v, 1)
+        assert shifted == (0, 0, 1, 2, 0)
+        assert shifted[0] is shifted[1] is shifted[4] is _ZERO
 
 
 class TestVerifySmoothChart:

@@ -7,6 +7,8 @@ import pkgutil
 import re
 import shlex
 import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import enumerate_tableaux, parse_tableau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def readme_command_lines():
@@ -291,6 +294,93 @@ class TestErrorPaths:
         code, payload, _ = run(capsys, "restrict", "5", "2", "1,2/3")
         assert code == 1 and "error" in payload
         assert "out of range" in payload["error"]
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write and flush raises BrokenPipeError.
+
+    It owns a real descriptor, on a file, so that ``main`` can point it at
+    os.devnull the way it does for the process's own stdout.
+    """
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def is_devnull(fd):
+    here, null = os.fstat(fd), os.stat(os.devnull)
+    return (here.st_dev, here.st_ino) == (null.st_dev, null.st_ino)
+
+
+CLOSED_NOTE = ": stdout closed before the output was written\n"
+
+
+class TestClosedStdout:
+    """A closed stdout exits 1 with a note and no traceback; help keeps argparse's exit 0."""
+
+    @pytest.mark.parametrize(
+        "argv", [("dim", "3,2"), ("verify-q", "2"), ("--report", "enumerate", "3,2"), ("--help",)]
+    )
+    def test_exit_code_without_traceback(self, argv, tmp_path, monkeypatch, capsys):
+        stdout = ClosedStdout(tmp_path / "out")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            code = main(list(argv))
+            assert stdout.writes > 0
+            # what is still buffered can be flushed at exit without an error
+            assert is_devnull(stdout.fd)
+        finally:
+            os.close(stdout.fd)
+        err = capsys.readouterr().err
+        if argv == ("--help",):
+            assert (code, err) == (0, "")
+        else:
+            command = next(a for a in argv if not a.startswith("-"))
+            assert (code, err) == (1, command + CLOSED_NOTE)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dim", "3,2"),
+            ("enumerate", "4,3,2,1"),  # 19 KB, more than one buffer
+            ("--help",),
+        ],
+    )
+    def test_process_with_a_closed_pipe(self, argv, buffered):
+        # the read end is closed before the process starts, so every run meets it
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "springerfiber", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        err = done.stderr.decode()
+        if argv == ("--help",):
+            assert (done.returncode, err) == (0, "")
+        else:
+            assert (done.returncode, err) == (1, argv[0] + CLOSED_NOTE)
 
 
 class TestReportEnvelope:

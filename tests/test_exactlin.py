@@ -13,10 +13,12 @@ from springerfiber.exactlin import (
     Matrix,
     Permutation,
     StabilityError,
+    _ZERO,
     _jordan_type,
     _kernel_dims,
     _preimage_dims,
     _rank_profile,
+    _triangular_flag,
     bilinear_form,
     cell_of,
     cell_prime_of,
@@ -1063,6 +1065,81 @@ class TestShuffles:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def fractions(rows):
+    return [tuple(Fraction(x) for x in row) for row in rows]
+
+
+class TestTriangularFlag:
+    """The unit-triangle proof of independence, and the bases it must reject."""
+
+    def test_accepts_a_unit_triangle_in_any_order(self):
+        order = [2, 0, 1]
+        vectors = fractions([(0, 5, 1), (1, 4, 0), (0, 1, 0)])
+        # in the order 2, 0, 1 the rows read (1, 0, 5), (0, 1, 4), (0, 0, 1)
+        flag = _triangular_flag(vectors, order)
+        assert flag.vectors == tuple(vectors)
+        assert len(gauss_jordan(vectors)[1]) == 3
+        assert _triangular_flag((), ()).n == 0
+
+    @pytest.mark.parametrize(
+        "rows, order",
+        [
+            # dependent: vector 3 = vector 1 + vector 2, and it is 0 at its diagonal
+            ([(1, 0, 0), (1, 1, 0), (2, 1, 0)], [0, 1, 2]),
+            # dependent, with every vector 1 at its diagonal
+            ([(0, 1, 1), (0, 1, 1), (1, 0, 0)], [1, 2, 0]),
+            # independent, but not a triangle in this order
+            ([(1, 0, 0), (1, 0, 1), (0, 1, 0)], [0, 1, 2]),
+            ([(1, 0, 0), (1, 1, 0), (0, 0, 1)], [0, 1, 2]),
+            ([(0, 1), (1, 0)], [0, 1]),
+            # a diagonal entry of 2
+            ([(1, 0, 0), (0, 2, 0), (0, 0, 1)], [0, 1, 2]),
+            # two vectors of a triangle swapped
+            ([(1, 3, 0), (0, 0, 1), (0, 1, 4)], [0, 1, 2]),
+        ],
+        ids=[
+            "dependent",
+            "dependent-unit-diagonal",
+            "not-triangle",
+            "lower-triangle",
+            "anti-diagonal",
+            "diagonal-2",
+            "swapped",
+        ],
+    )
+    def test_rejects(self, rows, order):
+        vectors = fractions(rows)
+        with pytest.raises(ValueError, match="breaks the unit triangle"):
+            _triangular_flag(vectors, order)
+
+    @pytest.mark.parametrize(
+        "rows", [[(1, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 0), (0, 1), (0, 0)]]
+    )
+    def test_rejects_wrong_length(self, rows):
+        with pytest.raises(ValueError, match="^flag needs n vectors of length n$"):
+            _triangular_flag(fractions(rows), range(len(rows)))
+
+    def test_flag_keeps_its_elimination(self, monkeypatch):
+        calls = []
+        profile = exactlin_module._rank_profile
+        monkeypatch.setattr(exactlin_module, "_rank_profile", lambda rows: calls.append(1) or profile(rows))
+        Flag(fractions([(1, 0), (0, 1)]))
+        assert calls == [1]
+        with pytest.raises(ValueError, match="^flag basis is linearly dependent$"):
+            Flag(fractions([(1, 0), (2, 0)]))
+        calls.clear()
+        _triangular_flag(fractions([(1, 0), (0, 1)]), [0, 1])
+        assert calls == []
+
+
+class TestSharedZero:
+    def test_zero_multiple_is_shared(self):
+        a = (Fraction(1), _ZERO, Fraction(-2, 3))
+        for c in (0, Fraction(0), Fraction(1) - Fraction(1)):
+            assert all(x is _ZERO for x in vec_scale(c, a))
+        assert vec_scale(Fraction(2), a)[1] is _ZERO
 
 
 class TestSpecialPermAndFlag:

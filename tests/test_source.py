@@ -1,4 +1,5 @@
-"""The library must parse under the oldest Python that pyproject.toml allows."""
+"""Rules on the library source: it parses under the oldest Python that pyproject.toml
+allows, and writes no zero Fraction but the shared one."""
 
 import ast
 from pathlib import Path
@@ -15,3 +16,37 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def zero_fractions(tree):
+    """Line numbers of ``Fraction(0 ...)`` calls, bar the value of an ``_ZERO = ...`` assignment."""
+    shared = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_ZERO"]
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == 0
+        and id(node) not in shared
+    ]
+
+
+def test_zero_rule_sees_literals():
+    tree = ast.parse("_ZERO = Fraction(0)\nx = Fraction(0)\ny = (Fraction(0, 3), Fraction(1))\n")
+    assert zero_fractions(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_zero_is_the_shared_one(path):
+    # the elimination reads exactlin._ZERO by identity; any other zero
+    # Fraction costs it a conversion, so none is written out
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert zero_fractions(tree) == [], f"{path.name}: use exactlin._ZERO"

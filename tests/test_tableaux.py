@@ -59,6 +59,38 @@ def oracle_restrict(t, i, j):
     return u
 
 
+def oracle_validate_rows(rows):
+    """``_validate_rows`` as one walk over every entry and column pair, in order."""
+    lengths = [len(r) for r in rows]
+    if any(length == 0 for length in lengths):
+        raise ValueError("tableau rows must be nonempty")
+    if any(b > a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"row lengths must be non-increasing, got {lengths}")
+    seen = set()
+    for row in rows:
+        for e in row:
+            if e < 1:
+                raise ValueError(f"entries must be positive, got {e}")
+            if e in seen:
+                raise ValueError(f"duplicate entry {e}")
+            seen.add(e)
+        if any(b <= a for a, b in zip(row, row[1:])):
+            raise ValueError(f"row {row} is not increasing")
+    for upper, lower in zip(rows, rows[1:]):
+        for a, b in zip(upper, lower):
+            if b <= a:
+                raise ValueError(f"column not increasing at {a} over {b}")
+
+
+def validation_message(validate, rows):
+    """The message ``validate`` raises on ``rows``, or None when it accepts them."""
+    try:
+        validate(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def oracle_plain(rows):
     """``Tableau`` as it was built before standardness was read off row ends."""
     rows = tuple(tuple(int(e) for e in row) for row in rows)
@@ -118,6 +150,25 @@ def row_lists(draw):
     return rows
 
 
+@st.composite
+def faulty_rows(draw):
+    """Int rows of a shape with up to four entries replaced, or arbitrary int rows.
+
+    Replacements draw from -1..n+1, so one set of rows can hold a
+    nonpositive entry, a duplicate, a row and a column fault at once.
+    """
+    if draw(st.booleans()):
+        entries = st.integers(min_value=-1, max_value=8)
+        return tuple(map(tuple, draw(st.lists(st.lists(entries, max_size=4), max_size=4))))
+    t = draw(st.sampled_from(enumerate_tableaux(draw(st.sampled_from(SMALL_SHAPES[1:])))))
+    rows = [list(row) for row in t.rows]
+    boxes = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i, j = draw(st.sampled_from(boxes))
+        rows[i][j] = draw(st.integers(min_value=-1, max_value=t.n + 1))
+    return tuple(map(tuple, rows))
+
+
 def brute_force_tableaux(shape):
     """Independent enumeration by filtering permutations (n <= 7 only)."""
     parts = shape.parts
@@ -174,6 +225,30 @@ class TestValidation:
             (StandardTableau, oracle_standard),
         ):
             assert construction(build, rows) == construction(oracle, rows)
+
+    @settings(max_examples=500, deadline=None)
+    @given(faulty_rows())
+    def test_validation_matches_entry_walk(self, rows):
+        # the same verdict and, on rows with several faults, the same first message
+        assert validation_message(_validate_rows, rows) == validation_message(
+            oracle_validate_rows, rows
+        )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((0, 2), (1,)), "entries must be positive, got 0"),
+            (((2, 1), (2,)), "row (2, 1) is not increasing"),
+            (((1, 3), (3, 2)), "duplicate entry 3"),
+            (((1, 3, 2), (0,)), "row (1, 3, 2) is not increasing"),
+            (((2, 3), (1, 0)), "entries must be positive, got 0"),
+            (((2, 5), (1, 4), (3,)), "column not increasing at 2 over 1"),
+            (((3, 4), (5, 1)), "row (5, 1) is not increasing"),
+        ],
+    )
+    def test_first_fault_named(self, rows, message):
+        assert validation_message(_validate_rows, rows) == message
+        assert validation_message(oracle_validate_rows, rows) == message
 
     def test_one_validation_per_tableau(self, monkeypatch):
         calls = []
