@@ -126,11 +126,7 @@ def _cmd_flag_cell(args):
     sigma = _parse(Permutation.parse, args.sigma, "permutation")
     if sigma.n != p.n:
         raise InputError(f"permutation degree {sigma.n} does not match |shape| = {p.n}")
-    basis = (
-        _parse_standard(args.basis)
-        if args.basis
-        else column_superstandard(p)
-    )
+    basis = column_superstandard(p) if args.basis is None else _parse_standard(args.basis)
     if basis.shape != p:
         raise InputError(f"basis tableau shape {basis.shape} does not match {p}")
     try:

@@ -14,10 +14,11 @@ form.  Ranks, the independence of a flag basis, span and fiber membership
 and flag equality read its pairs.  With the coordinates ordered so that
 every power of the operator cuts a leading block of them, one elimination
 of a subspace basis followed by its images decides independence,
-stability and the dimension meeting every power (a Jordan type), and one
-with each flag vector followed by its image shows whether every prefix is
-stable and gives that dimension for every prefix: the cell label is read
-off that table by ``tableaux``.  The coordinate flag of a permutation and
+stability and the pivot coordinates, and one with each flag vector
+followed by its image shows whether every prefix is stable and gives each
+vector's pivot coordinate: a Jordan type counts the pivots by tableau
+column, and ``tableaux`` reads the cell label off the column of each
+vector's pivot coordinate.  The coordinate flag of a permutation and
 the complement flag are independent by construction and skip the
 independence elimination; so do the chart families and the (3,2,2) family
 of :mod:`springerfiber.certificates`, whose bases are unit triangles (1 on
@@ -51,14 +52,14 @@ closed form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
-from .tableaux import StandardTableau, _check_bound, _tableau_from_dims, schuetzenberger
+from .tableaux import StandardTableau, _check_bound, _tableau_from_columns, schuetzenberger
 
 Vector = tuple[Fraction, ...]
 
@@ -273,59 +274,21 @@ def _rank_profile(
     return tuple(pivots), tops
 
 
+def _interleaved_pivots(
+    vs: Sequence[Vector], ws: Sequence[Vector], order: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """The rank profile with the coordinates in ``order`` as rows and v1, w1, v2, w2, .. as columns."""
+    columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
+    rows = list(zip(*columns))
+    return _rank_profile([rows[c] for c in order])[0]
+
+
 def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
-    """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be independent.
+    """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be n independent n-vectors.
 
     By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
     """
-    columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
-    return all(c % 2 == 0 for _, c in _rank_profile(zip(*columns))[0])
-
-
-def _nested_meet_dims(
-    u: NilpotentOperator, vecs: Sequence[Vector], order: Sequence[int], cuts: Sequence[int]
-) -> list[list[int]]:
-    """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs).
-
-    ``vecs`` must be a flag basis; StabilityError unless every prefix is
-    u-stable.  One elimination has the coordinates in ``order`` as rows and
-    each v_i followed by u(v_i) as columns.  By induction on i the first
-    u(v_i) outside span(v_1..v_i) is the first image to take a pivot, so an
-    odd pivot column raises StabilityError; otherwise the columns up to v_i
-    span span(v_1..v_i) and the images take no pivot, so each vector that
-    is no pivot column above row r adds one.
-    """
-    columns = [x for v in vecs for x in (v, u.apply(v))]
-    pairs, _ = _rank_profile([[w[c] for w in columns] for c in order])
-    if any(c % 2 for _, c in pairs):
-        raise StabilityError("flag is not stable under the operator")
-    out = []
-    for r in cuts:
-        pivots = {c // 2 for i, c in pairs if i < r}
-        out.append(list(accumulate((i not in pivots for i in range(len(vecs))), initial=0)))
-    return out
-
-
-def _subspace_meet_dims(
-    u: NilpotentOperator, subspace: Sequence[Vector], order: Sequence[int], cuts: Sequence[int]
-) -> list[int]:
-    """Per cut r: dim(W meet the coordinates zero on order[:r]), W spanned by ``subspace``.
-
-    One elimination has the m basis vectors, then their images u(w), as
-    rows and the coordinates in ``order`` as columns.  ValueError unless m
-    pivots lie in the first m rows (the basis is independent), checked
-    first; StabilityError if an image row takes a pivot (W is not u-stable).
-    Then every pivot lies in a basis row, so W has rank #{pivots with column
-    < r} on order[:r] and the meet has dimension m minus that.
-    """
-    vecs = Matrix(subspace).rows
-    m = len(vecs)
-    pairs, _ = _rank_profile([[w[c] for c in order] for w in vecs + tuple(u.apply(w) for w in vecs)])
-    if sum(i < m for i, _ in pairs) < m:
-        raise ValueError("subspace basis is linearly dependent")
-    if len(pairs) > m:
-        raise StabilityError("subspace is not stable under the operator")
-    return [m - sum(c < r for _, c in pairs) for r in cuts]
+    return all(c % 2 == 0 for _, c in _interleaved_pivots(vs, ws, range(len(vs))))
 
 
 def span_rank(vectors: Sequence[Vector]) -> int:
@@ -363,6 +326,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.images):
+            raise ValueError(f"{i} is outside 1..{len(self.images)}")
         return self.images[i - 1]
 
     def position_of(self, value: int) -> int:
@@ -496,79 +461,88 @@ def jordan_operator(t: StandardTableau) -> NilpotentOperator:
     return NilpotentOperator(t)
 
 
-def _kernel_order(u: NilpotentOperator) -> tuple[list[int], list[int]]:
-    """Coordinates by tableau column, descending, and the cut r_j for j = 1..degree.
+def _kernel_order(u: NilpotentOperator) -> list[int]:
+    """Coordinates by tableau column, descending: ker u^j is zero on a leading block of them."""
+    return sorted(range(u.n), key=lambda i: -u.column[i])
 
-    ker u^j is the subspace zero on order[:r_j].
+
+def _image_order(u: NilpotentOperator) -> list[int]:
+    """Coordinates by boxes to the right, ascending: im u^j is zero on a leading block of them."""
+    return sorted(range(u.n), key=u.boxes_right.__getitem__)
+
+
+def _flag_pivots(u: NilpotentOperator, vecs: Sequence[Vector], order: Sequence[int]) -> list[int]:
+    """The pivot coordinate of each vector of a flag basis whose prefixes are u-stable.
+
+    One elimination has the coordinates in ``order`` as rows and each v_i
+    followed by u(v_i) as columns.  By induction on i the first u(v_i)
+    outside span(v_1..v_i) is the first image to take a pivot, so an odd
+    pivot column raises StabilityError; otherwise the images take no pivot
+    and each v_i takes one, so span(v_1..v_i) meets the coordinates zero on
+    order[:r] in dimension i less the v_1..v_i pivoted in order[:r].
     """
-    order = sorted(range(u.n), key=lambda i: -u.column[i])
-    return order, [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
+    pairs = _interleaved_pivots(vecs, [u.apply(v) for v in vecs], order)
+    if any(c % 2 for _, c in pairs):
+        raise StabilityError("flag is not stable under the operator")
+    return [order[i] for i, _ in pairs]
 
 
-def _image_order(u: NilpotentOperator) -> tuple[list[int], list[int]]:
-    """Coordinates by boxes to the right, ascending, and the cut r_j for j = 0..degree-1.
+def _subspace_pivots(
+    u: NilpotentOperator, subspace: Sequence[Vector], order: Sequence[int]
+) -> list[int]:
+    """The pivot coordinates of the u-stable W spanned by ``subspace``, in ``order``.
 
-    im u^j is the subspace zero on order[:r_j], and r_j is also dim ker u^j:
-    each tableau row of length m gives min(j, m) to both.
+    One elimination has the m basis vectors, then their images u(w), as
+    rows and the coordinates in ``order`` as columns.  ValueError unless m
+    pivots lie in the first m rows (the basis is independent), checked
+    first; StabilityError if an image row takes a pivot (W is not u-stable).
+    Then every pivot lies in a basis row, so W meets the coordinates zero on
+    order[:r] in dimension m less the pivots in order[:r].
     """
-    order = sorted(range(u.n), key=lambda i: u.boxes_right[i])
-    return order, [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
-
-
-def _kernel_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
-    """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree.
-
-    ``vecs`` is a flag basis, and StabilityError is raised unless every
-    prefix is stable (``_nested_meet_dims``).  Row 0 is all zeros.
-    """
-    return [[0] * (len(vecs) + 1)] + _nested_meet_dims(u, vecs, *_kernel_order(u))
-
-
-def _preimage_dims(u: NilpotentOperator, vecs: Sequence[Vector]) -> list[list[int]]:
-    """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree.
-
-    That is dim ker u^j + dim(span meet im u^j), the cut r_j of
-    ``_image_order`` plus the meet; row degree is all n, as u^degree = 0.
-    Stability is checked as in ``_kernel_dims``.
-    """
-    order, cuts = _image_order(u)
-    dims = _nested_meet_dims(u, vecs, order, cuts)
-    return [[r + m for m in row] for r, row in zip(cuts, dims)] + [[u.n] * (len(vecs) + 1)]
-
-
-def _jordan_type(dims: Sequence[int]) -> Partition:
-    """The Jordan type whose column j has dims[j] - dims[j-1] boxes (power-kernel jumps)."""
-    return Partition([b - a for a, b in zip(dims, dims[1:]) if b > a]).conjugate()
+    vecs = Matrix(subspace).rows
+    m = len(vecs)
+    pairs, _ = _rank_profile([[w[c] for c in order] for w in vecs + tuple(u.apply(w) for w in vecs)])
+    if sum(i < m for i, _ in pairs) < m:
+        raise ValueError("subspace basis is linearly dependent")
+    if len(pairs) > m:
+        raise StabilityError("subspace is not stable under the operator")
+    return [order[c] for _, c in pairs]
 
 
 def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type of the operator on a stable subspace.
 
-    One elimination gives dim(W meet ker u^j) for every j; the prefixes of
-    the given basis need not be stable.
+    In the kernel order dim(W meet ker u^j) counts the pivots at coordinates
+    in tableau columns 1..j, so column j has one box per pivot at a column-j
+    coordinate.  The prefixes of the given basis need not be stable.
     """
-    return _jordan_type([0] + _subspace_meet_dims(u, subspace, *_kernel_order(u)))
+    heights = Counter(u.column[c] for c in _subspace_pivots(u, subspace, _kernel_order(u)))
+    return Partition(heights[j] for j in range(1, len(heights) + 1)).conjugate()
 
 
 def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition:
     """Jordan type induced on the quotient by a stable subspace.
 
-    The kernel of the ``j``-th induced power has dimension dim (u^j)^-1(W) - dim W,
-    and dim (u^j)^-1(W) = dim ker u^j + dim(W meet im u^j), as in ``_preimage_dims``.
+    The kernel of the ``j``-th induced power has dimension dim (u^j)^-1(W) - dim W
+    = dim ker u^j + dim(W meet im u^j) - dim W: in the image order, the
+    coordinates with fewer than j boxes to their right less the pivots at
+    them.  So column j has the coordinates with j - 1 boxes to their right,
+    less the pivots there.
     """
-    order, cuts = _image_order(u)
-    meets = _subspace_meet_dims(u, subspace, order, cuts)
-    return _jordan_type([r + m for r, m in zip(cuts, meets)] + [u.n])
+    heights = Counter(u.boxes_right)
+    heights.subtract(u.boxes_right[c] for c in _subspace_pivots(u, subspace, _image_order(u)))
+    return Partition(h for _, h in sorted(heights.items()) if h).conjugate()
 
 
 def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     """The standard tableau whose shape chain is the Jordan types on the flag prefixes.
 
-    One elimination gives the dimensions of every prefix meeting every power
-    kernel and checks that the flag is in the fiber (StabilityError if not);
-    the tableau is read straight off that table.
+    One elimination checks that the flag is in the fiber (StabilityError if
+    not) and gives each vector's pivot coordinate in the kernel order; as in
+    ``restricted_type``, v_i adds a box to the column of its pivot
+    coordinate, and entry i goes there.
     """
-    return _tableau_from_dims(_kernel_dims(u, flag.vectors))
+    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag.vectors, _kernel_order(u))])
 
 
 def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
@@ -582,10 +556,12 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     The quotient types along the flag, read from the top down, grow one box
     at a time; the tableau built from that chain is the evacuation of the
     dual-cell label, so one more evacuation recovers it.  As in ``cell_of``,
-    one elimination gives the preimage table and checks the fiber.
+    one elimination checks the fiber and gives the pivot coordinates, in the
+    image order; as in ``quotient_type``, dropping v_i from the subspace adds
+    a box to column b + 1, b the boxes right of v_i's pivot coordinate.
     """
-    table = _preimage_dims(u, flag.vectors)
-    return schuetzenberger(_tableau_from_dims([row[::-1] for row in table]))
+    pivots = _flag_pivots(u, flag.vectors, _image_order(u))
+    return schuetzenberger(_tableau_from_columns([u.boxes_right[c] + 1 for c in reversed(pivots)]))
 
 
 def bilinear_form(u: NilpotentOperator) -> Permutation:
@@ -633,7 +609,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     if form.n != n:
         raise ValueError("bilinear form size does not match the flag")
     augmented = Matrix(
-        tuple(w[form(c) - 1] for c in range(1, n + 1)) + unit_vector(n, k)
+        tuple(w[g - 1] for g in form.images) + unit_vector(n, k)
         for k, w in enumerate(flag.vectors, start=1)
     )
     reduced, pivots = augmented.rref()
@@ -668,7 +644,7 @@ def jordan_flag(perm: Permutation) -> Flag:
     """Coordinate flag ordering the Jordan basis by a permutation."""
     n = perm.n
     # a Permutation is a bijection of 1..n, so these are the n unit vectors
-    return _independent_flag(tuple(unit_vector(n, perm(i)) for i in range(1, n + 1)))
+    return _independent_flag(tuple(unit_vector(n, i) for i in perm.images))
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
@@ -754,7 +730,7 @@ def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
     """
     n = flag.n
     perm = special_perm(d, n)
-    rows = [[v[perm(j) - 1] for j in range(1, n + 1)] for v in flag.vectors]
+    rows = [[v[j - 1] for j in perm.images] for v in flag.vectors]
     pairs, etas = _rank_profile(rows)
     if pairs != tuple((i, i) for i in range(n)):
         raise ChartError(f"flag lies outside the chart around the special flag ({d})")

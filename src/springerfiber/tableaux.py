@@ -14,10 +14,10 @@ and slides out those below ``i``; it keeps the original entries, and
 entry range lo..hi of a tableau from one helper that rejects gaps.
 Evacuation (Schuetzenberger) is defined by successive slides but computed
 by row insertion, on the original entries of any block of consecutive
-entries.  A chain of diagrams growing one box at a time is turned back into
-its standard tableau from the chain's column heights, by the one read-off
-that ``from_shape_chain`` and the cell labels of
-:mod:`springerfiber.exactlin` share.
+entries.  A standard tableau is read off the columns of its entries 1..n,
+the one read-off that ``from_shape_chain`` (the column that grows at each
+step) and the cell labels of :mod:`springerfiber.exactlin` (the column of
+each flag vector's pivot coordinate) share.
 
 Also provided: enumeration of all standard tableaux of a shape, behind
 the one bound check that the move classes and fiber permutations share,
@@ -106,10 +106,9 @@ class Tableau:
 
     def entry(self, i: int, j: int) -> int:
         """Entry in row ``i``, column ``j`` (both 1-based)."""
-        try:
+        if 1 <= i <= len(self.rows) and 1 <= j <= len(self.rows[i - 1]):
             return self.rows[i - 1][j - 1]
-        except IndexError:
-            raise ValueError(f"no box at ({i},{j})") from None
+        raise ValueError(f"no box at ({i},{j})")
 
     def position_of(self, e: int) -> tuple[int, int]:
         """(row, column), 1-based, of entry ``e``."""
@@ -284,43 +283,43 @@ def shape_chain(t: StandardTableau) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def _tableau_from_dims(table: Sequence[Sequence[int]]) -> StandardTableau:
-    """The standard tableau of a chain of diagrams given by its column heights.
+def _tableau_from_columns(columns: Sequence[int]) -> StandardTableau:
+    """The standard tableau whose entry i sits in column ``columns[i-1]`` (1-based).
 
-    ``table[j][i]`` is the number of boxes of diagram i in its first j
-    columns, so column j of diagram i has height table[j][i] - table[j-1][i],
-    and every height must be 0 at i = 0.  From i - 1 to i exactly one column
-    j must grow, by one box; entry i goes in row (new height - 1), which
-    must hold j entries before it.  By induction the entries up to i then
-    have the table's column heights, so no Partition is built: each diagram
-    is the shape of those entries.  Any other step raises ValueError.
+    Entry i goes below the entries already in its column j, and that row
+    must then hold j - 1 entries, so the entries up to i always fill a
+    diagram; any other column raises ValueError.
     """
-    heights = [[b - a for a, b in zip(lower, upper)] for lower, upper in zip(table, table[1:])]
-    if any(h[0] for h in heights):
-        raise ValueError("chain must start with the empty diagram")
+    heights: dict[int, int] = {}
     rows: list[list[int]] = []
-    for i in range(1, len(table[0])):
-        grown = [j for j, h in enumerate(heights) if h[i] != h[i - 1]]
-        if len(grown) != 1 or heights[grown[0]][i] != heights[grown[0]][i - 1] + 1:
-            raise ValueError(f"step {i} of chain does not add a single box")
-        j = grown[0]
-        r = heights[j][i] - 1
+    for i, j in enumerate(columns, start=1):
+        r = heights.get(j, 0)
         if r == len(rows):
             rows.append([])
-        if len(rows[r]) != j:
+        if len(rows[r]) != j - 1:
             raise ValueError(f"step {i} of chain does not add a single box")
         rows[r].append(i)
+        heights[j] = r + 1
     return StandardTableau(rows)
 
 
 def from_shape_chain(diagrams: Sequence[Partition]) -> StandardTableau:
-    """Rebuild the standard tableau from a chain of diagrams growing one box at a time."""
-    if not diagrams:
+    """Rebuild the standard tableau from a chain of diagrams growing one box at a time.
+
+    Each step must lengthen exactly one row by one box; the new length is
+    the column that grows, and ``_tableau_from_columns`` places the entry.
+    """
+    if not diagrams or diagrams[0].parts:
         raise ValueError("chain must start with the empty diagram")
-    width = max(p.parts[0] if p.parts else 0 for p in diagrams)
-    return _tableau_from_dims(
-        [[sum(min(part, j) for part in p.parts) for p in diagrams] for j in range(width + 1)]
-    )
+    columns = []
+    for i, (old, new) in enumerate(zip(diagrams, diagrams[1:]), start=1):
+        a, b = old.parts, new.parts
+        a += (0,) * (len(b) - len(a))
+        grown = [r for r, (x, y) in enumerate(zip(a, b)) if x != y]
+        if len(a) != len(b) or len(grown) != 1 or b[grown[0]] != a[grown[0]] + 1:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        columns.append(b[grown[0]])
+    return _tableau_from_columns(columns)
 
 
 def schuetzenberger(t: StandardTableau) -> StandardTableau:

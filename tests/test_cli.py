@@ -278,6 +278,13 @@ class TestErrorPaths:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["does-not-exist"]) == 2
 
+    @pytest.mark.parametrize("basis", ["", " "])
+    def test_flag_cell_empty_basis_exit_2(self, capsys, basis):
+        # an explicit empty basis is the empty tableau, not the default basis
+        code, payload, err = run(capsys, "flag-cell", "2,1", "1,2,3", "--basis", basis)
+        assert code == 2 and payload is None
+        assert "basis tableau shape  does not match 2,1" in err
+
     def test_flag_cell_outside_fiber_exit_2(self, capsys):
         # over the basis 1,4/2,5/3 the line e4 is not stable: u e4 = e1
         code, payload, err = run(capsys, "flag-cell", "2,2,1", "4,1,2,3,5")
@@ -552,7 +559,20 @@ class TestReadmeLayout:
         assert resolves(name), f"README layout names {name!r}, which the package does not define"
 
     @pytest.mark.parametrize(
-        "name", ["chart_flag", "truncate", "_stable_basis", "_phi_flag", "Matrix.transpose"]
+        "name",
+        [
+            "chart_flag",
+            "truncate",
+            "_stable_basis",
+            "_phi_flag",
+            "Matrix.transpose",
+            "_nested_meet_dims",
+            "_subspace_meet_dims",
+            "_kernel_dims",
+            "_preimage_dims",
+            "_jordan_type",
+            "_tableau_from_dims",
+        ],
     )
     def test_stale_names_do_not_resolve(self, name):
         assert not resolves(name)

@@ -14,9 +14,6 @@ from springerfiber.exactlin import (
     Permutation,
     StabilityError,
     _ZERO,
-    _jordan_type,
-    _kernel_dims,
-    _preimage_dims,
     _rank_profile,
     _triangular_flag,
     bilinear_form,
@@ -47,7 +44,7 @@ from springerfiber.certificates import phi_map
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
-    _tableau_from_dims,
+    _tableau_from_columns,
     column_superstandard,
     enumerate_tableaux,
     from_shape_chain,
@@ -620,8 +617,8 @@ def chain_tableau(diagrams):
     """The standard tableau of a chain of diagrams, one ``Partition`` step at a time.
 
     Each step compares two partitions row by row.  It shares no code with
-    the column-height read-off behind ``from_shape_chain`` and the cell
-    labels, so the cell oracles below build their tableaux with it.
+    the column read-off behind ``from_shape_chain`` and the cell labels, so
+    the cell oracles below build their tableaux with it.
     """
     if not diagrams or diagrams[0].n != 0:
         raise ValueError("chain must start with the empty diagram")
@@ -767,38 +764,125 @@ class TestWholeFlag:
         assert_matches_prefix_oracles(u, Flag(vectors), tilt)
 
 
-# The chain read-off that one elimination per label replaced: a separate
-# fiber check, then one Partition per prefix through ``chain_tableau``.
+# The meet-dimension tables that the pivot-coordinate read-off replaced: one
+# elimination gives dim(span(v_1..v_i) meet ker u^j), or the preimage
+# dimensions, for every prefix i and power j, and the tableau is read off the
+# column heights of that table.  Kept as oracles for ``cell_of`` and
+# ``cell_prime_of``, with the chain read-off they replaced in turn.
+
+
+def nested_meet_dims(u, vecs, order, cuts):
+    """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs)."""
+    columns = [x for v in vecs for x in (v, u.apply(v))]
+    pairs, _ = _rank_profile([[w[c] for w in columns] for c in order])
+    if any(c % 2 for _, c in pairs):
+        raise StabilityError("flag is not stable under the operator")
+    out = []
+    for r in cuts:
+        pivots = {c // 2 for i, c in pairs if i < r}
+        dims = [0]
+        for i in range(len(vecs)):
+            dims.append(dims[-1] + (i not in pivots))
+        out.append(dims)
+    return out
+
+
+def kernel_dims(u, vecs):
+    """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree."""
+    order = sorted(range(u.n), key=lambda i: -u.column[i])
+    cuts = [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
+    return [[0] * (len(vecs) + 1)] + nested_meet_dims(u, vecs, order, cuts)
+
+
+def preimage_dims(u, vecs):
+    """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree."""
+    order = sorted(range(u.n), key=lambda i: u.boxes_right[i])
+    cuts = [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
+    dims = nested_meet_dims(u, vecs, order, cuts)
+    return [[r + m for m in row] for r, row in zip(cuts, dims)] + [[u.n] * (len(vecs) + 1)]
+
+
+def jordan_type_of_dims(dims):
+    """The Jordan type whose column j has dims[j] - dims[j-1] boxes (power-kernel jumps)."""
+    return Partition([b - a for a, b in zip(dims, dims[1:]) if b > a]).conjugate()
+
+
+def tableau_from_dims(table):
+    """The standard tableau of a chain of diagrams given by its column heights.
+
+    ``table[j][i]`` is the number of boxes of diagram i in its first j
+    columns; from i - 1 to i exactly one column j must grow, by one box,
+    and entry i goes in row (new height - 1), which must hold j entries.
+    """
+    heights = [[b - a for a, b in zip(lower, upper)] for lower, upper in zip(table, table[1:])]
+    if any(h[0] for h in heights):
+        raise ValueError("chain must start with the empty diagram")
+    rows = []
+    for i in range(1, len(table[0])):
+        grown = [j for j, h in enumerate(heights) if h[i] != h[i - 1]]
+        if len(grown) != 1 or heights[grown[0]][i] != heights[grown[0]][i - 1] + 1:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        j = grown[0]
+        r = heights[j][i] - 1
+        if r == len(rows):
+            rows.append([])
+        if len(rows[r]) != j:
+            raise ValueError(f"step {i} of chain does not add a single box")
+        rows[r].append(i)
+    return StandardTableau(rows)
+
+
+def table_cell_of(flag: Flag, u):
+    return tableau_from_dims(kernel_dims(u, flag.vectors))
+
+
+def table_cell_prime_of(flag: Flag, u):
+    table = preimage_dims(u, flag.vectors)
+    return schuetzenberger(tableau_from_dims([row[::-1] for row in table]))
 
 
 def chain_cell_of(flag: Flag, u):
     if not in_springer_fiber(flag, u):
         raise StabilityError("flag is not stable under the operator")
-    return chain_tableau([_jordan_type(dims) for dims in zip(*_kernel_dims(u, flag.vectors))])
+    return chain_tableau([jordan_type_of_dims(dims) for dims in zip(*kernel_dims(u, flag.vectors))])
 
 
 def chain_cell_prime_of(flag: Flag, u):
     if not in_springer_fiber(flag, u):
         raise StabilityError("flag is not stable under the operator")
-    types = [_jordan_type(dims) for dims in zip(*_preimage_dims(u, flag.vectors))]
+    types = [jordan_type_of_dims(dims) for dims in zip(*preimage_dims(u, flag.vectors))]
     return schuetzenberger(chain_tableau(types[::-1]))
 
 
-def assert_matches_chain_read_off(u, flag: Flag) -> None:
-    for fast, slow in ((cell_of, chain_cell_of), (cell_prime_of, chain_cell_prime_of)):
+def assert_matches_table_read_offs(u, flag: Flag) -> None:
+    for fast, slows in (
+        (cell_of, (table_cell_of, chain_cell_of)),
+        (cell_prime_of, (table_cell_prime_of, chain_cell_prime_of)),
+    ):
         try:
-            want = slow(flag, u)
-        except StabilityError:
-            with pytest.raises(StabilityError, match="^flag is not stable under the operator$"):
-                fast(flag, u)
+            got = fast(flag, u)
+        except StabilityError as exc:
+            assert str(exc) == "flag is not stable under the operator"
+            for slow in slows:
+                with pytest.raises(StabilityError):
+                    slow(flag, u)
         else:
-            assert fast(flag, u) == want
+            assert [slow(flag, u) for slow in slows] == [got] * len(slows)
 
 
 def kernel_table(chain):
-    """Row j, entry i: the boxes of diagram i in its first j columns, as ``_kernel_dims`` gives."""
+    """Row j, entry i: the boxes of diagram i in its first j columns, as ``kernel_dims`` gives."""
     width = max((p.parts[0] for p in chain if p.parts), default=0)
     return [[sum(min(part, j) for part in p.parts) for p in chain] for j in range(width + 1)]
+
+
+def column_word(t):
+    """The 1-based column of each entry 1..n of a standard tableau."""
+    columns = [0] * t.n
+    for row in t.rows:
+        for j, e in enumerate(row, start=1):
+            columns[e - 1] = j
+    return columns
 
 
 class TestCellReadOff:
@@ -807,7 +891,7 @@ class TestCellReadOff:
             for shape in partitions_of(n):
                 u = jordan_operator(column_superstandard(shape))
                 for sigma in fiber_permutations(u):
-                    assert_matches_chain_read_off(u, jordan_flag(sigma))
+                    assert_matches_table_read_offs(u, jordan_flag(sigma))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -816,7 +900,7 @@ class TestCellReadOff:
         d = data.draw(st.integers(min_value=3, max_value=k + 2))
         entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
         params = data.draw(st.lists(entry, min_size=k + 2, max_size=k + 2))
-        assert_matches_chain_read_off(special_operator(k), phi_map(k, d, params))
+        assert_matches_table_read_offs(special_operator(k), phi_map(k, d, params))
 
     def test_stable_prefixes_then_an_unstable_one(self):
         # one chain e_4 -> e_3 -> e_2 -> e_1: prefixes 1 and 2 are stable, 3 is not
@@ -830,7 +914,7 @@ class TestCellReadOff:
             vs = flag.vectors
             ranks = [Matrix(vs[:i] + tuple(u.apply(v) for v in vs[:i])).rank() for i in (1, 2, 3)]
             assert ranks == [1, 2, 4]
-            assert_matches_chain_read_off(u, flag)
+            assert_matches_table_read_offs(u, flag)
             for cell in (cell_of, cell_prime_of):
                 with pytest.raises(StabilityError, match="^flag is not stable under the operator$"):
                     cell(flag, u)
@@ -841,24 +925,32 @@ class TestCellReadOff:
                 for t in enumerate_tableaux(shape):
                     chain = shape_chain(t)
                     table = kernel_table(chain)
-                    assert _tableau_from_dims(table) == t
+                    assert tableau_from_dims(table) == t
                     assert from_shape_chain(chain) == t
-                    assert chain_tableau([_jordan_type(d) for d in zip(*table)]) == t
+                    assert chain_tableau([jordan_type_of_dims(d) for d in zip(*table)]) == t
 
+    def test_column_word_round_trip(self):
+        for n in range(8):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    assert _tableau_from_columns(column_word(t)) == t
+
+    # each table is a column word, entry i in column table[i - 1]; the last step is the bad one
     @pytest.mark.parametrize(
         "table",
         [
-            [[0, 0], [1, 1]],  # the first diagram is not empty
-            [[0, 0], [0, 1], [0, 2]],  # two columns grow at once
-            [[0, 0], [0, 2]],  # one column grows by two boxes
-            [[0, 0, 0], [0, 1, 0]],  # a box is taken away
-            [[0, 0], [0, 0], [0, 1]],  # column 2 grows while column 1 is empty
-            [[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 1, 3]],  # (1) to (3) in one step
+            [2],  # column 2 grows while column 1 is empty
+            [1, 3],  # column 3 grows while column 2 is empty
+            [1, 2, 2],  # column 2 grows below a row with no box in column 1
+            [1, 1, 3],  # column 3 before column 2
+            [0],  # there is no column 0
+            [1, 2, 1, 3, 3],  # (3,1) to (3,2) by a box in column 3
         ],
     )
     def test_read_off_rejects_steps_that_add_no_single_box(self, table):
-        with pytest.raises(ValueError, match="empty diagram|does not add a single box"):
-            _tableau_from_dims(table)
+        with pytest.raises(ValueError) as exc:
+            _tableau_from_columns(table)
+        assert str(exc.value) == f"step {len(table)} of chain does not add a single box"
 
     def test_one_elimination_per_cell_label(self, monkeypatch):
         u = special_operator(2)
@@ -1453,3 +1545,10 @@ class TestPermutation:
         assert str(p) == "1,2,5,3,4"
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
+
+    @pytest.mark.parametrize("i", [0, -1, 4, 5])
+    def test_call_outside_1_to_n(self, i):
+        p = Permutation((2, 3, 1))
+        assert [p(j) for j in (1, 2, 3)] == [2, 3, 1]
+        with pytest.raises(ValueError, match=f"^{i} is outside 1..3$"):
+            p(i)

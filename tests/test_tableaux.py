@@ -313,6 +313,22 @@ class TestEnumerate:
             assert str(exc.value) == "enumeration bound exceeded: n=13 > 5"
 
 
+class TestEntry:
+    def test_every_box(self):
+        t = T("1,2,5/3,4/6,7")
+        assert [[t.entry(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(t.rows, 1)] == [
+            list(row) for row in t.rows
+        ]
+
+    @pytest.mark.parametrize(
+        "i, j", [(0, 1), (1, 0), (-1, 1), (1, -1), (0, 0), (4, 1), (1, 4), (2, 3), (3, 3)]
+    )
+    def test_no_box_outside_the_tableau(self, i, j):
+        with pytest.raises(ValueError) as exc:
+            T("1,2,5/3,4/6,7").entry(i, j)
+        assert str(exc.value) == f"no box at ({i},{j})"
+
+
 class TestRowStatistics:
     def test_row_of(self):
         assert T("1,3/2").row_of(2) == 2
