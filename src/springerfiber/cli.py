@@ -128,7 +128,9 @@ def _cmd_flag_cell(args):
         raise InputError(f"permutation degree {sigma.n} does not match |shape| = {p.n}")
     basis = column_superstandard(p) if args.basis is None else _parse_standard(args.basis)
     if basis.shape != p:
-        raise InputError(f"basis tableau shape {basis.shape} does not match {p}")
+        # the empty shape prints as nothing, so it is named "()"
+        got, want = (str(shape) or "()" for shape in (basis.shape, p))
+        raise InputError(f"basis tableau shape {got} does not match {want}")
     try:
         return cell_of(jordan_flag(sigma), jordan_operator(basis)).text(), 0
     except StabilityError as exc:

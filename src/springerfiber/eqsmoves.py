@@ -11,23 +11,28 @@ relate labels of equinonsingular components:
 * the block forms of both, acting on a run of columns that splits off as
   a standard subtableau (both endpoints are cut points).
 
-Each move is one routine on plain row lists holding a run of entries
-lo..hi (C and C⁻¹ here, evacuation in :mod:`springerfiber.tableaux`), so
-it acts on a block's own entries; ``MOVE_KINDS`` is read off the table of
-these routines.  Only ``cut_points`` decides where a tableau splits.  The
-block between two cut points holds exactly the next run of entries in a
-straight shape, so one routine, ``_move``, cuts it out of the rows, moves
-it and puts it back; ``_moves`` runs it on every pair of cut points.
-``block_move``, ``legal_moves``, ``c_move`` and ``c_inverse`` validate
-only the tableaux they return.  One worklist over row tuples,
-``_closure``, serves both class callers: ``eqs_class`` validates each new
-member once, and ``eqs_partition`` partitions all tableaux of a shape
-into classes whose members it takes from the enumeration, which has
-validated them already.  The closure computes each move pair once: C and
-C⁻¹ on the same block undo each other and evacuation is an involution,
-so a tableau reached by a move never tries the reverse move, whose result
-is already found.  For shapes (r,s,1) the ``dist`` statistic is constant
-on every class, which ``dist_class_invariant`` verifies exhaustively.
+Each move is one routine on the rows of a tableau holding a run of
+entries lo..hi (C and C⁻¹ here, evacuation in
+:mod:`springerfiber.tableaux`), which it reads without modifying, so it
+acts on a block's own entries; ``MOVE_KINDS`` is read off the table of
+these routines.  C⁻¹ fails before it copies anything unless hi sits at the
+foot of the last column.  Only ``cut_points`` decides where a tableau
+splits.  The block between two cut points holds exactly the next run of
+entries in a straight shape; ``_cut`` takes it and its lo..hi out of the
+rows and ``_paste`` puts a moved block back.  ``_moves`` cuts each block
+once for all the kinds it tries, and ``_move``, behind ``block_move``,
+runs one kind through the same two helpers.  ``block_move``,
+``legal_moves``, ``c_move`` and ``c_inverse`` validate only the tableaux
+they return.  One worklist over row tuples, ``_closure``, serves both
+class callers: ``eqs_class`` validates each new member once, the only
+runtime check on what the moves produce, and ``eqs_partition``
+partitions all tableaux of a shape into classes whose members it takes
+from the enumeration, which builds them standard by construction and
+validates none.  The closure computes each move pair once: C and C⁻¹ on
+the same block undo each other and evacuation is an involution, so a
+tableau reached by a move never tries the reverse move, whose result is
+already found.  For shapes (r,s,1) the ``dist`` statistic is constant on
+every class, which ``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
 appends ``n`` in the vacated box wherever the slide hole lands, not only
@@ -41,6 +46,7 @@ here and never participates in the class closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .partitions import Partition
 from .tableaux import (
@@ -76,8 +82,9 @@ class MoveLabel:
         return f"{self.kind}[{self.columns[0]},{self.columns[1]}]"
 
 
-def _cyclic(rows: list[list[int]], lo: int, hi: int) -> list[list[int]]:
-    """C on the nonempty rows of a tableau holding exactly lo..hi, consumed."""
+def _cyclic(rows: Sequence[Sequence[int]], lo: int, hi: int) -> list[list[int]]:
+    """C on the nonempty rows of a tableau holding exactly lo..hi."""
+    rows = [list(row) for row in rows]
     j = sum(len(row) == len(rows[0]) for row in rows)
     r, _ = _slide_out(rows)
     if r != j - 1:
@@ -92,18 +99,21 @@ def _cyclic(rows: list[list[int]], lo: int, hi: int) -> list[list[int]]:
     return rows
 
 
-def _cyclic_inverse(rows: list[list[int]], lo: int, hi: int) -> list[list[int]]:
+def _cyclic_inverse(rows: Sequence[Sequence[int]], lo: int, hi: int) -> list[list[int]]:
     """C⁻¹ on the nonempty rows of a tableau holding exactly lo..hi.
 
-    Errors name entries as in the block shifted to 1..size.
+    Applicable when hi, the largest entry, sits at the foot of the last
+    column; that is decided before anything is copied.  Errors name
+    entries as in the block shifted to 1..size.
     """
-    jr = next(r for r, row in enumerate(rows) if row[-1] == hi)
-    if len(rows[jr]) != len(rows[0]):
+    width = len(rows[0])
+    jr = sum(len(row) == width for row in rows) - 1
+    if rows[jr][-1] != hi:
         raise MoveError(
             f"entry {hi - lo + 1} does not close the leading block of equal rows"
         )
     rows = [[e + 1 for e in row] for row in rows]
-    r, c = jr, len(rows[jr]) - 1
+    r, c = jr, width - 1
     while (r, c) != (0, 0):
         left = rows[r][c - 1] if c > 0 else None
         above = rows[r - 1][c] if r > 0 else None
@@ -126,7 +136,7 @@ def c_move(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("cyclic move undefined on the empty tableau")
-    return StandardTableau(_cyclic([list(row) for row in t.rows], 1, t.n))
+    return StandardTableau(_cyclic(t.rows, 1, t.n))
 
 
 def c_inverse(t: StandardTableau) -> StandardTableau:
@@ -138,7 +148,7 @@ def c_inverse(t: StandardTableau) -> StandardTableau:
     """
     if t.n == 0:
         raise MoveError("inverse cyclic move undefined on the empty tableau")
-    return StandardTableau(_cyclic_inverse([list(row) for row in t.rows], 1, t.n))
+    return StandardTableau(_cyclic_inverse(t.rows, 1, t.n))
 
 
 def cut_points(t: StandardTableau) -> tuple[int, ...]:
@@ -172,40 +182,60 @@ MOVE_KINDS = tuple(_BLOCK_MOVES)
 _REVERSE = {"C": "Cinv", "Cinv": "C", "SchBlock": "SchBlock"}
 
 
-def _move(
-    rows: tuple[tuple[int, ...], ...], kind: str, a: int, b: int
-) -> tuple[tuple[int, ...], ...]:
-    """``rows`` after a move on columns a..b; a-1 and b must be cut points.
+def _cut(
+    rows: tuple[tuple[int, ...], ...], a: int, b: int
+) -> tuple[list[tuple[int, ...]], int, int]:
+    """The block of columns a..b, a-1 and b cut points, with its entries lo..hi.
 
-    The block holds the next run of entries lo..hi in a straight shape, and
-    the move keeps its shape, so the rows below it stay as they are.
+    The block holds the next run of entries in a straight shape; no move
+    routine modifies it, so every kind runs on the one cut.
     """
-    block = [list(row[a - 1 : b]) for row in rows if len(row) >= a]
+    block = [row[a - 1 : b] for row in rows if len(row) >= a]
     lo = block[0][0]
-    moved = _BLOCK_MOVES[kind](block, lo, lo + sum(map(len, block)) - 1)
+    return block, lo, lo + sum(map(len, block)) - 1
+
+
+def _paste(
+    rows: tuple[tuple[int, ...], ...], a: int, b: int, moved: list[list[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """``rows`` with the block of columns a..b replaced by the ``moved`` block.
+
+    A move keeps the block's shape, so the rows below it stay as they are.
+    """
     return tuple(
         row[: a - 1] + tuple(middle) + row[b:] for row, middle in zip(rows, moved)
     ) + rows[len(moved) :]
 
 
+def _move(
+    rows: tuple[tuple[int, ...], ...], kind: str, a: int, b: int
+) -> tuple[tuple[int, ...], ...]:
+    """``rows`` after a move on columns a..b; a-1 and b must be cut points."""
+    block, lo, hi = _cut(rows, a, b)
+    return _paste(rows, a, b, _BLOCK_MOVES[kind](block, lo, hi))
+
+
 def _moves(rows: tuple[tuple[int, ...], ...], skip):
     """(kind, a, b, rows) for every applicable move on a block of two or more columns.
 
-    Moves whose label (kind, a, b) is in ``skip`` are not tried.
+    Each block is cut once for all kinds.  Moves whose label (kind, a, b)
+    is in ``skip`` are not tried.
     """
     cps = _cut_points(rows)
     for x, left in enumerate(cps):
+        a = left + 1
         for b in cps[x + 1 :]:
-            if b == left + 1:
+            if b == a:
                 continue
-            for kind in MOVE_KINDS:
-                if (kind, left + 1, b) in skip:
+            block, lo, hi = _cut(rows, a, b)
+            for kind, move in _BLOCK_MOVES.items():
+                if (kind, a, b) in skip:
                     continue
                 try:
-                    moved = _move(rows, kind, left + 1, b)
+                    moved = move(block, lo, hi)
                 except MoveError:
                     continue
-                yield kind, left + 1, b, moved
+                yield kind, a, b, _paste(rows, a, b, moved)
 
 
 def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:

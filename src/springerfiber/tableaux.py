@@ -7,7 +7,11 @@ components of the Springer fiber whose nilpotent has Jordan type lambda.
 
 The workhorse is one in-place jeu-de-taquin slide on a list of rows: it
 removes the entry at (1,1) and reports the box it vacates, so operations
-work on plain rows and validate only the tableau they return.
+work on plain rows and validate only the tableau they return.  Rows that
+are valid by construction skip validation through one private
+constructor, ``_trusted``: the enumeration and the column read-off build
+standard tableaux with it, and ``tableau()`` uses it once it has checked
+its rows.
 ``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
 and slides out those below ``i``; it keeps the original entries, and
 ``standardize`` shifts them back to 1..n.  Both, and ``tau``, take the
@@ -23,14 +27,16 @@ Also provided: enumeration of all standard tableaux of a shape, behind
 the one bound check that the move classes and fiber permutations share,
 the row statistics driving the move calculus in
 :mod:`springerfiber.eqsmoves` (row reader ``row_of``, descent set ``tau``,
-and the ``dist`` statistic of the shapes that ``Partition.is_rs1``
-accepts), concatenation of column blocks, and the named tableau families
-``P(r,s)`` and ``Q(k,k,1)`` that serve as canonical class representatives.
+and the ``dist`` statistic of the shapes (r,s,1), which tests the shape
+from the row lengths and finds its descent in the second row, with no
+descent set), concatenation of column blocks, and the named tableau
+families ``P(r,s)`` and ``Q(k,k,1)`` that serve as canonical class
+representatives.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import lt
 from typing import Iterable, Sequence
@@ -159,14 +165,24 @@ class StandardTableau(Tableau):
             raise ValueError(f"entries must be exactly 1..{self.n}, got {self.entries()}")
 
 
+def _trusted(rows: tuple[tuple[int, ...], ...], cls: type = StandardTableau) -> Tableau:
+    """The ``cls`` tableau of ``rows`` without the validation that ``Tableau`` runs.
+
+    Only for callers that know ``rows`` to be a tuple of int tuples forming a
+    tableau, standard when ``cls`` is ``StandardTableau``; each says why at
+    its call.
+    """
+    t = object.__new__(cls)
+    t.rows = rows
+    return t
+
+
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
     """Validate rows, returning a StandardTableau when the entries are 1..n."""
     rows = tuple(tuple(map(int, row)) for row in rows)
     _validate_rows(rows)
-    # valid rows are standard when their entries are 1..n; no constructor runs again
-    t = object.__new__(StandardTableau if _is_standard(rows) else Tableau)
-    t.rows = rows
-    return t
+    # valid rows are standard when their entries are 1..n
+    return _trusted(rows, StandardTableau if _is_standard(rows) else Tableau)
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -300,7 +316,9 @@ def _tableau_from_columns(columns: Sequence[int]) -> StandardTableau:
             raise ValueError(f"step {i} of chain does not add a single box")
         rows[r].append(i)
         heights[j] = r + 1
-    return StandardTableau(rows)
+    # each entry i went to the end of a row below a longer one, so rows and
+    # columns increase and the entries are 1..n
+    return _trusted(tuple(map(tuple, rows)))
 
 
 def from_shape_chain(diagrams: Sequence[Partition]) -> StandardTableau:
@@ -344,18 +362,35 @@ def tau(t: Tableau) -> frozenset[int]:
     return frozenset(e for e in range(lo, hi) if row_of[e + 1] > row_of[e])
 
 
+def _third_row_descent(t: Tableau) -> tuple[int, int]:
+    """(third-row entry b, largest descent below b - 1) of a tableau of shape (r,s,1).
+
+    The entries below b sit in the first two rows, so such a descent is an
+    entry of the first row followed by the start of a run of consecutive
+    entries in the second; the last run that starts below b gives it.
+    """
+    rows = t.rows
+    if len(rows) != 3 or len(rows[2]) != 1:
+        raise ValueError(f"statistic needs shape (r,s,1), got {t.shape}")
+    _entry_range(t)  # descents are defined on consecutive entries only
+    bottom = rows[2][0]
+    middle = rows[1]
+    # middle[0] lies above the third-row entry, so k >= 0
+    k = bisect_left(middle, bottom) - 1
+    while k and middle[k - 1] == middle[k] - 1:
+        k -= 1
+    return bottom, middle[k] - 1
+
+
 def j_stat(t: StandardTableau) -> int:
     """Largest descent below the third-row entry, for shapes (r,s,1)."""
-    if not t.shape.is_rs1:
-        raise ValueError(f"statistic needs shape (r,s,1), got {t.shape}")
-    bottom = t.entry(3, 1)
-    return max(i for i in tau(t) if i < bottom - 1)
+    return _third_row_descent(t)[1]
 
 
 def dist(t: StandardTableau) -> int:
     """Gap between the third-row entry and the previous descent, for shapes (r,s,1)."""
-    j = j_stat(t)  # checks the shape before the third row is read
-    return t.entry(3, 1) - 1 - j
+    bottom, j = _third_row_descent(t)
+    return bottom - 1 - j
 
 
 def concat(*tabs: Tableau) -> Tableau:
@@ -433,7 +468,8 @@ def enumerate_tableaux(
 
     def place(v: int) -> None:
         if v > shape.n:
-            results.append(StandardTableau([tuple(r) for r in rows]))
+            # each v went to the end of a row shorter than the one above it
+            results.append(_trusted(tuple(map(tuple, rows))))
             return
         for r, target in enumerate(parts):
             filled = len(rows[r])

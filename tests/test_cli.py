@@ -283,7 +283,7 @@ class TestErrorPaths:
         # an explicit empty basis is the empty tableau, not the default basis
         code, payload, err = run(capsys, "flag-cell", "2,1", "1,2,3", "--basis", basis)
         assert code == 2 and payload is None
-        assert "basis tableau shape  does not match 2,1" in err
+        assert "basis tableau shape () does not match 2,1" in err
 
     def test_flag_cell_outside_fiber_exit_2(self, capsys):
         # over the basis 1,4/2,5/3 the line e4 is not stable: u e4 = e1

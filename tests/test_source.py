@@ -1,5 +1,6 @@
 """Rules on the library source: it parses under the oldest Python that pyproject.toml
-allows, and writes no zero Fraction but the shared one."""
+allows, writes no zero Fraction but the shared one, and builds unvalidated
+tableaux only where the rows are valid by construction."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,43 @@ def test_zero_is_the_shared_one(path):
     # Fraction costs it a conversion, so none is written out
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert zero_fractions(tree) == [], f"{path.name}: use exactlin._ZERO"
+
+
+def trusted_uses(tree, name="_trusted"):
+    """Top-level definition (None at module level) of every mention of ``name``."""
+    uses = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            mentioned = (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            )
+            if mentioned:
+                uses.add(getattr(top, "name", None))
+    return uses
+
+
+def test_trusted_rule_sees_every_mention():
+    tree = ast.parse(
+        "from .tableaux import _trusted\n"
+        "def f():\n    return _trusted(())\n"
+        "def g():\n    def h():\n        return tableaux._trusted\n"
+        "def _trusted(rows):\n    pass\n"
+    )
+    assert trusted_uses(tree) == {None, "f", "g"}
+
+
+def test_trusted_tableaux_have_three_builders():
+    # tableaux._trusted skips validation; the validating tableau() and the
+    # two builders whose rows are standard by construction are its only users
+    uses = {
+        (path.name, use)
+        for path in SOURCES
+        for use in trusted_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert uses == {
+        ("tableaux.py", "tableau"),
+        ("tableaux.py", "_tableau_from_columns"),
+        ("tableaux.py", "enumerate_tableaux"),
+    }

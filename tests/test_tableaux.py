@@ -8,6 +8,7 @@ from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
     Tableau,
+    _tableau_from_columns,
     _validate_rows,
     column_superstandard,
     concat,
@@ -57,6 +58,27 @@ def oracle_restrict(t, i, j):
     while u.rows[0][0] < i:
         u, _ = jdt_remove_min(u)
     return u
+
+
+def oracle_j_stat(t):
+    """``j_stat`` read off the shape, the descent set and ``Tableau.entry``."""
+    if not t.shape.is_rs1:
+        raise ValueError(f"statistic needs shape (r,s,1), got {t.shape}")
+    bottom = t.entry(3, 1)
+    return max(i for i in tau(t) if i < bottom - 1)
+
+
+def oracle_dist(t):
+    j = oracle_j_stat(t)
+    return t.entry(3, 1) - 1 - j
+
+
+def outcome(stat, t):
+    """``stat(t)``, or the message of the ValueError it raises."""
+    try:
+        return stat(t)
+    except ValueError as exc:
+        return str(exc)
 
 
 def oracle_validate_rows(rows):
@@ -167,6 +189,23 @@ def faulty_rows(draw):
         i, j = draw(st.sampled_from(boxes))
         rows[i][j] = draw(st.integers(min_value=-1, max_value=t.n + 1))
     return tuple(map(tuple, rows))
+
+
+@st.composite
+def column_words(draw):
+    """(word, True) for the column word of a standard tableau grown box by box,
+    or (word, False) for an arbitrary word of small columns."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(min_value=-1, max_value=4), max_size=10)), False
+    lengths, word = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        below = lengths + [0]
+        r = draw(st.sampled_from([r for r in range(len(below)) if r == 0 or below[r - 1] > below[r]]))
+        if r == len(lengths):
+            lengths.append(0)
+        lengths[r] += 1
+        word.append(lengths[r])
+    return word, True
 
 
 def brute_force_tableaux(shape):
@@ -313,6 +352,34 @@ class TestEnumerate:
             assert str(exc.value) == "enumeration bound exceeded: n=13 > 5"
 
 
+class TestTrustedBuilds:
+    def test_every_enumerated_tableau_up_to_nine_boxes(self):
+        # the enumeration builds its tableaux without validating them
+        for n in range(10):
+            for shape in partitions_of(n):
+                tabs = enumerate_tableaux(shape)
+                assert len(tabs) == len(set(tabs)) == shape.count_tableaux(), shape
+                for t in tabs:
+                    _validate_rows(t.rows)
+                    assert type(t) is StandardTableau and t == StandardTableau(t.rows)
+                    assert t.shape == shape and t.entries() == tuple(range(1, n + 1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(column_words())
+    def test_read_off_builds_valid_tableaux(self, drawn):
+        # the read-off builds its tableau without validating it
+        word, valid = drawn
+        try:
+            t = _tableau_from_columns(word)
+        except ValueError:
+            assert not valid
+            return
+        _validate_rows(t.rows)
+        assert type(t) is StandardTableau and t == StandardTableau(t.rows)
+        columns = {e: j for row in t.rows for j, e in enumerate(row, start=1)}
+        assert [columns[i] for i in range(1, t.n + 1)] == word
+
+
 class TestEntry:
     def test_every_box(self):
         t = T("1,2,5/3,4/6,7")
@@ -377,6 +444,28 @@ class TestRowStatistics:
         assert dist(rep) == 1
         for k in range(1, 5):
             assert dist(make_Q(k)) == k
+
+    def test_dist_matches_descent_set_oracle(self):
+        for r in range(1, 10):
+            for s in range(1, min(r, 10 - r) + 1):
+                for t in enumerate_tableaux(Partition((r, s, 1))):
+                    assert (j_stat(t), dist(t)) == (oracle_j_stat(t), oracle_dist(t)), t
+
+    def test_dist_errors_match_descent_set_oracle(self):
+        # other shapes, and (r,s,1) tableaux whose entries start above 1 or
+        # have a gap
+        cases = [
+            t
+            for n in range(8)
+            for shape in partitions_of(n)
+            for t in enumerate_tableaux(shape)
+        ]
+        for t in enumerate_tableaux(Partition((3, 2, 1))):
+            cases.append(tableau(tuple(e + 2 for e in row) for row in t.rows))
+            cases.append(tableau(tuple(e + (e > 3) for e in row) for row in t.rows))
+        for t in cases:
+            for stat, oracle in ((j_stat, oracle_j_stat), (dist, oracle_dist)):
+                assert outcome(stat, t) == outcome(oracle, t), t
 
     def test_dist_allows_second_row_longer_than_one(self):
         t = T("1,3/2,4/5")
