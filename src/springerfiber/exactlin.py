@@ -6,28 +6,36 @@ and membership answers are exact.  Vectors are plain tuples used as
 columns by operators and as rows by spans; sums and multiples leave zero
 entries as they are, and coordinate vectors share one zero and one one.
 One elimination routine serves every question, and it does no arithmetic
-on zeros: most of the matrices are 0/1 coordinate flags.  ``_rank_profile``
-is fraction-free integer elimination that updates only the rows nonzero in
-the pivot column and scales the others lazily; it returns the (row, column)
-pivot pairs and each pivot row as it stands when chosen, an integer echelon
-form.  Ranks, the independence of a flag basis, span and fiber membership
-and flag equality read its pairs.  With the coordinates ordered so that
-every power of the operator cuts a leading block of them, one elimination
-of a subspace basis followed by its images decides independence,
-stability and the pivot coordinates, and one with each flag vector
-followed by its image shows whether every prefix is stable and gives each
-vector's pivot coordinate: a Jordan type counts the pivots by tableau
-column, and ``tableaux`` reads the cell label off the column of each
-vector's pivot coordinate.  The coordinate flag of a permutation and
-the complement flag are independent by construction and skip the
-independence elimination; so do the chart families and the (3,2,2) family
-of :mod:`springerfiber.certificates`, whose bases are unit triangles (1 on
-a diagonal, 0 before it, in the special permutation's coordinate order or
-in plain order): checking that triangle proves independence exactly, as
-its determinant is 1, and any other basis raises ValueError.  Every other
-``Flag`` runs the elimination.  ``Matrix.rref`` back-substitutes the echelon
-rows over ``Fraction`` (kernels and the complement flag's inverse), and
-chart coordinates are ratios of their entries.
+on zeros: most of the matrices are 0/1 coordinate flags.  ``_bareiss`` is
+fraction-free elimination of integer rows that updates only the rows
+nonzero in the pivot column and scales the others lazily; it returns the
+(row, column) pivot pairs and each pivot row as it stands when chosen, an
+integer echelon form.  ``_integer_rows`` is the one boundary from
+``Fraction`` to integers: it scales each row by the lcm of its
+denominators, which keeps the rank profile, and returns the scales;
+``_rank_profile`` is the two in turn.  Ranks, the independence of a flag
+basis, span membership and chart coordinates read its pairs.  With the
+coordinates ordered so that every power of the operator cuts a leading
+block of them, one elimination of a subspace basis followed by its images
+decides independence, stability and the pivot coordinates.  The flag
+questions scale each flag vector once instead, as a column: the operator
+is an index map, so the image of s v is s u(v), read off the integers,
+and one elimination with each scaled vector followed by its image shows
+whether every prefix is stable and gives each vector's pivot coordinate:
+a Jordan type counts the pivots by tableau column, and ``tableaux`` reads
+the cell label off the column of each vector's pivot coordinate.  Flag
+equality scales both bases the same way.  The coordinate flag of a
+permutation and the complement flag are independent by construction and
+skip the independence elimination; so do the chart families and the
+(3,2,2) family of :mod:`springerfiber.certificates`, whose bases are unit
+triangles (1 on a diagonal, 0 before it, in the special permutation's
+coordinate order or in plain order): checking that triangle proves
+independence exactly, as its determinant is 1, and any other basis raises
+ValueError.  Every other ``Flag`` runs the elimination.  ``_reduced``
+back-substitutes the echelon rows over ``Fraction``: ``Matrix.rref``
+(kernels) and the complement flag, whose integer rows [s_k P_k | s_k e_k]
+``perp_flag`` builds from the scaled flag vectors, with no ``Matrix``
+around them.  Chart coordinates are ratios of echelon entries.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -142,33 +150,8 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-        """Reduced row echelon form: (nonzero rows, pivot column indices).
-
-        Back substitution over ``Fraction`` on the integer echelon rows of
-        ``_rank_profile``, from the last pivot up: for the echelon row E with
-        pivot p and the reduced rows R_j below it, with pivot columns c_j,
-        the reduced row is (E - sum of E[c_j] R_j) / p, because each R_j is 1
-        at c_j and 0 at the other pivot columns.  E is divided only where it
-        is nonzero, and not at all when p is 1; a term is taken off only when
-        E[c_j] is nonzero, and only where R_j is nonzero.
-        """
-        pairs, tops = _rank_profile(self.rows)
-        pivots = tuple(c for _, c in pairs)
-        # reduced rows from the last pivot up, with their pivot columns
-        done: list[tuple[list[Fraction], int]] = []
-        for top, c in zip(reversed(tops), reversed(pivots)):
-            p = top[c]
-            if p == 1:
-                row = [(_ONE if x == 1 else Fraction(x)) if x else _ZERO for x in top]
-            else:
-                row = [Fraction(x, p) if x else _ZERO for x in top]
-            for below, d in done:
-                f = top[d]
-                if f:
-                    f = Fraction(f, p)
-                    row = [a - f * b if b else a for a, b in zip(row, below)]
-            done.append((row, c))
-        return tuple(tuple(row) for row, _ in reversed(done)), pivots
+        """Reduced row echelon form: (nonzero rows, pivot column indices)."""
+        return _reduced(*_rank_profile(self.rows))
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
@@ -202,20 +185,51 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and that lcm: the ``Fraction`` to integer boundary.
+
+    The shared zero is read without a call, and a row whose lcm is 1 is
+    taken as its numerators.  Scaling a row by a nonzero number keeps its
+    zero pattern and every column dependency; scaling a column keeps every
+    row dependency.  Either way the rank profile is unchanged.
+    """
+    out, scales = [], []
+    for row in rows:
+        ratios = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in row]
+        scale = lcm(*[d for _, d in ratios])
+        if scale == 1:
+            out.append([a for a, _ in ratios])
+        else:
+            out.append([a * (scale // d) for a, d in ratios])
+        scales.append(scale)
+    return out, scales
+
+
 def _rank_profile(
     rows: Iterable[Sequence[Fraction]],
 ) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
-    """Fraction-free elimination: the (row, column) pivots in column order, and the pivot rows.
+    """``_bareiss`` on the rows scaled to integers by ``_integer_rows``.
 
-    Scaling each row to integers by the lcm of its denominators keeps every
-    column dependency; the shared zero is read without a call, and a row
-    whose lcm is 1 is taken as its numerators.  Bareiss elimination then runs in column order: a
-    column where some remaining row is nonzero is a pivot, the topmost such
-    row leaves, and with p_0 = 1 and p_s the s-th pivot, step s + 1 turns
-    every remaining row into (pivot * row - entry * pivot row) / p_s.  By
-    Sylvester's identity each entry is a minor of the scaled matrix, so the
-    division is exact and no ``Fraction`` is built.  The columns are the
-    pivot columns of the RREF.
+    For the callers with ``Fraction`` rows: ``Matrix``, ``Flag``, subspace
+    types and chart coordinates.  The flag questions scale each flag vector
+    once instead, as a column, and read its image off the integers, and
+    ``perp_flag`` builds its integer rows [s_k P_k | s_k e_k] itself; both
+    call ``_bareiss`` directly.
+    """
+    return _bareiss(_integer_rows(rows)[0])
+
+
+def _bareiss(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+    """Fraction-free elimination of integer rows: the (row, column) pivots in column order, and the pivot rows.
+
+    Bareiss elimination runs in column order: a column where some remaining
+    row is nonzero is a pivot, the topmost such row leaves, and with p_0 = 1
+    and p_s the s-th pivot, step s + 1 turns every remaining row into
+    (pivot * row - entry * pivot row) / p_s.  By Sylvester's identity each
+    entry is a minor of the matrix, so the division is exact and no
+    ``Fraction`` is built.  The columns are the pivot columns of the RREF.
 
     The rows are kept full width and only those nonzero in the pivot column
     are updated.  A row that is 0 there would just be scaled by p_{s+1} / p_s,
@@ -235,16 +249,9 @@ def _rank_profile(
     ``rows`` (Bareiss 1968): the s-th is zero left of the s-th pivot column,
     nonzero at it, and a combination of the rows up to its own index.
     """
-    rest = []
-    for i, row in enumerate(rows):
-        ratios = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in row]
-        scale = lcm(*[d for _, d in ratios])
-        if scale == 1:
-            rest.append((i, 0, [a for a, _ in ratios]))
-        else:
-            rest.append((i, 0, [a * (scale // d) for a, d in ratios]))
     # ``rest`` holds the rows not yet used as pivots as (index in ``rows``,
     # pivots seen t, entries at step t); ``scales`` is p_0 = 1, p_1, .., p_s
+    rest = [(i, 0, row) for i, row in enumerate(rows)]
     scales = [1]
     pivots: list[tuple[int, int]] = []
     tops: list[list[int]] = []
@@ -274,17 +281,52 @@ def _rank_profile(
     return tuple(pivots), tops
 
 
+def _reduced(
+    pairs: Sequence[tuple[int, int]], tops: Sequence[Sequence[int]]
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form, (nonzero rows, pivot columns), from ``_bareiss`` output.
+
+    Back substitution over ``Fraction`` on the integer echelon rows, from
+    the last pivot up: for the echelon row E with pivot p and the reduced
+    rows R_j below it, with pivot columns c_j, the reduced row is
+    (E - sum of E[c_j] R_j) / p, because each R_j is 1 at c_j and 0 at the
+    other pivot columns.  E is divided only where it is nonzero, and not at
+    all when p is 1; a term is taken off only when E[c_j] is nonzero, and
+    only where R_j is nonzero.
+    """
+    pivots = tuple(c for _, c in pairs)
+    # reduced rows from the last pivot up, with their pivot columns
+    done: list[tuple[list[Fraction], int]] = []
+    for top, c in zip(reversed(tops), reversed(pivots)):
+        p = top[c]
+        if p == 1:
+            row = [(_ONE if x == 1 else Fraction(x)) if x else _ZERO for x in top]
+        else:
+            row = [Fraction(x, p) if x else _ZERO for x in top]
+        for below, d in done:
+            f = top[d]
+            if f:
+                f = Fraction(f, p)
+                row = [a - f * b if b else a for a, b in zip(row, below)]
+        done.append((row, c))
+    return tuple(tuple(row) for row, _ in reversed(done)), pivots
+
+
 def _interleaved_pivots(
-    vs: Sequence[Vector], ws: Sequence[Vector], order: Sequence[int]
+    vs: Sequence[Sequence[int]], ws: Sequence[Sequence[int]], order: Sequence[int]
 ) -> tuple[tuple[int, int], ...]:
-    """The rank profile with the coordinates in ``order`` as rows and v1, w1, v2, w2, .. as columns."""
+    """The rank profile with the coordinates in ``order`` as rows and v1, w1, v2, w2, .. as columns.
+
+    The vectors are integer; scaling a column keeps the rank profile, so
+    each may be any nonzero multiple of a ``Fraction`` vector.
+    """
     columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
     rows = list(zip(*columns))
-    return _rank_profile([rows[c] for c in order])[0]
+    return _bareiss([rows[c] for c in order])[0]
 
 
-def _within_prefixes(vs: Sequence[Vector], ws: Sequence[Vector]) -> bool:
-    """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be n independent n-vectors.
+def _within_prefixes(vs: Sequence[Sequence[int]], ws: Sequence[Sequence[int]]) -> bool:
+    """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be n independent integer n-vectors.
 
     By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
     """
@@ -372,7 +414,9 @@ class Flag:
 
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases."""
-        return self.n == other.n and _within_prefixes(self.vectors, other.vectors)
+        return self.n == other.n and _within_prefixes(
+            _integer_rows(self.vectors)[0], _integer_rows(other.vectors)[0]
+        )
 
     def __repr__(self) -> str:
         return f"Flag(n={self.n})"
@@ -471,17 +515,30 @@ def _image_order(u: NilpotentOperator) -> list[int]:
     return sorted(range(u.n), key=u.boxes_right.__getitem__)
 
 
-def _flag_pivots(u: NilpotentOperator, vecs: Sequence[Vector], order: Sequence[int]) -> list[int]:
+def _scaled_with_images(u: NilpotentOperator, flag: Flag) -> tuple[list[list[int]], list[list[int]]]:
+    """Each flag vector scaled once to integers, s_i v_i, and its image u(s_i v_i).
+
+    u is an index map, so u(s v) = s u(v) is read off the scaled entries
+    with no arithmetic.  ValueError unless the flag and u have one size.
+    """
+    if flag.n != u.n:
+        raise ValueError("vector length does not match")
+    scaled = _integer_rows(flag.vectors)[0]
+    return scaled, [[0 if r is None else v[r] for r in u.right] for v in scaled]
+
+
+def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list[int]:
     """The pivot coordinate of each vector of a flag basis whose prefixes are u-stable.
 
     One elimination has the coordinates in ``order`` as rows and each v_i
-    followed by u(v_i) as columns.  By induction on i the first u(v_i)
+    followed by u(v_i) as columns, each pair scaled to integers by one
+    factor, which keeps the rank profile.  By induction on i the first u(v_i)
     outside span(v_1..v_i) is the first image to take a pivot, so an odd
     pivot column raises StabilityError; otherwise the images take no pivot
     and each v_i takes one, so span(v_1..v_i) meets the coordinates zero on
     order[:r] in dimension i less the v_1..v_i pivoted in order[:r].
     """
-    pairs = _interleaved_pivots(vecs, [u.apply(v) for v in vecs], order)
+    pairs = _interleaved_pivots(*_scaled_with_images(u, flag), order)
     if any(c % 2 for _, c in pairs):
         raise StabilityError("flag is not stable under the operator")
     return [order[i] for i, _ in pairs]
@@ -542,7 +599,7 @@ def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     ``restricted_type``, v_i adds a box to the column of its pivot
     coordinate, and entry i goes there.
     """
-    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag.vectors, _kernel_order(u))])
+    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag, _kernel_order(u))])
 
 
 def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
@@ -560,7 +617,7 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     image order; as in ``quotient_type``, dropping v_i from the subspace adds
     a box to column b + 1, b the boxes right of v_i's pivot coordinate.
     """
-    pivots = _flag_pivots(u, flag.vectors, _image_order(u))
+    pivots = _flag_pivots(u, flag, _image_order(u))
     return schuetzenberger(_tableau_from_columns([u.boxes_right[c] + 1 for c in reversed(pivots)]))
 
 
@@ -603,16 +660,20 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     P is flag vector k permuted by it (entry c is w[g(c)]).  Reducing
     [P | I] gives [I | P^-1], whose column k pairs to 1 with flag vector k
     and to 0 with the others, so its last j columns span the complement of
-    the (n-j)-prefix.
+    the (n-j)-prefix.  Row k is eliminated as the integer row
+    [s_k P_k | s_k e_k], s_k the lcm of the denominators of flag vector k,
+    which has the same reduced form.
     """
     n = flag.n
     if form.n != n:
         raise ValueError("bilinear form size does not match the flag")
-    augmented = Matrix(
-        tuple(w[g - 1] for g in form.images) + unit_vector(n, k)
-        for k, w in enumerate(flag.vectors, start=1)
-    )
-    reduced, pivots = augmented.rref()
+    scaled, scales = _integer_rows(flag.vectors)
+    zeros = [0] * n
+    augmented = [
+        [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
+        for k, (v, s) in enumerate(zip(scaled, scales))
+    ]
+    reduced, pivots = _reduced(*_bareiss(augmented))
     if pivots != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
     # pivots 0..n-1 make P invertible, so the columns of P^-1 are independent
@@ -622,7 +683,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
     """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i)."""
-    return _within_prefixes(flag.vectors, [u.apply(v) for v in flag.vectors])
+    return _within_prefixes(*_scaled_with_images(u, flag))
 
 
 def special_basis_tableau(k: int) -> StandardTableau:

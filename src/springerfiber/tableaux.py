@@ -9,19 +9,20 @@ The workhorse is one in-place jeu-de-taquin slide on a list of rows: it
 removes the entry at (1,1) and reports the box it vacates, so operations
 work on plain rows and validate only the tableau they return.  Rows that
 are valid by construction skip validation through one private
-constructor, ``_trusted``: the enumeration and the column read-off build
-standard tableaux with it, and ``tableau()`` uses it once it has checked
-its rows.
+constructor, ``_trusted``: the enumeration, the column read-off and
+evacuation build standard tableaux with it, and ``tableau()`` uses it once
+it has checked its rows.
 ``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
 and slides out those below ``i``; it keeps the original entries, and
 ``standardize`` shifts them back to 1..n.  Both, and ``tau``, take the
 entry range lo..hi of a tableau from one helper that rejects gaps.
 Evacuation (Schuetzenberger) is defined by successive slides but computed
 by row insertion, on the original entries of any block of consecutive
-entries.  A standard tableau is read off the columns of its entries 1..n,
-the one read-off that ``from_shape_chain`` (the column that grows at each
-step) and the cell labels of :mod:`springerfiber.exactlin` (the column of
-each flag vector's pivot coordinate) share.
+entries; on the entries 1..n insertion builds a standard tableau.  A
+standard tableau is read off the columns of its entries 1..n, the one
+read-off that ``from_shape_chain`` (the column that grows at each step)
+and the cell labels of :mod:`springerfiber.exactlin` (the column of each
+flag vector's pivot coordinate) share.
 
 Also provided: enumeration of all standard tableaux of a shape, behind
 the one bound check that the move classes and fiber permutations share,
@@ -348,7 +349,10 @@ def schuetzenberger(t: StandardTableau) -> StandardTableau:
     ``n-k+1`` there.  It is computed by row insertion of the reversed and
     complemented row reading word instead (Schuetzenberger's theorem).
     """
-    return StandardTableau(_evacuate(t.rows, 1, t.n))
+    if not _is_standard(t.rows):
+        raise ValueError(f"entries must be exactly 1..{t.n}, got {t.entries()}")
+    # row insertion of the distinct entries 1..n builds a standard tableau
+    return _trusted(tuple(map(tuple, _evacuate(t.rows, 1, t.n))))
 
 
 def tau(t: Tableau) -> frozenset[int]:

@@ -254,10 +254,11 @@ class TestRowLevelMovesMatchOracle:
         t = T("1,2,4/3,6,8/5,7,10/9,11")
         calls = count_validations(monkeypatch)
         c_inverse(c_move(t))
+        # evacuation builds a standard tableau by row insertion, unvalidated
         schuetzenberger(t)
-        assert len(calls) == 3
+        assert len(calls) == 2
         # failed moves raise before building anything
-        assert len(legal_moves(t)) == len(calls) - 3 > 0
+        assert len(legal_moves(t)) == len(calls) - 2 > 0
         # the closure validates each member once, the given tableau never
         calls.clear()
         size = eqs_class(t).size

@@ -956,12 +956,14 @@ class TestCellReadOff:
         u = special_operator(2)
         dense = phi_map(2, 3, (1, Fraction(1, 2), 3, -2))
         calls = []
+        core = exactlin_module._bareiss
 
         def counting(rows):
             calls.append(1)
-            return _rank_profile(rows)
+            return core(rows)
 
-        monkeypatch.setattr(exactlin_module, "_rank_profile", counting)
+        # every elimination, from Fraction or from integer rows, runs the integer core
+        monkeypatch.setattr(exactlin_module, "_bareiss", counting)
         flag = jordan_flag(Permutation((1, 2, 5, 3, 4)))
         assert calls == []
         for f in (flag, dense):
@@ -977,6 +979,98 @@ class TestCellReadOff:
                 calls.clear()
                 subspace_type(u, f.vectors[:3])
                 assert len(calls) == 1
+
+
+def fraction_flag_pivots(u, flag: Flag, order):
+    """``_flag_pivots`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, u(v_i)."""
+    columns = [x for v in flag.vectors for x in (v, u.apply(v))]
+    rows = list(zip(*columns))
+    pairs = _rank_profile([rows[c] for c in order])[0]
+    if any(c % 2 for _, c in pairs):
+        raise StabilityError("flag is not stable under the operator")
+    return [order[i] for i, _ in pairs]
+
+
+def fraction_same_flag(a: Flag, b: Flag) -> bool:
+    """``same_flag`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, w_i."""
+    columns = [x for pair in zip(a.vectors, b.vectors) for x in pair]
+    return a.n == b.n and all(c % 2 == 0 for _, c in _rank_profile(list(zip(*columns)))[0])
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def integer_path_cases(draw):
+    """(operator, flag): dense rational flags, chart flags, and fiber flags with shuffled vectors."""
+    kind = draw(st.sampled_from(["dense", "chart", "shuffled"]))
+    if kind == "chart":
+        k = draw(st.integers(min_value=1, max_value=4))
+        d = draw(st.integers(min_value=3, max_value=k + 2))
+        # zero parameters put shared zeros and unit entries into the flag
+        entry = st.one_of(st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        flag = phi_map(k, d, draw(st.lists(entry, min_size=k + 2, max_size=k + 2)))
+        if draw(st.booleans()):
+            return special_operator(k), flag
+        n = flag.n
+    else:
+        n = draw(st.integers(min_value=1, max_value=6))
+    u = jordan_operator(column_superstandard(draw(st.sampled_from(list(partitions_of(n))))))
+    if kind == "dense":
+        entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(Matrix(vectors).rank() == n)
+        flag = Flag(vectors)
+    elif kind == "shuffled":
+        fiber = jordan_flag(draw(st.sampled_from(fiber_permutations(u))))
+        flag = Flag(draw(st.permutations(fiber.vectors)))
+    return u, flag
+
+
+class TestIntegerPath:
+    """Flag questions scale each flag vector once and read its image off the integers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_path_cases())
+    def test_pivots_match_fraction_columns(self, case):
+        u, flag = case
+        for order in (exactlin_module._kernel_order(u), exactlin_module._image_order(u)):
+            assert outcome(exactlin_module._flag_pivots, u, flag, order) == outcome(
+                fraction_flag_pivots, u, flag, order
+            )
+        inside = outcome(fraction_flag_pivots, u, flag, range(flag.n))
+        assert in_springer_fiber(flag, u) == (not isinstance(inside, tuple))
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_path_cases(), st.data())
+    def test_same_flag_matches_fraction_columns(self, case, data):
+        _, flag = case
+        vs = flag.vectors
+        k = data.draw(st.integers(min_value=0, max_value=flag.n - 1))
+        c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        # adding a multiple of an earlier vector keeps the flag, of a later one changes it
+        earlier = vs[:k] + (vec_add(vs[k], vec_scale(c, vs[k - 1])),) + vs[k + 1 :] if k else vs
+        others = [Flag(earlier), Flag(vs[::-1])]
+        if k + 1 < flag.n:
+            others.append(Flag(vs[:k] + (vec_add(vs[k], vs[k + 1]),) + vs[k + 1 :]))
+        for other in others:
+            assert flag.same_flag(other) == fraction_same_flag(flag, other)
+        assert flag.same_flag(Flag(earlier))
+
+    @pytest.mark.parametrize("size", [3, 5, 6], ids=["n-1", "n+1", "n+2"])
+    def test_flag_and_operator_sizes_must_match(self, size):
+        u = jordan_operator(T("1,2/3,4"))
+        dense = Flag([[Fraction(i + 1, j + 1) ** i for j in range(size)] for i in range(size)])
+        for flag in (jordan_flag(Permutation(range(1, size + 1))), dense):
+            for question in (cell_of, cell_prime_of, in_springer_fiber):
+                with pytest.raises(ValueError, match="^vector length does not match$"):
+                    question(flag, u)
+            assert not flag.same_flag(jordan_flag(Permutation(range(1, 5))))
 
 
 class TestCells:
@@ -1013,6 +1107,19 @@ class TestCells:
             flag = jordan_flag(sigma)
             assert cell_of(flag, u).shape == Partition((2, 2, 1))
             assert cell_prime_of(flag, u).shape == Partition((2, 2, 1))
+
+
+def rref_perp_vectors(flag: Flag, form: Permutation):
+    """``perp_flag``'s vectors by ``Matrix.rref`` of the ``Fraction`` rows [P | I]."""
+    n = flag.n
+    augmented = Matrix(
+        tuple(w[g - 1] for g in form.images) + unit_vector(n, k)
+        for k, w in enumerate(flag.vectors, start=1)
+    )
+    reduced, pivots = augmented.rref()
+    if pivots != tuple(range(n)):
+        raise AssertionError("form is degenerate on the flag")
+    return tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
 
 
 class TestDuality:
@@ -1065,6 +1172,38 @@ class TestDuality:
             assert cell_of(perp_flag(flag, g), u) == schuetzenberger(
                 cell_prime_of(flag, u)
             )
+
+    # perp_flag scales flag vector k by s_k and must put s_k, not 1, into the
+    # identity block: a unit entry keeps the flag but changes its basis, so
+    # the vectors are compared exactly with the Fraction route
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_path_cases())
+    def test_perp_vectors_equal_the_rref_route(self, case):
+        u, flag = case
+        g = bilinear_form(u)
+        assert perp_flag(flag, g).vectors == rref_perp_vectors(flag, g)
+
+    def test_perp_vectors_of_coordinate_and_chart_flags(self):
+        for shape in (Partition((3, 2)), Partition((2, 2, 1)), Partition((3, 2, 2))):
+            u = jordan_operator(column_superstandard(shape))
+            g = bilinear_form(u)
+            for sigma in fiber_permutations(u):
+                flag = jordan_flag(sigma)
+                assert perp_flag(flag, g).vectors == rref_perp_vectors(flag, g)
+        g = bilinear_form(special_operator(2))
+        for d in (3, 4):
+            flag = phi_map(2, d, (Fraction(1, 2), 0, Fraction(-3, 4), 5))
+            assert perp_flag(flag, g).vectors == rref_perp_vectors(flag, g)
+
+    def test_perp_of_a_dependent_basis_is_degenerate(self):
+        v = (Fraction(1, 2), Fraction(1, 3))
+        # _independent_flag trusts its caller; this basis is dependent on purpose
+        flag = exactlin_module._independent_flag((v, vec_scale(3, v)))
+        g = bilinear_form(jordan_operator(T("1,2")))
+        for route in (perp_flag, rref_perp_vectors):
+            with pytest.raises(AssertionError, match="^form is degenerate on the flag$"):
+                route(flag, g)
 
 
 def brute_force_fiber_permutations(u) -> tuple[Permutation, ...]:

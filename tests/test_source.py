@@ -1,6 +1,7 @@
 """Rules on the library source: it parses under the oldest Python that pyproject.toml
-allows, writes no zero Fraction but the shared one, and builds unvalidated
-tableaux only where the rows are valid by construction."""
+allows, writes no zero Fraction but the shared one, builds unvalidated
+tableaux only where the rows are valid by construction, and eliminates
+through one integer core behind one Fraction-to-integer boundary."""
 
 import ast
 from pathlib import Path
@@ -78,16 +79,38 @@ def test_trusted_rule_sees_every_mention():
     assert trusted_uses(tree) == {None, "f", "g"}
 
 
-def test_trusted_tableaux_have_three_builders():
-    # tableaux._trusted skips validation; the validating tableau() and the
-    # two builders whose rows are standard by construction are its only users
-    uses = {
+def uses_in_sources(name):
+    """(file name, top-level definition) of every mention of ``name`` in ``src/``."""
+    return {
         (path.name, use)
         for path in SOURCES
-        for use in trusted_uses(ast.parse(path.read_text(encoding="utf-8")))
+        for use in trusted_uses(ast.parse(path.read_text(encoding="utf-8")), name)
     }
-    assert uses == {
+
+
+def test_trusted_tableaux_have_four_builders():
+    # tableaux._trusted skips validation; the validating tableau() and the
+    # three builders whose rows are standard by construction are its only users
+    assert uses_in_sources("_trusted") == {
         ("tableaux.py", "tableau"),
         ("tableaux.py", "_tableau_from_columns"),
         ("tableaux.py", "enumerate_tableaux"),
+        ("tableaux.py", "schuetzenberger"),
+    }
+
+
+def test_one_integer_core_and_one_boundary():
+    # every elimination runs exactlin._bareiss on integer rows; the Fraction
+    # rows reach it through _integer_rows, flag questions scale each flag
+    # vector once, and perp_flag builds its integer rows itself
+    assert uses_in_sources("_bareiss") == {
+        ("exactlin.py", "_rank_profile"),
+        ("exactlin.py", "_interleaved_pivots"),
+        ("exactlin.py", "perp_flag"),
+    }
+    assert uses_in_sources("_integer_rows") == {
+        ("exactlin.py", "_rank_profile"),
+        ("exactlin.py", "Flag"),
+        ("exactlin.py", "_scaled_with_images"),
+        ("exactlin.py", "perp_flag"),
     }

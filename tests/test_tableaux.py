@@ -379,6 +379,24 @@ class TestTrustedBuilds:
         columns = {e: j for row in t.rows for j, e in enumerate(row, start=1)}
         assert [columns[i] for i in range(1, t.n + 1)] == word
 
+    def test_every_evacuation_up_to_nine_boxes(self):
+        # evacuation builds its tableau by row insertion without validating it
+        for n in range(10):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    s = schuetzenberger(t)
+                    _validate_rows(s.rows)
+                    assert type(s) is StandardTableau and s == StandardTableau(s.rows)
+                    assert s.shape == shape and s.entries() == tuple(range(1, n + 1))
+                    assert schuetzenberger(s) == t
+                    assert s == oracle_evacuation(t)
+
+    @pytest.mark.parametrize("text", ["2", "1,4/2", "2,3/4", "1,2/4"])
+    def test_evacuation_rejects_entries_other_than_1_to_n(self, text):
+        t = T(text)
+        with pytest.raises(ValueError, match=r"entries must be exactly 1\.\."):
+            schuetzenberger(t)
+
 
 class TestEntry:
     def test_every_box(self):
