@@ -159,15 +159,9 @@ def _parameters(t: Sequence) -> tuple[Fraction, ...]:
     return t
 
 
-def _matrix_7x7(entries: dict[tuple[int, int], Fraction], diagonal: int = 0) -> Matrix:
-    """The 7x7 matrix with ``entries`` at their 1-based cells and ``diagonal`` on the diagonal.
-
-    Every other cell is the shared zero.
-    """
+def _matrix_7x7(entries: dict[tuple[int, int], Fraction]) -> Matrix:
+    """The 7x7 matrix with ``entries`` at their 1-based cells; every other cell is the shared zero."""
     rows = [[_ZERO] * 7 for _ in range(7)]
-    if diagonal:
-        for i in range(7):
-            rows[i][i] = as_fraction(diagonal)
     for (i, j), v in entries.items():
         rows[i - 1][j - 1] = v
     return Matrix(rows)
@@ -194,16 +188,17 @@ def verify_curve_membership(t: Sequence) -> bool:
     Requires t3, t4, t5, t6 and t4 - t1 to be nonzero; the flag is spanned
     by the columns of f(t) + I over the (3,2,2) Jordan basis and must lie in
     the cell of the tableau 1,2,5/3,4/6,7.  f(t) is strictly lower
-    triangular, so column j of f(t) + I is 1 at j and 0 above it: a unit
-    triangle in plain order, independent with no elimination.
+    triangular, so column j of f(t) + I is 1 at j, f(i, j) below it and
+    the shared zero above it: a unit triangle in plain order, independent
+    with no elimination.
     """
     t = _parameters(t)
     for name, value in _membership_conditions(t):
         if value == 0:
             raise ValueError(f"membership precondition violated: {name} must be nonzero")
-    g = _matrix_7x7(f_entries(t), diagonal=1)
-    flag = _triangular_flag(tuple(zip(*g.rows)), range(7))
-    return in_cell(flag, operator_322(), CELL_TABLEAU_322)
+    f = f_entries(t)
+    columns = [tuple(_ONE if i == j else f.get((i, j), _ZERO) for i in range(1, 8)) for j in range(1, 8)]
+    return in_cell(_triangular_flag(columns, range(7)), operator_322(), CELL_TABLEAU_322)
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.

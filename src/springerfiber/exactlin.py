@@ -12,19 +12,20 @@ nonzero in the pivot column and scales the others lazily; it returns the
 (row, column) pivot pairs and each pivot row as it stands when chosen, an
 integer echelon form.  ``_integer_rows`` is the one boundary from
 ``Fraction`` to integers: it scales each row by the lcm of its
-denominators, which keeps the rank profile, and returns the scales;
-``_rank_profile`` is the two in turn.  Ranks, the independence of a flag
-basis, span membership and chart coordinates read its pairs.  With the
-coordinates ordered so that every power of the operator cuts a leading
-block of them, one elimination of a subspace basis followed by its images
-decides independence, stability and the pivot coordinates.  The flag
-questions scale each flag vector once instead, as a column: the operator
-is an index map, so the image of s v is s u(v), read off the integers,
-and one elimination with each scaled vector followed by its image shows
-whether every prefix is stable and gives each vector's pivot coordinate:
-a Jordan type counts the pivots by tableau column, and ``tableaux`` reads
-the cell label off the column of each vector's pivot coordinate.  Flag
-equality scales both bases the same way.  The coordinate flag of a
+denominators, which keeps the rank profile, and returns the scales.  A
+flag is scaled once, when it is built, and keeps that integer form; every
+flag question reads it and converts nothing.  ``Matrix`` and span
+membership go through ``_rank_profile``, the two in turn.  The operator is
+an index map, so the image of s v is s u(v), read off the integers by one
+helper.  With the coordinates ordered so that every power of the operator
+cuts a leading block of them, one elimination of the scaled vectors of a
+subspace basis followed by their images decides independence, stability
+and the pivot coordinates; one elimination with each scaled flag vector
+followed by its image, as columns, shows whether every prefix is stable
+and gives each vector's pivot coordinate: a Jordan type counts the pivots
+by tableau column, and ``tableaux`` reads the cell label off the column of
+each vector's pivot coordinate.  Flag equality, chart coordinates and the
+complement flag eliminate the stored rows too.  The coordinate flag of a
 permutation and the complement flag are independent by construction and
 skip the independence elimination; so do the chart families and the
 (3,2,2) family of :mod:`springerfiber.certificates`, whose bases are unit
@@ -34,8 +35,8 @@ independence exactly, as its determinant is 1, and any other basis raises
 ValueError.  Every other ``Flag`` runs the elimination.  ``_reduced``
 back-substitutes the echelon rows over ``Fraction``: ``Matrix.rref``
 (kernels) and the complement flag, whose integer rows [s_k P_k | s_k e_k]
-``perp_flag`` builds from the scaled flag vectors, with no ``Matrix``
-around them.  Chart coordinates are ratios of echelon entries.
+``perp_flag`` builds from the stored ones.  Chart coordinates are ratios
+of echelon entries.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -210,11 +211,8 @@ def _rank_profile(
 ) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
     """``_bareiss`` on the rows scaled to integers by ``_integer_rows``.
 
-    For the callers with ``Fraction`` rows: ``Matrix``, ``Flag``, subspace
-    types and chart coordinates.  The flag questions scale each flag vector
-    once instead, as a column, and read its image off the integers, and
-    ``perp_flag`` builds its integer rows [s_k P_k | s_k e_k] itself; both
-    call ``_bareiss`` directly.
+    Only for ``Matrix`` and ``in_span``; a flag or subspace basis is scaled
+    once and its questions call ``_bareiss`` on the integer rows directly.
     """
     return _bareiss(_integer_rows(rows)[0])
 
@@ -397,16 +395,19 @@ class Permutation:
 class Flag:
     """Full flag given by an ordered basis; prefix ``i`` spans the ``i``-dim space."""
 
-    __slots__ = ("vectors",)
+    # the integer form that every flag question reads, built once: each
+    # vector times the lcm of its denominators, as ints, and those lcms
+    __slots__ = ("vectors", "_scaled", "_scales")
 
     def __init__(self, vectors: Sequence[Vector]):
         vectors = tuple(vector(v) for v in vectors)
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        if n and len(_rank_profile(vectors)[0]) != n:
+        scaled, scales = _integer_rows(vectors)
+        self.vectors, self._scaled, self._scales = vectors, tuple(map(tuple, scaled)), tuple(scales)
+        if n and len(_bareiss(self._scaled)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
-        self.vectors = vectors
 
     @property
     def n(self) -> int:
@@ -414,9 +415,7 @@ class Flag:
 
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases."""
-        return self.n == other.n and _within_prefixes(
-            _integer_rows(self.vectors)[0], _integer_rows(other.vectors)[0]
-        )
+        return self.n == other.n and _within_prefixes(self._scaled, other._scaled)
 
     def __repr__(self) -> str:
         return f"Flag(n={self.n})"
@@ -429,7 +428,8 @@ def _independent_flag(vectors: tuple[Vector, ...]) -> Flag:
     ``Fraction`` entries; each says why at its call.
     """
     flag = object.__new__(Flag)
-    flag.vectors = vectors
+    scaled, scales = _integer_rows(vectors)
+    flag.vectors, flag._scaled, flag._scales = vectors, tuple(map(tuple, scaled)), tuple(scales)
     return flag
 
 
@@ -515,16 +515,15 @@ def _image_order(u: NilpotentOperator) -> list[int]:
     return sorted(range(u.n), key=u.boxes_right.__getitem__)
 
 
-def _scaled_with_images(u: NilpotentOperator, flag: Flag) -> tuple[list[list[int]], list[list[int]]]:
-    """Each flag vector scaled once to integers, s_i v_i, and its image u(s_i v_i).
+def _images(u: NilpotentOperator, scaled: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """u(s v) = s u(v) for each integer vector s v, read off the index map with no arithmetic.
 
-    u is an index map, so u(s v) = s u(v) is read off the scaled entries
-    with no arithmetic.  ValueError unless the flag and u have one size.
+    ValueError unless u and every vector have size ``n`` (a flag's size, so
+    that an empty flag is checked too).
     """
-    if flag.n != u.n:
+    if n != u.n or any(len(v) != n for v in scaled):
         raise ValueError("vector length does not match")
-    scaled = _integer_rows(flag.vectors)[0]
-    return scaled, [[0 if r is None else v[r] for r in u.right] for v in scaled]
+    return [[0 if r is None else v[r] for r in u.right] for v in scaled]
 
 
 def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list[int]:
@@ -532,13 +531,14 @@ def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list
 
     One elimination has the coordinates in ``order`` as rows and each v_i
     followed by u(v_i) as columns, each pair scaled to integers by one
-    factor, which keeps the rank profile.  By induction on i the first u(v_i)
-    outside span(v_1..v_i) is the first image to take a pivot, so an odd
-    pivot column raises StabilityError; otherwise the images take no pivot
-    and each v_i takes one, so span(v_1..v_i) meets the coordinates zero on
-    order[:r] in dimension i less the v_1..v_i pivoted in order[:r].
+    factor (the flag's integer form), which keeps the rank profile.  By
+    induction on i the first u(v_i) outside span(v_1..v_i) is the first
+    image to take a pivot, so an odd pivot column raises StabilityError;
+    otherwise the images take no pivot and each v_i takes one, so
+    span(v_1..v_i) meets the coordinates zero on order[:r] in dimension i
+    less the v_1..v_i pivoted in order[:r].
     """
-    pairs = _interleaved_pivots(*_scaled_with_images(u, flag), order)
+    pairs = _interleaved_pivots(flag._scaled, _images(u, flag._scaled, flag.n), order)
     if any(c % 2 for _, c in pairs):
         raise StabilityError("flag is not stable under the operator")
     return [order[i] for i, _ in pairs]
@@ -550,15 +550,16 @@ def _subspace_pivots(
     """The pivot coordinates of the u-stable W spanned by ``subspace``, in ``order``.
 
     One elimination has the m basis vectors, then their images u(w), as
-    rows and the coordinates in ``order`` as columns.  ValueError unless m
-    pivots lie in the first m rows (the basis is independent), checked
-    first; StabilityError if an image row takes a pivot (W is not u-stable).
-    Then every pivot lies in a basis row, so W meets the coordinates zero on
-    order[:r] in dimension m less the pivots in order[:r].
+    rows and the coordinates in ``order`` as columns; each w is scaled to
+    integers once and u(w) read off it, as for a flag.  ValueError unless
+    every w has u's size, then unless m pivots lie in the first m rows (the
+    basis is independent); StabilityError if an image row takes a pivot (W
+    is not u-stable).  Then every pivot lies in a basis row, so W meets the
+    coordinates zero on order[:r] in dimension m less the pivots there.
     """
-    vecs = Matrix(subspace).rows
-    m = len(vecs)
-    pairs, _ = _rank_profile([[w[c] for c in order] for w in vecs + tuple(u.apply(w) for w in vecs)])
+    scaled = _integer_rows(vector(w) for w in subspace)[0]
+    m = len(scaled)
+    pairs, _ = _bareiss([[w[c] for c in order] for w in scaled + _images(u, scaled, u.n)])
     if sum(i < m for i, _ in pairs) < m:
         raise ValueError("subspace basis is linearly dependent")
     if len(pairs) > m:
@@ -661,17 +662,16 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     [P | I] gives [I | P^-1], whose column k pairs to 1 with flag vector k
     and to 0 with the others, so its last j columns span the complement of
     the (n-j)-prefix.  Row k is eliminated as the integer row
-    [s_k P_k | s_k e_k], s_k the lcm of the denominators of flag vector k,
-    which has the same reduced form.
+    [s_k P_k | s_k e_k], built from the flag's integer form (s_k is the lcm
+    of the denominators of flag vector k), which has the same reduced form.
     """
     n = flag.n
     if form.n != n:
         raise ValueError("bilinear form size does not match the flag")
-    scaled, scales = _integer_rows(flag.vectors)
     zeros = [0] * n
     augmented = [
         [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
-        for k, (v, s) in enumerate(zip(scaled, scales))
+        for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
     ]
     reduced, pivots = _reduced(*_bareiss(augmented))
     if pivots != tuple(range(n)):
@@ -683,7 +683,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
     """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i)."""
-    return _within_prefixes(*_scaled_with_images(u, flag))
+    return _within_prefixes(flag._scaled, _images(u, flag._scaled, flag.n))
 
 
 def special_basis_tableau(k: int) -> StandardTableau:
@@ -787,12 +787,12 @@ def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
     profile is the diagonal, i.e. every leading minor is nonzero; then the
     echelon row eta_i, divided by its pivot, is the unique chart basis
     vector with a unit pivot at i and zeros to its left, and its entries to
-    the right are the coordinates.  Raises ChartError otherwise.
+    the right are the coordinates (ChartError otherwise).  The rows are the
+    flag's integer rows permuted, as a row's lcm ignores the entry order.
     """
     n = flag.n
     perm = special_perm(d, n)
-    rows = [[v[j - 1] for j in perm.images] for v in flag.vectors]
-    pairs, etas = _rank_profile(rows)
+    pairs, etas = _bareiss([[v[j - 1] for j in perm.images] for v in flag._scaled])
     if pairs != tuple((i, i) for i in range(n)):
         raise ChartError(f"flag lies outside the chart around the special flag ({d})")
     phi = {

@@ -525,11 +525,18 @@ class TestTriangularFlags:
     @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=6, max_size=6))
     def test_membership_flags_of_any_point(self, t):
         t = [x if x else Fraction(1, 3) for x in t]
+        # the membership preconditions: t3..t6 and t4 - t1 nonzero
         if t[3] == t[0]:
-            t[3] += 1
-        g = _matrix_7x7(f_entries(tuple(t)), diagonal=1)
-        vectors = tuple(zip(*g.rows))
-        assert _triangular_flag(vectors, range(7)).vectors == vectors
+            t[3] *= 2
+        with pytest.MonkeyPatch.context() as patch:
+            calls = recording_triangles(patch)
+            assert verify_curve_membership(tuple(t))
+        [(vectors, order)] = calls
+        # the columns of f(t) + I, added up as dense matrices
+        f, one = f_family(t).rows, identity(7).rows
+        plus_identity = [[a + b for a, b in zip(*rows)] for rows in zip(f, one)]
+        assert vectors == tuple(zip(*plus_identity))
+        assert _triangular_flag(vectors, order).vectors == vectors
 
     def test_swapped_chart_vectors_fail_loudly(self, monkeypatch):
         # a phi_map that lists two flag vectors in the wrong order builds an
@@ -564,15 +571,26 @@ class TestSharedZeros:
                 zeros = [x for v in phi_map(k, d, ps).vectors for x in v if not x]
                 assert zeros and all(x is _ZERO for x in zeros)
 
-    def test_family_matrix_cells_outside_the_family(self):
+    def test_family_matrix_cells_outside_the_family(self, monkeypatch):
         for t in ((1, 2, 3, 4, 5, 6), (0,) * 6):
             entries = f_entries(tuple(Fraction(x) for x in t))
-            for diagonal in (0, 1):
-                rows = _matrix_7x7(entries, diagonal).rows
-                for i in range(7):
-                    for j in range(7):
-                        if (i + 1, j + 1) not in entries and not (diagonal and i == j):
-                            assert rows[i][j] is _ZERO
+            rows = _matrix_7x7(entries).rows
+            for i in range(7):
+                for j in range(7):
+                    if (i + 1, j + 1) not in entries:
+                        assert rows[i][j] is _ZERO
+        # the columns of f(t) + I that every membership check builds; the
+        # family has the same cells at every t
+        calls = recording_triangles(monkeypatch)
+        assert certify_322().singular
+        assert verify_curve_membership((1, 2, 3, 4, 5, 6))
+        cells = set(f_entries((_ZERO,) * 6))
+        assert len(calls) == 2 * len(WITNESS_CURVES) + 1
+        for columns, _ in calls:
+            for i in range(7):
+                for j in range(7):
+                    if (i + 1, j + 1) not in cells and i != j:
+                        assert columns[j][i] is _ZERO
 
     def test_shift_padding(self):
         v = tuple(Fraction(x) for x in (1, 2, 3, 4, 0))

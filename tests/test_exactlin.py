@@ -2,6 +2,7 @@ import signal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -40,7 +41,7 @@ from springerfiber.exactlin import (
     vec_scale,
     vector,
 )
-from springerfiber.certificates import phi_map
+from springerfiber.certificates import default_chart_parameters, phi_map, verify_smooth_chart
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
@@ -558,6 +559,22 @@ class TestRestrictedType:
             assert type(exc.value) is ValueError
             assert str(exc.value) == "subspace basis is linearly dependent"
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1, 0, 0)], [(1, 0, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0, 0)]],
+        ids=["short", "long", "second-short", "first-short"],
+    )
+    def test_basis_and_operator_sizes_must_match(self, rows):
+        # basis vectors of unequal lengths get the same message as a basis of the wrong size
+        u = jordan_operator(T("1,2/3,4"))
+        for subspace_type in (restricted_type, quotient_type):
+            with pytest.raises(ValueError, match="^vector length does not match$"):
+                subspace_type(u, fractions(rows))
+        assert restricted_type(u, []) == Partition(())
+        assert quotient_type(u, []) == Partition((2, 2))
+        # entries that are not Fractions are converted
+        assert restricted_type(u, [(1, 0, 0, 0), (0, 0, 1, 0)]) == Partition((1, 1))
+
 
 class TestQuotientType:
     def test_trivial_cases(self):
@@ -1062,7 +1079,7 @@ class TestIntegerPath:
             assert flag.same_flag(other) == fraction_same_flag(flag, other)
         assert flag.same_flag(Flag(earlier))
 
-    @pytest.mark.parametrize("size", [3, 5, 6], ids=["n-1", "n+1", "n+2"])
+    @pytest.mark.parametrize("size", [0, 3, 5, 6], ids=["empty", "n-1", "n+1", "n+2"])
     def test_flag_and_operator_sizes_must_match(self, size):
         u = jordan_operator(T("1,2/3,4"))
         dense = Flag([[Fraction(i + 1, j + 1) ** i for j in range(size)] for i in range(size)])
@@ -1071,6 +1088,87 @@ class TestIntegerPath:
                 with pytest.raises(ValueError, match="^vector length does not match$"):
                     question(flag, u)
             assert not flag.same_flag(jordan_flag(Permutation(range(1, 5))))
+
+
+def integer_form(vectors):
+    """Each vector times the lcm of its denominators, as a tuple of ints, and those lcms."""
+    scales = tuple(lcm(*(x.denominator for x in v)) for v in vectors)
+    return tuple(tuple(int(x * s) for x in v) for v, s in zip(vectors, scales)), scales
+
+
+def counting(monkeypatch, name):
+    """List that grows by one at each call of ``exactlin.<name>``."""
+    calls = []
+    original = getattr(exactlin_module, name)
+    monkeypatch.setattr(exactlin_module, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+class TestIntegerForm:
+    """A flag is scaled to integers once, when it is built, and its questions read that form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_path_cases())
+    def test_every_builder_stores_the_integer_form(self, case):
+        u, flag = case
+        for f in (flag, perp_flag(flag, bilinear_form(u))):
+            assert (f._scaled, f._scales) == integer_form(f.vectors)
+            assert all(type(row) is tuple for row in f._scaled)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (3, 3, 2, 1)])
+    def test_one_conversion_per_flag_of_a_coordinate_flag_op(self, monkeypatch, shape):
+        # the op of the coordinate_flags benchmark: cell, dual cell, perp flag and its cell
+        u = jordan_operator(column_superstandard(Partition(shape)))
+        form = bilinear_form(u)
+        perms = fiber_permutations(u)
+        conversions = counting(monkeypatch, "_integer_rows")
+        for perm in perms[:: len(perms) // 7]:
+            conversions.clear()
+            flag = jordan_flag(perm)
+            cell_of(flag, u)
+            cell_prime_of(flag, u)
+            cell_of(perp_flag(flag, form), u)
+            assert len(conversions) == 2
+
+    @pytest.mark.parametrize("k, d", [(2, 3), (2, 4), (3, 4), (4, 6)])
+    def test_one_conversion_per_flag_of_a_chart_check(self, monkeypatch, k, d):
+        conversions = counting(monkeypatch, "_integer_rows")
+        built = counting(monkeypatch, "_independent_flag")
+        init = Flag.__init__
+        monkeypatch.setattr(Flag, "__init__", lambda flag, vectors: built.append(1) or init(flag, vectors))
+        assert verify_smooth_chart(k, d, [default_chart_parameters(k)[2]])["verdict"] == "pass"
+        # the family at zero, the special flag, the family at the tuple and at the mixed tuple
+        assert len(built) == 4
+        assert len(conversions) == len(built)
+
+    def test_stored_rows_survive_every_question(self):
+        # _bareiss returns its first pivot row as the caller's own object, so
+        # a question that eliminated the stored rows in place would show here
+        u = special_operator(3)
+        g = bilinear_form(u)
+        dense = Flag([[Fraction(i + 1, j + 2) ** i for j in range(7)] for i in range(7)])
+        flags = [
+            special_flag(4, 3),
+            phi_map(3, 4, (1, Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 7))),
+            phi_map(3, 5, (0, 1, 0, 1, 0)),
+            dense,
+        ]
+        flags += [perp_flag(f, g) for f in flags]
+        for flag in flags:
+            rows, scales = flag._scaled, flag._scales
+            for question in (cell_of, cell_prime_of, in_springer_fiber):
+                outcome(question, flag, u)
+            for other in flags:
+                flag.same_flag(other)
+                other.same_flag(flag)
+            perp_flag(flag, g)
+            for d in range(3, 6):
+                outcome(chart_coords, flag, d)
+            for subspace_type in (restricted_type, quotient_type):
+                outcome(subspace_type, u, flag.vectors[:3])
+            assert flag._scaled is rows and flag._scales is scales
+            assert (rows, scales) == integer_form(flag.vectors)
+            assert all(type(row) is tuple for row in rows)
 
 
 class TestCells:
@@ -1354,8 +1452,8 @@ class TestTriangularFlag:
 
     def test_flag_keeps_its_elimination(self, monkeypatch):
         calls = []
-        profile = exactlin_module._rank_profile
-        monkeypatch.setattr(exactlin_module, "_rank_profile", lambda rows: calls.append(1) or profile(rows))
+        core = exactlin_module._bareiss
+        monkeypatch.setattr(exactlin_module, "_bareiss", lambda rows: calls.append(1) or core(rows))
         Flag(fractions([(1, 0), (0, 1)]))
         assert calls == [1]
         with pytest.raises(ValueError, match="^flag basis is linearly dependent$"):

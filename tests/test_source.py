@@ -101,16 +101,20 @@ def test_trusted_tableaux_have_four_builders():
 
 def test_one_integer_core_and_one_boundary():
     # every elimination runs exactlin._bareiss on integer rows; the Fraction
-    # rows reach it through _integer_rows, flag questions scale each flag
-    # vector once, and perp_flag builds its integer rows itself
+    # rows reach it through _integer_rows, which scales a flag once, when one
+    # of its two builders makes it, and a subspace basis once per type; the
+    # flag questions read the stored rows and convert nothing
     assert uses_in_sources("_bareiss") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "_interleaved_pivots"),
+        ("exactlin.py", "Flag"),
+        ("exactlin.py", "_subspace_pivots"),
         ("exactlin.py", "perp_flag"),
+        ("exactlin.py", "chart_coords"),
     }
     assert uses_in_sources("_integer_rows") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "Flag"),
-        ("exactlin.py", "_scaled_with_images"),
-        ("exactlin.py", "perp_flag"),
+        ("exactlin.py", "_independent_flag"),
+        ("exactlin.py", "_subspace_pivots"),
     }
