@@ -483,12 +483,14 @@ def verify_smooth_chart(
 ) -> dict:
     """Verify the chart family through the special flag (d) of shape (k,k,1).
 
-    Checks, all exact: the family at zero is the special flag; at three (or
-    more) all-nonzero parameter tuples it lies in the open cell of
-    ``Q(k,k,1)`` (the all-nonzero hypothesis is required of every
-    parameter); the chart coordinates of each such flag read the parameters
-    back; and a mixed tuple with zero entries still lands in the fiber and
-    the chart.  Returns a JSON-ready report with one entry per check.
+    Checks, all exact: the family at zero is the special flag; at each
+    all-nonzero parameter tuple (the three default ones, or a nonempty
+    list) it lies in the open cell of ``Q(k,k,1)`` (the all-nonzero
+    hypothesis is required of every parameter); the chart coordinates of
+    each such flag read the parameters back; and a mixed tuple with zero
+    entries still lands in the fiber and the chart.  Every given tuple is
+    checked for k+2 nonzero entries before any flag is built.  Returns a
+    JSON-ready report with one entry per check.
     """
     # d is checked before any parameter tuple is read
     _check_special(k, d)
@@ -496,6 +498,13 @@ def verify_smooth_chart(
         tuples = default_chart_parameters(k)
     else:
         tuples = tuple(tuple(as_fraction(p) for p in ps) for ps in parameter_tuples)
+        if not tuples:
+            raise ValueError("at least one parameter tuple is required")
+        for ps in tuples:
+            if len(ps) != k + 2:
+                raise ValueError(f"expected {k + 2} parameters, got {len(ps)}")
+            if any(p == 0 for p in ps):
+                raise ValueError("cell membership tuples must be entirely nonzero")
     u = special_operator(k)
     target = make_Q(k)
     zero = (_ZERO,) * (k + 2)
@@ -508,8 +517,6 @@ def verify_smooth_chart(
     ]
 
     for idx, ps in enumerate(tuples):
-        if any(p == 0 for p in ps):
-            raise ValueError("cell membership tuples must be entirely nonzero")
         flag = phi_map(k, d, ps)
         checks.append(
             _check(

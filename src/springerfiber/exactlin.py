@@ -6,11 +6,12 @@ and membership answers are exact.  Vectors are plain tuples used as
 columns by operators and as rows by spans; sums and multiples leave zero
 entries as they are, and coordinate vectors share one zero and one one.
 One elimination routine serves every question, and it does no arithmetic
-on zeros: most of the matrices are 0/1 coordinate flags.  ``_bareiss`` is
+on zeros: most of the matrices are 0/1 coordinate flags.  ``_eliminate`` is
 fraction-free elimination of integer rows that updates only the rows
-nonzero in the pivot column and scales the others lazily; it returns the
-(row, column) pivot pairs and each pivot row as it stands when chosen, an
-integer echelon form.  ``_integer_rows`` is the one boundary from
+nonzero in the pivot column and divides each updated row by its content,
+so no entry outgrows the minors that Bareiss elimination holds; it returns
+the (row, column) pivot pairs and each pivot row as it stands when chosen,
+an integer echelon form.  ``_integer_rows`` is the one boundary from
 ``Fraction`` to integers: it scales each row by the lcm of its
 denominators, which keeps the rank profile, and returns the scales.  A
 flag is scaled once, when it is built, and keeps that integer form; every
@@ -64,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -209,34 +210,38 @@ def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], 
 def _rank_profile(
     rows: Iterable[Sequence[Fraction]],
 ) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
-    """``_bareiss`` on the rows scaled to integers by ``_integer_rows``.
+    """``_eliminate`` on the rows scaled to integers by ``_integer_rows``.
 
     Only for ``Matrix`` and ``in_span``; a flag or subspace basis is scaled
-    once and its questions call ``_bareiss`` on the integer rows directly.
+    once and its questions call ``_eliminate`` on the integer rows directly.
+    The pivot rows are content-divided echelon rows, each fixed only up to a
+    nonzero scalar, so callers read their zero patterns or ratios.
     """
-    return _bareiss(_integer_rows(rows)[0])
+    return _eliminate(_integer_rows(rows)[0])
 
 
-def _bareiss(
+def _eliminate(
     rows: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+) -> tuple[tuple[tuple[int, int], ...], list[Sequence[int]]]:
     """Fraction-free elimination of integer rows: the (row, column) pivots in column order, and the pivot rows.
 
-    Bareiss elimination runs in column order: a column where some remaining
-    row is nonzero is a pivot, the topmost such row leaves, and with p_0 = 1
-    and p_s the s-th pivot, step s + 1 turns every remaining row into
-    (pivot * row - entry * pivot row) / p_s.  By Sylvester's identity each
-    entry is a minor of the matrix, so the division is exact and no
-    ``Fraction`` is built.  The columns are the pivot columns of the RREF.
+    Columns are taken in order: a column where some remaining row is
+    nonzero is a pivot, and the topmost such row leaves as the pivot row.
+    Each remaining row nonzero in the pivot column becomes
+    pivot * row - entry * pivot row, divided by the gcd of its entries (its
+    content); a row that is zero there is left as it is.  No ``Fraction`` is
+    built, and the input rows are never changed: a pivot row that was never
+    updated is the caller's own row.
 
-    The rows are kept full width and only those nonzero in the pivot column
-    are updated.  A row that is 0 there would just be scaled by p_{s+1} / p_s,
-    so that is done lazily: each row records the number t of pivots it has
-    seen, and when it becomes the pivot or must be updated it is first
-    brought to step s as row * p_s // p_t.  This equals the skipped steps
-    composed, each of which is exact, so every entry is still the minor that
-    eager Bareiss holds and entries stay as small.  Scaling by a nonzero
-    number keeps zero patterns, so the pivot pairs are the eager ones.
+    Every remaining row is a nonzero rational multiple of the row that
+    Bareiss elimination (Bareiss 1968) holds at the same step, because both
+    only scale rows and add the same multiples of pivot rows.  So the zero
+    patterns and the pivot pairs are Bareiss's, and each pivot row differs
+    from Bareiss's by a nonzero scalar.  An updated row is primitive, so the
+    integer row that Bareiss holds for it then or later is an integer
+    multiple of it; a row not yet updated is the input row, which Bareiss
+    holds times its last pivot.  So no entry is larger than Bareiss's, a
+    minor of the matrix.
 
     Each step only scales rows and adds multiples of a row to rows below
     it, so the span of every leading block of rows is kept, and each pivot
@@ -244,34 +249,25 @@ def _bareiss(
     rank(rows[:r], columns[:c]) is the number of pivots (i, j) with i < r
     and j < c (Dumas, Pernet & Sultan, J. Symbolic Comput. 83, 2017).  The
     pivot rows, as they stand when chosen, are an integer echelon form of
-    ``rows`` (Bareiss 1968): the s-th is zero left of the s-th pivot column,
-    nonzero at it, and a combination of the rows up to its own index.
+    ``rows``: the s-th is zero left of the s-th pivot column, nonzero at it,
+    and a combination of the rows up to its own index.
     """
-    # ``rest`` holds the rows not yet used as pivots as (index in ``rows``,
-    # pivots seen t, entries at step t); ``scales`` is p_0 = 1, p_1, .., p_s
-    rest = [(i, 0, row) for i, row in enumerate(rows)]
-    scales = [1]
+    # the rows not yet used as pivots, as (index in ``rows``, entries)
+    rest = list(enumerate(rows))
     pivots: list[tuple[int, int]] = []
-    tops: list[list[int]] = []
-    for c in range(len(rest[0][2]) if rest else 0):
-        found = next((k for k, (_, _, row) in enumerate(rest) if row[c]), None)
+    tops: list[Sequence[int]] = []
+    for c in range(len(rest[0][1]) if rest else 0):
+        found = next((k for k, (_, row) in enumerate(rest) if row[c]), None)
         if found is None:
             continue
-        i, t, top = rest.pop(found)
-        s = len(scales) - 1
-        previous = scales[s]
-        if scales[t] != previous:
-            top = [x * previous // scales[t] for x in top]
+        i, top = rest.pop(found)
         pivot = top[c]
-        for k, (j, t, row) in enumerate(rest):
+        for k, (j, row) in enumerate(rest):
             f = row[c]
-            if not f:
-                continue
-            if scales[t] != previous:
-                row = [x * previous // scales[t] for x in row]
-                f = row[c]
-            rest[k] = (j, s + 1, [(pivot * a - f * b) // previous for a, b in zip(row, top)])
-        scales.append(pivot)
+            if f:
+                row = [pivot * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                rest[k] = (j, [x // g for x in row] if g > 1 else row)
         pivots.append((i, c))
         tops.append(top)
         if not rest:
@@ -282,7 +278,7 @@ def _bareiss(
 def _reduced(
     pairs: Sequence[tuple[int, int]], tops: Sequence[Sequence[int]]
 ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form, (nonzero rows, pivot columns), from ``_bareiss`` output.
+    """Reduced row echelon form, (nonzero rows, pivot columns), from ``_eliminate`` output.
 
     Back substitution over ``Fraction`` on the integer echelon rows, from
     the last pivot up: for the echelon row E with pivot p and the reduced
@@ -290,7 +286,8 @@ def _reduced(
     (E - sum of E[c_j] R_j) / p, because each R_j is 1 at c_j and 0 at the
     other pivot columns.  E is divided only where it is nonzero, and not at
     all when p is 1; a term is taken off only when E[c_j] is nonzero, and
-    only where R_j is nonzero.
+    only where R_j is nonzero.  Each echelon row is divided by its own
+    pivot, so the scalar up to which ``_eliminate`` fixes it does not show.
     """
     pivots = tuple(c for _, c in pairs)
     # reduced rows from the last pivot up, with their pivot columns
@@ -320,7 +317,7 @@ def _interleaved_pivots(
     """
     columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
     rows = list(zip(*columns))
-    return _bareiss([rows[c] for c in order])[0]
+    return _eliminate([rows[c] for c in order])[0]
 
 
 def _within_prefixes(vs: Sequence[Sequence[int]], ws: Sequence[Sequence[int]]) -> bool:
@@ -406,7 +403,7 @@ class Flag:
             raise ValueError("flag needs n vectors of length n")
         scaled, scales = _integer_rows(vectors)
         self.vectors, self._scaled, self._scales = vectors, tuple(map(tuple, scaled)), tuple(scales)
-        if n and len(_bareiss(self._scaled)[0]) != n:
+        if n and len(_eliminate(self._scaled)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
 
     @property
@@ -559,7 +556,7 @@ def _subspace_pivots(
     """
     scaled = _integer_rows(vector(w) for w in subspace)[0]
     m = len(scaled)
-    pairs, _ = _bareiss([[w[c] for c in order] for w in scaled + _images(u, scaled, u.n)])
+    pairs, _ = _eliminate([[w[c] for c in order] for w in scaled + _images(u, scaled, u.n)])
     if sum(i < m for i, _ in pairs) < m:
         raise ValueError("subspace basis is linearly dependent")
     if len(pairs) > m:
@@ -673,7 +670,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
         [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
         for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
     ]
-    reduced, pivots = _reduced(*_bareiss(augmented))
+    reduced, pivots = _reduced(*_eliminate(augmented))
     if pivots != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
     # pivots 0..n-1 make P invertible, so the columns of P^-1 are independent
@@ -792,7 +789,7 @@ def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
     """
     n = flag.n
     perm = special_perm(d, n)
-    pairs, etas = _bareiss([[v[j - 1] for j in perm.images] for v in flag._scaled])
+    pairs, etas = _eliminate([[v[j - 1] for j in perm.images] for v in flag._scaled])
     if pairs != tuple((i, i) for i in range(n)):
         raise ChartError(f"flag lies outside the chart around the special flag ({d})")
     phi = {

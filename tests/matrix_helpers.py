@@ -41,3 +41,47 @@ def gauss_jordan(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
+
+
+def lazy_bareiss(rows):
+    """Bareiss elimination of integer rows with lazy scaling: (pivot pairs, pivot rows).
+
+    The oracle for ``exactlin._eliminate``.  Columns are taken in order and
+    the topmost remaining row nonzero in the column is the pivot row; with
+    p_0 = 1 and p_s the s-th pivot, step s + 1 turns every remaining row into
+    (pivot * row - entry * pivot row) / p_s, an exact division (Bareiss 1968)
+    that keeps every entry a minor of the matrix.  Only the rows nonzero in
+    the pivot column are updated; a row that is zero there would only be
+    scaled by p_{s+1} / p_s, so each row records the number t of pivots it
+    has seen and is brought to step s as row * p_s // p_t when it is next
+    needed.  Each pivot row is returned as it stands when chosen.
+    """
+    # rows not yet used as pivots as (index, pivots seen t, entries at step t);
+    # ``scales`` is p_0 = 1, p_1, .., p_s
+    rest = [(i, 0, row) for i, row in enumerate(rows)]
+    scales = [1]
+    pivots, tops = [], []
+    for c in range(len(rest[0][2]) if rest else 0):
+        found = next((k for k, (_, _, row) in enumerate(rest) if row[c]), None)
+        if found is None:
+            continue
+        i, t, top = rest.pop(found)
+        s = len(scales) - 1
+        previous = scales[s]
+        if scales[t] != previous:
+            top = [x * previous // scales[t] for x in top]
+        pivot = top[c]
+        for k, (j, t, row) in enumerate(rest):
+            f = row[c]
+            if not f:
+                continue
+            if scales[t] != previous:
+                row = [x * previous // scales[t] for x in row]
+                f = row[c]
+            rest[k] = (j, s + 1, [(pivot * a - f * b) // previous for a, b in zip(row, top)])
+        scales.append(pivot)
+        pivots.append((i, c))
+        tops.append(top)
+        if not rest:
+            break
+    return tuple(pivots), tops

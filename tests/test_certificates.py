@@ -641,14 +641,40 @@ class TestVerifySmoothChart:
             assert type(exc.value) is ValueError
             assert str(exc.value) == message
 
-    def test_unexpected_chart_error_propagates(self, monkeypatch):
-        # with no parameter tuples the mixed-tuple check is the only chart call
-        def broken(flag, d):
-            raise TypeError("broken chart")
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            ([], "at least one parameter tuple is required"),
+            ([(1, 1, 1, 1), (1, 0, 1, 1)], "cell membership tuples must be entirely nonzero"),
+            ([(1, 1, 1, 1), (1, 1, 1)], "expected 4 parameters, got 3"),
+            ([(1, 1, 1, 1), (1, 1, 1, 1, 1)], "expected 4 parameters, got 5"),
+        ],
+        ids=["empty", "zero-entry", "short", "long"],
+    )
+    def test_every_tuple_is_checked_before_any_flag_is_built(self, monkeypatch, tuples, message):
+        calls = []
+        real = certificates_module.phi_map
+        monkeypatch.setattr(certificates_module, "phi_map", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ValueError) as exc:
+            verify_smooth_chart(2, 4, parameter_tuples=tuples)
+        assert str(exc.value) == message
+        assert calls == []
 
-        monkeypatch.setattr("springerfiber.certificates.chart_coords", broken)
+    def test_unexpected_chart_error_propagates(self, monkeypatch):
+        # with one parameter tuple the mixed-tuple check makes the second chart call
+        real = certificates_module.chart_coords
+        calls = []
+
+        def broken(flag, d):
+            calls.append(d)
+            if len(calls) == 2:
+                raise TypeError("broken chart")
+            return real(flag, d)
+
+        monkeypatch.setattr(certificates_module, "chart_coords", broken)
         with pytest.raises(TypeError):
-            verify_smooth_chart(2, 4, parameter_tuples=[])
+            verify_smooth_chart(2, 4, parameter_tuples=[(1, 1, 1, 1)])
+        assert calls == [4, 4]
 
 
 def read_back(k, d, ps, chart_ps):

@@ -572,6 +572,7 @@ class TestReadmeLayout:
             "_preimage_dims",
             "_jordan_type",
             "_tableau_from_dims",
+            "_bareiss",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

@@ -2,7 +2,7 @@ import signal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +15,8 @@ from springerfiber.exactlin import (
     Permutation,
     StabilityError,
     _ZERO,
+    _eliminate,
+    _integer_rows,
     _rank_profile,
     _triangular_flag,
     bilinear_form,
@@ -54,7 +56,7 @@ from springerfiber.tableaux import (
     shape_chain,
 )
 
-from matrix_helpers import gauss_jordan, identity, is_zero, transpose
+from matrix_helpers import gauss_jordan, identity, is_zero, lazy_bareiss, transpose
 
 T = parse_tableau
 
@@ -319,28 +321,32 @@ class TestPivotColumns:
 
     def test_exact_division_keeps_entries_small(self):
         # a 40 x 40 diagonally dominant matrix: every Bareiss entry is a minor
-        # of a few hundred bits, while elimination without the division by
-        # the previous pivot doubles the bit length at every step
-        n = 40
-        assert_diagonal_profile_in_time(
-            [[2 * n if i == j else (i * j) % 3 - 1 for j in range(n)] for i in range(n)]
-        )
+        # of a few hundred bits, and a content-divided row is no larger, while
+        # elimination that never divides doubles the bit length at every step
+        assert_diagonal_profile_in_time(diagonal_matrix())
 
     def test_lazy_scaling_keeps_entries_small(self):
         # a 60 x 60 banded matrix whose nonzeros sit every 4th column, so each
         # row is updated, then skipped by 3 pivots (none of them 1), then
-        # caught up; catching up must divide by the pivot it last saw, or the
-        # entries outgrow the minors at every catch-up
-        n, stride, width = 60, 4, 12
-        assert_diagonal_profile_in_time(
-            [
-                [
-                    2 * n if i == j else (i * j) % 3 - 1 if abs(i - j) <= width and (i - j) % stride == 0 else 0
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        # updated again; a skipped row must be left as it is and every updated
+        # row divided by its content, or the entries outgrow the minors
+        assert_diagonal_profile_in_time(banded_matrix())
+
+
+def diagonal_matrix(n=40):
+    """A diagonally dominant n x n integer matrix with a full diagonal."""
+    return [[2 * n if i == j else (i * j) % 3 - 1 for j in range(n)] for i in range(n)]
+
+
+def banded_matrix(n=60, stride=4, width=12):
+    """A diagonally dominant n x n integer matrix whose nonzeros sit every ``stride``-th column of a band."""
+    return [
+        [
+            2 * n if i == j else (i * j) % 3 - 1 if abs(i - j) <= width and (i - j) % stride == 0 else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def assert_diagonal_profile_in_time(rows, seconds=5):
@@ -357,6 +363,49 @@ def assert_diagonal_profile_in_time(rows, seconds=5):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class TestEliminateAgainstLazyBareiss:
+    """``_eliminate`` against Bareiss elimination with lazy scaling, the ``matrix_helpers`` oracle.
+
+    The pivot pairs are the same, each pivot row is a nonzero rational
+    multiple of the oracle's, and no entry is larger than the oracle's.
+    """
+
+    def check(self, rows):
+        copies = [list(row) for row in rows]
+        pairs, tops = _eliminate(rows)
+        want_pairs, want_tops = lazy_bareiss(rows)
+        assert pairs == want_pairs
+        assert len(tops) == len(want_tops)
+        for (i, c), top, want in zip(pairs, tops, want_tops):
+            assert top[c] and all(a * want[c] == b * top[c] for a, b in zip(top, want, strict=True))
+            assert all(abs(a) <= abs(b) for a, b in zip(top, want))
+            # a pivot row is the caller's own row, or an updated row divided by its content
+            assert top is rows[i] or gcd(*top) == 1
+        # the input rows are not changed, and the first pivot row is never updated
+        assert [list(row) for row in rows] == copies
+        assert not pairs or tops[0] is rows[pairs[0][0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_rational(self, rows):
+        self.check(_integer_rows(rows)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse(self, rows):
+        self.check(_integer_rows(rows)[0])
+
+    @pytest.mark.parametrize("rows", [diagonal_matrix(), banded_matrix()], ids=["diagonal", "banded"])
+    def test_pivot_columns_matrices(self, rows):
+        self.check(rows)
+
+    def test_rows_zero_in_the_pivot_column_are_left_as_they_are(self):
+        rows = [[0, 2, 0], [4, 0, 0], [0, 0, 6]]
+        pairs, tops = _eliminate(rows)
+        assert pairs == ((1, 0), (0, 1), (2, 2))
+        assert all(top is rows[i] for (i, _), top in zip(pairs, tops))
 
 
 class TestRref:
@@ -973,14 +1022,14 @@ class TestCellReadOff:
         u = special_operator(2)
         dense = phi_map(2, 3, (1, Fraction(1, 2), 3, -2))
         calls = []
-        core = exactlin_module._bareiss
+        core = exactlin_module._eliminate
 
         def counting(rows):
             calls.append(1)
             return core(rows)
 
         # every elimination, from Fraction or from integer rows, runs the integer core
-        monkeypatch.setattr(exactlin_module, "_bareiss", counting)
+        monkeypatch.setattr(exactlin_module, "_eliminate", counting)
         flag = jordan_flag(Permutation((1, 2, 5, 3, 4)))
         assert calls == []
         for f in (flag, dense):
@@ -1142,7 +1191,7 @@ class TestIntegerForm:
         assert len(conversions) == len(built)
 
     def test_stored_rows_survive_every_question(self):
-        # _bareiss returns its first pivot row as the caller's own object, so
+        # _eliminate returns a pivot row it never updated as the caller's own object, so
         # a question that eliminated the stored rows in place would show here
         u = special_operator(3)
         g = bilinear_form(u)
@@ -1452,8 +1501,8 @@ class TestTriangularFlag:
 
     def test_flag_keeps_its_elimination(self, monkeypatch):
         calls = []
-        core = exactlin_module._bareiss
-        monkeypatch.setattr(exactlin_module, "_bareiss", lambda rows: calls.append(1) or core(rows))
+        core = exactlin_module._eliminate
+        monkeypatch.setattr(exactlin_module, "_eliminate", lambda rows: calls.append(1) or core(rows))
         Flag(fractions([(1, 0), (0, 1)]))
         assert calls == [1]
         with pytest.raises(ValueError, match="^flag basis is linearly dependent$"):

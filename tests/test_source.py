@@ -100,11 +100,11 @@ def test_trusted_tableaux_have_four_builders():
 
 
 def test_one_integer_core_and_one_boundary():
-    # every elimination runs exactlin._bareiss on integer rows; the Fraction
+    # every elimination runs exactlin._eliminate on integer rows; the Fraction
     # rows reach it through _integer_rows, which scales a flag once, when one
     # of its two builders makes it, and a subspace basis once per type; the
     # flag questions read the stored rows and convert nothing
-    assert uses_in_sources("_bareiss") == {
+    assert uses_in_sources("_eliminate") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "_interleaved_pivots"),
         ("exactlin.py", "Flag"),
