@@ -14,14 +14,12 @@ from .tableaux import (
     concat,
     dist,
     enumerate_tableaux,
-    j_stat,
     make_P,
     make_P_shift,
     make_Q,
     parse_tableau,
     restrict,
     schuetzenberger,
-    shape_chain,
     standardize,
     tableau,
     tau,
@@ -39,7 +37,6 @@ from .eqsmoves import (
     eqs_partition,
 )
 from .exactlin import (
-    ChartCoordinates,
     ChartError,
     Flag,
     Matrix,
@@ -50,7 +47,6 @@ from .exactlin import (
     cell_of,
     cell_prime_of,
     chart_coords,
-    degenerate_to_special,
     in_cell,
     jordan_flag,
     jordan_operator,
@@ -65,7 +61,6 @@ from .certificates import (
     Jet,
     SingularityCertificate,
     certify_322,
-    f_family,
     phi_map,
     v_vectors,
     verify_curve_membership,

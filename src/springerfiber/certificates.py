@@ -47,7 +47,6 @@ from .exactlin import (
     _ONE,
     _ZERO,
     _check_special,
-    _special_perm,
     _triangular_flag,
     as_fraction,
     chart_coords,
@@ -56,6 +55,7 @@ from .exactlin import (
     jordan_operator,
     special_flag,
     special_operator,
+    special_perm,
     unit_vector,
     vec_add,
     vec_scale,
@@ -115,7 +115,8 @@ class Jet:
         return self.value == o.value and self.deriv == o.deriv
 
     def __hash__(self) -> int:
-        return hash((self.value, self.deriv))
+        # a jet with no derivative equals its value, so it hashes as the value
+        return hash((self.value, self.deriv)) if self.deriv else hash(self.value)
 
     def __repr__(self) -> str:
         return f"Jet({self.value}, {self.deriv})"
@@ -165,11 +166,6 @@ def _matrix_7x7(entries: dict[tuple[int, int], Fraction]) -> Matrix:
     for (i, j), v in entries.items():
         rows[i - 1][j - 1] = v
     return Matrix(rows)
-
-
-def f_family(t: Sequence) -> Matrix:
-    """The 7x7 strictly lower triangular matrix of the family at rational ``t``."""
-    return _matrix_7x7(f_entries(_parameters(t)))
 
 
 def _membership_conditions(t: Sequence[Fraction]) -> list[tuple[str, Fraction]]:
@@ -435,7 +431,7 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
             etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
         etas.append(vs[k])
     etas.extend(vs[k + 1 :])
-    return _triangular_flag(etas, [p - 1 for p in _special_perm(d, n).images])
+    return _triangular_flag(etas, [p - 1 for p in special_perm(d, n).images])
 
 
 def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -450,7 +446,7 @@ def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _recovery_identities(
-    k: int, d: int, params: tuple[Fraction, ...], coords
+    k: int, d: int, params: tuple[Fraction, ...], phi: dict[tuple[int, int], Fraction]
 ) -> list[tuple[str, Fraction, Fraction]]:
     """(name, chart value, expected value) triples for the parameter read-back.
 
@@ -459,7 +455,6 @@ def _recovery_identities(
     their cells from ``_decode_params``; every alpha_i is then read back
     from chart values alone.
     """
-    phi = coords.phi
     alpha, _, _, cells, shown = _decode_params(k, d, params)
     given = {name: phi[cell] for name, cell, _ in shown}
     tilde = {1: _ZERO, 2: _ZERO}

@@ -55,15 +55,12 @@ flag map, which exchanges the two kinds of cells up to evacuation.
 For the one-box-third-row shapes (k,k,1) the module also provides the
 special operator, whose fiber permutations are the shuffles of its two
 chains, the special permutations (d) and flags with one check of the range
-of d, coordinates on the open chart around each special flag, and the
-combinatorial degeneration taking any shuffle flag to a special one, in
-closed form.
+of d, and coordinates on the open chart around each special flag.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -367,10 +364,6 @@ class Permutation:
             raise ValueError(f"{i} is outside 1..{len(self.images)}")
         return self.images[i - 1]
 
-    def position_of(self, value: int) -> int:
-        """The index mapped to ``value``; inverse permutation evaluated there."""
-        return self.images.index(value) + 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Permutation):
             return self.images == other.images
@@ -483,15 +476,6 @@ class NilpotentOperator:
         self.right = tuple(right)
         self.column = tuple(column)
         self.boxes_right = tuple(boxes_right)
-
-    @property
-    def degree(self) -> int:
-        return self.jordan_type.num_columns
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.n:
-            raise ValueError("vector length does not match")
-        return tuple(_ZERO if r is None else v[r] for r in self.right)
 
     def __repr__(self) -> str:
         return f"NilpotentOperator(type={self.jordan_type}, basis={self.tableau.text()!r})"
@@ -638,16 +622,14 @@ def bilinear_form(u: NilpotentOperator) -> Permutation:
         g = Permutation(images)
     except ValueError as exc:
         raise AssertionError("form is degenerate") from exc
-    indices = range(1, n + 1)
-    if any(g(g(i)) != i for i in indices):
+    if any(g(g(i)) != i for i in range(1, n + 1)):
         raise AssertionError("form is not symmetric")
-    # u e_i = e_left[i]; u kills the basis vectors whose index is not a key
-    left = {r + 1: i + 1 for i, r in enumerate(u.right) if r is not None}
-    for i in indices:
-        for j in indices:
-            # B(u e_i, e_j) = B(e_i, u e_j), where B(e_a, e_b) = 1 iff g(a) = b
-            if (i in left and g(left[i]) == j) != (j in left and g(i) == left[j]):
-                raise AssertionError("operator is not self-adjoint for the form")
+    # u e_a = e_b for each right neighbour a of b and kills the other basis
+    # vectors; B(e_a, e_c) = 1 iff g(a) = c, so B(u e_i, e_j) = 1 iff (i, j)
+    # is a pair below, and B(e_i, u e_j) = 1 iff (j, i) is, as g is an involution
+    pairs = {(r + 1, g(i + 1)) for i, r in enumerate(u.right) if r is not None}
+    if any((j, i) not in pairs for i, j in pairs):
+        raise AssertionError("operator is not self-adjoint for the form")
     return g
 
 
@@ -751,11 +733,6 @@ def special_perm(d: int, n: int) -> Permutation:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and at least 3, got {n}")
     _check_special((n - 1) // 2, d)
-    return _special_perm(d, n)
-
-
-def _special_perm(d: int, n: int) -> Permutation:
-    """``special_perm`` for a ``d`` already checked."""
     return Permutation(tuple(range(1, d)) + (n,) + tuple(range(d, n)))
 
 
@@ -764,21 +741,11 @@ def special_flag(d: int, k: int) -> Flag:
     return jordan_flag(special_perm(d, 2 * k + 1))
 
 
-@dataclass(frozen=True)
-class ChartCoordinates:
-    """Coordinates of a flag in the open chart around a special flag.
+def chart_coords(flag: Flag, d: int) -> dict[tuple[int, int], Fraction]:
+    """The unique chart coordinates phi of a flag near the special flag (d).
 
     ``phi[(i, j)]`` for i < j is the coefficient of the j-th permuted
     coordinate in the unique chart basis vector pivoted at the i-th.
-    """
-
-    d: int
-    n: int
-    phi: dict[tuple[int, int], Fraction]
-
-
-def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
-    """Extract the unique chart coordinates of a flag near the special flag (d).
 
     In the permuted coordinate order the flag is in the chart when its rank
     profile is the diagonal, i.e. every leading minor is nonzero; then the
@@ -792,29 +759,8 @@ def chart_coords(flag: Flag, d: int) -> ChartCoordinates:
     pairs, etas = _eliminate([[v[j - 1] for j in perm.images] for v in flag._scaled])
     if pairs != tuple((i, i) for i in range(n)):
         raise ChartError(f"flag lies outside the chart around the special flag ({d})")
-    phi = {
+    return {
         (i + 1, j + 1): Fraction(eta[j], eta[i]) if eta[j] else _ZERO
         for i, eta in enumerate(etas)
         for j in range(i + 1, n)
     }
-    return ChartCoordinates(d=d, n=n, phi=phi)
-
-
-def degenerate_to_special(sigma: Permutation, k: int) -> Permutation:
-    """Drive a shuffle permutation to its terminal special form.
-
-    First, while the largest value sits before 1 or 2, swap it with that
-    value (each swap moves it later).  Then bubble the values 1..n-1 into
-    increasing position order; the largest value never moves again.  So the
-    terminal permutation is 1..d-1, n, d..n-1, where d, the last position
-    that n reaches, is the largest of the positions of 1, 2 and n.
-    """
-    n = 2 * k + 1
-    if sigma.n != n:
-        raise ValueError(f"permutation degree {sigma.n} does not match n={n}")
-    odds = [sigma.position_of(v) for v in range(1, n - 1, 2)]
-    evens = [sigma.position_of(v) for v in range(2, n, 2)]
-    if odds != sorted(odds) or evens != sorted(evens):
-        raise ValueError("permutation is not a shuffle of the two chains")
-    d = max(sigma.position_of(v) for v in (1, 2, n))
-    return _special_perm(d, n)

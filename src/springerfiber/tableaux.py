@@ -27,12 +27,11 @@ flag vector's pivot coordinate) share.
 Also provided: enumeration of all standard tableaux of a shape, behind
 the one bound check that the move classes and fiber permutations share,
 the row statistics driving the move calculus in
-:mod:`springerfiber.eqsmoves` (row reader ``row_of``, descent set ``tau``,
-and the ``dist`` statistic of the shapes (r,s,1), which tests the shape
-from the row lengths and finds its descent in the second row, with no
-descent set), concatenation of column blocks, and the named tableau
-families ``P(r,s)`` and ``Q(k,k,1)`` that serve as canonical class
-representatives.
+:mod:`springerfiber.eqsmoves` (descent set ``tau``, and the ``dist``
+statistic of the shapes (r,s,1), which tests the shape from the row
+lengths and finds its descent in the second row, with no descent set),
+concatenation of column blocks, and the named tableau families ``P(r,s)``
+and ``Q(k,k,1)`` that serve as canonical class representatives.
 """
 
 from __future__ import annotations
@@ -110,28 +109,6 @@ class Tableau:
 
     def entries(self) -> tuple[int, ...]:
         return tuple(sorted(chain.from_iterable(self.rows)))
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row ``i``, column ``j`` (both 1-based)."""
-        if 1 <= i <= len(self.rows) and 1 <= j <= len(self.rows[i - 1]):
-            return self.rows[i - 1][j - 1]
-        raise ValueError(f"no box at ({i},{j})")
-
-    def position_of(self, e: int) -> tuple[int, int]:
-        """(row, column), 1-based, of entry ``e``."""
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x == e:
-                    return i + 1, j + 1
-        raise ValueError(f"entry {e} not in tableau")
-
-    def row_of(self, e: int) -> int:
-        """1-based row index of entry ``e``."""
-        return self.position_of(e)[0]
-
-    def row_word(self) -> tuple[int, ...]:
-        """Row reading word: rows concatenated top to bottom."""
-        return tuple(chain.from_iterable(self.rows))
 
     def text(self) -> str:
         """Line-safe text form: rows joined by "/", entries by ",". Empty is ""."""
@@ -290,16 +267,6 @@ def standardize(t: Tableau) -> StandardTableau:
     return StandardTableau(tuple(e - lo + 1 for e in row) for row in t.rows)
 
 
-def shape_chain(t: StandardTableau) -> tuple[Partition, ...]:
-    """Shapes of the truncations to 0..n entries; determines the tableau."""
-    counters = [0] * len(t.rows)
-    out = [Partition(())]
-    for e in range(1, t.n + 1):
-        counters[t.row_of(e) - 1] += 1
-        out.append(Partition(c for c in counters if c))
-    return tuple(out)
-
-
 def _tableau_from_columns(columns: Sequence[int]) -> StandardTableau:
     """The standard tableau whose entry i sits in column ``columns[i-1]`` (1-based).
 
@@ -384,11 +351,6 @@ def _third_row_descent(t: Tableau) -> tuple[int, int]:
     while k and middle[k - 1] == middle[k] - 1:
         k -= 1
     return bottom, middle[k] - 1
-
-
-def j_stat(t: StandardTableau) -> int:
-    """Largest descent below the third-row entry, for shapes (r,s,1)."""
-    return _third_row_descent(t)[1]
 
 
 def dist(t: StandardTableau) -> int:

@@ -1,8 +1,9 @@
 """Dense-matrix helpers that only the tests' oracles use."""
 
 from fractions import Fraction
+from functools import lru_cache
 
-from springerfiber.exactlin import Matrix, unit_vector
+from springerfiber.exactlin import Matrix, unit_vector, vector
 
 
 def identity(n: int) -> Matrix:
@@ -15,6 +16,30 @@ def transpose(m: Matrix) -> Matrix:
 
 def is_zero(m: Matrix) -> bool:
     return all(x == 0 for row in m.rows for x in row)
+
+
+@lru_cache(maxsize=None)
+def oracle_operator(t) -> Matrix:
+    """Dense matrix of the operator of basis tableau ``t``: a 1 at (prev, cur) for each pair of row neighbours."""
+    entries = [[0] * t.n for _ in range(t.n)]
+    for row in t.rows:
+        for prev, cur in zip(row, row[1:]):
+            entries[prev - 1][cur - 1] = 1
+    return Matrix(entries)
+
+
+@lru_cache(maxsize=None)
+def _dense_image(t, v):
+    return oracle_operator(t).apply(v)
+
+
+def dense_image(u, v) -> tuple[Fraction, ...]:
+    """u(v) by ``Matrix.apply`` on the dense matrix of u's basis tableau.
+
+    Cached per vector: the coordinate-flag sweeps apply each operator to the
+    same few unit vectors many times.
+    """
+    return _dense_image(u.tableau, vector(v))
 
 
 def gauss_jordan(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:

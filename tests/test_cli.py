@@ -573,6 +573,8 @@ class TestReadmeLayout:
             "_jordan_type",
             "_tableau_from_dims",
             "_bareiss",
+            "degenerate_to_special",
+            "j_stat",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 import springerfiber.eqsmoves as eqsmoves_module
@@ -35,7 +37,14 @@ from springerfiber.tableaux import (
     schuetzenberger,
 )
 
+from tableau_helpers import j_stat
+
 T = parse_tableau
+
+
+def row_word(t):
+    """Row reading word: the rows concatenated top to bottom."""
+    return tuple(chain.from_iterable(t.rows))
 
 
 def union_find_classes(shape):
@@ -61,8 +70,8 @@ def union_find_classes(shape):
     groups = {}
     for t in tabs:
         groups.setdefault(find(t), []).append(t)
-    classes = [tuple(sorted(g, key=lambda x: x.row_word())) for g in groups.values()]
-    classes.sort(key=lambda members: members[0].row_word())
+    classes = [tuple(sorted(g, key=row_word)) for g in groups.values()]
+    classes.sort(key=lambda members: row_word(members[0]))
     return [(members, members[0]) for members in classes]
 
 
@@ -118,7 +127,8 @@ def oracle_c_inverse(t):
     if t.n == 0:
         raise MoveError("inverse cyclic move undefined on the empty tableau")
     n = t.n
-    jr, jc = t.position_of(n)
+    # (row, column) of n, 1-based
+    jr, jc = next((i, row.index(n) + 1) for i, row in enumerate(t.rows, start=1) if n in row)
     if len(t.rows[jr - 1]) != len(t.rows[0]):
         raise MoveError(f"entry {n} does not close the leading block of equal rows")
     rows = [[e + 1 for e in row] for row in t.rows]
@@ -333,7 +343,7 @@ class TestCutPoints:
                 for i in range(1, m):
                     # boxes in the first i columns
                     boxes = sum(min(part, i) for part in shape.parts)
-                    expected = t.entry(1, i + 1) == boxes + 1
+                    expected = t.rows[0][i] == boxes + 1
                     assert (i in pts) == expected
 
 
@@ -398,9 +408,7 @@ class TestEqsClass:
 
     def test_representative_minimal_by_row_word(self):
         cls = eqs_class(T("1,2,5/3,4,6"))
-        assert cls.representative.row_word() == min(
-            m.row_word() for m in cls.members
-        )
+        assert row_word(cls.representative) == min(map(row_word, cls.members))
 
     def test_bound(self):
         with pytest.raises(ValueError):
@@ -508,8 +516,6 @@ class TestDistPreservation:
     def test_second_statistic_drops_under_cyclic_move(self):
         # when the move applies on shape (r,s,1) with r > 1, the third-row
         # entry and the preceding descent both drop by one
-        from springerfiber.tableaux import j_stat
-
         for r in range(2, 5):
             for s in range(1, r + 1):
                 if r + s + 1 > 8:
@@ -519,6 +525,6 @@ class TestDistPreservation:
                         moved = c_move(t)
                     except MoveError:
                         continue
-                    assert moved.entry(3, 1) == t.entry(3, 1) - 1
+                    assert moved.rows[2][0] == t.rows[2][0] - 1
                     assert j_stat(moved) == j_stat(t) - 1
                     assert dist(moved) == dist(t)

@@ -1,7 +1,7 @@
 import signal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import pytest
@@ -12,6 +12,7 @@ from springerfiber.exactlin import (
     ChartError,
     Flag,
     Matrix,
+    NilpotentOperator,
     Permutation,
     StabilityError,
     _ZERO,
@@ -23,7 +24,6 @@ from springerfiber.exactlin import (
     cell_of,
     cell_prime_of,
     chart_coords,
-    degenerate_to_special,
     fiber_permutations,
     in_cell,
     in_span,
@@ -53,10 +53,18 @@ from springerfiber.tableaux import (
     from_shape_chain,
     parse_tableau,
     schuetzenberger,
-    shape_chain,
 )
 
-from matrix_helpers import gauss_jordan, identity, is_zero, lazy_bareiss, transpose
+from matrix_helpers import (
+    dense_image,
+    gauss_jordan,
+    identity,
+    is_zero,
+    lazy_bareiss,
+    oracle_operator,
+    transpose,
+)
+from tableau_helpers import shape_chain
 
 T = parse_tableau
 
@@ -89,9 +97,9 @@ def jordan_type_by_rank(m: Matrix) -> tuple[int, ...]:
     return widths
 
 
-def dense_operator(u) -> Matrix:
-    """Dense matrix of the operator: column i is u applied to e_i."""
-    return Matrix(zip(*(u.apply(unit_vector(u.n, i)) for i in range(1, u.n + 1))))
+def image(u, v):
+    """The library's u(v), read off its index map by ``_images``."""
+    return tuple(exactlin_module._images(u, [v], u.n)[0])
 
 
 def dense_gram(g: Permutation) -> Matrix:
@@ -102,15 +110,6 @@ def dense_gram(g: Permutation) -> Matrix:
 # Dense reference formulas: the operator, its powers, the power kernels,
 # the annihilator of a subspace and the Gram matrix are all multiplied out
 # as Fraction matrices built straight from the basis tableau.
-
-
-def oracle_operator(t) -> Matrix:
-    """Dense matrix with a 1 at (prev, cur) for each pair of row neighbours."""
-    entries = [[0] * t.n for _ in range(t.n)]
-    for row in t.rows:
-        for prev, cur in zip(row, row[1:]):
-            entries[prev - 1][cur - 1] = 1
-    return Matrix(entries)
 
 
 def oracle_gram(t) -> Matrix:
@@ -162,7 +161,7 @@ def oracle_perp_flag(flag: Flag, gram: Matrix) -> Flag:
 def assert_matches_oracle(u, flags) -> None:
     """Index-map answers against the dense formulas on every prefix of each flag."""
     powers = oracle_powers(oracle_operator(u.tableau))
-    assert len(powers) - 1 == u.degree
+    assert len(powers) - 1 == u.jordan_type.num_columns
     kernels = [p.nullspace() for p in powers]
     gram = oracle_gram(u.tableau)
     form = bilinear_form(u)
@@ -284,7 +283,7 @@ def sparse_matrices(draw):
             vs = jordan_flag(Permutation(draw(st.permutations(range(1, n + 1))))).vectors
         else:
             vs = draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=1, max_size=n))
-        columns = [x for v in vs for x in (v, u.apply(vector(v)))]
+        columns = [x for v in vs for x in (v, dense_image(u, v))]
         rows = [list(r) for r in zip(*columns)]
     return draw(st.permutations(rows))
 
@@ -531,30 +530,30 @@ class TestJordanOperator:
     def test_k_k_1_action(self):
         u = jordan_operator(T("1,3/2,4/5"))
         # chains 1<-3 and 2<-4; e1, e2, e5 are killed
-        assert u.apply(unit_vector(5, 3)) == unit_vector(5, 1)
-        assert u.apply(unit_vector(5, 4)) == unit_vector(5, 2)
+        assert image(u, unit_vector(5, 3)) == unit_vector(5, 1)
+        assert image(u, unit_vector(5, 4)) == unit_vector(5, 2)
         for i in (1, 2, 5):
-            assert all(x == 0 for x in u.apply(unit_vector(5, i)))
+            assert all(x == 0 for x in image(u, unit_vector(5, i)))
 
     def test_322_action(self):
         u = jordan_operator(T("1,4,7/2,5/3,6"))
-        assert u.apply(unit_vector(7, 7)) == unit_vector(7, 4)
-        assert u.apply(unit_vector(7, 4)) == unit_vector(7, 1)
-        assert u.apply(unit_vector(7, 5)) == unit_vector(7, 2)
-        assert u.apply(unit_vector(7, 6)) == unit_vector(7, 3)
+        assert image(u, unit_vector(7, 7)) == unit_vector(7, 4)
+        assert image(u, unit_vector(7, 4)) == unit_vector(7, 1)
+        assert image(u, unit_vector(7, 5)) == unit_vector(7, 2)
+        assert image(u, unit_vector(7, 6)) == unit_vector(7, 3)
         for i in (1, 2, 3):
-            assert all(x == 0 for x in u.apply(unit_vector(7, i)))
+            assert all(x == 0 for x in image(u, unit_vector(7, i)))
 
     def test_single_row_shift(self):
         u = jordan_operator(T("1,2,3"))
-        assert u.apply(unit_vector(3, 3)) == unit_vector(3, 2)
+        assert image(u, unit_vector(3, 3)) == unit_vector(3, 2)
 
     def test_nilpotency_degree(self):
         u = jordan_operator(T("1,2,3"))
-        m = dense_operator(u)
+        m = oracle_operator(u.tableau)
         assert is_zero(m @ m @ m)
         assert not is_zero(m @ m)
-        assert u.degree == 3
+        assert u.jordan_type.num_columns == 3
 
     def test_full_space_type_round_trip(self):
         for n in range(1, 9):
@@ -578,7 +577,7 @@ class TestRestrictedType:
         e = lambda i: unit_vector(7, i)
         basis = [e(1), e(2), e(4), e(5)]
         # oracle: solve for the matrix of the restriction and take its type
-        cols = [solve_in_basis(basis, u.apply(w)) for w in basis]
+        cols = [solve_in_basis(basis, dense_image(u, w)) for w in basis]
         induced = Matrix(zip(*cols))
         assert jordan_type_by_rank(induced) == restricted_type(u, basis).parts
 
@@ -637,7 +636,7 @@ class TestQuotientType:
         # quotient by span(e1): induced action on images of e2..e7 kills the
         # e1 component; build that 6x6 matrix directly
         rows = [
-            [dense_operator(u).rows[i][j] for j in range(1, 7)] for i in range(1, 7)
+            [oracle_operator(u.tableau).rows[i][j] for j in range(1, 7)] for i in range(1, 7)
         ]
         induced = Matrix(rows)
         assert jordan_type_by_rank(induced) == (2, 2, 2)
@@ -656,10 +655,13 @@ class TestQuotientType:
 
 class TestDenseOracle:
     def test_operator_matches_dense_construction(self):
+        # the index map on every basis vector and on a vector of distinct entries
         for n in range(1, 6):
+            vs = [[int(i == j) for j in range(n)] for i in range(n)] + [list(range(1, n + 1))]
             for shape in partitions_of(n):
                 for t in enumerate_tableaux(shape):
-                    assert dense_operator(jordan_operator(t)) == oracle_operator(t)
+                    images = exactlin_module._images(jordan_operator(t), vs, n)
+                    assert images == [list(oracle_operator(t).apply(v)) for v in vs]
 
     def test_coordinate_flags(self):
         for n in range(1, 6):
@@ -738,10 +740,8 @@ def oracle_cell_prime_of(flag: Flag, u):
 
 
 def oracle_in_fiber(flag: Flag, u) -> bool:
-    return all(
-        Matrix(flag.vectors[:i] + tuple(u.apply(v) for v in flag.vectors[:i])).rank() == i
-        for i in range(1, flag.n + 1)
-    )
+    images = tuple(dense_image(u, v) for v in flag.vectors)
+    return all(Matrix(flag.vectors[:i] + images[:i]).rank() == i for i in range(1, flag.n + 1))
 
 
 def oracle_same_flag(a: Flag, b: Flag) -> bool:
@@ -837,9 +837,12 @@ class TestWholeFlag:
 # ``cell_prime_of``, with the chain read-off they replaced in turn.
 
 
-def nested_meet_dims(u, vecs, order, cuts):
-    """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs)."""
-    columns = [x for v in vecs for x in (v, u.apply(v))]
+def nested_meet_dims(vecs, images, order, cuts):
+    """Per cut r: dim(span(vecs[:i]) meet the coordinates zero on order[:r]) for i = 0..len(vecs).
+
+    ``images`` holds u(v) for each v of ``vecs``.
+    """
+    columns = [x for pair in zip(vecs, images) for x in pair]
     pairs, _ = _rank_profile([[w[c] for w in columns] for c in order])
     if any(c % 2 for _, c in pairs):
         raise StabilityError("flag is not stable under the operator")
@@ -853,18 +856,18 @@ def nested_meet_dims(u, vecs, order, cuts):
     return out
 
 
-def kernel_dims(u, vecs):
+def kernel_dims(u, vecs, images):
     """Row j, entry i: dim(span(vecs[:i]) meet ker u^j) for j = 0..degree."""
     order = sorted(range(u.n), key=lambda i: -u.column[i])
-    cuts = [sum(c > j for c in u.column) for j in range(1, u.degree + 1)]
-    return [[0] * (len(vecs) + 1)] + nested_meet_dims(u, vecs, order, cuts)
+    cuts = [sum(c > j for c in u.column) for j in range(1, u.jordan_type.num_columns + 1)]
+    return [[0] * (len(vecs) + 1)] + nested_meet_dims(vecs, images, order, cuts)
 
 
-def preimage_dims(u, vecs):
+def preimage_dims(u, vecs, images):
     """Row j, entry i: dim of the preimage of span(vecs[:i]) under u^j for j = 0..degree."""
     order = sorted(range(u.n), key=lambda i: u.boxes_right[i])
-    cuts = [sum(b < j for b in u.boxes_right) for j in range(u.degree)]
-    dims = nested_meet_dims(u, vecs, order, cuts)
+    cuts = [sum(b < j for b in u.boxes_right) for j in range(u.jordan_type.num_columns)]
+    dims = nested_meet_dims(vecs, images, order, cuts)
     return [[r + m for m in row] for r, row in zip(cuts, dims)] + [[u.n] * (len(vecs) + 1)]
 
 
@@ -898,42 +901,51 @@ def tableau_from_dims(table):
     return StandardTableau(rows)
 
 
-def table_cell_of(flag: Flag, u):
-    return tableau_from_dims(kernel_dims(u, flag.vectors))
+def table_cell_prime_of(preimage):
+    return schuetzenberger(tableau_from_dims([row[::-1] for row in preimage]))
 
 
-def table_cell_prime_of(flag: Flag, u):
-    table = preimage_dims(u, flag.vectors)
-    return schuetzenberger(tableau_from_dims([row[::-1] for row in table]))
+def chain_cell_of(kernel):
+    return chain_tableau([jordan_type_of_dims(dims) for dims in zip(*kernel)])
 
 
-def chain_cell_of(flag: Flag, u):
-    if not in_springer_fiber(flag, u):
-        raise StabilityError("flag is not stable under the operator")
-    return chain_tableau([jordan_type_of_dims(dims) for dims in zip(*kernel_dims(u, flag.vectors))])
-
-
-def chain_cell_prime_of(flag: Flag, u):
-    if not in_springer_fiber(flag, u):
-        raise StabilityError("flag is not stable under the operator")
-    types = [jordan_type_of_dims(dims) for dims in zip(*preimage_dims(u, flag.vectors))]
+def chain_cell_prime_of(preimage):
+    types = [jordan_type_of_dims(dims) for dims in zip(*preimage)]
     return schuetzenberger(chain_tableau(types[::-1]))
 
 
+def stable_table(dims, u, vecs, images):
+    """``dims(u, vecs, images)``, or None when its elimination finds an unstable prefix."""
+    try:
+        return dims(u, vecs, images)
+    except StabilityError:
+        return None
+
+
 def assert_matches_table_read_offs(u, flag: Flag) -> None:
-    for fast, slows in (
-        (cell_of, (table_cell_of, chain_cell_of)),
-        (cell_prime_of, (table_cell_prime_of, chain_cell_prime_of)),
+    """``cell_of`` and ``cell_prime_of`` against the table and chain read-offs of one table each.
+
+    The images of the flag vectors, the two tables and the fiber verdict
+    that the chain read-offs rest on are computed once per flag: both
+    read-offs of a cell share its table, and where the library raises
+    StabilityError the table finds an unstable prefix and the flag is
+    outside the fiber.
+    """
+    vs = flag.vectors
+    images = [dense_image(u, v) for v in vs]
+    inside = in_springer_fiber(flag, u)
+    for fast, table, read_offs in (
+        (cell_of, stable_table(kernel_dims, u, vs, images), (tableau_from_dims, chain_cell_of)),
+        (cell_prime_of, stable_table(preimage_dims, u, vs, images), (table_cell_prime_of, chain_cell_prime_of)),
     ):
         try:
             got = fast(flag, u)
         except StabilityError as exc:
             assert str(exc) == "flag is not stable under the operator"
-            for slow in slows:
-                with pytest.raises(StabilityError):
-                    slow(flag, u)
+            assert table is None and not inside
         else:
-            assert [slow(flag, u) for slow in slows] == [got] * len(slows)
+            assert table is not None and inside
+            assert [read(table) for read in read_offs] == [got] * len(read_offs)
 
 
 def kernel_table(chain):
@@ -978,7 +990,7 @@ class TestCellReadOff:
         )
         for flag in (coordinate, dense):
             vs = flag.vectors
-            ranks = [Matrix(vs[:i] + tuple(u.apply(v) for v in vs[:i])).rank() for i in (1, 2, 3)]
+            ranks = [Matrix(vs[:i] + tuple(dense_image(u, v) for v in vs[:i])).rank() for i in (1, 2, 3)]
             assert ranks == [1, 2, 4]
             assert_matches_table_read_offs(u, flag)
             for cell in (cell_of, cell_prime_of):
@@ -1049,7 +1061,7 @@ class TestCellReadOff:
 
 def fraction_flag_pivots(u, flag: Flag, order):
     """``_flag_pivots`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, u(v_i)."""
-    columns = [x for v in flag.vectors for x in (v, u.apply(v))]
+    columns = [x for v in flag.vectors for x in (v, dense_image(u, v))]
     rows = list(zip(*columns))
     pairs = _rank_profile([rows[c] for c in order])[0]
     if any(c % 2 for _, c in pairs):
@@ -1274,10 +1286,39 @@ class TestDuality:
         for t in (T("1,3/2,4/5"), T("1,4,7/2,5/3,6")):
             u = jordan_operator(t)
             gram = dense_gram(bilinear_form(u))
-            m = dense_operator(u)
+            m = oracle_operator(t)
             assert transpose(gram) == gram
             assert gram.rank() == u.n
             assert gram @ m == transpose(m) @ gram
+
+    def test_form_rejects_an_operator_that_is_not_self_adjoint(self):
+        # the chains of 1,2/3 pair e_1 with e_2, but this index map sends e_3 to e_1
+        u = object.__new__(NilpotentOperator)
+        u.tableau, u.n, u.right = T("1,2/3"), 3, (2, None, None)
+        with pytest.raises(AssertionError, match="^operator is not self-adjoint for the form$"):
+            bilinear_form(u)
+
+    def test_self_adjointness_matches_the_dense_check(self):
+        # every index map on n <= 4 basis vectors against B u = u^T B for the
+        # tableau's Gram matrix B, where column r of u has a 1 in row i when
+        # right[i] = r
+        for n in range(1, 5):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    gram = [[int(x) for x in row] for row in oracle_gram(t).rows]
+                    for right in product([None, *range(n)], repeat=n):
+                        m = [[int(right[i] == c) for c in range(n)] for i in range(n)]
+                        bu = [[sum(gram[a][k] * m[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+                        utb = [[sum(m[k][a] * gram[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+                        u = object.__new__(NilpotentOperator)
+                        u.tableau, u.n, u.right = t, n, right
+                        try:
+                            bilinear_form(u)
+                        except AssertionError as exc:
+                            assert str(exc) == "operator is not self-adjoint for the form"
+                            assert bu != utb, (t, right)
+                        else:
+                            assert bu == utb, (t, right)
 
     def test_perp_flag_rejects_form_of_other_size(self):
         flag = jordan_flag(Permutation(range(1, 6)))
@@ -1388,6 +1429,11 @@ class TestFiberPermutations:
             signal.signal(signal.SIGALRM, previous)
 
 
+def position_of(sigma, value):
+    """The index that ``sigma`` maps to ``value``."""
+    return sigma.images.index(value) + 1
+
+
 class TestShuffles:
     def test_count(self):
         from math import factorial
@@ -1426,8 +1472,8 @@ class TestShuffles:
             out = fiber_permutations(special_operator(k))
             assert list(out) == sorted(set(out))
             for sigma in out:
-                odds = [sigma.position_of(v) for v in range(1, n - 1, 2)]
-                evens = [sigma.position_of(v) for v in range(2, n, 2)]
+                odds = [position_of(sigma, v) for v in range(1, n - 1, 2)]
+                evens = [position_of(sigma, v) for v in range(2, n, 2)]
                 assert odds == sorted(odds) and evens == sorted(evens)
 
     def test_bound_checked_before_work(self):
@@ -1533,27 +1579,26 @@ class TestSpecialPermAndFlag:
             special_perm(3, 6)
 
     def test_special_flag_in_cell_chart_origin(self):
-        coords = chart_coords(special_flag(4, 2), 4)
-        assert coords.phi and all(x == 0 for x in coords.phi.values())
+        phi = chart_coords(special_flag(4, 2), 4)
+        assert phi and all(x == 0 for x in phi.values())
 
     def test_special_basis_tableau(self):
         assert special_basis_tableau(2) == T("1,3/2,4/5")
         assert special_basis_tableau(3) == T("1,3,5/2,4,6/7")
 
 
-def chart_flag(coords):
-    """The flag with the given chart coordinates, the inverse of ``chart_coords``.
+def chart_flag(d, n, phi):
+    """The flag with chart coordinates ``phi`` around (d) in dimension n, the inverse of ``chart_coords``.
 
     Chart vector i is the i-th permuted unit vector plus phi(i, j) times
     the j-th one for every j > i.
     """
-    n = coords.n
-    perm = special_perm(coords.d, n)
+    perm = special_perm(d, n)
     vectors = []
     for i in range(1, n + 1):
         v = list(unit_vector(n, perm(i)))
         for j in range(i + 1, n + 1):
-            coeff = coords.phi.get((i, j), Fraction(0))
+            coeff = phi.get((i, j), Fraction(0))
             if coeff:
                 v[perm(j) - 1] += coeff
         vectors.append(tuple(v))
@@ -1572,17 +1617,11 @@ class TestChart:
                     for i in range(1, n + 1)
                     for j in range(i + 1, n + 1)
                 }
-                from springerfiber.exactlin import ChartCoordinates
-
-                coords = ChartCoordinates(d=d, n=n, phi=phi)
-                flag = chart_flag(coords)
-                assert chart_coords(flag, d).phi == phi
+                assert chart_coords(chart_flag(d, n, phi), d) == phi
 
     def test_coords_invariant_under_prefix_changes(self):
         # replacing each basis vector by a combination of earlier ones plus a
         # nonzero multiple of itself keeps the flag, hence the coordinates
-        from springerfiber.exactlin import ChartCoordinates, vec_add, vec_scale
-
         # the second chart point has zero coordinates, which the
         # elimination must carry past
         for zeros in ((), ((1, 2), (1, 5), (2, 4), (3, 4))):
@@ -1591,15 +1630,14 @@ class TestChart:
                 for i in range(1, 6)
                 for j in range(i + 1, 6)
             }
-            coords = ChartCoordinates(d=3, n=5, phi=phi)
-            flag = chart_flag(coords)
+            flag = chart_flag(3, 5, phi)
             mixed = []
             for i, v in enumerate(flag.vectors):
                 w = vec_scale(Fraction(i + 2, 3), v)
                 for p in range(i):
                     w = vec_add(w, vec_scale(Fraction(1, p + 5), flag.vectors[p]))
                 mixed.append(w)
-            assert chart_coords(Flag(mixed), 3).phi == phi
+            assert chart_coords(Flag(mixed), 3) == phi
 
     def test_outside_chart(self):
         # V_1 spanned by e_3 has no pivot at position (d)(1) = e_1
@@ -1672,15 +1710,13 @@ class TestChartMatchesRowOracle:
     """``chart_coords`` against the row-by-row reduction, on and off the chart."""
 
     def check(self, flag, d, expected=None):
-        phi = chart_outcome(lambda f, d: chart_coords(f, d).phi, flag, d)
+        phi = chart_outcome(chart_coords, flag, d)
         assert phi == chart_outcome(chart_coords_by_rows, flag, d)
         if expected is not None:
             assert phi == expected
 
     def test_chart_flag_round_trips(self):
         import random
-
-        from springerfiber.exactlin import ChartCoordinates
 
         rng = random.Random(11)
         for k in (1, 2, 3):
@@ -1692,7 +1728,7 @@ class TestChartMatchesRowOracle:
                         for i in range(1, n + 1)
                         for j in range(i + 1, n + 1)
                     }
-                    self.check(chart_flag(ChartCoordinates(d=d, n=n, phi=phi)), d, phi)
+                    self.check(chart_flag(d, n, phi), d, phi)
 
     def test_dense_phi_map_flags_on_every_chart(self):
         # phi_map(k, d, ps) lies on chart d; the other charts may or may not hold it
@@ -1722,6 +1758,26 @@ class TestChartMatchesRowOracle:
         vectors = data.draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
         assume(Matrix(vectors).rank() == n)
         self.check(Flag(vectors), data.draw(st.integers(min_value=3, max_value=k + 2)))
+
+
+def degenerate_to_special(sigma, k):
+    """Drive a shuffle permutation to its terminal special form, in closed form.
+
+    First, while the largest value sits before 1 or 2, swap it with that
+    value (each swap moves it later).  Then bubble the values 1..n-1 into
+    increasing position order; the largest value never moves again.  So the
+    terminal permutation is 1..d-1, n, d..n-1, where d, the last position
+    that n reaches, is the largest of the positions of 1, 2 and n.
+    """
+    n = 2 * k + 1
+    if sigma.n != n:
+        raise ValueError(f"permutation degree {sigma.n} does not match n={n}")
+    odds = [position_of(sigma, v) for v in range(1, n - 1, 2)]
+    evens = [position_of(sigma, v) for v in range(2, n, 2)]
+    if odds != sorted(odds) or evens != sorted(evens):
+        raise ValueError("permutation is not a shuffle of the two chains")
+    d = max(position_of(sigma, v) for v in (1, 2, n))
+    return Permutation(tuple(range(1, d)) + (n,) + tuple(range(d, n)))
 
 
 def degenerate_by_swaps(sigma, k):
@@ -1778,7 +1834,7 @@ class TestDegeneration:
             n = 2 * k + 1
             for sigma in fiber_permutations(special_operator(k)):
                 t = degenerate_to_special(sigma, k)
-                d = t.position_of(n)
+                d = position_of(t, n)
                 assert d >= 3
                 assert t.images == tuple(range(1, d)) + (n,) + tuple(range(d, n))
 
@@ -1789,10 +1845,8 @@ class TestDegeneration:
             n = 2 * k + 1
             for sigma in fiber_permutations(special_operator(k)):
                 t = degenerate_to_special(sigma, k)
-                expected = max(
-                    sigma.position_of(n), sigma.position_of(1), sigma.position_of(2)
-                )
-                assert t.position_of(n) == expected
+                expected = max(position_of(sigma, n), position_of(sigma, 1), position_of(sigma, 2))
+                assert position_of(t, n) == expected
 
     def test_kernel_bound_consistency(self):
         # whenever the terminal form is (d) with d <= k+2, the first reduction
@@ -1810,7 +1864,7 @@ class TestDegeneration:
                             images[pa], images[pb] = images[pb], images[pa]
                             changed = True
                 after_a = images.index(n) + 1
-                d = degenerate_to_special(sigma, k).position_of(n)
+                d = position_of(degenerate_to_special(sigma, k), n)
                 assert after_a == d
                 if d <= k + 2:
                     assert after_a <= k + 2
@@ -1826,7 +1880,6 @@ class TestPermutation:
         inverse = [0] * p.n
         for i, v in enumerate(p.images, start=1):
             inverse[v - 1] = i
-        assert tuple(p.position_of(v) for v in range(1, p.n + 1)) == tuple(inverse)
         assert tuple(inverse) == (1, 2, 4, 5, 3)
         assert str(p) == "1,2,5,3,4"
         with pytest.raises(ValueError):

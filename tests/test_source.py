@@ -1,9 +1,11 @@
 """Rules on the library source: it parses under the oldest Python that pyproject.toml
 allows, writes no zero Fraction but the shared one, builds unvalidated
-tableaux only where the rows are valid by construction, and eliminates
-through one integer core behind one Fraction-to-integer boundary."""
+tableaux only where the rows are valid by construction, eliminates
+through one integer core behind one Fraction-to-integer boundary, and
+defines no function that only the tests use."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,3 +120,83 @@ def test_one_integer_core_and_one_boundary():
         ("exactlin.py", "_independent_flag"),
         ("exactlin.py", "_subspace_pivots"),
     }
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# Definitions that only the tests and the benchmark tracer's targets use; the
+# tracer wraps them by name, so they leave src/ when it stops tracing them.
+TRACER_ONLY = {
+    "eqsmoves.legal_moves",
+    "exactlin.Matrix.apply",
+    "exactlin.Matrix.nullspace",
+    "exactlin.in_span",
+    "exactlin.intersection_dim",
+    "exactlin.restricted_type",
+    "exactlin.quotient_type",
+    "tableaux.jdt_remove_min",
+    "tableaux.from_shape_chain",
+}
+
+
+def definitions(tree, module):
+    """(qualified name, node) of each top-level function and each non-dunder method or property."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def references(tree):
+    """How often each name is referenced as a ``Name`` or an ``Attribute`` in ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced(trees, workloads):
+    """Qualified names of the definitions in ``trees`` (module name -> tree) that nothing uses.
+
+    A definition is used when its name is referenced in some tree outside
+    the definition itself, or referenced in ``workloads``.  Matching is by
+    name, so a name that two definitions share counts as used for both.
+    """
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    return {
+        qualified
+        for module, tree in trees.items()
+        for qualified, node in definitions(tree, module)
+        if total[node.name] == references(node)[node.name] and not workloads[node.name]
+    }
+
+
+def test_unused_rule_sees_references_outside_the_definition():
+    trees = {
+        "a": ast.parse(
+            "def used():\n    pass\n"
+            "def recursive():\n    return recursive()\n"
+            "class C:\n"
+            "    def __eq__(self, other):\n        pass\n"
+            "    @property\n    def shape(self):\n        return self.shape\n"
+            "    def method(self):\n        return used()\n"
+            "    def benchmarked(self):\n        pass\n"
+        ),
+        "b": ast.parse("from .a import C, recursive\ndef main():\n    return C().method\n"),
+    }
+    workloads = references(ast.parse("sf.a.C().benchmarked()\n"))
+    assert unreferenced(trees, workloads) == {"a.recursive", "a.C.shape", "b.main"}
+
+
+def test_src_keeps_only_what_the_library_runs():
+    # each function, method and property is called from src/ or from the
+    # benchmark's workloads; cli.main is the command line's entry point
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    workloads = references(ast.parse(WORKLOADS.read_text(encoding="utf-8")))
+    assert unreferenced(trees, workloads) - {"cli.main"} == TRACER_ONLY

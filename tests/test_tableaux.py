@@ -15,7 +15,6 @@ from springerfiber.tableaux import (
     dist,
     enumerate_tableaux,
     from_shape_chain,
-    j_stat,
     jdt_remove_min,
     make_P,
     make_P_shift,
@@ -23,11 +22,12 @@ from springerfiber.tableaux import (
     parse_tableau,
     restrict,
     schuetzenberger,
-    shape_chain,
     standardize,
     tableau,
     tau,
 )
+
+from tableau_helpers import j_stat, shape_chain
 
 T = parse_tableau
 
@@ -61,16 +61,16 @@ def oracle_restrict(t, i, j):
 
 
 def oracle_j_stat(t):
-    """``j_stat`` read off the shape, the descent set and ``Tableau.entry``."""
+    """``j_stat`` read off the shape, the descent set and the third-row entry."""
     if not t.shape.is_rs1:
         raise ValueError(f"statistic needs shape (r,s,1), got {t.shape}")
-    bottom = t.entry(3, 1)
+    bottom = t.rows[2][0]
     return max(i for i in tau(t) if i < bottom - 1)
 
 
 def oracle_dist(t):
     j = oracle_j_stat(t)
-    return t.entry(3, 1) - 1 - j
+    return t.rows[2][0] - 1 - j
 
 
 def outcome(stat, t):
@@ -398,33 +398,12 @@ class TestTrustedBuilds:
             schuetzenberger(t)
 
 
-class TestEntry:
-    def test_every_box(self):
-        t = T("1,2,5/3,4/6,7")
-        assert [[t.entry(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(t.rows, 1)] == [
-            list(row) for row in t.rows
-        ]
-
-    @pytest.mark.parametrize(
-        "i, j", [(0, 1), (1, 0), (-1, 1), (1, -1), (0, 0), (4, 1), (1, 4), (2, 3), (3, 3)]
-    )
-    def test_no_box_outside_the_tableau(self, i, j):
-        with pytest.raises(ValueError) as exc:
-            T("1,2,5/3,4/6,7").entry(i, j)
-        assert str(exc.value) == f"no box at ({i},{j})"
-
-
 class TestRowStatistics:
-    def test_row_of(self):
-        assert T("1,3/2").row_of(2) == 2
-        t = T("1,2,3/4,5/6")
-        assert t.row_of(5) == 2
-        assert t.row_of(6) == 3
-
     def test_tau_by_scan(self):
         t = T("1,2,3/4,5/6")
         # oracle: scan rows of consecutive entries
-        scan = {e for e in range(1, 6) if t.row_of(e + 1) > t.row_of(e)}
+        row_of = {e: r for r, row in enumerate(t.rows) for e in row}
+        scan = {e for e in range(1, 6) if row_of[e + 1] > row_of[e]}
         assert scan == {3, 5}
         assert tau(t) == frozenset({3, 5})
         assert tau(T("1,3,6/2,5/4")) == frozenset({1, 3})
@@ -669,7 +648,7 @@ class TestThirdRowStatUnderEvacuation:
                     continue
                 for t in enumerate_tableaux(Partition((r, s, 1))):
                     s_t = schuetzenberger(t)
-                    assert s_t.entry(3, 1) == t.n - j_stat(t) + 1
+                    assert s_t.rows[2][0] == t.n - j_stat(t) + 1
                     assert dist(s_t) == dist(t)
 
 
