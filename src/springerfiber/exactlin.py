@@ -1,43 +1,41 @@
 """Exact rational linear algebra for flags in a Springer fiber.
 
-Entries are ``fractions.Fraction`` and pivot questions run on integers
-scaled from them; there is no floating point anywhere, so rank, kernel,
-and membership answers are exact.  Vectors are plain tuples used as
-columns by operators and as rows by spans; sums and multiples leave zero
-entries as they are, and coordinate vectors share one zero and one one.
-One elimination routine serves every question, and it does no arithmetic
-on zeros: most of the matrices are 0/1 coordinate flags.  ``_eliminate`` is
-fraction-free elimination of integer rows that updates only the rows
-nonzero in the pivot column and divides each updated row by its content,
-so no entry outgrows the minors that Bareiss elimination holds; it returns
-the (row, column) pivot pairs and each pivot row as it stands when chosen,
-an integer echelon form.  ``_integer_rows`` is the one boundary from
+Entries are ``fractions.Fraction``, and every pivot question runs on
+integers scaled from them; nothing is floating point, so rank, kernel and
+membership answers are exact.  Vectors are plain tuples, columns for
+operators and rows for spans; sums and multiples leave zero entries as
+they are, and coordinate vectors share one zero and one one.  One
+elimination core, ``_eliminate``, serves every question: fraction-free
+elimination of integer rows that does no arithmetic on zeros and divides
+each updated row by its content, so no entry outgrows the minors that
+Bareiss elimination holds; it returns the (row, column) pivot pairs and an
+integer echelon form.  ``_integer_rows`` is the one boundary from
 ``Fraction`` to integers: it scales each row by the lcm of its
-denominators, which keeps the rank profile, and returns the scales.  A
-flag is scaled once, when it is built, and keeps that integer form; every
-flag question reads it and converts nothing.  ``Matrix`` and span
-membership go through ``_rank_profile``, the two in turn.  The operator is
-an index map, so the image of s v is s u(v), read off the integers by one
-helper.  With the coordinates ordered so that every power of the operator
-cuts a leading block of them, one elimination of the scaled vectors of a
-subspace basis followed by their images decides independence, stability
-and the pivot coordinates; one elimination with each scaled flag vector
-followed by its image, as columns, shows whether every prefix is stable
-and gives each vector's pivot coordinate: a Jordan type counts the pivots
-by tableau column, and ``tableaux`` reads the cell label off the column of
-each vector's pivot coordinate.  Flag equality, chart coordinates and the
-complement flag eliminate the stored rows too.  The coordinate flag of a
-permutation and the complement flag are independent by construction and
-skip the independence elimination; so do the chart families and the
-(3,2,2) family of :mod:`springerfiber.certificates`, whose bases are unit
-triangles (1 on a diagonal, 0 before it, in the special permutation's
-coordinate order or in plain order): checking that triangle proves
-independence exactly, as its determinant is 1, and any other basis raises
-ValueError.  Every other ``Flag`` runs the elimination.  ``_reduced``
-back-substitutes the echelon rows over ``Fraction``: ``Matrix.rref``
-(kernels) and the complement flag, whose integer rows [s_k P_k | s_k e_k]
-``perp_flag`` builds from the stored ones.  Chart coordinates are ratios
-of echelon entries.
+denominators, which keeps the rank profile, and returns those scales.
+
+A flag holds only that integer form of its basis, the scaled vectors and
+their scales, and every flag question reads it and converts nothing.
+``Flag(vectors)`` converts once and eliminates to check independence.
+Every other flag comes from one private builder of integer rows and scales
+that runs no elimination, for bases independent by construction: the
+coordinate flag of a permutation, 0/1 rows of scale 1; the complement
+flag; and the chart families and the (3,2,2) family of
+:mod:`springerfiber.certificates`, unit triangles (1 on a diagonal, 0
+before it, in the special permutation's coordinate order or in plain
+order) checked on their integer rows: such a triangle has determinant 1,
+and any other basis raises ValueError.  The operator is an index map, so
+the image of s v is s u(v), read off the integers.  With the coordinates
+ordered so that every power of the operator cuts a leading block of them,
+one elimination with each scaled flag vector followed by its image, as
+columns, shows whether every prefix is stable and gives each vector's
+pivot coordinate: a Jordan type counts the pivots by tableau column, and
+``tableaux`` reads the cell label off those columns; a subspace basis
+followed by its images, as rows, is eliminated the same way.  Flag
+equality, chart coordinates (ratios of echelon entries) and the complement
+flag eliminate the stored rows too; ``_reduced`` back-substitutes echelon
+rows over ``Fraction`` for ``Matrix.rref`` and for the complement flag,
+whose integer rows [s_k P_k | s_k e_k] ``perp_flag`` builds from the
+stored ones.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -63,6 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -84,7 +83,12 @@ class StabilityError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x`` as a ``Fraction``; TypeError unless it is rational, as an int is and a float is not."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, Rational):
+        raise TypeError(f"entries must be exact rationals (int or Fraction), got {type(x).__name__}")
+    return Fraction(x)
 
 
 def vector(entries: Iterable) -> Vector:
@@ -184,8 +188,8 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and that lcm: the ``Fraction`` to integer boundary.
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each row times the lcm of its denominators, as an int tuple, and that lcm: the ``Fraction`` to integer boundary.
 
     The shared zero is read without a call, and a row whose lcm is 1 is
     taken as its numerators.  Scaling a row by a nonzero number keeps its
@@ -197,16 +201,16 @@ def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], 
         ratios = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in row]
         scale = lcm(*[d for _, d in ratios])
         if scale == 1:
-            out.append([a for a, _ in ratios])
+            out.append(tuple([a for a, _ in ratios]))
         else:
-            out.append([a * (scale // d) for a, d in ratios])
+            out.append(tuple([a * (scale // d) for a, d in ratios]))
         scales.append(scale)
-    return out, scales
+    return tuple(out), tuple(scales)
 
 
 def _rank_profile(
     rows: Iterable[Sequence[Fraction]],
-) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+) -> tuple[tuple[tuple[int, int], ...], list[Sequence[int]]]:
     """``_eliminate`` on the rows scaled to integers by ``_integer_rows``.
 
     Only for ``Matrix`` and ``in_span``; a flag or subspace basis is scaled
@@ -341,12 +345,14 @@ def intersection_dim(a: Sequence[Vector], b: Sequence[Vector]) -> int:
 
 
 class Permutation:
-    """Bijection of 1..n stored as the tuple of images."""
+    """Bijection of 1..n stored as the tuple of images; TypeError unless each is an ``int`` (not a bool)."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(x) for x in images)
+        images = tuple(images)
+        if any(type(x) is not int for x in images):
+            raise TypeError(f"permutation images must be ints: {images}")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         self.images = images
@@ -385,23 +391,22 @@ class Permutation:
 class Flag:
     """Full flag given by an ordered basis; prefix ``i`` spans the ``i``-dim space."""
 
-    # the integer form that every flag question reads, built once: each
+    # the one form a flag holds, read by every flag question: each basis
     # vector times the lcm of its denominators, as ints, and those lcms
-    __slots__ = ("vectors", "_scaled", "_scales")
+    __slots__ = ("_scaled", "_scales")
 
     def __init__(self, vectors: Sequence[Vector]):
         vectors = tuple(vector(v) for v in vectors)
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        scaled, scales = _integer_rows(vectors)
-        self.vectors, self._scaled, self._scales = vectors, tuple(map(tuple, scaled)), tuple(scales)
+        self._scaled, self._scales = _integer_rows(vectors)
         if n and len(_eliminate(self._scaled)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return len(self._scaled)
 
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases."""
@@ -411,15 +416,10 @@ class Flag:
         return f"Flag(n={self.n})"
 
 
-def _independent_flag(vectors: tuple[Vector, ...]) -> Flag:
-    """The flag of ``vectors`` without the elimination that ``Flag`` runs.
-
-    Only for callers that know ``vectors`` to be n independent tuples of n
-    ``Fraction`` entries; each says why at its call.
-    """
+def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> Flag:
+    """The flag of n independent integer rows and their scales, with no elimination; callers say why."""
     flag = object.__new__(Flag)
-    scaled, scales = _integer_rows(vectors)
-    flag.vectors, flag._scaled, flag._scales = vectors, tuple(map(tuple, scaled)), tuple(scales)
+    flag._scaled, flag._scales = scaled, scales
     return flag
 
 
@@ -430,18 +430,17 @@ def _triangular_flag(vectors: Sequence[Vector], order: Sequence[int]) -> Flag:
     at every earlier coordinate of the order; ValueError otherwise.  Then
     the matrix with entries vectors[i][order[j]] is unit upper triangular,
     of determinant 1, so the vectors are independent and no elimination is
-    run.  ``order`` must be a permutation of range(n).  The zeros are
-    counted, and ``list.count`` matches the shared zero by identity, with
-    no call.
+    run.  ``order`` must be a permutation of range(n).  The check reads the
+    integer rows: row i must be its scale at order[i] and 0 before it.
     """
-    vectors = tuple(vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise ValueError("flag needs n vectors of length n")
-    for i, v in enumerate(vectors):
-        if v[order[i]] != 1 or [v[c] for c in order[:i]].count(_ZERO) != i:
+    scaled, scales = _integer_rows(vectors)
+    for i, (row, s) in enumerate(zip(scaled, scales)):
+        if row[order[i]] != s or any(row[c] for c in order[:i]):
             raise ValueError(f"flag vector {i + 1} breaks the unit triangle")
-    return _independent_flag(vectors)
+    return _integer_flag(scaled, scales)
 
 
 class NilpotentOperator:
@@ -540,7 +539,7 @@ def _subspace_pivots(
     """
     scaled = _integer_rows(vector(w) for w in subspace)[0]
     m = len(scaled)
-    pairs, _ = _eliminate([[w[c] for c in order] for w in scaled + _images(u, scaled, u.n)])
+    pairs, _ = _eliminate([[w[c] for c in order] for w in (*scaled, *_images(u, scaled, u.n))])
     if sum(i < m for i, _ in pairs) < m:
         raise ValueError("subspace basis is linearly dependent")
     if len(pairs) > m:
@@ -657,7 +656,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
         raise AssertionError("form is degenerate on the flag")
     # pivots 0..n-1 make P invertible, so the columns of P^-1 are independent
     columns = tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
-    return _independent_flag(columns)
+    return _integer_flag(*_integer_rows(columns))
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
@@ -682,9 +681,9 @@ def special_operator(k: int) -> NilpotentOperator:
 
 def jordan_flag(perm: Permutation) -> Flag:
     """Coordinate flag ordering the Jordan basis by a permutation."""
-    n = perm.n
-    # a Permutation is a bijection of 1..n, so these are the n unit vectors
-    return _independent_flag(tuple(unit_vector(n, i) for i in perm.images))
+    zeros = (0,) * perm.n
+    # a Permutation is a bijection of 1..n: these are n distinct unit rows, each of scale 1
+    return _integer_flag(tuple(zeros[: i - 1] + (1,) + zeros[i:] for i in perm.images), (1,) * perm.n)
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:

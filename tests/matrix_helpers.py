@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 
-from springerfiber.exactlin import Matrix, unit_vector, vector
+from springerfiber.exactlin import _ONE, _ZERO, Matrix, unit_vector, vector
 
 
 def identity(n: int) -> Matrix:
@@ -40,6 +40,18 @@ def dense_image(u, v) -> tuple[Fraction, ...]:
     same few unit vectors many times.
     """
     return _dense_image(u.tableau, vector(v))
+
+
+def flag_vectors(flag) -> tuple[tuple[Fraction, ...], ...]:
+    """The flag's basis as ``Fraction`` vectors: each stored integer row divided by its scale.
+
+    Zeros and ones are the shared ``Fraction``s that ``unit_vector`` uses, so
+    the oracles skip arithmetic on zeros as they do for built vectors.
+    """
+    return tuple(
+        tuple(_ZERO if not x else _ONE if x == s else Fraction(x, s) for x in row)
+        for row, s in zip(flag._scaled, flag._scales)
+    )
 
 
 def gauss_jordan(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:

@@ -46,7 +46,7 @@ from springerfiber.exactlin import (
 )
 from springerfiber.partitions import Partition
 
-from matrix_helpers import dense_image, gauss_jordan, identity, is_zero, oracle_operator
+from matrix_helpers import dense_image, flag_vectors, gauss_jordan, identity, is_zero, oracle_operator
 
 
 def f_family(t) -> Matrix:
@@ -150,6 +150,23 @@ class TestJet:
         assert len({Jet(3), 3, Fraction(3)}) == 1
         assert hash(Jet(1, 2)) == hash(Jet(Fraction(2, 2), 2)) == hash(Jet(1, 1) + Jet(0, 1))
         assert len({Jet(1, 2), Jet(1, 2) * 1, Jet(1), 1}) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Jet(0.5),
+        lambda: Jet(1) + 0.5,
+        lambda: v_vectors(2, [0.5]),
+        lambda: phi_map(2, 3, (0.5, 1, 1, 1)),
+        lambda: verify_smooth_chart(2, 3, [(0.5, 1, 1, 1)]),
+        lambda: verify_curve_membership((0.5, 1, 1, 2, 1, 1)),
+    ],
+    ids=["jet", "jet-sum", "v-vectors", "phi-map", "smooth-chart", "curve-membership"],
+)
+def test_float_parameters_raise(call):
+    with pytest.raises(TypeError, match="got float$"):
+        call()
 
 
 class TestFamilyMatrix:
@@ -464,7 +481,7 @@ class TestPhiMap:
             n = 2 * k + 1
             for d in range(3, k + 3):
                 for ps in default_chart_parameters(k):
-                    vectors = phi_map(k, d, ps).vectors[: d - 1]
+                    vectors = flag_vectors(phi_map(k, d, ps))[: d - 1]
                     gamma = {i: v[n - 1] for i, v in enumerate(vectors, start=1)}
                     given = (k, k + 1) if d == k + 2 else (d - 1,)
                     assert tuple(gamma[i] for i in given) == ps[k : k + len(given)]
@@ -502,9 +519,8 @@ def recording_triangles(monkeypatch):
     calls = []
 
     def recording(vectors, order):
-        flag = _triangular_flag(vectors, order)
-        calls.append((flag.vectors, list(order)))
-        return flag
+        calls.append((tuple(vectors), list(order)))
+        return _triangular_flag(vectors, order)
 
     monkeypatch.setattr(certificates_module, "_triangular_flag", recording)
     return calls
@@ -519,8 +535,8 @@ class TestTriangularFlags:
         for d in range(3, k + 3):
             order = chart_order(k, d)
             for ps in chart_tuples(k) + chart_tuples(k, signed=True):
-                vectors = phi_map(k, d, ps).vectors
-                assert _triangular_flag(vectors, order).vectors == vectors
+                vectors = flag_vectors(phi_map(k, d, ps))
+                assert flag_vectors(_triangular_flag(vectors, order)) == vectors
                 assert len(gauss_jordan(vectors)[1]) == n
 
     def test_every_membership_flag(self, monkeypatch):
@@ -547,7 +563,7 @@ class TestTriangularFlags:
         f, one = f_family(t).rows, identity(7).rows
         plus_identity = [[a + b for a, b in zip(*rows)] for rows in zip(f, one)]
         assert vectors == tuple(zip(*plus_identity))
-        assert _triangular_flag(vectors, order).vectors == vectors
+        assert flag_vectors(_triangular_flag(vectors, order)) == vectors
 
     def test_swapped_chart_vectors_fail_loudly(self, monkeypatch):
         # a phi_map that lists two flag vectors in the wrong order builds an
@@ -576,10 +592,15 @@ class TestSharedZeros:
     """Zeros the families build by structure are the shared zero of ``exactlin``."""
 
     @pytest.mark.parametrize("k", range(2, 7))
-    def test_chart_flag_zeros(self, k):
+    def test_chart_flag_zeros(self, k, monkeypatch):
+        # the basis that phi_map hands to _triangular_flag, which converts it once
+        calls = recording_triangles(monkeypatch)
         for d in range(3, k + 3):
             for ps in chart_tuples(k):
-                zeros = [x for v in phi_map(k, d, ps).vectors for x in v if not x]
+                calls.clear()
+                phi_map(k, d, ps)
+                [(vectors, _)] = calls
+                zeros = [x for v in vectors for x in v if not x]
                 assert zeros and all(x is _ZERO for x in zeros)
 
     def test_family_matrix_cells_outside_the_family(self, monkeypatch):

@@ -575,6 +575,8 @@ class TestReadmeLayout:
             "_bareiss",
             "degenerate_to_special",
             "j_stat",
+            "Flag.vectors",
+            "_independent_flag",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

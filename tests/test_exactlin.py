@@ -1,4 +1,5 @@
 import signal
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -20,6 +21,7 @@ from springerfiber.exactlin import (
     _integer_rows,
     _rank_profile,
     _triangular_flag,
+    as_fraction,
     bilinear_form,
     cell_of,
     cell_prime_of,
@@ -57,6 +59,7 @@ from springerfiber.tableaux import (
 
 from matrix_helpers import (
     dense_image,
+    flag_vectors,
     gauss_jordan,
     identity,
     is_zero,
@@ -149,7 +152,7 @@ def oracle_quotient_type(powers, vecs) -> Partition:
 def oracle_perp_flag(flag: Flag, gram: Matrix) -> Flag:
     n = flag.n
     kernels = [identity(n).rows]
-    kernels += [(Matrix(flag.vectors[:i]) @ gram).nullspace() for i in range(1, n + 1)]
+    kernels += [(Matrix(flag_vectors(flag)[:i]) @ gram).nullspace() for i in range(1, n + 1)]
     chosen = []
     for j in range(1, n + 1):
         chosen.append(
@@ -167,7 +170,7 @@ def assert_matches_oracle(u, flags) -> None:
     form = bilinear_form(u)
     for flag in flags:
         for i in range(flag.n + 1):
-            prefix = flag.vectors[:i]
+            prefix = flag_vectors(flag)[:i]
             assert restricted_type(u, prefix) == oracle_restricted_type(kernels, prefix)
             assert quotient_type(u, prefix) == oracle_quotient_type(powers, prefix)
         assert perp_flag(flag, form).same_flag(oracle_perp_flag(flag, gram))
@@ -280,7 +283,7 @@ def sparse_matrices(draw):
     else:
         u = jordan_operator(column_superstandard(draw(st.sampled_from(list(partitions_of(n))))))
         if draw(st.booleans()):
-            vs = jordan_flag(Permutation(draw(st.permutations(range(1, n + 1))))).vectors
+            vs = flag_vectors(jordan_flag(Permutation(draw(st.permutations(range(1, n + 1))))))
         else:
             vs = draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=1, max_size=n))
         columns = [x for v in vs for x in (v, dense_image(u, v))]
@@ -460,7 +463,8 @@ class TestRankProfile:
         for rows in ([], [[], []], [[F(0)] * 3] * 4, equal_rows, deficient):
             self.check(rows)
         # the pivot of equal rows is the top one, so rows[:1] has rank 1
-        assert _rank_profile(equal_rows) == (((0, 0),), [[1, 2]])
+        pairs, tops = _rank_profile(equal_rows)
+        assert (pairs, [list(top) for top in tops]) == (((0, 0),), [[1, 2]])
         assert _rank_profile(deficient)[0] == ((3, 0), (1, 1))
 
 
@@ -489,7 +493,9 @@ class TestEchelonRows:
         # each row is scaled by the lcm of its denominators before elimination
         F = Fraction
         rows = [[F(1, 2), F(1, 3)], [F(1), F(1, 2)]]
-        assert _rank_profile(rows) == (((0, 0), (1, 1)), [[3, 2], [0, -1]])
+        # the scaled rows are int tuples, and an updated row is a new list
+        pairs, tops = _rank_profile(rows)
+        assert (pairs, [list(top) for top in tops]) == (((0, 0), (1, 1)), [[3, 2], [0, -1]])
 
 
 @st.composite
@@ -498,6 +504,32 @@ def sparse_vector_pairs(draw):
     n = draw(st.integers(min_value=0, max_value=8))
     vec = st.lists(st.one_of(st.just(Fraction(0)), RATIONAL), min_size=n, max_size=n)
     return tuple(draw(vec)), tuple(draw(vec))
+
+
+class TestExactEntries:
+    """An int or a Fraction is read as its value; a float, a complex or a Decimal raises TypeError."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.integers(min_value=-(10**6), max_value=10**6), st.fractions(max_denominator=10**4)))
+    def test_inexact_entries_raise_and_rationals_keep_their_value(self, x):
+        value = Fraction(x)
+        for exact in (x, value):
+            assert type(as_fraction(exact)) is Fraction and as_fraction(exact) == value
+            flag = Flag([[1, exact], [0, 1]])
+            assert flag_vectors(flag) == ((1, value), (0, 1))
+        assert vector([x, 1]) == vector([value, 1])
+        for inexact in (float(value), complex(value), Decimal(value.numerator) / Decimal(value.denominator)):
+            with pytest.raises(TypeError, match="^entries must be exact rationals"):
+                as_fraction(inexact)
+            with pytest.raises(TypeError, match="^entries must be exact rationals"):
+                Flag([[1, inexact], [0, 1]])
+
+    def test_a_float_is_not_rounded_into_a_flag(self):
+        # 0.1 is 3602879701896397 / 2**55, not 1/10
+        with pytest.raises(TypeError, match="got float$"):
+            Flag([[0.1, 0], [0, 1]])
+        with pytest.raises(TypeError, match="got float$"):
+            vec_scale(0.5, (Fraction(1),))
 
 
 class TestVectorArithmetic:
@@ -729,24 +761,24 @@ def dense_quotient_type(t, vecs):
 
 
 def oracle_cell_of(flag: Flag, u):
-    chain = [dense_restricted_type(u.tableau, flag.vectors[:i]) for i in range(flag.n + 1)]
+    chain = [dense_restricted_type(u.tableau, flag_vectors(flag)[:i]) for i in range(flag.n + 1)]
     return chain_tableau(chain)
 
 
 def oracle_cell_prime_of(flag: Flag, u):
     n = flag.n
-    chain = [dense_quotient_type(u.tableau, flag.vectors[: n - j]) for j in range(n + 1)]
+    chain = [dense_quotient_type(u.tableau, flag_vectors(flag)[: n - j]) for j in range(n + 1)]
     return schuetzenberger(chain_tableau(chain))
 
 
 def oracle_in_fiber(flag: Flag, u) -> bool:
-    images = tuple(dense_image(u, v) for v in flag.vectors)
-    return all(Matrix(flag.vectors[:i] + images[:i]).rank() == i for i in range(1, flag.n + 1))
+    images = tuple(dense_image(u, v) for v in flag_vectors(flag))
+    return all(Matrix(flag_vectors(flag)[:i] + images[:i]).rank() == i for i in range(1, flag.n + 1))
 
 
 def oracle_same_flag(a: Flag, b: Flag) -> bool:
     return a.n == b.n and all(
-        Matrix(a.vectors[:i] + b.vectors[:i]).rank() == i for i in range(1, a.n + 1)
+        Matrix(flag_vectors(a)[:i] + flag_vectors(b)[:i]).rank() == i for i in range(1, a.n + 1)
     )
 
 
@@ -767,7 +799,7 @@ def assert_matches_prefix_oracles(u, flag: Flag, tilt: int) -> None:
             cell_of(flag, u)
         with pytest.raises(StabilityError):
             cell_prime_of(flag, u)
-    vs = flag.vectors
+    vs = flag_vectors(flag)
     rebased = Flag(vs[:1] + tuple(vec_add(v, w) for v, w in zip(vs[1:], vs)))
     assert oracle_same_flag(flag, rebased) and flag.same_flag(rebased)
     if flag.n > 1:
@@ -931,7 +963,7 @@ def assert_matches_table_read_offs(u, flag: Flag) -> None:
     StabilityError the table finds an unstable prefix and the flag is
     outside the fiber.
     """
-    vs = flag.vectors
+    vs = flag_vectors(flag)
     images = [dense_image(u, v) for v in vs]
     inside = in_springer_fiber(flag, u)
     for fast, table, read_offs in (
@@ -989,7 +1021,7 @@ class TestCellReadOff:
             [e(1), vec_add(e(2), e(1)), vec_add(e(4), vec_scale(2, e(1))), vec_add(e(3), e(2))]
         )
         for flag in (coordinate, dense):
-            vs = flag.vectors
+            vs = flag_vectors(flag)
             ranks = [Matrix(vs[:i] + tuple(dense_image(u, v) for v in vs[:i])).rank() for i in (1, 2, 3)]
             assert ranks == [1, 2, 4]
             assert_matches_table_read_offs(u, flag)
@@ -1055,13 +1087,13 @@ class TestCellReadOff:
             # the prefixes of a fiber flag are stable subspaces
             for subspace_type in (restricted_type, quotient_type):
                 calls.clear()
-                subspace_type(u, f.vectors[:3])
+                subspace_type(u, flag_vectors(f)[:3])
                 assert len(calls) == 1
 
 
 def fraction_flag_pivots(u, flag: Flag, order):
     """``_flag_pivots`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, u(v_i)."""
-    columns = [x for v in flag.vectors for x in (v, dense_image(u, v))]
+    columns = [x for v in flag_vectors(flag) for x in (v, dense_image(u, v))]
     rows = list(zip(*columns))
     pairs = _rank_profile([rows[c] for c in order])[0]
     if any(c % 2 for _, c in pairs):
@@ -1071,7 +1103,7 @@ def fraction_flag_pivots(u, flag: Flag, order):
 
 def fraction_same_flag(a: Flag, b: Flag) -> bool:
     """``same_flag`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, w_i."""
-    columns = [x for pair in zip(a.vectors, b.vectors) for x in pair]
+    columns = [x for pair in zip(flag_vectors(a), flag_vectors(b)) for x in pair]
     return a.n == b.n and all(c % 2 == 0 for _, c in _rank_profile(list(zip(*columns)))[0])
 
 
@@ -1106,7 +1138,7 @@ def integer_path_cases(draw):
         flag = Flag(vectors)
     elif kind == "shuffled":
         fiber = jordan_flag(draw(st.sampled_from(fiber_permutations(u))))
-        flag = Flag(draw(st.permutations(fiber.vectors)))
+        flag = Flag(draw(st.permutations(flag_vectors(fiber))))
     return u, flag
 
 
@@ -1128,7 +1160,7 @@ class TestIntegerPath:
     @given(integer_path_cases(), st.data())
     def test_same_flag_matches_fraction_columns(self, case, data):
         _, flag = case
-        vs = flag.vectors
+        vs = flag_vectors(flag)
         k = data.draw(st.integers(min_value=0, max_value=flag.n - 1))
         c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
         # adding a multiple of an earlier vector keeps the flag, of a later one changes it
@@ -1165,16 +1197,59 @@ def counting(monkeypatch, name):
     return calls
 
 
+@st.composite
+def independent_bases(draw):
+    """n independent vectors of n rationals, shared and unshared zeros among them."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(st.just(_ZERO), RATIONAL)
+    vectors = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    assume(Matrix(vectors).rank() == n)
+    return vectors
+
+
+@st.composite
+def unit_triangles(draw):
+    """(vectors, order): vector i is 1 at order[i], 0 at order[:i] and any rational, 0 included, after."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    order = draw(st.permutations(range(n)))
+    entry = st.one_of(st.just(_ZERO), RATIONAL)
+    vectors = []
+    for i in range(n):
+        v = [_ZERO] * n
+        v[order[i]] = Fraction(1)
+        for c in order[i + 1 :]:
+            v[c] = draw(entry)
+        vectors.append(tuple(v))
+    return tuple(vectors), order
+
+
 class TestIntegerForm:
     """A flag is scaled to integers once, when it is built, and its questions read that form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(independent_bases(), unit_triangles())
+    def test_the_integer_form_gives_back_the_basis(self, vectors, triangle):
+        # flag_vectors divides each stored row by its scale; zeros come back as zeros
+        assert flag_vectors(Flag(vectors)) == vectors
+        vectors, order = triangle
+        assert flag_vectors(_triangular_flag(vectors, order)) == vectors
+        assert flag_vectors(Flag(vectors)) == vectors
 
     @settings(max_examples=100, deadline=None)
     @given(integer_path_cases())
     def test_every_builder_stores_the_integer_form(self, case):
         u, flag = case
         for f in (flag, perp_flag(flag, bilinear_form(u))):
-            assert (f._scaled, f._scales) == integer_form(f.vectors)
+            assert (f._scaled, f._scales) == integer_form(flag_vectors(f))
             assert all(type(row) is tuple for row in f._scaled)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_a_coordinate_flag_is_its_unit_rows(self, n):
+        for images in permutations(range(1, n + 1)):
+            units = tuple(unit_vector(n, i) for i in images)
+            flag = jordan_flag(Permutation(images))
+            assert (flag._scaled, flag._scales) == integer_form(units)
+            assert flag_vectors(flag) == units
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (3, 3, 2, 1)])
     def test_one_conversion_per_flag_of_a_coordinate_flag_op(self, monkeypatch, shape):
@@ -1189,18 +1264,20 @@ class TestIntegerForm:
             cell_of(flag, u)
             cell_prime_of(flag, u)
             cell_of(perp_flag(flag, form), u)
-            assert len(conversions) == 2
+            # the coordinate flag is built from 0/1 int rows; only the perp flag converts
+            assert len(conversions) == 1
 
     @pytest.mark.parametrize("k, d", [(2, 3), (2, 4), (3, 4), (4, 6)])
     def test_one_conversion_per_flag_of_a_chart_check(self, monkeypatch, k, d):
         conversions = counting(monkeypatch, "_integer_rows")
-        built = counting(monkeypatch, "_independent_flag")
+        built = counting(monkeypatch, "_integer_flag")
         init = Flag.__init__
         monkeypatch.setattr(Flag, "__init__", lambda flag, vectors: built.append(1) or init(flag, vectors))
         assert verify_smooth_chart(k, d, [default_chart_parameters(k)[2]])["verdict"] == "pass"
-        # the family at zero, the special flag, the family at the tuple and at the mixed tuple
+        # the family at zero, the special flag, the family at the tuple and at the mixed tuple;
+        # the special flag is built from 0/1 int rows, so only the three family flags convert
         assert len(built) == 4
-        assert len(conversions) == len(built)
+        assert len(conversions) == 3
 
     def test_stored_rows_survive_every_question(self):
         # _eliminate returns a pivot row it never updated as the caller's own object, so
@@ -1226,9 +1303,9 @@ class TestIntegerForm:
             for d in range(3, 6):
                 outcome(chart_coords, flag, d)
             for subspace_type in (restricted_type, quotient_type):
-                outcome(subspace_type, u, flag.vectors[:3])
+                outcome(subspace_type, u, flag_vectors(flag)[:3])
             assert flag._scaled is rows and flag._scales is scales
-            assert (rows, scales) == integer_form(flag.vectors)
+            assert (rows, scales) == integer_form(flag_vectors(flag))
             assert all(type(row) is tuple for row in rows)
 
 
@@ -1273,7 +1350,7 @@ def rref_perp_vectors(flag: Flag, form: Permutation):
     n = flag.n
     augmented = Matrix(
         tuple(w[g - 1] for g in form.images) + unit_vector(n, k)
-        for k, w in enumerate(flag.vectors, start=1)
+        for k, w in enumerate(flag_vectors(flag), start=1)
     )
     reduced, pivots = augmented.rref()
     if pivots != tuple(range(n)):
@@ -1348,8 +1425,8 @@ class TestDuality:
             return sum(x[c] * y[g(c + 1) - 1] for c in range(n))
 
         # perp vector k pairs to 1 with flag vector n-1-k (0-based) and to 0 with the rest
-        for k, w in enumerate(perp.vectors):
-            assert [pairing(w, v) for v in flag.vectors] == [int(j == n - 1 - k) for j in range(n)]
+        for k, w in enumerate(flag_vectors(perp)):
+            assert [pairing(w, v) for v in flag_vectors(flag)] == [int(j == n - 1 - k) for j in range(n)]
         assert perp_flag(perp, g).same_flag(flag)
 
     def test_perp_swaps_cells_up_to_evacuation(self):
@@ -1370,7 +1447,7 @@ class TestDuality:
     def test_perp_vectors_equal_the_rref_route(self, case):
         u, flag = case
         g = bilinear_form(u)
-        assert perp_flag(flag, g).vectors == rref_perp_vectors(flag, g)
+        assert flag_vectors(perp_flag(flag, g)) == rref_perp_vectors(flag, g)
 
     def test_perp_vectors_of_coordinate_and_chart_flags(self):
         for shape in (Partition((3, 2)), Partition((2, 2, 1)), Partition((3, 2, 2))):
@@ -1378,16 +1455,16 @@ class TestDuality:
             g = bilinear_form(u)
             for sigma in fiber_permutations(u):
                 flag = jordan_flag(sigma)
-                assert perp_flag(flag, g).vectors == rref_perp_vectors(flag, g)
+                assert flag_vectors(perp_flag(flag, g)) == rref_perp_vectors(flag, g)
         g = bilinear_form(special_operator(2))
         for d in (3, 4):
             flag = phi_map(2, d, (Fraction(1, 2), 0, Fraction(-3, 4), 5))
-            assert perp_flag(flag, g).vectors == rref_perp_vectors(flag, g)
+            assert flag_vectors(perp_flag(flag, g)) == rref_perp_vectors(flag, g)
 
     def test_perp_of_a_dependent_basis_is_degenerate(self):
-        v = (Fraction(1, 2), Fraction(1, 3))
-        # _independent_flag trusts its caller; this basis is dependent on purpose
-        flag = exactlin_module._independent_flag((v, vec_scale(3, v)))
+        # _integer_flag trusts its caller; this basis, v = (1/2, 1/3) and 3v, is dependent on purpose
+        flag = exactlin_module._integer_flag([(3, 2), (3, 2)], (6, 2))
+        assert flag_vectors(flag) == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1)))
         g = bilinear_form(jordan_operator(T("1,2")))
         for route in (perp_flag, rref_perp_vectors):
             with pytest.raises(AssertionError, match="^form is degenerate on the flag$"):
@@ -1503,7 +1580,7 @@ class TestTriangularFlag:
         vectors = fractions([(0, 5, 1), (1, 4, 0), (0, 1, 0)])
         # in the order 2, 0, 1 the rows read (1, 0, 5), (0, 1, 4), (0, 0, 1)
         flag = _triangular_flag(vectors, order)
-        assert flag.vectors == tuple(vectors)
+        assert flag_vectors(flag) == tuple(vectors)
         assert len(gauss_jordan(vectors)[1]) == 3
         assert _triangular_flag((), ()).n == 0
 
@@ -1632,10 +1709,10 @@ class TestChart:
             }
             flag = chart_flag(3, 5, phi)
             mixed = []
-            for i, v in enumerate(flag.vectors):
+            for i, v in enumerate(flag_vectors(flag)):
                 w = vec_scale(Fraction(i + 2, 3), v)
                 for p in range(i):
-                    w = vec_add(w, vec_scale(Fraction(1, p + 5), flag.vectors[p]))
+                    w = vec_add(w, vec_scale(Fraction(1, p + 5), flag_vectors(flag)[p]))
                 mixed.append(w)
             assert chart_coords(Flag(mixed), 3) == phi
 
@@ -1664,7 +1741,7 @@ class TestChart:
 
 
 def permuted_rows(flag, perm):
-    return [[v[perm(j) - 1] for j in range(1, flag.n + 1)] for v in flag.vectors]
+    return [[v[perm(j) - 1] for j in range(1, flag.n + 1)] for v in flag_vectors(flag)]
 
 
 def unpermuted_flag(permuted, perm):
@@ -1875,6 +1952,16 @@ class TestDegeneration:
 
 
 class TestPermutation:
+    @pytest.mark.parametrize(
+        "images",
+        [(1, 2.9), (1, 2.0), (1, Fraction(2)), (1, "2"), (True, 2), (1, False)],
+        ids=["float", "integral-float", "fraction", "string", "true", "false"],
+    )
+    def test_images_must_be_ints(self, images):
+        # a bool is rejected too: True would otherwise be read as the position 1
+        with pytest.raises(TypeError, match="^permutation images must be ints: "):
+            Permutation(images)
+
     def test_inverse_and_parse(self):
         p = Permutation.parse("1,2,5,3,4")
         inverse = [0] * p.n

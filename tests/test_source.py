@@ -1,8 +1,8 @@
 """Rules on the library source: it parses under the oldest Python that pyproject.toml
 allows, writes no zero Fraction but the shared one, builds unvalidated
-tableaux only where the rows are valid by construction, eliminates
-through one integer core behind one Fraction-to-integer boundary, and
-defines no function that only the tests use."""
+tableaux and flags only where the rows are valid by construction,
+eliminates through one integer core behind one Fraction-to-integer
+boundary, and defines no function that only the tests use."""
 
 import ast
 from collections import Counter
@@ -103,9 +103,10 @@ def test_trusted_tableaux_have_four_builders():
 
 def test_one_integer_core_and_one_boundary():
     # every elimination runs exactlin._eliminate on integer rows; the Fraction
-    # rows reach it through _integer_rows, which scales a flag once, when one
-    # of its two builders makes it, and a subspace basis once per type; the
-    # flag questions read the stored rows and convert nothing
+    # rows reach it through _integer_rows, which scales a flag once, when
+    # Flag, _triangular_flag or perp_flag builds it, and a subspace basis once
+    # per type; a coordinate flag is built from int rows and converts nothing,
+    # and the flag questions read the stored rows and convert nothing
     assert uses_in_sources("_eliminate") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "_interleaved_pivots"),
@@ -117,8 +118,45 @@ def test_one_integer_core_and_one_boundary():
     assert uses_in_sources("_integer_rows") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "Flag"),
-        ("exactlin.py", "_independent_flag"),
+        ("exactlin.py", "_triangular_flag"),
+        ("exactlin.py", "perp_flag"),
         ("exactlin.py", "_subspace_pivots"),
+    }
+
+
+def flag_allocations(tree):
+    """Top-level definition of every ``object.__new__(Flag)`` call."""
+    return [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__new__"
+        and [ast.unparse(arg) for arg in node.args] == ["Flag"]
+    ]
+
+
+def test_flag_rule_sees_every_allocation():
+    tree = ast.parse(
+        "def f():\n    return object.__new__(Flag)\n"
+        "class C:\n    def g(self):\n        return object.__new__(Flag), object.__new__(Matrix)\n"
+    )
+    assert flag_allocations(tree) == ["f", "C"]
+
+
+def test_flags_without_elimination_have_three_builders():
+    # exactlin._integer_flag stores integer rows without the independence
+    # elimination that Flag runs; it is the only place a Flag is allocated
+    # around Flag.__init__, and its users are the three builders whose rows
+    # are independent by construction: 0/1 unit rows, unit triangles and the
+    # columns of an inverse matrix
+    assert [
+        (path.name, top) for path in SOURCES for top in flag_allocations(ast.parse(path.read_text(encoding="utf-8")))
+    ] == [("exactlin.py", "_integer_flag")]
+    assert uses_in_sources("_integer_flag") == {
+        ("exactlin.py", "jordan_flag"),
+        ("exactlin.py", "_triangular_flag"),
+        ("exactlin.py", "perp_flag"),
     }
 
 
