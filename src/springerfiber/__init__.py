@@ -62,7 +62,6 @@ from .certificates import (
     SingularityCertificate,
     certify_322,
     phi_map,
-    v_vectors,
     verify_curve_membership,
     verify_smooth_chart,
 )

@@ -24,11 +24,11 @@ checks d before it reads any parameter tuple, then builds the family and
 the special flag through ``phi_map`` and ``special_flag`` themselves.
 
 Both families are unit triangles by construction, so their flags are
-proved independent by checking that triangle, not by an elimination; a
-family that breaks it raises ValueError.  The zeros they build by
-structure (shift padding, cells outside the family, zero parameters and
-zero multiples) are the shared zero of :mod:`springerfiber.exactlin`,
-which its elimination reads without converting.
+proved independent by checking that triangle on their integer rows, not
+by an elimination; a family that breaks it raises ValueError.  The chart
+families are built as integers, with no ``Fraction`` vector; the (3,2,2)
+family's entries are ``Fraction`` products of t, converted once, and its
+zeros outside the family are the shared zero of the elimination module.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .exactlin import (
@@ -47,6 +48,8 @@ from .exactlin import (
     _ONE,
     _ZERO,
     _check_special,
+    _integer_rows,
+    _lowest_terms,
     _triangular_flag,
     as_fraction,
     chart_coords,
@@ -56,9 +59,6 @@ from .exactlin import (
     special_flag,
     special_operator,
     special_perm,
-    unit_vector,
-    vec_add,
-    vec_scale,
 )
 from .partitions import Partition
 from .tableaux import StandardTableau, make_Q
@@ -194,7 +194,7 @@ def verify_curve_membership(t: Sequence) -> bool:
             raise ValueError(f"membership precondition violated: {name} must be nonzero")
     f = f_entries(t)
     columns = [tuple(_ONE if i == j else f.get((i, j), _ZERO) for i in range(1, 8)) for j in range(1, 8)]
-    return in_cell(_triangular_flag(columns, range(7)), operator_322(), CELL_TABLEAU_322)
+    return in_cell(_triangular_flag(*_integer_rows(columns), range(7)), operator_322(), CELL_TABLEAU_322)
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.
@@ -322,38 +322,26 @@ def certify_322() -> SingularityCertificate:
     )
 
 
-def _w_power(v: Vector, m: int) -> Vector:
-    """w^m, w: e_i -> e_{i+2} the partial inverse of the (k,k,1) operator on e_1..e_{n-1}."""
-    n = len(v)
-    if v[n - 1] != 0:
-        raise ValueError("shift map is undefined on the last coordinate")
-    shift = min(2 * m, n - 1)
-    return (_ZERO,) * shift + v[: n - 1 - shift] + (_ZERO,)
+def _shift(x: tuple, m: int) -> tuple:
+    """w^m, w: e_i -> e_{i+2} the partial inverse of the (k,k,1) operator on e_1..e_{n-1}.
 
-
-def v_vectors(k: int, alpha: Sequence) -> tuple[Vector, ...]:
-    """The recurrence v_1 = e_1, v_2 = e_2, v_i = w(v_{i-2}) + alpha_i w(v_{i-1}).
-
-    ``alpha`` lists alpha_3..alpha_{k+1}; returns v_1..v_{k+1} in the
-    ambient dimension n = 2k+1.
+    ``x`` is (int numerators, positive denominator), as every chart-family
+    vector; each that ``phi_map`` shifts is 0 after coordinate n-1-2m.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    alpha = tuple(as_fraction(a) for a in alpha)
-    if len(alpha) != k - 1:
-        raise ValueError(f"expected {k - 1} coefficients alpha_3..alpha_{k + 1}")
-    n = 2 * k + 1
-    vs = [unit_vector(n, 1), unit_vector(n, 2)]
-    for i in range(3, k + 2):
-        a = alpha[i - 3]
-        vs.append(vec_add(_w_power(vs[i - 3], 1), vec_scale(a, _w_power(vs[i - 2], 1))))
-    return tuple(vs)
+    nums, den = x
+    n = len(nums)
+    return (0,) * (2 * m) + nums[: n - 1 - 2 * m] + (0,), den
 
 
-def _v_full(k: int, alpha: Sequence) -> tuple[Vector, ...]:
-    """v_1..v_{n-1}: v_{k+1+m} = w^m(v_{k+1-m}) is the last r-vector of level k+1+m."""
-    vs = v_vectors(k, alpha)
-    return vs + tuple(_w_power(vs[k - m], m) for m in range(1, k))
+def _plus(x: tuple, c: Fraction, y: tuple) -> tuple:
+    """x + c y over the lcm of the denominators of x and c y; x itself when c is 0."""
+    if not c:
+        return x
+    (nx, dx), (ny, dy) = x, y
+    p, q = c.numerator, c.denominator
+    den = lcm(dx, q * dy)
+    a, b = den // dx, p * (den // (q * dy))
+    return tuple([a * s + b * t for s, t in zip(nx, ny)]), den
 
 
 def _decode_params(k: int, d: int, params: tuple[Fraction, ...]) -> tuple[
@@ -409,29 +397,37 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
 
     Flag vector i is 1 at the i-th coordinate of the special permutation's
     order and 0 at the earlier ones, so the basis is checked as that unit
-    triangle instead of eliminated; ValueError if it is not one.
+    triangle instead of eliminated; ValueError if it is not one.  Each
+    vector is int numerators over one denominator, put in lowest terms when
+    finished: the flag's integer form, with no ``Fraction`` vector made.
     """
     _check_special(k, d)
     params = tuple(as_fraction(p) for p in params)
     if len(params) != k + 2:
         raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
     n = 2 * k + 1
-    e_n = unit_vector(n, n)
+    e_1, e_2, e_n = (((0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in (0, 1, n - 1))
     alpha, gamma, nu, _, _ = _decode_params(k, d, params)
-    vs = _v_full(k, tuple(alpha[i] for i in range(3, k + 2)))
-    # v_1 = e_1 and v_2 = e_2, so flag vectors 1..d-1 are v_i + gamma_i e_n
-    etas = [vec_add(vs[i - 1], vec_scale(gamma[i], e_n)) for i in range(1, d)]
-    etas[0] = vec_add(etas[0], vec_scale(alpha[1], vs[1]))
+    # v_1 = e_1, v_2 = e_2, v_i = w(v_{i-2}) + alpha_i w(v_{i-1}) up to v_{k+1};
+    # v_{k+1+m} = w^m(v_{k+1-m}) is the last r-vector of level k+1+m
+    vs = [e_1, e_2]
+    for i in range(3, k + 2):
+        vs.append(_lowest_terms(_plus(_shift(vs[i - 3], 1), alpha[i], _shift(vs[i - 2], 1))))
+    vs += [_shift(vs[k - m], m) for m in range(1, k)]
+    # flag vectors 1..d-1 are v_i + gamma_i e_n
+    etas = [_plus(vs[i - 1], gamma[i], e_n) for i in range(1, d)]
+    etas[0] = _plus(etas[0], alpha[1], vs[1])
     if d == k + 2:
         etas.append(e_n)
     else:
         # 3 <= d < k+2 forces k >= 2
-        etas.append(vec_add(e_n, vec_scale(nu, vs[d - 1])))
+        etas.append(_plus(e_n, nu, vs[d - 1]))
         for i in range(d + 1, k + 2):
-            etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
+            etas.append(_plus(vs[i - 2], alpha[i + 1], vs[i - 1]))
         etas.append(vs[k])
     etas.extend(vs[k + 1 :])
-    return _triangular_flag(etas, [p - 1 for p in special_perm(d, n).images])
+    scaled, scales = zip(*map(_lowest_terms, etas))
+    return _triangular_flag(scaled, scales, [p - 1 for p in special_perm(d, n).images])
 
 
 def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:

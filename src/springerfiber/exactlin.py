@@ -3,15 +3,14 @@
 Entries are ``fractions.Fraction``, and every pivot question runs on
 integers scaled from them; nothing is floating point, so rank, kernel and
 membership answers are exact.  Vectors are plain tuples, columns for
-operators and rows for spans; sums and multiples leave zero entries as
-they are, and coordinate vectors share one zero and one one.  One
-elimination core, ``_eliminate``, serves every question: fraction-free
-elimination of integer rows that does no arithmetic on zeros and divides
-each updated row by its content, so no entry outgrows the minors that
-Bareiss elimination holds; it returns the (row, column) pivot pairs and an
-integer echelon form.  ``_integer_rows`` is the one boundary from
-``Fraction`` to integers: it scales each row by the lcm of its
-denominators, which keeps the rank profile, and returns those scales.
+operators and rows for spans, and every zero the module writes is one
+shared ``Fraction`` zero.  One elimination core, ``_eliminate``, serves
+every question: fraction-free elimination of integer rows that does no
+arithmetic on zeros and divides each updated row by its content, so no
+entry outgrows the minors that Bareiss elimination holds; it returns the
+(row, column) pivot pairs and an integer echelon form.  ``_integer_rows``
+is the one boundary from ``Fraction`` to integers: it scales each row by
+the lcm of its denominators, which keeps the rank profile.
 
 A flag holds only that integer form of its basis, the scaled vectors and
 their scales, and every flag question reads it and converts nothing.
@@ -23,19 +22,19 @@ flag; and the chart families and the (3,2,2) family of
 :mod:`springerfiber.certificates`, unit triangles (1 on a diagonal, 0
 before it, in the special permutation's coordinate order or in plain
 order) checked on their integer rows: such a triangle has determinant 1,
-and any other basis raises ValueError.  The operator is an index map, so
-the image of s v is s u(v), read off the integers.  With the coordinates
-ordered so that every power of the operator cuts a leading block of them,
-one elimination with each scaled flag vector followed by its image, as
-columns, shows whether every prefix is stable and gives each vector's
-pivot coordinate: a Jordan type counts the pivots by tableau column, and
-``tableaux`` reads the cell label off those columns; a subspace basis
-followed by its images, as rows, is eliminated the same way.  Flag
-equality, chart coordinates (ratios of echelon entries) and the complement
-flag eliminate the stored rows too; ``_reduced`` back-substitutes echelon
-rows over ``Fraction`` for ``Matrix.rref`` and for the complement flag,
-whose integer rows [s_k P_k | s_k e_k] ``perp_flag`` builds from the
-stored ones.
+and any other basis raises ValueError.  Of these only the (3,2,2) family
+converts; the others are computed as integers.  The operator is an index
+map, so the image of s v is s u(v), read off the integers.  With the
+coordinates ordered so that every power of the operator cuts a leading
+block of them, one elimination with each scaled flag vector followed by
+its image, as columns, shows whether every prefix is stable and gives each
+vector's pivot coordinate: a Jordan type counts the pivots by tableau
+column, and ``tableaux`` reads the cell label off those columns; a
+subspace basis followed by its images, as rows, is eliminated the same
+way.  Flag equality, chart coordinates (ratios of echelon entries) and the
+complement flag eliminate the stored rows too; ``perp_flag`` then
+back-substitutes fraction-free, and ``_reduced`` back-substitutes over
+``Fraction`` for ``Matrix.rref`` alone.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -96,26 +95,6 @@ def vector(entries: Iterable) -> Vector:
     if isinstance(entries, tuple) and all(isinstance(e, Fraction) for e in entries):
         return entries
     return tuple(as_fraction(e) for e in entries)
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    """The ``i``-th coordinate vector (1-based) in dimension ``n``."""
-    if not 1 <= i <= n:
-        raise ValueError(f"coordinate {i} out of range 1..{n}")
-    return (_ZERO,) * (i - 1) + (_ONE,) + (_ZERO,) * (n - i)
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    """Entrywise sum; where one term is zero the other is taken as it is."""
-    return tuple((x + y if y else x) if x else y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    """``c`` times ``a``; zero entries are kept as they are, and a zero ``c`` gives shared zeros."""
-    c = as_fraction(c)
-    if not c:
-        return (_ZERO,) * len(a)
-    return tuple(c * x if x else x for x in a)
 
 
 class Matrix:
@@ -279,16 +258,13 @@ def _eliminate(
 def _reduced(
     pairs: Sequence[tuple[int, int]], tops: Sequence[Sequence[int]]
 ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form, (nonzero rows, pivot columns), from ``_eliminate`` output.
+    """Reduced row echelon form, (nonzero rows, pivot columns), from ``_eliminate`` output, for ``Matrix.rref``.
 
-    Back substitution over ``Fraction`` on the integer echelon rows, from
-    the last pivot up: for the echelon row E with pivot p and the reduced
-    rows R_j below it, with pivot columns c_j, the reduced row is
-    (E - sum of E[c_j] R_j) / p, because each R_j is 1 at c_j and 0 at the
-    other pivot columns.  E is divided only where it is nonzero, and not at
-    all when p is 1; a term is taken off only when E[c_j] is nonzero, and
-    only where R_j is nonzero.  Each echelon row is divided by its own
-    pivot, so the scalar up to which ``_eliminate`` fixes it does not show.
+    Back substitution over ``Fraction`` from the last pivot up: echelon row
+    E with pivot p becomes (E - sum of E[c_j] R_j) / p over the reduced rows
+    R_j below it, each 1 at its pivot column c_j and 0 at the others.  Only
+    nonzero entries and terms are touched, and no row whose pivot is 1 is
+    divided; the scalar up to which ``_eliminate`` fixes E does not show.
     """
     pivots = tuple(c for _, c in pairs)
     # reduced rows from the last pivot up, with their pivot columns
@@ -416,6 +392,13 @@ class Flag:
         return f"Flag(n={self.n})"
 
 
+def _lowest_terms(x: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
+    """The vector N / D, D > 0, as ``_integer_rows`` scales it: N and D over gcd(D, *N), the lcm of the D / gcd(D, N_i)."""
+    nums, den = x
+    g = gcd(den, *nums)
+    return (tuple([s // g for s in nums]) if g > 1 else tuple(nums)), den // g
+
+
 def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> Flag:
     """The flag of n independent integer rows and their scales, with no elimination; callers say why."""
     flag = object.__new__(Flag)
@@ -423,22 +406,19 @@ def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) 
     return flag
 
 
-def _triangular_flag(vectors: Sequence[Vector], order: Sequence[int]) -> Flag:
-    """The flag of n ``Fraction`` vectors that form a unit triangle in the coordinate ``order``.
+def _triangular_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...], order: Sequence[int]) -> Flag:
+    """The flag of n integer rows and their scales that form a unit triangle in the coordinate ``order``.
 
-    Vector i must have length n, be exactly 1 at coordinate order[i] and 0
-    at every earlier coordinate of the order; ValueError otherwise.  Then
-    the matrix with entries vectors[i][order[j]] is unit upper triangular,
-    of determinant 1, so the vectors are independent and no elimination is
-    run.  ``order`` must be a permutation of range(n).  The check reads the
-    integer rows: row i must be its scale at order[i] and 0 before it.
+    Row i must have length n, equal its scale at coordinate order[i] and be
+    0 at the earlier coordinates of the order (a permutation of range(n));
+    ValueError otherwise.  Then the rows over their scales, read in the
+    order, are unit upper triangular, so independent with no elimination.
     """
-    n = len(vectors)
-    if any(len(v) != n for v in vectors):
+    n = len(scaled)
+    if any(len(row) != n for row in scaled):
         raise ValueError("flag needs n vectors of length n")
-    scaled, scales = _integer_rows(vectors)
     for i, (row, s) in enumerate(zip(scaled, scales)):
-        if row[order[i]] != s or any(row[c] for c in order[:i]):
+        if row[order[i]] != s or any(map(row.__getitem__, order[:i])):
             raise ValueError(f"flag vector {i + 1} breaks the unit triangle")
     return _integer_flag(scaled, scales)
 
@@ -642,6 +622,9 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     the (n-j)-prefix.  Row k is eliminated as the integer row
     [s_k P_k | s_k e_k], built from the flag's integer form (s_k is the lcm
     of the denominators of flag vector k), which has the same reduced form.
+    Back substitution is fraction-free from the last pivot up: each update
+    is p * row - f * (row below), divided by its content, which leaves row r
+    with some D_r at column r and 0 at the other pivot columns.
     """
     n = flag.n
     if form.n != n:
@@ -651,12 +634,29 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
         [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
         for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
     ]
-    reduced, pivots = _reduced(*_eliminate(augmented))
-    if pivots != tuple(range(n)):
+    pairs, rows = _eliminate(augmented)
+    if tuple(c for _, c in pairs) != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
-    # pivots 0..n-1 make P invertible, so the columns of P^-1 are independent
-    columns = tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
-    return _integer_flag(*_integer_rows(columns))
+    # pivots 0..n-1 make P invertible, and echelon row r has its pivot at column r
+    for r in reversed(range(n)):
+        row = rows[r]
+        for j in range(r + 1, n):
+            f = row[j]
+            if f:
+                below = rows[j]
+                row = [below[j] * a - f * b for a, b in zip(row, below)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        rows[r] = row
+    # entry r of column k of P^-1 is rows[r][n + k] / D_r; the columns, last first, are independent
+    dens = [row[r] for r, row in enumerate(rows)]
+    columns = list(zip(*rows))[n:][::-1]
+    if dens == [1] * n:
+        return _integer_flag(tuple(columns), (1,) * n)
+    den = lcm(*dens)
+    scaled, scales = zip(*(_lowest_terms(([a * den // d for a, d in zip(c, dens)], den)) for c in columns))
+    return _integer_flag(scaled, scales)
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:

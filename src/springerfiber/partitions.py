@@ -39,7 +39,7 @@ class SmoothnessVerdict(enum.Enum):
 
 
 class Partition:
-    """Non-increasing positive parts; the empty partition is allowed.
+    """Non-increasing positive ``int`` parts (TypeError on a float or a bool); the empty partition is allowed.
 
     Immutable and hashable; all operations return new values, so instances
     are safe to share between threads.
@@ -48,7 +48,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if any(type(p) is not int for p in parts):
+            raise TypeError(f"partition parts must be ints: {parts}")
         for a, b in zip(parts, parts[1:]):
             if b > a:
                 raise ValueError(f"parts must be non-increasing, got {parts}")

@@ -90,12 +90,14 @@ def _is_standard(rows: Sequence[Sequence[int]]) -> bool:
 
 
 class Tableau:
-    """Ragged array of distinct positive integers, increasing in rows and columns."""
+    """Ragged array of distinct positive ``int``s (TypeError on a float or a bool), increasing in rows and columns."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(map(tuple, rows))
+        if any(type(e) is not int for row in rows for e in row):
+            raise TypeError(f"tableau entries must be ints: {rows}")
         _validate_rows(rows)
         self.rows = rows
 

@@ -1,9 +1,48 @@
-"""Dense-matrix helpers that only the tests' oracles use."""
+"""Dense-matrix and ``Fraction`` vector helpers that only the tests' oracles use.
+
+The library builds the chart families and the complement flag over the
+integers; the ``Fraction`` routes they replaced live on here as oracles:
+the v-recurrence and the chart family's vectors (``v_vectors``,
+``v_full``, ``chart_etas``) and the complement flag by back substitution
+over ``Fraction`` (``reduced_perp_flag``).
+"""
 
 from fractions import Fraction
 from functools import lru_cache
 
-from springerfiber.exactlin import _ONE, _ZERO, Matrix, unit_vector, vector
+from springerfiber.certificates import _decode_params
+from springerfiber.exactlin import (
+    _ONE,
+    _ZERO,
+    Matrix,
+    _check_special,
+    _eliminate,
+    _integer_flag,
+    _integer_rows,
+    _reduced,
+    as_fraction,
+    vector,
+)
+
+
+def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
+    """The ``i``-th coordinate vector (1-based) in dimension ``n``, of the shared zero and one."""
+    if not 1 <= i <= n:
+        raise ValueError(f"coordinate {i} out of range 1..{n}")
+    return (_ZERO,) * (i - 1) + (_ONE,) + (_ZERO,) * (n - i)
+
+
+def vec_add(a, b) -> tuple[Fraction, ...]:
+    """Entrywise sum; where one term is zero the other is taken as it is."""
+    return tuple((x + y if y else x) if x else y for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(c, a) -> tuple[Fraction, ...]:
+    """``c`` times ``a``; zero entries are kept as they are, and a zero ``c`` gives shared zeros."""
+    c = as_fraction(c)
+    if not c:
+        return (_ZERO,) * len(a)
+    return tuple(c * x if x else x for x in a)
 
 
 def identity(n: int) -> Matrix:
@@ -122,3 +161,80 @@ def lazy_bareiss(rows):
         if not rest:
             break
     return tuple(pivots), tops
+
+
+def w_power(v, m: int) -> tuple[Fraction, ...]:
+    """w^m, w: e_i -> e_{i+2} the partial inverse of the (k,k,1) operator on e_1..e_{n-1}."""
+    n = len(v)
+    if v[n - 1] != 0:
+        raise ValueError("shift map is undefined on the last coordinate")
+    shift = min(2 * m, n - 1)
+    return (_ZERO,) * shift + v[: n - 1 - shift] + (_ZERO,)
+
+
+def v_vectors(k: int, alpha) -> tuple[tuple[Fraction, ...], ...]:
+    """The recurrence v_1 = e_1, v_2 = e_2, v_i = w(v_{i-2}) + alpha_i w(v_{i-1}), over ``Fraction``.
+
+    ``alpha`` lists alpha_3..alpha_{k+1}; returns v_1..v_{k+1} in the
+    ambient dimension n = 2k+1.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    alpha = tuple(as_fraction(a) for a in alpha)
+    if len(alpha) != k - 1:
+        raise ValueError(f"expected {k - 1} coefficients alpha_3..alpha_{k + 1}")
+    n = 2 * k + 1
+    vs = [unit_vector(n, 1), unit_vector(n, 2)]
+    for i in range(3, k + 2):
+        a = alpha[i - 3]
+        vs.append(vec_add(w_power(vs[i - 3], 1), vec_scale(a, w_power(vs[i - 2], 1))))
+    return tuple(vs)
+
+
+def v_full(k: int, alpha) -> tuple[tuple[Fraction, ...], ...]:
+    """v_1..v_{n-1}: v_{k+1+m} = w^m(v_{k+1-m}) is the last r-vector of level k+1+m."""
+    vs = v_vectors(k, alpha)
+    return vs + tuple(w_power(vs[k - m], m) for m in range(1, k))
+
+
+def chart_etas(k: int, d: int, params) -> tuple[tuple[Fraction, ...], ...]:
+    """The ``Fraction`` basis of ``phi_map(k, d, params)``, built by the recurrences of its docstring."""
+    _check_special(k, d)
+    params = tuple(as_fraction(p) for p in params)
+    if len(params) != k + 2:
+        raise ValueError(f"expected {k + 2} parameters, got {len(params)}")
+    n = 2 * k + 1
+    e_n = unit_vector(n, n)
+    alpha, gamma, nu, _, _ = _decode_params(k, d, params)
+    vs = v_full(k, tuple(alpha[i] for i in range(3, k + 2)))
+    etas = [vec_add(vs[i - 1], vec_scale(gamma[i], e_n)) for i in range(1, d)]
+    etas[0] = vec_add(etas[0], vec_scale(alpha[1], vs[1]))
+    if d == k + 2:
+        etas.append(e_n)
+    else:
+        etas.append(vec_add(e_n, vec_scale(nu, vs[d - 1])))
+        for i in range(d + 1, k + 2):
+            etas.append(vec_add(vs[i - 2], vec_scale(alpha[i + 1], vs[i - 1])))
+        etas.append(vs[k])
+    return tuple(etas) + vs[k + 1 :]
+
+
+def reduced_perp_flag(flag, form):
+    """``perp_flag`` by back substitution over ``Fraction``: ``_reduced`` of the eliminated [s_k P_k | s_k e_k].
+
+    The columns of P^-1, the last n entries of the reduced rows, are then
+    scaled to integers by ``_integer_rows``.
+    """
+    n = flag.n
+    if form.n != n:
+        raise ValueError("bilinear form size does not match the flag")
+    zeros = [0] * n
+    augmented = [
+        [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
+        for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
+    ]
+    reduced, pivots = _reduced(*_eliminate(augmented))
+    if pivots != tuple(range(n)):
+        raise AssertionError("form is degenerate on the flag")
+    columns = tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
+    return _integer_flag(*_integer_rows(columns))

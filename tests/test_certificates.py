@@ -14,8 +14,6 @@ from springerfiber.certificates import (
     _matrix_7x7,
     _parameters,
     _recovery_identities,
-    _v_full,
-    _w_power,
     CertificateError,
     Jet,
     SingularityCertificate,
@@ -25,13 +23,13 @@ from springerfiber.certificates import (
     f_entries,
     operator_322,
     phi_map,
-    v_vectors,
     verify_curve_membership,
     verify_smooth_chart,
 )
 from springerfiber.exactlin import (
     Matrix,
     _ZERO,
+    _integer_rows,
     _triangular_flag,
     as_fraction,
     chart_coords,
@@ -40,13 +38,24 @@ from springerfiber.exactlin import (
     special_flag,
     special_operator,
     special_perm,
-    unit_vector,
-    vec_add,
-    vec_scale,
 )
 from springerfiber.partitions import Partition
 
-from matrix_helpers import dense_image, flag_vectors, gauss_jordan, identity, is_zero, oracle_operator
+from matrix_helpers import (
+    chart_etas,
+    dense_image,
+    flag_vectors,
+    gauss_jordan,
+    identity,
+    is_zero,
+    oracle_operator,
+    unit_vector,
+    v_full,
+    v_vectors,
+    vec_add,
+    vec_scale,
+    w_power,
+)
 
 
 def f_family(t) -> Matrix:
@@ -110,7 +119,7 @@ def r_vectors(k, i, alpha):
     alpha = tuple(as_fraction(a) for a in alpha)
     m = i - k - 1
     units = tuple(unit_vector(n, j) for j in range(1, 2 * m + 1))
-    shifted = tuple(_w_power(v, m) for v in v_vectors(k, alpha)[: i - 2 * m])
+    shifted = tuple(w_power(v, m) for v in v_vectors(k, alpha)[: i - 2 * m])
     betas = ((Fraction(0),) * (2 * m + 2) + alpha)[:i]
     return units + shifted, betas
 
@@ -436,7 +445,7 @@ class TestRVectors:
             alpha = tuple(Fraction(j + 2, j + 3) for j in range(k - 1))
             levels = range(k + 2, 2 * k + 1)
             diagonal = tuple(r_vectors(k, level, alpha)[0][level - 1] for level in levels)
-            assert _v_full(k, alpha) == v_vectors(k, alpha) + diagonal
+            assert v_full(k, alpha) == v_vectors(k, alpha) + diagonal
 
     def test_closed_form_matches_level_recurrence(self):
         # level k+1+m is e_1..e_{2m}, w^m(v_1..v_{i-2m}) with betas shifted by 2m
@@ -447,7 +456,7 @@ class TestRVectors:
                 assert v_vectors(k, alpha) == levels[k + 1][0]
                 for level, want in levels.items():
                     assert r_vectors(k, level, alpha) == want
-                assert _v_full(k, alpha) == vs
+                assert v_full(k, alpha) == vs
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -515,15 +524,53 @@ def chart_order(k, d):
 
 
 def recording_triangles(monkeypatch):
-    """List that grows by the (vectors, order) of every ``_triangular_flag`` call of ``certificates``."""
+    """List that grows by the (scaled rows, scales, order) of every ``_triangular_flag`` call of ``certificates``."""
     calls = []
 
-    def recording(vectors, order):
-        calls.append((tuple(vectors), list(order)))
-        return _triangular_flag(vectors, order)
+    def recording(scaled, scales, order):
+        calls.append((tuple(scaled), tuple(scales), list(order)))
+        return _triangular_flag(scaled, scales, order)
 
     monkeypatch.setattr(certificates_module, "_triangular_flag", recording)
     return calls
+
+
+def triangle_of(vectors, order):
+    """``_triangular_flag`` on ``Fraction`` vectors scaled to integers."""
+    return _triangular_flag(*_integer_rows(vectors), order)
+
+
+@st.composite
+def chart_cases(draw):
+    """(k, d, parameters): rational entries, 0 among them, and some tuples all 0."""
+    k = draw(st.integers(min_value=1, max_value=7))
+    d = draw(st.integers(min_value=3, max_value=k + 2))
+    entry = st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    return k, d, tuple(draw(entry) for _ in range(k + 2))
+
+
+class TestPhiMapMatchesFractionOracle:
+    """``phi_map`` over the integers gives the integer form of the ``Fraction`` recurrences."""
+
+    @staticmethod
+    def check(k, d, ps):
+        flag = phi_map(k, d, ps)
+        want = triangle_of(chart_etas(k, d, ps), chart_order(k, d))
+        assert (flag._scaled, flag._scales) == (want._scaled, want._scales)
+        assert all(type(x) is int for row in flag._scaled for x in row)
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_cases())
+    def test_drawn_cases(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_verifier_tuples(self, k):
+        # the default tuples, the zero tuple and the mixed tuple of verify_smooth_chart
+        tuples = (*default_chart_parameters(k), (0,) * (k + 2), tuple(i % 2 for i in range(k + 2)))
+        for d in range(3, k + 3):
+            for ps in tuples:
+                self.check(k, d, ps)
 
 
 class TestTriangularFlags:
@@ -536,7 +583,7 @@ class TestTriangularFlags:
             order = chart_order(k, d)
             for ps in chart_tuples(k) + chart_tuples(k, signed=True):
                 vectors = flag_vectors(phi_map(k, d, ps))
-                assert flag_vectors(_triangular_flag(vectors, order)) == vectors
+                assert flag_vectors(triangle_of(vectors, order)) == vectors
                 assert len(gauss_jordan(vectors)[1]) == n
 
     def test_every_membership_flag(self, monkeypatch):
@@ -544,9 +591,9 @@ class TestTriangularFlags:
         assert certify_322().singular
         assert verify_curve_membership((Fraction(1, 2), 0, 3, -1, 2, 5))
         assert len(calls) == 2 * len(WITNESS_CURVES) + 1
-        for vectors, order in calls:
+        for scaled, _, order in calls:
             assert order == list(range(7))
-            assert len(gauss_jordan(vectors)[1]) == 7
+            assert len(gauss_jordan(scaled)[1]) == 7
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=6, max_size=6))
@@ -558,21 +605,21 @@ class TestTriangularFlags:
         with pytest.MonkeyPatch.context() as patch:
             calls = recording_triangles(patch)
             assert verify_curve_membership(tuple(t))
-        [(vectors, order)] = calls
+        [(scaled, scales, order)] = calls
         # the columns of f(t) + I, added up as dense matrices
         f, one = f_family(t).rows, identity(7).rows
         plus_identity = [[a + b for a, b in zip(*rows)] for rows in zip(f, one)]
-        assert vectors == tuple(zip(*plus_identity))
-        assert flag_vectors(_triangular_flag(vectors, order)) == vectors
+        assert flag_vectors(_triangular_flag(scaled, scales, order)) == tuple(zip(*plus_identity))
 
     def test_swapped_chart_vectors_fail_loudly(self, monkeypatch):
         # a phi_map that lists two flag vectors in the wrong order builds an
         # independent basis of another flag: the triangle check raises, so
         # the report cannot turn it into a quiet "fail"
-        def swapping(vectors, order):
-            vectors = list(vectors)
-            vectors[1], vectors[2] = vectors[2], vectors[1]
-            return _triangular_flag(vectors, order)
+        def swapping(scaled, scales, order):
+            scaled, scales = list(scaled), list(scales)
+            scaled[1], scaled[2] = scaled[2], scaled[1]
+            scales[1], scales[2] = scales[2], scales[1]
+            return _triangular_flag(tuple(scaled), tuple(scales), order)
 
         monkeypatch.setattr(certificates_module, "_triangular_flag", swapping)
         for k, d in ((2, 3), (2, 4), (4, 5)):
@@ -589,19 +636,21 @@ class TestTriangularFlags:
 
 
 class TestSharedZeros:
-    """Zeros the families build by structure are the shared zero of ``exactlin``."""
+    """Zeros the families build by structure: ints in the chart families, the shared zero of ``exactlin`` in the (3,2,2) family."""
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_chart_flag_zeros(self, k, monkeypatch):
-        # the basis that phi_map hands to _triangular_flag, which converts it once
+        # phi_map hands _triangular_flag int rows, zero exactly where the
+        # Fraction oracle puts the shared zero: no Fraction is converted
         calls = recording_triangles(monkeypatch)
         for d in range(3, k + 3):
             for ps in chart_tuples(k):
                 calls.clear()
                 phi_map(k, d, ps)
-                [(vectors, _)] = calls
-                zeros = [x for v in vectors for x in v if not x]
-                assert zeros and all(x is _ZERO for x in zeros)
+                [(scaled, _, _)] = calls
+                etas = chart_etas(k, d, ps)
+                assert all(type(x) is int for row in scaled for x in row)
+                assert [[not x for x in row] for row in scaled] == [[x is _ZERO for x in v] for v in etas]
 
     def test_family_matrix_cells_outside_the_family(self, monkeypatch):
         for t in ((1, 2, 3, 4, 5, 6), (0,) * 6):
@@ -611,14 +660,20 @@ class TestSharedZeros:
                 for j in range(7):
                     if (i + 1, j + 1) not in entries:
                         assert rows[i][j] is _ZERO
-        # the columns of f(t) + I that every membership check builds; the
+        # the columns of f(t) + I that every membership check converts; the
         # family has the same cells at every t
-        calls = recording_triangles(monkeypatch)
+        calls = []
+
+        def recording(rows):
+            calls.append(tuple(rows))
+            return _integer_rows(calls[-1])
+
+        monkeypatch.setattr(certificates_module, "_integer_rows", recording)
         assert certify_322().singular
         assert verify_curve_membership((1, 2, 3, 4, 5, 6))
         cells = set(f_entries((_ZERO,) * 6))
         assert len(calls) == 2 * len(WITNESS_CURVES) + 1
-        for columns, _ in calls:
+        for columns in calls:
             for i in range(7):
                 for j in range(7):
                     if (i + 1, j + 1) not in cells and i != j:
@@ -626,7 +681,7 @@ class TestSharedZeros:
 
     def test_shift_padding(self):
         v = tuple(Fraction(x) for x in (1, 2, 3, 4, 0))
-        shifted = _w_power(v, 1)
+        shifted = w_power(v, 1)
         assert shifted == (0, 0, 1, 2, 0)
         assert shifted[0] is shifted[1] is shifted[4] is _ZERO
 

@@ -577,6 +577,12 @@ class TestReadmeLayout:
             "j_stat",
             "Flag.vectors",
             "_independent_flag",
+            "unit_vector",
+            "vec_add",
+            "vec_scale",
+            "v_vectors",
+            "_v_full",
+            "_w_power",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

@@ -40,9 +40,6 @@ from springerfiber.exactlin import (
     special_flag,
     special_operator,
     special_perm,
-    unit_vector,
-    vec_add,
-    vec_scale,
     vector,
 )
 from springerfiber.certificates import default_chart_parameters, phi_map, verify_smooth_chart
@@ -65,7 +62,11 @@ from matrix_helpers import (
     is_zero,
     lazy_bareiss,
     oracle_operator,
+    reduced_perp_flag,
     transpose,
+    unit_vector,
+    vec_add,
+    vec_scale,
 )
 from tableau_helpers import shape_chain
 
@@ -1232,7 +1233,7 @@ class TestIntegerForm:
         # flag_vectors divides each stored row by its scale; zeros come back as zeros
         assert flag_vectors(Flag(vectors)) == vectors
         vectors, order = triangle
-        assert flag_vectors(_triangular_flag(vectors, order)) == vectors
+        assert flag_vectors(_triangular_flag(*_integer_rows(vectors), order)) == vectors
         assert flag_vectors(Flag(vectors)) == vectors
 
     @settings(max_examples=100, deadline=None)
@@ -1264,8 +1265,9 @@ class TestIntegerForm:
             cell_of(flag, u)
             cell_prime_of(flag, u)
             cell_of(perp_flag(flag, form), u)
-            # the coordinate flag is built from 0/1 int rows; only the perp flag converts
-            assert len(conversions) == 1
+            # the coordinate flag is built from 0/1 int rows and the perp flag from the
+            # integer inverse, so nothing converts
+            assert len(conversions) == 0
 
     @pytest.mark.parametrize("k, d", [(2, 3), (2, 4), (3, 4), (4, 6)])
     def test_one_conversion_per_flag_of_a_chart_check(self, monkeypatch, k, d):
@@ -1275,9 +1277,10 @@ class TestIntegerForm:
         monkeypatch.setattr(Flag, "__init__", lambda flag, vectors: built.append(1) or init(flag, vectors))
         assert verify_smooth_chart(k, d, [default_chart_parameters(k)[2]])["verdict"] == "pass"
         # the family at zero, the special flag, the family at the tuple and at the mixed tuple;
-        # the special flag is built from 0/1 int rows, so only the three family flags convert
+        # the special flag is built from 0/1 int rows and the family over the integers,
+        # so nothing converts
         assert len(built) == 4
-        assert len(conversions) == 3
+        assert len(conversions) == 0
 
     def test_stored_rows_survive_every_question(self):
         # _eliminate returns a pivot row it never updated as the caller's own object, so
@@ -1438,6 +1441,15 @@ class TestDuality:
                 cell_prime_of(flag, u)
             )
 
+    # perp_flag back-substitutes over the integers; the Fraction back
+    # substitution through _reduced that it replaced is the oracle, compared
+    # on the stored integer form itself
+
+    @staticmethod
+    def assert_perp_matches_the_fraction_route(flag, g):
+        perp, want = perp_flag(flag, g), reduced_perp_flag(flag, g)
+        assert (perp._scaled, perp._scales) == (want._scaled, want._scales)
+
     # perp_flag scales flag vector k by s_k and must put s_k, not 1, into the
     # identity block: a unit entry keeps the flag but changes its basis, so
     # the vectors are compared exactly with the Fraction route
@@ -1448,6 +1460,7 @@ class TestDuality:
         u, flag = case
         g = bilinear_form(u)
         assert flag_vectors(perp_flag(flag, g)) == rref_perp_vectors(flag, g)
+        self.assert_perp_matches_the_fraction_route(flag, g)
 
     def test_perp_vectors_of_coordinate_and_chart_flags(self):
         for shape in (Partition((3, 2)), Partition((2, 2, 1)), Partition((3, 2, 2))):
@@ -1456,17 +1469,19 @@ class TestDuality:
             for sigma in fiber_permutations(u):
                 flag = jordan_flag(sigma)
                 assert flag_vectors(perp_flag(flag, g)) == rref_perp_vectors(flag, g)
+                self.assert_perp_matches_the_fraction_route(flag, g)
         g = bilinear_form(special_operator(2))
         for d in (3, 4):
             flag = phi_map(2, d, (Fraction(1, 2), 0, Fraction(-3, 4), 5))
             assert flag_vectors(perp_flag(flag, g)) == rref_perp_vectors(flag, g)
+            self.assert_perp_matches_the_fraction_route(flag, g)
 
     def test_perp_of_a_dependent_basis_is_degenerate(self):
         # _integer_flag trusts its caller; this basis, v = (1/2, 1/3) and 3v, is dependent on purpose
         flag = exactlin_module._integer_flag([(3, 2), (3, 2)], (6, 2))
         assert flag_vectors(flag) == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1)))
         g = bilinear_form(jordan_operator(T("1,2")))
-        for route in (perp_flag, rref_perp_vectors):
+        for route in (perp_flag, rref_perp_vectors, reduced_perp_flag):
             with pytest.raises(AssertionError, match="^form is degenerate on the flag$"):
                 route(flag, g)
 
@@ -1579,10 +1594,10 @@ class TestTriangularFlag:
         order = [2, 0, 1]
         vectors = fractions([(0, 5, 1), (1, 4, 0), (0, 1, 0)])
         # in the order 2, 0, 1 the rows read (1, 0, 5), (0, 1, 4), (0, 0, 1)
-        flag = _triangular_flag(vectors, order)
+        flag = _triangular_flag(*_integer_rows(vectors), order)
         assert flag_vectors(flag) == tuple(vectors)
         assert len(gauss_jordan(vectors)[1]) == 3
-        assert _triangular_flag((), ()).n == 0
+        assert _triangular_flag((), (), ()).n == 0
 
     @pytest.mark.parametrize(
         "rows, order",
@@ -1611,16 +1626,15 @@ class TestTriangularFlag:
         ],
     )
     def test_rejects(self, rows, order):
-        vectors = fractions(rows)
         with pytest.raises(ValueError, match="breaks the unit triangle"):
-            _triangular_flag(vectors, order)
+            _triangular_flag(*_integer_rows(fractions(rows)), order)
 
     @pytest.mark.parametrize(
         "rows", [[(1, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 0), (0, 1), (0, 0)]]
     )
     def test_rejects_wrong_length(self, rows):
         with pytest.raises(ValueError, match="^flag needs n vectors of length n$"):
-            _triangular_flag(fractions(rows), range(len(rows)))
+            _triangular_flag(*_integer_rows(fractions(rows)), range(len(rows)))
 
     def test_flag_keeps_its_elimination(self, monkeypatch):
         calls = []
@@ -1631,7 +1645,7 @@ class TestTriangularFlag:
         with pytest.raises(ValueError, match="^flag basis is linearly dependent$"):
             Flag(fractions([(1, 0), (2, 0)]))
         calls.clear()
-        _triangular_flag(fractions([(1, 0), (0, 1)]), [0, 1])
+        _triangular_flag(((1, 0), (0, 1)), (1, 1), [0, 1])
         assert calls == []
 
 

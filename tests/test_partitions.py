@@ -2,7 +2,7 @@ from itertools import permutations as iter_permutations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from springerfiber.partitions import Partition, SmoothnessVerdict, partitions_of
 
@@ -185,3 +185,17 @@ def test_partitions_of_counts():
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
     for n, want in enumerate(expected):
         assert sum(1 for _ in partitions_of(n)) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5), st.data())
+def test_a_float_or_bool_part_raises_and_the_equal_int_builds_the_value(parts, data):
+    # Partition((2.5, 1)) used to truncate to (2, 1), and (True, 1) to (1, 1)
+    parts = sorted(parts, reverse=True)
+    i = data.draw(st.integers(min_value=0, max_value=len(parts) - 1))
+    x = parts[i]
+    for bad in (float(x), x + 0.5, True, False):
+        with pytest.raises(TypeError, match="^partition parts must be ints: "):
+            Partition(parts[:i] + [bad] + parts[i + 1 :])
+    built = Partition(parts[:i] + [int(float(x))] + parts[i + 1 :])
+    assert built.parts == tuple(parts) and all(type(p) is int for p in built.parts)

@@ -2,7 +2,8 @@
 allows, writes no zero Fraction but the shared one, builds unvalidated
 tableaux and flags only where the rows are valid by construction,
 eliminates through one integer core behind one Fraction-to-integer
-boundary, and defines no function that only the tests use."""
+boundary, makes no float where it computes exactly, and defines no
+function that only the tests use."""
 
 import ast
 from collections import Counter
@@ -103,10 +104,11 @@ def test_trusted_tableaux_have_four_builders():
 
 def test_one_integer_core_and_one_boundary():
     # every elimination runs exactlin._eliminate on integer rows; the Fraction
-    # rows reach it through _integer_rows, which scales a flag once, when
-    # Flag, _triangular_flag or perp_flag builds it, and a subspace basis once
-    # per type; a coordinate flag is built from int rows and converts nothing,
-    # and the flag questions read the stored rows and convert nothing
+    # rows reach it through _integer_rows, which scales a flag once, when Flag
+    # or the (3,2,2) membership check builds it, and a subspace basis once per
+    # type; coordinate flags, chart families and complement flags are built
+    # from int rows and convert nothing, and the flag questions read the
+    # stored rows and convert nothing
     assert uses_in_sources("_eliminate") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "_interleaved_pivots"),
@@ -118,10 +120,42 @@ def test_one_integer_core_and_one_boundary():
     assert uses_in_sources("_integer_rows") == {
         ("exactlin.py", "_rank_profile"),
         ("exactlin.py", "Flag"),
-        ("exactlin.py", "_triangular_flag"),
-        ("exactlin.py", "perp_flag"),
         ("exactlin.py", "_subspace_pivots"),
+        ("certificates.py", None),
+        ("certificates.py", "verify_curve_membership"),
     }
+    # _reduced back-substitutes over Fraction for Matrix.rref alone
+    assert uses_in_sources("_reduced") == {("exactlin.py", "Matrix")}
+
+
+# the modules that compute exactly; acceptance and cli keep their timing floats
+EXACT_MODULES = ("partitions", "tableaux", "eqsmoves", "exactlin", "certificates")
+
+
+def float_uses(tree):
+    """Line numbers of every float literal, ``float(...)`` call, ``/`` and ``/=`` in ``tree``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and type(node.value) in (float, complex))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+        or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+    )
+
+
+def test_float_rule_sees_every_float():
+    tree = ast.parse(
+        "a = 0.5\nb = float(a)\nc = a / 2\nc /= 3\nd = a // 2\n"
+        "e = Fraction(1, 2)\nf = 1e3\ng = 2j\nh = '1/2'\ni = x.float\n"
+    )
+    assert float_uses(tree) == [1, 2, 3, 4, 7, 8]
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_make_no_float(module):
+    # a stray / in the integer builders would give a float silently
+    [path] = [path for path in SOURCES if path.stem == module]
+    assert float_uses(ast.parse(path.read_text(encoding="utf-8"))) == [], f"{path.name}: no floats"
 
 
 def flag_allocations(tree):

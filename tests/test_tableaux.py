@@ -114,8 +114,12 @@ def validation_message(validate, rows):
 
 
 def oracle_plain(rows):
-    """``Tableau`` as it was built before standardness was read off row ends."""
-    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    """``Tableau`` as it was built before standardness was read off row ends; an entry must be an int already."""
+    rows = tuple(tuple(row) for row in rows)
+    for row in rows:
+        for e in row:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise TypeError(f"entry {e!r} is not an int")
     _validate_rows(rows)
     return ("Tableau", rows)
 
@@ -129,8 +133,8 @@ def oracle_standard(rows):
 
 
 def oracle_tableau(rows):
-    """``tableau()`` as a plain validation followed by a standard one."""
-    _, rows = oracle_plain(rows)
+    """``tableau()`` as a conversion by ``int``, then a plain validation followed by a standard one."""
+    _, rows = oracle_plain([[int(e) for e in row] for row in rows])
     try:
         return oracle_standard(rows)
     except ValueError:
@@ -264,6 +268,25 @@ class TestValidation:
             (StandardTableau, oracle_standard),
         ):
             assert construction(build, rows) == construction(oracle, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([shape for shape in SMALL_SHAPES if shape.n]), st.data())
+    def test_a_float_or_bool_entry_raises_and_the_equal_int_builds_the_value(self, shape, data):
+        # StandardTableau([[1, 2.7], [3]]) used to truncate to 1,2/3
+        t = data.draw(st.sampled_from(enumerate_tableaux(shape)))
+        rows = [list(row) for row in t.rows]
+        r = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        c = data.draw(st.integers(min_value=0, max_value=len(rows[r]) - 1))
+        e = rows[r][c]
+        for bad in (float(e), e + 0.5, e == 1):
+            changed = [row[:] for row in rows]
+            changed[r][c] = bad
+            for build in (Tableau, StandardTableau):
+                with pytest.raises(TypeError, match="^tableau entries must be ints: "):
+                    build(changed)
+        for build in (Tableau, StandardTableau):
+            built = build(rows)
+            assert built.rows == t.rows and all(type(x) is int for row in built.rows for x in row)
 
     @settings(max_examples=500, deadline=None)
     @given(faulty_rows())
