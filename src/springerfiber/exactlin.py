@@ -6,11 +6,13 @@ membership answers are exact.  Vectors are plain tuples, columns for
 operators and rows for spans, and every zero the module writes is one
 shared ``Fraction`` zero.  One elimination core, ``_eliminate``, serves
 every question: fraction-free elimination of integer rows that does no
-arithmetic on zeros and divides each updated row by its content, so no
-entry outgrows the minors that Bareiss elimination holds; it returns the
-(row, column) pivot pairs and an integer echelon form.  ``_integer_rows``
-is the one boundary from ``Fraction`` to integers: it scales each row by
-the lcm of its denominators, which keeps the rank profile.
+arithmetic on zeros, keeps the remaining rows grouped by their first
+nonzero column so that a column reads only the rows nonzero in it, and
+divides each updated row by its content, so no entry outgrows the minors
+that Bareiss elimination holds; it returns the (row, column) pivot pairs
+and an integer echelon form.  ``_integer_rows`` is the one boundary from
+``Fraction`` to integers: it scales each row by the lcm of its
+denominators, which keeps the rank profile.
 
 A flag holds only that integer form of its basis, the scaled vectors and
 their scales, and every flag question reads it and converts nothing.
@@ -57,8 +59,10 @@ of d, and coordinates on the open chart around each special flag.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -213,6 +217,18 @@ def _eliminate(
     built, and the input rows are never changed: a pivot row that was never
     updated is the caller's own row.
 
+    The remaining rows wait in buckets, ``waiting[c]`` holding those whose
+    first nonzero entry is in column c, in row order; an all-zero row,
+    given or made by an update, waits nowhere, as it can never be a pivot.
+    Every remaining row is zero left of the current column c, by induction
+    on the columns: at each earlier column the rows nonzero there were
+    exactly that column's bucket, and each of them other than the pivot row
+    was updated to pivot * row - entry * pivot row, which is zero at that
+    column and, like both rows, left of it.  So ``waiting[c]`` holds exactly the remaining
+    rows nonzero at c, and a column reads only those: an empty bucket is no
+    pivot, its first row is the pivot row, and each updated row moves to
+    the bucket of its new first nonzero entry, right of c.
+
     Every remaining row is a nonzero rational multiple of the row that
     Bareiss elimination (Bareiss 1968) holds at the same step, because both
     only scale rows and add the same multiples of pivot rows.  So the zero
@@ -232,26 +248,33 @@ def _eliminate(
     ``rows``: the s-th is zero left of the s-th pivot column, nonzero at it,
     and a combination of the rows up to its own index.
     """
-    # the rows not yet used as pivots, as (index in ``rows``, entries)
-    rest = list(enumerate(rows))
+    columns = range(len(rows[0]) if rows else 0)
+    # waiting[c]: the remaining rows led by column c, as (index in ``rows``, entries)
+    waiting: list[list[tuple[int, Sequence[int]]]] = [[] for _ in columns]
+    for i, row in enumerate(rows):
+        c = next(compress(columns, row), None)
+        if c is not None:
+            waiting[c].append((i, row))
     pivots: list[tuple[int, int]] = []
     tops: list[Sequence[int]] = []
-    for c in range(len(rest[0][1]) if rest else 0):
-        found = next((k for k, (_, row) in enumerate(rest) if row[c]), None)
-        if found is None:
+    for c, bucket in enumerate(waiting):
+        if not bucket:
             continue
-        i, top = rest.pop(found)
+        i, top = bucket[0]
         pivot = top[c]
-        for k, (j, row) in enumerate(rest):
+        # popped, so that each row is freed as soon as its update is built
+        while len(bucket) > 1:
+            j, row = bucket.pop()
             f = row[c]
-            if f:
-                row = [pivot * a - f * b for a, b in zip(row, top)]
-                g = gcd(*row)
-                rest[k] = (j, [x // g for x in row] if g > 1 else row)
+            row = [pivot * a - f * b for a, b in zip(row, top)]
+            g = gcd(*row)
+            if g:
+                if g > 1:
+                    row = [x // g for x in row]
+                lead = next(k for k in columns[c + 1 :] if row[k])
+                insort(waiting[lead], (j, row))
         pivots.append((i, c))
         tops.append(top)
-        if not rest:
-            break
     return tuple(pivots), tops
 
 

@@ -158,11 +158,10 @@ def _trusted(rows: tuple[tuple[int, ...], ...], cls: type = StandardTableau) -> 
 
 
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
-    """Validate rows, returning a StandardTableau when the entries are 1..n."""
-    rows = tuple(tuple(map(int, row)) for row in rows)
-    _validate_rows(rows)
+    """Validate rows as ``Tableau`` does (TypeError unless every entry is an ``int``, a bool is not), returning a StandardTableau when the entries are 1..n."""
+    t = Tableau(rows)
     # valid rows are standard when their entries are 1..n
-    return _trusted(rows, StandardTableau if _is_standard(rows) else Tableau)
+    return _trusted(t.rows) if _is_standard(t.rows) else t
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -170,7 +169,7 @@ def parse_tableau(text: str) -> Tableau:
     text = text.strip()
     if not text:
         return StandardTableau(())
-    return tableau([piece.split(",") for piece in text.split("/")])
+    return tableau([[int(e) for e in piece.split(",")] for piece in text.split("/")])
 
 
 def _slide_out(rows: list[list[int]]) -> tuple[int, int]:

@@ -4,11 +4,14 @@ The library builds the chart families and the complement flag over the
 integers; the ``Fraction`` routes they replaced live on here as oracles:
 the v-recurrence and the chart family's vectors (``v_vectors``,
 ``v_full``, ``chart_etas``) and the complement flag by back substitution
-over ``Fraction`` (``reduced_perp_flag``).
+over ``Fraction`` (``reduced_perp_flag``).  The column-scan elimination
+core (``column_scan_eliminate``) and Bareiss elimination with lazy scaling
+(``lazy_bareiss``) are the oracles of ``exactlin._eliminate``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from springerfiber.certificates import _decode_params
 from springerfiber.exactlin import (
@@ -156,6 +159,39 @@ def lazy_bareiss(rows):
                 f = row[c]
             rest[k] = (j, s + 1, [(pivot * a - f * b) // previous for a, b in zip(row, top)])
         scales.append(pivot)
+        pivots.append((i, c))
+        tops.append(top)
+        if not rest:
+            break
+    return tuple(pivots), tops
+
+
+def column_scan_eliminate(rows):
+    """Content-divided fraction-free elimination by scanning columns: (pivot pairs, pivot rows).
+
+    The oracle for ``exactlin._eliminate``, which keeps the remaining rows
+    in buckets by their first nonzero column; this is the core it replaced.
+    Each column is found by scanning every remaining row for the topmost
+    nonzero one, and every remaining row is walked again to update those
+    nonzero in the pivot column to pivot * row - entry * pivot row, divided
+    by its content.  Rows that were never updated, and rows that became
+    zero, stay in the scan.
+    """
+    # the rows not yet used as pivots, as (index in ``rows``, entries)
+    rest = list(enumerate(rows))
+    pivots, tops = [], []
+    for c in range(len(rest[0][1]) if rest else 0):
+        found = next((k for k, (_, row) in enumerate(rest) if row[c]), None)
+        if found is None:
+            continue
+        i, top = rest.pop(found)
+        pivot = top[c]
+        for k, (j, row) in enumerate(rest):
+            f = row[c]
+            if f:
+                row = [pivot * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                rest[k] = (j, [x // g for x in row] if g > 1 else row)
         pivots.append((i, c))
         tops.append(top)
         if not rest:

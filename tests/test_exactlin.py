@@ -18,7 +18,10 @@ from springerfiber.exactlin import (
     StabilityError,
     _ZERO,
     _eliminate,
+    _image_order,
+    _images,
     _integer_rows,
+    _kernel_order,
     _rank_profile,
     _triangular_flag,
     as_fraction,
@@ -55,6 +58,7 @@ from springerfiber.tableaux import (
 )
 
 from matrix_helpers import (
+    column_scan_eliminate,
     dense_image,
     flag_vectors,
     gauss_jordan,
@@ -409,6 +413,80 @@ class TestEliminateAgainstLazyBareiss:
         pairs, tops = _eliminate(rows)
         assert pairs == ((1, 0), (0, 1), (2, 2))
         assert all(top is rows[i] for (i, _), top in zip(pairs, tops))
+
+
+def interleaved_rows(u, flag, order):
+    """The rows that ``_flag_pivots`` eliminates: the coordinates in ``order``, columns v1, u v1, v2, u v2, .."""
+    columns = [x for pair in zip(flag._scaled, _images(u, flag._scaled, flag.n)) for x in pair]
+    rows = list(zip(*columns))
+    return [rows[c] for c in order]
+
+
+class TestEliminateAgainstColumnScan:
+    """``_eliminate`` against the column-scan core it replaced, the ``matrix_helpers`` oracle.
+
+    The pivot pairs and the pivot rows are the same integers, and a pivot
+    row is the caller's own object exactly when the oracle's is, that is,
+    when neither core updated it.
+    """
+
+    def check(self, rows):
+        copies = [list(row) for row in rows]
+        pairs, tops = _eliminate(rows)
+        want_pairs, want_tops = column_scan_eliminate(rows)
+        assert pairs == want_pairs
+        assert [list(top) for top in tops] == [list(want) for want in want_tops]
+        for (i, _), top, want in zip(pairs, tops, want_tops):
+            assert (top is rows[i]) == (want is rows[i])
+        assert [list(row) for row in rows] == copies
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_rational(self, rows):
+        self.check(_integer_rows(rows)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse(self, rows):
+        self.check(_integer_rows(rows)[0])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [()],
+            [(), (), ()],
+            [(0, 0, 0), (0, 0, 0)],
+            [(0, 0, 0), (1, 2, 3), (0, 0, 0), (1, 2, 3), (2, 4, 6)],
+            [(0, 3, 0), (2, 0, 4), (0, 3, 0), (2, 0, 4)],
+            # rows 1 and 2 vanish after the first update; row 3 then leads
+            [(1, 2, 3), (2, 4, 6), (-3, -6, -9), (0, 0, 5)],
+            [(2, 1, 0), (4, 2, 1), (6, 3, 0), (0, 0, 7)],
+        ],
+        ids=["empty", "one-zero-width", "zero-width", "all-zero", "duplicates",
+             "duplicates-sparse", "vanishing", "vanishing-then-lead"],
+    )
+    def test_edge_cases(self, rows):
+        self.check(rows)
+
+    def test_permutation_matrices(self):
+        for n in range(1, 6):
+            for sigma in permutations(range(n)):
+                self.check([tuple(int(j == s) for j in range(n)) for s in sigma])
+                self.check([tuple((s + 2) * (j == s) for j in range(n)) for s in sigma])
+
+    def test_every_coordinate_flag_up_to_6_in_both_orders(self):
+        for n in range(1, 7):
+            for shape in partitions_of(n):
+                u = jordan_operator(column_superstandard(shape))
+                for sigma in fiber_permutations(u):
+                    flag = jordan_flag(sigma)
+                    for order in (_kernel_order(u), _image_order(u)):
+                        self.check(interleaved_rows(u, flag, order))
+
+    @pytest.mark.parametrize("rows", [diagonal_matrix(), banded_matrix()], ids=["diagonal", "banded"])
+    def test_pivot_columns_matrices(self, rows):
+        self.check(rows)
 
 
 class TestRref:

@@ -133,8 +133,13 @@ def oracle_standard(rows):
 
 
 def oracle_tableau(rows):
-    """``tableau()`` as a conversion by ``int``, then a plain validation followed by a standard one."""
-    _, rows = oracle_plain([[int(e) for e in row] for row in rows])
+    """``tableau()`` as a plain validation, ints only, followed by a standard one.
+
+    Declared contract change: ``tableau()`` no longer converts its entries
+    with ``int``.  A str, float or bool entry raises TypeError, as in
+    ``Tableau``, and ``parse_tableau`` converts its text pieces itself.
+    """
+    _, rows = oracle_plain(rows)
     try:
         return oracle_standard(rows)
     except ValueError:
@@ -287,6 +292,34 @@ class TestValidation:
         for build in (Tableau, StandardTableau):
             built = build(rows)
             assert built.rows == t.rows and all(type(x) is int for row in built.rows for x in row)
+
+    def test_tableau_rejects_the_inexact_entries_it_used_to_truncate(self):
+        for rows in ([[1, 2.7], [3]], [[True, 2], [3]], [["1", "2"], ["3"]]):
+            with pytest.raises(TypeError, match="^tableau entries must be ints: "):
+                tableau(rows)
+        assert tableau([[1, 2], [3]]) == parse_tableau("1,2/3")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([shape for shape in SMALL_SHAPES if shape.n]), st.data())
+    def test_tableau_raises_on_a_float_or_bool_and_the_equal_int_builds_the_value(self, shape, data):
+        # tableau([[1, 2.7], [3]]) used to truncate to 1,2/3; a gapped tableau is plain
+        t = data.draw(st.sampled_from(enumerate_tableaux(shape)))
+        shift = data.draw(st.integers(min_value=0, max_value=1))
+        rows = [[e + shift for e in row] for row in t.rows]
+        r = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        c = data.draw(st.integers(min_value=0, max_value=len(rows[r]) - 1))
+        e = rows[r][c]
+        for bad in (float(e), e + 0.5, e == 1):
+            changed = [row[:] for row in rows]
+            changed[r][c] = bad
+            with pytest.raises(TypeError, match="^tableau entries must be ints: "):
+                tableau(changed)
+        built = tableau(rows)
+        assert type(built) is (Tableau if shift else StandardTableau)
+        assert built.rows == tuple(map(tuple, rows))
+        assert all(type(x) is int for row in built.rows for x in row)
+        text = "/".join(",".join(map(str, row)) for row in rows)
+        assert parse_tableau(text) == built and type(parse_tableau(text)) is type(built)
 
     @settings(max_examples=500, deadline=None)
     @given(faulty_rows())
