@@ -7,7 +7,10 @@ no traceback; ``--help`` keeps exit 0, as argparse ignores a closed
 stdout), 2 on unparsable input.  The environment variable SPRINGERFIBER_MAX_N
 overrides the default bound on n of the enumeration-backed subcommands and
 of ``verify-q``; like ``--max-n``, it must be a nonnegative integer, else
-the input is unparsable.
+the input is unparsable.  Every integer of the input, in a shape, a
+permutation, a tableau, an argument or that variable, is ASCII digits with
+an optional sign (``partitions.integer``): digit-group underscores and
+non-ASCII digits are unparsable.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import acceptance
 from .certificates import certify_322, verify_smooth_chart
 from .eqsmoves import eqs_class, partition_report
 from .exactlin import Permutation, StabilityError, cell_of, jordan_flag, jordan_operator
-from .partitions import Partition
+from .partitions import Partition, integer
 from .tableaux import (
     StandardTableau,
     column_superstandard,
@@ -63,7 +66,7 @@ def _max_n(args, default: int | None = None) -> int | None:
         env = os.environ.get(ENV_MAX_N)
         if not env:
             return default
-        bound = _parse(int, env, ENV_MAX_N)
+        bound = _parse(integer, env, ENV_MAX_N)
     if bound < 0:
         raise InputError(f"search bound must be nonnegative, got {bound}")
     return bound
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all standard tableaux of a shape")
     p.add_argument("partition")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=integer, default=None)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("sch", help="evacuation of a standard tableau")
@@ -201,19 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cmove)
 
     p = sub.add_parser("restrict", help="jeu-de-taquin restriction to entries i..j")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p.add_argument("i", type=integer)
+    p.add_argument("j", type=integer)
     p.add_argument("tableau")
     p.set_defaults(fn=_cmd_restrict)
 
     p = sub.add_parser("eqs-class", help="move class of a standard tableau")
     p.add_argument("tableau")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=integer, default=None)
     p.set_defaults(fn=_cmd_eqs_class)
 
     p = sub.add_parser("eqs-partition", help="partition of a shape into move classes")
     p.add_argument("partition")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=integer, default=None)
     p.set_defaults(fn=_cmd_eqs_partition)
 
     p = sub.add_parser("dist", help="dist statistic of a shape (r,s,1) tableau")
@@ -234,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify_322)
 
     p = sub.add_parser("verify-q", help="smooth chart verification for shape (k,k,1)")
-    p.add_argument("k", type=int)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("k", type=integer)
+    p.add_argument("--max-n", type=integer, default=None)
     p.set_defaults(fn=_cmd_verify_q)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

@@ -11,28 +11,36 @@ relate labels of equinonsingular components:
 * the block forms of both, acting on a run of columns that splits off as
   a standard subtableau (both endpoints are cut points).
 
-Each move is one routine on the rows of a tableau holding a run of
-entries lo..hi (C and C⁻¹ here, evacuation in
-:mod:`springerfiber.tableaux`), which it reads without modifying, so it
-acts on a block's own entries; ``MOVE_KINDS`` is read off the table of
-these routines.  C⁻¹ fails before it copies anything unless hi sits at the
-foot of the last column.  Only ``cut_points`` decides where a tableau
-splits.  The block between two cut points holds exactly the next run of
-entries in a straight shape; ``_cut`` takes it and its lo..hi out of the
-rows and ``_paste`` puts a moved block back.  ``_moves`` cuts each block
-once for all the kinds it tries, and ``_move``, behind ``block_move``,
-runs one kind through the same two helpers.  ``block_move``,
-``legal_moves``, ``c_move`` and ``c_inverse`` validate only the tableaux
-they return.  One worklist over row tuples, ``_closure``, serves both
-class callers: ``eqs_class`` validates each new member once, the only
-runtime check on what the moves produce, and ``eqs_partition``
-partitions all tableaux of a shape into classes whose members it takes
-from the enumeration, which builds them standard by construction and
-validates none.  The closure computes each move pair once: C and C⁻¹ on
-the same block undo each other and evacuation is an involution, so a
-tableau reached by a move never tries the reverse move, whose result is
-already found.  For shapes (r,s,1) the ``dist`` statistic is constant on
-every class, which ``dist_class_invariant`` verifies exhaustively.
+The closure works on row words: the row word of a standard tableau is
+the tuple whose entry e-1 is the 0-based row of the entry e.  Only
+``_cuts`` decides where a tableau splits.  With lo and hi the boxes in the
+first a-1 and the first b columns, the block of columns a..b between two
+cut points holds exactly the entries lo+1..hi in a straight shape, so its
+row word is the slice ``word[lo:hi]`` and a moved block goes back as
+``word[:lo] + moved + word[hi:]``.  Each move is one block routine on that
+slice, the block's rows (sliced from the tableau's own rows, which the
+routine only reads), its least entry and j, the number of its full-width
+rows; ``MOVE_KINDS`` is read off the table of these routines.  A routine
+returns the moved block word, or None when the move does not apply, and
+decides that before it builds anything: C walks the read-only slide path
+``_slide_path`` of :mod:`springerfiber.tableaux`, C⁻¹ makes one
+comparison.  C and C⁻¹ change only the entries on the slide path;
+evacuation runs ``_evacuate`` on the block's rows.  ``_moves`` slices each
+block once for all the kinds it tries and serves the closure,
+``legal_moves`` and ``block_move``; ``c_move`` and ``c_inverse`` run C and
+C⁻¹ on the whole tableau, which is its own block.  The public moves
+validate only the tableaux they return, and a failed one re-reads the
+slide to name why it failed.  One worklist keyed by row words,
+``_closure``, serves both class callers: ``eqs_class`` validates each new
+member once, the only runtime check on what the moves produce, and
+``eqs_partition`` partitions all tableaux of a shape into classes whose
+members it looks up by row word among the enumeration, which builds them
+standard by construction and validates none.  The closure computes each
+move pair once: C and C⁻¹ on the same block undo each other and
+evacuation is an involution, so a tableau reached by a move never tries
+the reverse move, whose result is already found.  For shapes (r,s,1) the
+``dist`` statistic is constant on every class, which
+``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
 appends ``n`` in the vacated box wherever the slide hole lands, not only
@@ -46,6 +54,7 @@ here and never participates in the class closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .partitions import Partition
@@ -53,7 +62,7 @@ from .tableaux import (
     StandardTableau,
     _check_bound,
     _evacuate,
-    _slide_out,
+    _slide_path,
     dist,
     enumerate_tableaux,
     jdt_remove_min,  # unused; perfbench/check_bench.py checks the tracer wraps it here
@@ -82,49 +91,110 @@ class MoveLabel:
         return f"{self.kind}[{self.columns[0]},{self.columns[1]}]"
 
 
-def _cyclic(rows: Sequence[Sequence[int]], lo: int, hi: int) -> list[list[int]]:
-    """C on the nonempty rows of a tableau holding exactly lo..hi."""
-    rows = [list(row) for row in rows]
-    j = sum(len(row) == len(rows[0]) for row in rows)
-    r, _ = _slide_out(rows)
-    if r != j - 1:
-        raise MoveError(
-            f"slide hole ended in row {r + 1}, not at the leading block row {j}"
-        )
-    rows = [[e - 1 for e in row] for row in rows]
-    if j - 1 == len(rows):
-        rows.append([hi])
-    else:
-        rows[j - 1].append(hi)
-    return rows
+def _word(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Row word of standard rows: entry e sits in row ``word[e-1]`` (0-based).
 
-
-def _cyclic_inverse(rows: Sequence[Sequence[int]], lo: int, hi: int) -> list[list[int]]:
-    """C⁻¹ on the nonempty rows of a tableau holding exactly lo..hi.
-
-    Applicable when hi, the largest entry, sits at the foot of the last
-    column; that is decided before anything is copied.  Errors name
-    entries as in the block shifted to 1..size.
+    Not the row reading word, which concatenates the rows.
     """
-    width = len(rows[0])
-    jr = sum(len(row) == width for row in rows) - 1
-    if rows[jr][-1] != hi:
-        raise MoveError(
-            f"entry {hi - lo + 1} does not close the leading block of equal rows"
-        )
-    rows = [[e + 1 for e in row] for row in rows]
-    r, c = jr, width - 1
-    while (r, c) != (0, 0):
-        left = rows[r][c - 1] if c > 0 else None
-        above = rows[r - 1][c] if r > 0 else None
+    word = [0] * sum(map(len, rows))
+    for r, row in enumerate(rows):
+        for e in row:
+            word[e - 1] = r
+    return tuple(word)
+
+
+def _rows(word: Sequence[int], height: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the standard tableau with row word ``word`` and ``height`` rows."""
+    rows: list[list[int]] = [[] for _ in range(height)]
+    for e, r in enumerate(word, start=1):
+        rows[r].append(e)
+    return tuple(map(tuple, rows))
+
+
+# The block routines.  Each takes the row word of a block holding the entries
+# lo..hi in a straight shape, the block's rows, lo, and j, the number of its
+# full-width rows; it returns the row word of the moved block, whose entry
+# e sits at index e - lo, or None when the move does not apply.
+
+
+def _cyclic_word(
+    word: Sequence[int], block: Sequence[Sequence[int]], lo: int, j: int
+) -> tuple[int, ...] | None:
+    """C: applies when the slide hole of lo ends in row j, at the end of the leading block.
+
+    Every entry shifts down by one and hi fills the vacated box, so only an
+    entry that the slide moves up changes its row.
+    """
+    path = _slide_path(block)
+    if path[-1][0] != j - 1:
+        return None
+    moved = [*word[1:], j - 1]
+    for (r, _), (r1, c1) in zip(path, path[1:]):
+        if r1 != r:
+            moved[block[r1][c1] - lo - 1] = r
+    return tuple(moved)
+
+
+def _cyclic_inverse_word(
+    word: Sequence[int], block: Sequence[Sequence[int]], lo: int, j: int
+) -> tuple[int, ...] | None:
+    """C⁻¹: applies when hi sits in row j, at the foot of the last column.
+
+    Every entry shifts up by one and the hole left by hi slides back to
+    (1,1), taking the larger of its left/above neighbours, where lo goes;
+    only an entry that moves down changes its row.
+    """
+    if word[-1] != j - 1:
+        return None
+    moved = [0, *word[:-1]]
+    r, c = j - 1, len(block[0]) - 1
+    while r or c:
+        left = block[r][c - 1] if c else None
+        above = block[r - 1][c] if r else None
         if above is None or (left is not None and left > above):
-            rows[r][c] = left
             c -= 1
         else:
-            rows[r][c] = above
+            moved[above - lo + 1] = r
             r -= 1
-    rows[0][0] = lo
-    return rows
+    return tuple(moved)
+
+
+def _evacuate_word(
+    word: Sequence[int], block: Sequence[Sequence[int]], lo: int, j: int
+) -> tuple[int, ...]:
+    """Evacuation, by ``_evacuate`` on the block's rows; it always applies."""
+    moved = [0] * len(word)
+    for r, row in enumerate(_evacuate(block, lo, lo + len(word) - 1)):
+        for e in row:
+            moved[e - lo] = r
+    return tuple(moved)
+
+
+def _failure(kind: str, block: Sequence[Sequence[int]], j: int) -> MoveError:
+    """Why C or C⁻¹ does not apply to ``block``, naming entries as in the block shifted to 1..size."""
+    if kind == "C":
+        r = _slide_path(block)[-1][0]
+        return MoveError(
+            f"slide hole ended in row {r + 1}, not at the leading block row {j}"
+        )
+    size = sum(map(len, block))
+    return MoveError(f"entry {size} does not close the leading block of equal rows")
+
+
+def _whole(t: StandardTableau, kind: str, empty: str) -> StandardTableau:
+    """C or C⁻¹ on the whole tableau, which is its own block of entries 1..n.
+
+    Not through ``_moves``, which tries blocks of two or more columns only;
+    a one-column tableau is a fixed point of both moves.
+    """
+    rows = t.rows
+    if not rows:
+        raise MoveError(empty)
+    j = sum(len(row) == len(rows[0]) for row in rows)
+    moved = _BLOCK_MOVES[kind](_word(rows), rows, 1, j)
+    if moved is None:
+        raise _failure(kind, rows, j)
+    return StandardTableau(_rows(moved, len(rows)))
 
 
 def c_move(t: StandardTableau) -> StandardTableau:
@@ -134,9 +204,7 @@ def c_move(t: StandardTableau) -> StandardTableau:
     row of the leading block of maximal-length rows; the result has the
     same shape.
     """
-    if t.n == 0:
-        raise MoveError("cyclic move undefined on the empty tableau")
-    return StandardTableau(_cyclic(t.rows, 1, t.n))
+    return _whole(t, "C", "cyclic move undefined on the empty tableau")
 
 
 def c_inverse(t: StandardTableau) -> StandardTableau:
@@ -146,9 +214,7 @@ def c_inverse(t: StandardTableau) -> StandardTableau:
     rows.  The reverse slide moves the larger of the left/above neighbours
     into the hole, retracing the forward slide path.
     """
-    if t.n == 0:
-        raise MoveError("inverse cyclic move undefined on the empty tableau")
-    return StandardTableau(_cyclic_inverse(t.rows, 1, t.n))
+    return _whole(t, "Cinv", "inverse cyclic move undefined on the empty tableau")
 
 
 def cut_points(t: StandardTableau) -> tuple[int, ...]:
@@ -158,105 +224,89 @@ def cut_points(t: StandardTableau) -> tuple[int, ...]:
     the entries 1..(boxes in those columns), i.e. the entry atop column
     ``i+1`` is that count plus one.
     """
-    return _cut_points(t.rows)
+    return tuple(i for i, _, _ in _cuts(t.rows))
 
 
-def _cut_points(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _cuts(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """(i, boxes in the first i columns, height of column i) for each cut point i.
+
+    The boundaries 0 and m are cut points; column 0 has height 0.
+    """
     if not rows:
-        return (0,)
+        return [(0, 0, 0)]
     top = rows[0]
-    points, boxes, height = [0], 0, len(rows)
-    for i in range(1, len(top)):
+    cuts, boxes, height = [(0, 0, 0)], 0, len(rows)
+    for i in range(1, len(top) + 1):
         while len(rows[height - 1]) < i:
             height -= 1
         boxes += height
-        if top[i] == boxes + 1:
-            points.append(i)
-    points.append(len(top))
-    return tuple(points)
+        if i == len(top) or top[i] == boxes + 1:
+            cuts.append((i, boxes, height))
+    return cuts
 
 
-_BLOCK_MOVES = {"C": _cyclic, "Cinv": _cyclic_inverse, "SchBlock": _evacuate}
+_BLOCK_MOVES = {"C": _cyclic_word, "Cinv": _cyclic_inverse_word, "SchBlock": _evacuate_word}
 MOVE_KINDS = tuple(_BLOCK_MOVES)
 # The move on the same block that undoes each kind; evacuation is an involution.
 _REVERSE = {"C": "Cinv", "Cinv": "C", "SchBlock": "SchBlock"}
 
 
-def _cut(
-    rows: tuple[tuple[int, ...], ...], a: int, b: int
-) -> tuple[list[tuple[int, ...]], int, int]:
-    """The block of columns a..b, a-1 and b cut points, with its entries lo..hi.
+def _moves(x: tuple[int, ...], rows: tuple[tuple[int, ...], ...], skip):
+    """(kind, a, b, word) for every applicable move on a block of two or more columns.
 
-    The block holds the next run of entries in a straight shape; no move
-    routine modifies it, so every kind runs on the one cut.
+    ``x`` is the row word of the tableau with rows ``rows``.  The block of
+    columns a..b, a-1 and b cut points, holds the entries lo+1..hi, where lo
+    and hi count the boxes in the first a-1 and b columns: its row word is
+    ``x[lo:hi]`` and its rows are sliced from ``rows``, once for all kinds.
+    A move that applies gives ``x[:lo] + moved + x[hi:]``; one that does not
+    builds nothing.  Moves whose label (kind, a, b) is in ``skip`` are not
+    tried.
     """
-    block = [row[a - 1 : b] for row in rows if len(row) >= a]
-    lo = block[0][0]
-    return block, lo, lo + sum(map(len, block)) - 1
-
-
-def _paste(
-    rows: tuple[tuple[int, ...], ...], a: int, b: int, moved: list[list[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """``rows`` with the block of columns a..b replaced by the ``moved`` block.
-
-    A move keeps the block's shape, so the rows below it stay as they are.
-    """
-    return tuple(
-        row[: a - 1] + tuple(middle) + row[b:] for row, middle in zip(rows, moved)
-    ) + rows[len(moved) :]
-
-
-def _move(
-    rows: tuple[tuple[int, ...], ...], kind: str, a: int, b: int
-) -> tuple[tuple[int, ...], ...]:
-    """``rows`` after a move on columns a..b; a-1 and b must be cut points."""
-    block, lo, hi = _cut(rows, a, b)
-    return _paste(rows, a, b, _BLOCK_MOVES[kind](block, lo, hi))
-
-
-def _moves(rows: tuple[tuple[int, ...], ...], skip):
-    """(kind, a, b, rows) for every applicable move on a block of two or more columns.
-
-    Each block is cut once for all kinds.  Moves whose label (kind, a, b)
-    is in ``skip`` are not tried.
-    """
-    cps = _cut_points(rows)
-    for x, left in enumerate(cps):
+    cuts = _cuts(rows)
+    for p, (left, lo, _) in enumerate(cuts):
         a = left + 1
-        for b in cps[x + 1 :]:
+        for b, hi, j in cuts[p + 1 :]:
             if b == a:
                 continue
-            block, lo, hi = _cut(rows, a, b)
+            word = x[lo:hi]
+            block = [row[left:b] for row in rows if len(row) > left]
             for kind, move in _BLOCK_MOVES.items():
                 if (kind, a, b) in skip:
                     continue
-                try:
-                    moved = move(block, lo, hi)
-                except MoveError:
-                    continue
-                yield kind, a, b, _paste(rows, a, b, moved)
+                moved = move(word, block, lo + 1, j)
+                if moved is not None:
+                    yield kind, a, b, x[:lo] + moved + x[hi:]
 
 
 def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
-    """Apply a move to the standardized block of columns a..b, then reassemble.
+    """Apply a move to the block of columns a..b and put the moved block back in place.
 
-    Both ``a-1`` and ``b`` must be cut points; only the result is validated.
+    Both ``a-1`` and ``b`` must be cut points.  ``_moves`` tries only this
+    move, every other label skipped; only the result is validated.
     """
     a, b = label.columns
-    m = len(t.rows[0]) if t.rows else 0
+    rows = t.rows
+    m = len(rows[0]) if rows else 0
     if not 1 <= a < b <= m:
         raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
     cps = cut_points(t)
     if a - 1 not in cps or b not in cps:
         raise MoveError(f"columns [{a},{b}] do not split off as a block")
-    return StandardTableau(_move(t.rows, label.kind, a, b))
+    others = {
+        (kind, c + 1, d) for kind in MOVE_KINDS for p, c in enumerate(cps) for d in cps[p + 1 :]
+    } - {(label.kind, a, b)}
+    for _, _, _, word in _moves(_word(rows), rows, others):
+        return StandardTableau(_rows(word, len(rows)))
+    block = [row[a - 1 : b] for row in rows if len(row) >= a]
+    raise _failure(label.kind, block, sum(len(row) >= b for row in rows))
 
 
 def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
     """All applicable block moves on at least two columns, with their results."""
+    height = len(t.rows)
     return tuple(
-        (MoveLabel(k, (a, b)), StandardTableau(rows)) for k, a, b, rows in _moves(t.rows, ())
+        (MoveLabel(k, (a, b)), StandardTableau(_rows(word, height)))
+        for k, a, b, word in _moves(_word(t.rows), t.rows, ())
     )
 
 
@@ -284,9 +334,9 @@ class EqsClass:
 
 
 def _closure(t: StandardTableau, member) -> EqsClass:
-    """Class of ``t`` by a worklist over row tuples, each move pair computed once.
+    """Class of ``t`` by a worklist over row words, each move pair computed once.
 
-    ``member`` turns the rows of each newly reached tableau into that
+    ``member`` turns the row word of each newly reached tableau into that
     tableau, once per member; ``t`` itself is taken as given.  A block move
     keeps the block's entries and shape, so when x reaches y by (kind, a, b),
     a-1 and b are cut points of y and the reverse move on y gives x back.
@@ -294,19 +344,20 @@ def _closure(t: StandardTableau, member) -> EqsClass:
     its moves whose result is already found, and its expansion skips them.
     Members are sorted by rows and the representative is the smallest.
     """
-    found = {t.rows: t}
-    known = {t.rows: set()}
-    todo = [t.rows]
+    start = _word(t.rows)
+    found = {start: t}
+    known = {start: set()}
+    todo = [start]
     while todo:
         x = todo.pop()
-        for kind, a, b, rows in _moves(x, known.pop(x)):
-            if rows not in found:
-                found[rows] = member(rows)
-                known[rows] = {(_REVERSE[kind], a, b)}
-                todo.append(rows)
-            elif rows in known:
-                known[rows].add((_REVERSE[kind], a, b))
-    members = tuple(found[rows] for rows in sorted(found))
+        for kind, a, b, y in _moves(x, found[x].rows, known.pop(x)):
+            if y not in found:
+                found[y] = member(y)
+                known[y] = {(_REVERSE[kind], a, b)}
+                todo.append(y)
+            elif y in known:
+                known[y].add((_REVERSE[kind], a, b))
+    members = tuple(sorted(found.values(), key=attrgetter("rows")))
     shape = t.shape
     return EqsClass(shape, members, members[0], dist(members[0]) if shape.is_rs1 else None)
 
@@ -320,22 +371,23 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     representative is the smallest member.
     """
     _check_bound(t.n, max_n)
-    return _closure(t, StandardTableau)
+    height = len(t.rows)
+    return _closure(t, lambda word: StandardTableau(_rows(word, height)))
 
 
 def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass, ...]:
     """Partition all standard tableaux of the shape into move classes.
 
-    Each class is seeded by the first tableau in enumeration (row word)
+    Each class is seeded by the first tableau in enumeration (row reading word)
     order that no earlier class holds, which is its representative.  Its
-    members are the enumerated tableaux themselves, taken by rows.
+    members are the enumerated tableaux themselves, taken by row word.
     """
-    remaining = {t.rows: t for t in enumerate_tableaux(shape, max_n=max_n)}
+    remaining = {_word(t.rows): t for t in enumerate_tableaux(shape, max_n=max_n)}
 
-    def take(rows):
-        if rows not in remaining:
+    def take(word):
+        if word not in remaining:
             raise AssertionError("move closure escaped the remaining tableaux")
-        return remaining.pop(rows)
+        return remaining.pop(word)
 
     classes = []
     while remaining:

@@ -67,7 +67,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, integer
 from .tableaux import StandardTableau, _check_bound, _tableau_from_columns, schuetzenberger
 
 Vector = tuple[Fraction, ...]
@@ -358,7 +358,7 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        return cls(int(piece) for piece in text.strip().split(","))
+        return cls(map(integer, text.split(",")))
 
     @property
     def n(self) -> int:

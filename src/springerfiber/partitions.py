@@ -13,8 +13,24 @@ explicit enumerator in :mod:`springerfiber.tableaux`.
 from __future__ import annotations
 
 import enum
+import re
 from math import factorial
 from typing import Iterator
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The int that ``text`` spells: an optional sign and ASCII digits, surrounding whitespace ignored.
+
+    Every integer of the text forms and the command line is read here.
+    ``int()`` would also take digit-group underscores and non-ASCII digits;
+    this raises ValueError on them.
+    """
+    piece = text.strip()
+    if not _INTEGER.fullmatch(piece):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(piece)
 
 
 class SmoothnessVerdict(enum.Enum):
@@ -64,7 +80,7 @@ class Partition:
         text = text.strip()
         if not text:
             return cls(())
-        return cls(int(piece) for piece in text.split(","))
+        return cls(map(integer, text.split(",")))
 
     @property
     def n(self) -> int:

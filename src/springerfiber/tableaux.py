@@ -5,9 +5,12 @@ increase along rows and down columns; it is standard when its entries are
 exactly 1..n.  Standard tableaux of shape lambda index the irreducible
 components of the Springer fiber whose nilpotent has Jordan type lambda.
 
-The workhorse is one in-place jeu-de-taquin slide on a list of rows: it
-removes the entry at (1,1) and reports the box it vacates, so operations
-work on plain rows and validate only the tableau they return.  Rows that
+The workhorse is one jeu-de-taquin walk, ``_slide_path``: it reads the
+rows and returns the boxes the hole visits when the entry at (1,1) slides
+out.  The in-place slide on a list of rows follows that path, removes the
+entry at (1,1) and reports the box it vacates, so operations work on plain
+rows and validate only the tableau they return; the cyclic move of
+:mod:`springerfiber.eqsmoves` reads the same path without writing.  Rows that
 are valid by construction skip validation through one private
 constructor, ``_trusted``: the enumeration, the column read-off and
 evacuation build standard tableaux with it, and ``tableau()`` uses it once
@@ -41,7 +44,7 @@ from itertools import chain
 from operator import lt
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, integer
 
 DEFAULT_ENUM_BOUND = 12
 
@@ -169,30 +172,42 @@ def parse_tableau(text: str) -> Tableau:
     text = text.strip()
     if not text:
         return StandardTableau(())
-    return tableau([[int(e) for e in piece.split(",")] for piece in text.split("/")])
+    return tableau([list(map(integer, piece.split(","))) for piece in text.split("/")])
 
 
-def _slide_out(rows: list[list[int]]) -> tuple[int, int]:
-    """Slide the entry at (1,1) out of nonempty ``rows`` in place.
+def _slide_path(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The boxes the hole visits when the entry at (1,1) slides out of nonempty ``rows``.
 
     The hole swaps with the smaller of its right/below neighbours (ties
-    cannot occur) until it reaches a corner, whose box is deleted; returns
-    that box as a 0-based (row, column).
+    cannot occur) until it reaches a corner.  The boxes are 0-based
+    (row, column), (0, 0) first and that corner last; ``rows`` is only read.
     """
     r, c = 0, 0
+    path = [(0, 0)]
     while True:
         right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
         below = (
             rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
         )
         if right is None and below is None:
-            break
+            return path
         if below is None or (right is not None and right < below):
-            rows[r][c] = right
             c += 1
         else:
-            rows[r][c] = below
             r += 1
+        path.append((r, c))
+
+
+def _slide_out(rows: list[list[int]]) -> tuple[int, int]:
+    """Slide the entry at (1,1) out of nonempty ``rows`` in place, along ``_slide_path``.
+
+    Each box of the path takes the entry of the next one, and the last box
+    is deleted; returns that box as a 0-based (row, column).
+    """
+    path = _slide_path(rows)
+    for (r, c), (r1, c1) in zip(path, path[1:]):
+        rows[r][c] = rows[r1][c1]
+    r, c = path[-1]
     del rows[r][c]
     if not rows[r]:
         rows.pop(r)

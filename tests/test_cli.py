@@ -275,6 +275,29 @@ class TestErrorPaths:
         assert code == 1
         assert "error" in payload
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dim", "3,2,0_2"),
+            ("flag-cell", "2,1", "1,0_2,3"),
+            ("verify-q", "\uff12"),
+            ("sch", "1_0,1_1/1_2"),
+        ],
+    )
+    def test_integers_are_ascii_digits_exit_2(self, capsys, argv):
+        # int() reads 0_2 as 2 and a full-width digit as that digit
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse" in captured.err or "invalid integer value" in captured.err
+
+    def test_max_n_variable_is_ascii_digits(self, capsys, monkeypatch):
+        for env in ("1_0", "\u0663"):
+            monkeypatch.setenv("SPRINGERFIBER_MAX_N", env)
+            code, payload, err = run(capsys, "eqs-partition", "2,1")
+            assert code == 2 and payload is None
+            assert "cannot parse" in err
+
     def test_unknown_command_exit_2(self, capsys):
         assert main(["does-not-exist"]) == 2
 
@@ -583,6 +606,11 @@ class TestReadmeLayout:
             "v_vectors",
             "_v_full",
             "_w_power",
+            "_cut",
+            "_paste",
+            "_move",
+            "_cyclic",
+            "_cyclic_inverse",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

@@ -5,6 +5,7 @@ import pytest
 import springerfiber.eqsmoves as eqsmoves_module
 import springerfiber.tableaux as tableaux_module
 from springerfiber.eqsmoves import (
+    _BLOCK_MOVES,
     _REVERSE,
     MOVE_KINDS,
     MoveError,
@@ -18,10 +19,10 @@ from springerfiber.eqsmoves import (
     eqs_partition,
     legal_moves,
     partition_report,
-    _cut_points,
-    _move,
+    _cuts,
     _moves,
-    _paste,
+    _rows,
+    _word,
 )
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
@@ -42,9 +43,15 @@ from tableau_helpers import j_stat
 T = parse_tableau
 
 
-def row_word(t):
+def reading_word(t):
     """Row reading word: the rows concatenated top to bottom."""
     return tuple(chain.from_iterable(t.rows))
+
+
+def rows_by_entry(t):
+    """Row word: the 0-based row of each entry 1..n of a standard tableau, in entry order."""
+    row_of = {e: r for r, row in enumerate(t.rows) for e in row}
+    return tuple(row_of[e] for e in range(1, t.n + 1))
 
 
 def union_find_classes(shape):
@@ -70,8 +77,8 @@ def union_find_classes(shape):
     groups = {}
     for t in tabs:
         groups.setdefault(find(t), []).append(t)
-    classes = [tuple(sorted(g, key=row_word)) for g in groups.values()]
-    classes.sort(key=lambda members: row_word(members[0]))
+    classes = [tuple(sorted(g, key=reading_word)) for g in groups.values()]
+    classes.sort(key=lambda members: reading_word(members[0]))
     return [(members, members[0]) for members in classes]
 
 
@@ -243,16 +250,45 @@ class TestRowLevelMovesMatchOracle:
                     assert outcome(c_inverse, t) == outcome(oracle_c_inverse, t)
                     assert schuetzenberger(t) == oracle_evacuation(t)
 
+    def test_block_routines_match_oracle(self):
+        # each routine gives the row word of the oracle's moved block, and
+        # None exactly where the oracle raises
+        for n in range(9):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    x = rows_by_entry(t)
+                    cps = oracle_cut_points(t)
+                    for p, left in enumerate(cps):
+                        for b in cps[p + 1 :]:
+                            if b == left + 1:
+                                continue
+                            lo = sum(min(part, left) for part in shape.parts)
+                            hi = sum(min(part, b) for part in shape.parts)
+                            j = sum(part >= b for part in shape.parts)
+                            block = [row[left:b] for row in t.rows if len(row) > left]
+                            for kind in MOVE_KINDS:
+                                moved = _BLOCK_MOVES[kind](x[lo:hi], block, lo + 1, j)
+                                label = MoveLabel(kind, (left + 1, b))
+                                try:
+                                    expected = rows_by_entry(oracle_block_move(t, label))[lo:hi]
+                                except MoveError:
+                                    expected = None
+                                assert moved == expected, (t, label)
+
     def test_every_move_is_undone_by_its_reverse(self):
         # the closure skips the reverse of each move it has found, which
         # needs the block to stay a block and the reverse to lead back
         for n in range(9):
             for shape in partitions_of(n):
                 for t in enumerate_tableaux(shape):
-                    for kind, a, b, moved in _moves(t.rows, ()):
-                        cps = _cut_points(moved)
+                    x = _word(t.rows)
+                    assert x == rows_by_entry(t)
+                    for kind, a, b, y in _moves(x, t.rows, ()):
+                        rows = _rows(y, len(t.rows))
+                        cps = [i for i, _, _ in _cuts(rows)]
                         assert a - 1 in cps and b in cps
-                        assert _move(moved, _REVERSE[kind], a, b) == t.rows
+                        back = {(k, c, d): z for k, c, d, z in _moves(y, rows, ())}
+                        assert back[_REVERSE[kind], a, b] == x
 
     def test_out_of_range_columns(self):
         t = T("1,2,5/3,4,6")
@@ -408,7 +444,7 @@ class TestEqsClass:
 
     def test_representative_minimal_by_row_word(self):
         cls = eqs_class(T("1,2,5/3,4,6"))
-        assert row_word(cls.representative) == min(map(row_word, cls.members))
+        assert reading_word(cls.representative) == min(map(reading_word, cls.members))
 
     def test_bound(self):
         with pytest.raises(ValueError):
@@ -451,15 +487,20 @@ class TestEqsPartition:
     def test_computes_each_move_pair_once(self, monkeypatch):
         # a move x -> y and its reverse y -> x run once between them, and a
         # move that fixes its tableau runs once: (M + F) / 2 successes, each
-        # pasted back into its rows once
+        # a block routine returning a moved block word once
         successes = []
 
-        def counting(rows, a, b, moved):
-            pasted = _paste(rows, a, b, moved)
-            successes.append(pasted)
-            return pasted
+        def counting(move):
+            def counted(word, block, lo, j):
+                moved = move(word, block, lo, j)
+                if moved is not None:
+                    successes.append(moved)
+                return moved
 
-        monkeypatch.setattr(eqsmoves_module, "_paste", counting)
+            return counted
+
+        for kind, move in tuple(_BLOCK_MOVES.items()):
+            monkeypatch.setitem(_BLOCK_MOVES, kind, counting(move))
         for parts in ((4, 3, 2, 1), (5, 5, 1)):
             shape = Partition(parts)
             labelled = fixed = 0
@@ -473,8 +514,9 @@ class TestEqsPartition:
             assert len(successes) == (labelled + fixed) // 2
 
     def test_closure_escaping_the_enumeration_is_caught(self, monkeypatch):
-        def escaping_moves(rows, skip):
-            yield "C", 1, 2, ((1, 2, 3),)
+        def escaping_moves(x, rows, skip):
+            # the row word of 1,2,3, which has shape (3)
+            yield "C", 1, 2, (0, 0, 0)
 
         monkeypatch.setattr(eqsmoves_module, "_moves", escaping_moves)
         with pytest.raises(AssertionError, match="escaped the remaining tableaux"):

@@ -4,7 +4,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springerfiber.partitions import Partition, SmoothnessVerdict, partitions_of
+from springerfiber.exactlin import Permutation
+from springerfiber.partitions import Partition, SmoothnessVerdict, integer, partitions_of
+from springerfiber.tableaux import parse_tableau
 
 
 def transpose_oracle(parts):
@@ -47,6 +49,31 @@ class TestConstruction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition((3, 0))
+
+
+class TestIntegerText:
+    def test_sign_digits_and_whitespace(self):
+        assert integer(" -12 ") == -12
+        assert integer("+7") == 7
+        assert integer("007") == 7
+
+    @pytest.mark.parametrize("text", ["", " ", "1_0", "\uff12", "\u0663", "1.5", "--1", "0x1", "1 2"])
+    def test_rejects_what_int_alone_would_take(self, text):
+        with pytest.raises(ValueError):
+            integer(text)
+
+    def test_every_text_form_reads_ascii_integers(self):
+        # int() reads each of these as the digits without the underscore
+        for parse, text in (
+            (Partition.parse, "3,2,0_2"),
+            (Permutation.parse, "1,0_2,3"),
+            (parse_tableau, "1_0,1_1/1_2"),
+            (Partition.parse, "\uff12"),
+        ):
+            with pytest.raises(ValueError):
+                parse(text)
+        assert parse_tableau(" 1, 2 / 3 ").text() == "1,2/3"
+        assert Permutation.parse(" 2, 1 ").images == (2, 1)
 
 
 class TestConjugate:
