@@ -23,7 +23,7 @@ import time
 
 from . import acceptance
 from .certificates import certify_322, verify_smooth_chart
-from .eqsmoves import eqs_class, partition_report
+from .eqsmoves import c_inverse, c_move, eqs_class, partition_report
 from .exactlin import Permutation, StabilityError, cell_of, jordan_flag, jordan_operator
 from .partitions import Partition, integer
 from .tableaux import (
@@ -35,7 +35,6 @@ from .tableaux import (
     restrict,
     schuetzenberger,
 )
-from .eqsmoves import c_inverse, c_move
 
 ENV_MAX_N = "SPRINGERFIBER_MAX_N"
 # Default bound on n = 2k+1 for verify-q: k <= 15, a few seconds per run.

@@ -29,18 +29,21 @@ evacuation runs ``_evacuate`` on the block's rows.  ``_moves`` slices each
 block once for all the kinds it tries and serves the closure,
 ``legal_moves`` and ``block_move``; ``c_move`` and ``c_inverse`` run C and
 C⁻¹ on the whole tableau, which is its own block.  The public moves
-validate only the tableaux they return, and a failed one re-reads the
-slide to name why it failed.  One worklist keyed by row words,
-``_closure``, serves both class callers: ``eqs_class`` validates each new
-member once, the only runtime check on what the moves produce, and
-``eqs_partition`` partitions all tableaux of a shape into classes whose
-members it looks up by row word among the enumeration, which builds them
-standard by construction and validates none.  The closure computes each
-move pair once: C and C⁻¹ on the same block undo each other and
-evacuation is an involution, so a tableau reached by a move never tries
-the reverse move, whose result is already found.  For shapes (r,s,1) the
-``dist`` statistic is constant on every class, which
-``dist_class_invariant`` verifies exhaustively.
+build only the tableaux they return, and a failed one re-reads the slide
+to name why it failed.  Every tableau a move returns is built from its row
+word by ``_from_word`` of :mod:`springerfiber.tableaux`, which checks in one
+pass that the word is a lattice word of the shape the move started from,
+that is, the row word of a standard tableau of that shape.  One worklist
+keyed by row words, ``_closure``, serves both class callers:
+``eqs_class`` builds each new member that way once, the only runtime check
+on what the moves produce, and ``eqs_partition`` partitions all tableaux
+of a shape into classes whose members it looks up by row word among the
+enumeration, which builds them standard by construction and validates
+none.  The closure computes each move pair once: C and C⁻¹ on the same
+block undo each other and evacuation is an involution, so a tableau
+reached by a move never tries the reverse move, whose result is already
+found.  For shapes (r,s,1) the ``dist`` statistic is constant on every
+class, which ``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
 appends ``n`` in the vacated box wherever the slide hole lands, not only
@@ -62,6 +65,7 @@ from .tableaux import (
     StandardTableau,
     _check_bound,
     _evacuate,
+    _from_word,
     _slide_path,
     dist,
     enumerate_tableaux,
@@ -101,14 +105,6 @@ def _word(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         for e in row:
             word[e - 1] = r
     return tuple(word)
-
-
-def _rows(word: Sequence[int], height: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the standard tableau with row word ``word`` and ``height`` rows."""
-    rows: list[list[int]] = [[] for _ in range(height)]
-    for e, r in enumerate(word, start=1):
-        rows[r].append(e)
-    return tuple(map(tuple, rows))
 
 
 # The block routines.  Each takes the row word of a block holding the entries
@@ -194,7 +190,7 @@ def _whole(t: StandardTableau, kind: str, empty: str) -> StandardTableau:
     moved = _BLOCK_MOVES[kind](_word(rows), rows, 1, j)
     if moved is None:
         raise _failure(kind, rows, j)
-    return StandardTableau(_rows(moved, len(rows)))
+    return _from_word(moved, tuple(map(len, rows)))
 
 
 def c_move(t: StandardTableau) -> StandardTableau:
@@ -282,7 +278,7 @@ def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
     """Apply a move to the block of columns a..b and put the moved block back in place.
 
     Both ``a-1`` and ``b`` must be cut points.  ``_moves`` tries only this
-    move, every other label skipped; only the result is validated.
+    move, every other label skipped; only the result is built.
     """
     a, b = label.columns
     rows = t.rows
@@ -296,16 +292,16 @@ def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
         (kind, c + 1, d) for kind in MOVE_KINDS for p, c in enumerate(cps) for d in cps[p + 1 :]
     } - {(label.kind, a, b)}
     for _, _, _, word in _moves(_word(rows), rows, others):
-        return StandardTableau(_rows(word, len(rows)))
+        return _from_word(word, tuple(map(len, rows)))
     block = [row[a - 1 : b] for row in rows if len(row) >= a]
     raise _failure(label.kind, block, sum(len(row) >= b for row in rows))
 
 
 def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
     """All applicable block moves on at least two columns, with their results."""
-    height = len(t.rows)
+    shape = tuple(map(len, t.rows))
     return tuple(
-        (MoveLabel(k, (a, b)), StandardTableau(_rows(word, height)))
+        (MoveLabel(k, (a, b)), _from_word(word, shape))
         for k, a, b, word in _moves(_word(t.rows), t.rows, ())
     )
 
@@ -365,14 +361,15 @@ def _closure(t: StandardTableau, member) -> EqsClass:
 def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     """Closure of a tableau under all applicable block moves, by a worklist.
 
-    Each new member is validated once.  Deterministic regardless of
+    Each new member is built once from its row word, which is checked to
+    be a lattice word of the shape of ``t``.  Deterministic regardless of
     visiting order: the member set is canonical, members are sorted in
     ``Tableau`` order (row reading word order within one shape), and the
     representative is the smallest member.
     """
     _check_bound(t.n, max_n)
-    height = len(t.rows)
-    return _closure(t, lambda word: StandardTableau(_rows(word, height)))
+    shape = tuple(map(len, t.rows))
+    return _closure(t, lambda word: _from_word(word, shape))
 
 
 def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass, ...]:

@@ -14,7 +14,11 @@ rows and validate only the tableau they return; the cyclic move of
 are valid by construction skip validation through one private
 constructor, ``_trusted``: the enumeration, the column read-off and
 evacuation build standard tableaux with it, and ``tableau()`` uses it once
-it has checked its rows.
+it has checked its rows.  The moves of :mod:`springerfiber.eqsmoves` build
+their results from row words (entry e in row ``word[e-1]``) through
+``_from_word``, which checks in one O(n) pass that the word is a lattice
+(Yamanouchi) word of the given shape, the condition for it to be the row
+word of a standard tableau of that shape, and then uses ``_trusted``.
 ``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
 and slides out those below ``i``; it keeps the original entries, and
 ``standardize`` shifts them back to 1..n.  Both, and ``tau``, take the
@@ -158,6 +162,32 @@ def _trusted(rows: tuple[tuple[int, ...], ...], cls: type = StandardTableau) -> 
     t = object.__new__(cls)
     t.rows = rows
     return t
+
+
+def _from_word(word: Sequence[int], shape: Sequence[int]) -> StandardTableau:
+    """The standard tableau of row lengths ``shape`` whose entry e sits in row ``word[e-1]`` (0-based).
+
+    A word is the row word of a standard tableau of shape lambda exactly
+    when it is a lattice word of content lambda, so one pass checks it:
+    entry e goes to the end of its row, which must lie in the shape and be
+    shorter than the row above it, and the rows must end with the lengths
+    ``shape``.  Anything else raises ValueError.
+    """
+    height = len(shape)
+    rows: list[list[int]] = [[] for _ in shape]
+    for e, r in enumerate(word, start=1):
+        if not 0 <= r < height:
+            raise ValueError(f"row word puts entry {e} in row {r + 1}, outside rows 1..{height}")
+        row = rows[r]
+        if r and len(row) >= len(rows[r - 1]):
+            raise ValueError(f"row word puts entry {e} in row {r + 1} with no entry above it")
+        row.append(e)
+    lengths = tuple(map(len, rows))
+    if lengths != tuple(shape):
+        raise ValueError(f"row word has row lengths {lengths}, not {tuple(shape)}")
+    # each e went to the end of a row shorter than the one above it, so the
+    # rows and columns increase, the entries are 1..n and the shape is right
+    return _trusted(tuple(map(tuple, rows)))
 
 
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
@@ -447,9 +477,10 @@ def enumerate_tableaux(
     parts = shape.parts
     results: list[StandardTableau] = []
     rows: list[list[int]] = [[] for _ in parts]
+    n = shape.n
 
     def place(v: int) -> None:
-        if v > shape.n:
+        if v > n:
             # each v went to the end of a row shorter than the one above it
             results.append(_trusted(tuple(map(tuple, rows))))
             return

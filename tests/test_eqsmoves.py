@@ -21,13 +21,13 @@ from springerfiber.eqsmoves import (
     partition_report,
     _cuts,
     _moves,
-    _rows,
     _word,
 )
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
     Tableau,
+    _from_word,
     concat,
     dist,
     enumerate_tableaux,
@@ -219,17 +219,22 @@ def outcome(move, *args):
         return type(exc), str(exc)
 
 
+def count_calls(monkeypatch, module, name):
+    """List that grows by one entry, the arguments, per call of ``module.name`` from now on."""
+    calls = []
+    call = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def count_validations(monkeypatch):
     """List that grows by one entry per ``_validate_rows`` call from now on."""
-    calls = []
-    validate = tableaux_module._validate_rows
-
-    def counting(rows):
-        calls.append(rows)
-        validate(rows)
-
-    monkeypatch.setattr(tableaux_module, "_validate_rows", counting)
-    return calls
+    return count_calls(monkeypatch, tableaux_module, "_validate_rows")
 
 
 class TestRowLevelMovesMatchOracle:
@@ -284,7 +289,7 @@ class TestRowLevelMovesMatchOracle:
                     x = _word(t.rows)
                     assert x == rows_by_entry(t)
                     for kind, a, b, y in _moves(x, t.rows, ()):
-                        rows = _rows(y, len(t.rows))
+                        rows = _from_word(y, shape.parts).rows
                         cps = [i for i, _, _ in _cuts(rows)]
                         assert a - 1 in cps and b in cps
                         back = {(k, c, d): z for k, c, d, z in _moves(y, rows, ())}
@@ -298,17 +303,21 @@ class TestRowLevelMovesMatchOracle:
 
     def test_each_move_validates_only_its_result(self, monkeypatch):
         t = T("1,2,4/3,6,8/5,7,10/9,11")
-        calls = count_validations(monkeypatch)
+        calls = count_calls(monkeypatch, eqsmoves_module, "_from_word")
+        validations = count_validations(monkeypatch)
         c_inverse(c_move(t))
         # evacuation builds a standard tableau by row insertion, unvalidated
         schuetzenberger(t)
         assert len(calls) == 2
         # failed moves raise before building anything
         assert len(legal_moves(t)) == len(calls) - 2 > 0
-        # the closure validates each member once, the given tableau never
+        # the closure checks each member's row word once, the given tableau
+        # never, and runs no full validation
         calls.clear()
+        validations.clear()
         size = eqs_class(t).size
         assert len(calls) == size - 1 > 0
+        assert validations == []
 
 
 class TestCyclicMove:
@@ -512,6 +521,16 @@ class TestEqsPartition:
             successes.clear()
             eqs_partition(shape)
             assert len(successes) == (labelled + fixed) // 2
+
+    def test_a_member_of_another_shape_raises(self, monkeypatch):
+        # (0,0,0,1,0) is the row word of 1,2,3,5/4, a standard tableau of
+        # shape (4,1) with as many rows as the query's shape (3,2)
+        def reshaping_moves(x, rows, skip):
+            yield "C", 1, 2, (0, 0, 0, 1, 0)
+
+        monkeypatch.setattr(eqsmoves_module, "_moves", reshaping_moves)
+        with pytest.raises(ValueError, match=r"row lengths \(4, 1\), not \(3, 2\)"):
+            eqs_class(T("1,2,3/4,5"))
 
     def test_closure_escaping_the_enumeration_is_caught(self, monkeypatch):
         def escaping_moves(x, rows, skip):

@@ -92,14 +92,47 @@ def uses_in_sources(name):
 
 
 def test_trusted_tableaux_have_four_builders():
-    # tableaux._trusted skips validation; the validating tableau() and the
-    # three builders whose rows are standard by construction are its only users
+    # tableaux._trusted skips validation; the validating tableau(), the
+    # three builders whose rows are standard by construction and the
+    # row-word builder, which checks its word is a lattice word of the
+    # shape, are its only users
     assert uses_in_sources("_trusted") == {
         ("tableaux.py", "tableau"),
         ("tableaux.py", "_tableau_from_columns"),
         ("tableaux.py", "enumerate_tableaux"),
         ("tableaux.py", "schuetzenberger"),
+        ("tableaux.py", "_from_word"),
     }
+
+
+def constructor_calls(tree, name):
+    """Line numbers of every call of ``name``, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    )
+
+
+def test_constructor_rule_sees_every_call():
+    tree = ast.parse(
+        "from .tableaux import StandardTableau\n"
+        "def f(t: StandardTableau) -> StandardTableau:\n    return StandardTableau(t.rows)\n"
+        "g = tableaux.StandardTableau(())\nh = StandardTableau\nk = _from_word((), ())\n"
+    )
+    assert constructor_calls(tree, "StandardTableau") == [3, 4]
+
+
+def test_moves_build_no_validated_tableau():
+    # every tableau a move returns comes from its row word through
+    # tableaux._from_word, which checks the word in one pass; the full
+    # validation of StandardTableau would check it a second time
+    [path] = [path for path in SOURCES if path.name == "eqsmoves.py"]
+    assert constructor_calls(ast.parse(path.read_text(encoding="utf-8")), "StandardTableau") == []
 
 
 def test_one_integer_core_and_one_boundary():

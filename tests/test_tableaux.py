@@ -1,4 +1,4 @@
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
     Tableau,
+    _from_word,
     _tableau_from_columns,
     _validate_rows,
     column_superstandard,
@@ -215,6 +216,31 @@ def column_words(draw):
         lengths[r] += 1
         word.append(lengths[r])
     return word, True
+
+
+def oracle_from_word(word, shape):
+    """``StandardTableau`` on the rows that collect each row index's entries, then the shape compared.
+
+    An entry whose row index lies outside the shape is left out, so either
+    the entries are not 1..n and ``StandardTableau`` raises, or the shape,
+    which counts every entry of the word, differs; any fault raises
+    ValueError.
+    """
+    rows = [[e for e, r in enumerate(word, start=1) if r == i] for i in range(len(shape))]
+    t = StandardTableau(rows)
+    if t.shape.parts != tuple(shape):
+        raise ValueError(f"shape {t.shape} is not {shape}")
+    return t
+
+
+def built_from_word(build, word, shape):
+    """The rows that ``build`` returns for the word, or ValueError when it raises one."""
+    try:
+        t = build(word, shape)
+    except ValueError:
+        return ValueError
+    assert type(t) is StandardTableau
+    return t.rows
 
 
 def brute_force_tableaux(shape):
@@ -446,6 +472,59 @@ class TestTrustedBuilds:
                     assert s.shape == shape and s.entries() == tuple(range(1, n + 1))
                     assert schuetzenberger(s) == t
                     assert s == oracle_evacuation(t)
+
+    def test_row_words_match_the_validating_route(self):
+        # a row word is a standard tableau's exactly when it is a lattice
+        # word of the shape; every word of up to 6 letters on up to 4 rows,
+        # against every shape of its length
+        for h in range(1, 5):
+            for size in range(7):
+                shapes = [shape.parts for shape in partitions_of(size)]
+                for word in product(range(h), repeat=size):
+                    for shape in shapes:
+                        assert built_from_word(_from_word, word, shape) == built_from_word(
+                            oracle_from_word, word, shape
+                        ), (word, shape)
+
+    def test_row_indices_outside_the_shape_raise(self):
+        # row -1 must not wrap round to the last row, nor row h fall off it
+        for n in range(1, 7):
+            for shape in partitions_of(n):
+                parts = shape.parts
+                for t in enumerate_tableaux(shape):
+                    word = [r for _, r in sorted((e, r) for r, row in enumerate(t.rows) for e in row)]
+                    assert _from_word(word, parts) == t
+                    for i in range(n):
+                        for bad in (-1, len(parts)):
+                            moved = (*word[:i], bad, *word[i + 1 :])
+                            assert built_from_word(oracle_from_word, moved, parts) is ValueError
+                            with pytest.raises(ValueError, match="outside rows"):
+                                _from_word(moved, parts)
+
+    def test_a_standard_tableau_of_another_shape_raises(self):
+        # (0,0,0,1,0) is the row word of 1,2,3,5/4, of shape (4,1); from a
+        # tableau of shape (3,2) it is no move's result
+        word = (0, 0, 0, 1, 0)
+        assert _from_word(word, (4, 1)) == T("1,2,3,5/4")
+        assert built_from_word(oracle_from_word, word, (3, 2)) is ValueError
+        with pytest.raises(ValueError) as exc:
+            _from_word(word, (3, 2))
+        assert str(exc.value) == "row word has row lengths (4, 1), not (3, 2)"
+
+    @pytest.mark.parametrize(
+        "word, shape, message",
+        [
+            ((0, 2), (1, 1), "row word puts entry 2 in row 3, outside rows 1..2"),
+            ((0, -1), (1, 1), "row word puts entry 2 in row 0, outside rows 1..2"),
+            ((1, 0), (1, 1), "row word puts entry 1 in row 2 with no entry above it"),
+            ((0, 1, 1, 0), (2, 2), "row word puts entry 3 in row 2 with no entry above it"),
+            ((0, 0), (1, 1), "row word has row lengths (2, 0), not (1, 1)"),
+        ],
+    )
+    def test_row_word_messages(self, word, shape, message):
+        with pytest.raises(ValueError) as exc:
+            _from_word(word, shape)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("text", ["2", "1,4/2", "2,3/4", "1,2/4"])
     def test_evacuation_rejects_entries_other_than_1_to_n(self, text):
