@@ -311,6 +311,8 @@ class TestRowLevelMovesMatchOracle:
         assert len(calls) == 2
         # failed moves raise before building anything
         assert len(legal_moves(t)) == len(calls) - 2 > 0
+        # none of the public moves, evacuation included, runs a full validation
+        assert validations == []
         # the closure checks each member's row word once, the given tableau
         # never, and runs no full validation
         calls.clear()

@@ -475,16 +475,15 @@ class TestTrustedBuilds:
 
     def test_row_words_match_the_validating_route(self):
         # a row word is a standard tableau's exactly when it is a lattice
-        # word of the shape; every word of up to 6 letters on up to 4 rows,
+        # word of the shape; every word of up to 6 letters over rows 0..3,
         # against every shape of its length
-        for h in range(1, 5):
-            for size in range(7):
-                shapes = [shape.parts for shape in partitions_of(size)]
-                for word in product(range(h), repeat=size):
-                    for shape in shapes:
-                        assert built_from_word(_from_word, word, shape) == built_from_word(
-                            oracle_from_word, word, shape
-                        ), (word, shape)
+        for size in range(7):
+            shapes = [shape.parts for shape in partitions_of(size)]
+            for word in product(range(4), repeat=size):
+                for shape in shapes:
+                    assert built_from_word(_from_word, word, shape) == built_from_word(
+                        oracle_from_word, word, shape
+                    ), (word, shape)
 
     def test_row_indices_outside_the_shape_raise(self):
         # row -1 must not wrap round to the last row, nor row h fall off it
