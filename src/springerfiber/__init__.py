@@ -31,7 +31,6 @@ from .eqsmoves import (
     block_move,
     c_inverse,
     c_move,
-    cut_points,
     dist_class_invariant,
     eqs_class,
     eqs_partition,

@@ -26,24 +26,25 @@ decides that before it builds anything: C walks the read-only slide path
 ``_slide_path`` of :mod:`springerfiber.tableaux`, C⁻¹ makes one
 comparison.  C and C⁻¹ change only the entries on the slide path;
 evacuation runs ``_evacuate`` on the block's rows.  ``_moves`` slices each
-block once for all the kinds it tries and serves the closure,
-``legal_moves`` and ``block_move``; ``c_move`` and ``c_inverse`` run C and
-C⁻¹ on the whole tableau, which is its own block.  The public moves
-build only the tableaux they return, and a failed one re-reads the slide
-to name why it failed.  Every tableau a move returns is built from its row
-word by ``_from_word`` of :mod:`springerfiber.tableaux`, which checks in one
-pass that the word is a lattice word of the shape the move started from,
-that is, the row word of a standard tableau of that shape.  One worklist
-keyed by row words, ``_closure``, serves both class callers:
-``eqs_class`` builds each new member that way once, the only runtime check
-on what the moves produce, and ``eqs_partition`` partitions all tableaux
-of a shape into classes whose members it looks up by row word among the
-enumeration, which builds them standard by construction and validates
-none.  The closure computes each move pair once: C and C⁻¹ on the same
-block undo each other and evacuation is an involution, so a tableau
-reached by a move never tries the reverse move, whose result is already
-found.  For shapes (r,s,1) the ``dist`` statistic is constant on every
-class, which ``dist_class_invariant`` verifies exhaustively.
+block once for all the kinds it tries and serves the closure and
+``legal_moves``.  One step, ``_apply``, runs a single routine on one block:
+``block_move`` on the columns of its label, ``c_move`` and ``c_inverse`` on
+the whole tableau, the block of columns 1..m.  It builds only the tableau
+it returns, and a failed C re-reads the slide end to name why it failed.
+Row words are read by ``_word`` of :mod:`springerfiber.tableaux`, and every
+tableau a move returns is built from its row word by ``_from_word`` there,
+which checks in one pass that the word is a lattice word of the shape the
+move started from, that is, the row word of a standard tableau of that
+shape.  One worklist keyed by row words, ``_closure``, serves both class
+callers: ``eqs_class`` builds each new member that way once, the only
+runtime check on what the moves produce, and ``eqs_partition`` partitions
+all tableaux of a shape into classes whose members it looks up by row
+word among the enumeration, which builds them standard by construction
+and validates none.  The closure computes each move pair once: C and C⁻¹
+on the same block undo each other and evacuation is an involution, so a
+tableau reached by a move never tries the reverse move, whose result is
+already found.  For shapes (r,s,1) the ``dist`` statistic is constant on
+every class, which ``dist_class_invariant`` verifies exhaustively.
 
 A caution on scope: one could define a more general cyclic step that
 appends ``n`` in the vacated box wherever the slide hole lands, not only
@@ -67,6 +68,7 @@ from .tableaux import (
     _evacuate,
     _from_word,
     _slide_path,
+    _word,
     dist,
     enumerate_tableaux,
     jdt_remove_min,  # unused; perfbench/check_bench.py checks the tracer wraps it here
@@ -93,18 +95,6 @@ class MoveLabel:
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.columns[0]},{self.columns[1]}]"
-
-
-def _word(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Row word of standard rows: entry e sits in row ``word[e-1]`` (0-based).
-
-    Not the row reading word, which concatenates the rows.
-    """
-    word = [0] * sum(map(len, rows))
-    for r, row in enumerate(rows):
-        for e in row:
-            word[e - 1] = r
-    return tuple(word)
 
 
 # The block routines.  Each takes the row word of a block holding the entries
@@ -166,63 +156,6 @@ def _evacuate_word(
     return tuple(moved)
 
 
-def _failure(kind: str, block: Sequence[Sequence[int]], j: int) -> MoveError:
-    """Why C or C⁻¹ does not apply to ``block``, naming entries as in the block shifted to 1..size."""
-    if kind == "C":
-        r = _slide_path(block)[-1][0]
-        return MoveError(
-            f"slide hole ended in row {r + 1}, not at the leading block row {j}"
-        )
-    size = sum(map(len, block))
-    return MoveError(f"entry {size} does not close the leading block of equal rows")
-
-
-def _whole(t: StandardTableau, kind: str, empty: str) -> StandardTableau:
-    """C or C⁻¹ on the whole tableau, which is its own block of entries 1..n.
-
-    Not through ``_moves``, which tries blocks of two or more columns only;
-    a one-column tableau is a fixed point of both moves.
-    """
-    rows = t.rows
-    if not rows:
-        raise MoveError(empty)
-    j = sum(len(row) == len(rows[0]) for row in rows)
-    moved = _BLOCK_MOVES[kind](_word(rows), rows, 1, j)
-    if moved is None:
-        raise _failure(kind, rows, j)
-    return _from_word(moved, tuple(map(len, rows)))
-
-
-def c_move(t: StandardTableau) -> StandardTableau:
-    """Cyclic move: slide out 1, shift down by 1, append ``n`` in the vacated corner.
-
-    Applicable only when the hole lands at the end of row ``j``, the last
-    row of the leading block of maximal-length rows; the result has the
-    same shape.
-    """
-    return _whole(t, "C", "cyclic move undefined on the empty tableau")
-
-
-def c_inverse(t: StandardTableau) -> StandardTableau:
-    """Inverse cyclic move: remove ``n``, shift up, slide the hole back to (1,1).
-
-    Applicable only when ``n`` closes the leading block of maximal-length
-    rows.  The reverse slide moves the larger of the left/above neighbours
-    into the hole, retracing the forward slide path.
-    """
-    return _whole(t, "Cinv", "inverse cyclic move undefined on the empty tableau")
-
-
-def cut_points(t: StandardTableau) -> tuple[int, ...]:
-    """Column indices where the tableau splits, with the boundaries 0 and m.
-
-    Column ``i`` is a cut point when the first ``i`` columns hold exactly
-    the entries 1..(boxes in those columns), i.e. the entry atop column
-    ``i+1`` is that count plus one.
-    """
-    return tuple(i for i, _, _ in _cuts(t.rows))
-
-
 def _cuts(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
     """(i, boxes in the first i columns, height of column i) for each cut point i.
 
@@ -274,27 +207,66 @@ def _moves(x: tuple[int, ...], rows: tuple[tuple[int, ...], ...], skip):
                     yield kind, a, b, x[:lo] + moved + x[hi:]
 
 
+def _apply(t: StandardTableau, kind: str, a: int, b: int) -> StandardTableau:
+    """Move ``kind`` on the block of columns a..b, put back in place; a-1 and b must be cut points.
+
+    ``_cuts`` gives lo and hi, the boxes in the first a-1 and b columns, and
+    j, the height of column b.  The block's row word is ``x[lo:hi]`` and its
+    rows are sliced from the tableau's; only the result is built.  A move
+    that does not apply raises MoveError, naming entries as in the block
+    shifted to 1..size.
+    """
+    rows = t.rows
+    cuts = {i: (boxes, height) for i, boxes, height in _cuts(rows)}
+    if a - 1 not in cuts or b not in cuts:
+        raise MoveError(f"columns [{a},{b}] do not split off as a block")
+    lo, _ = cuts[a - 1]
+    hi, j = cuts[b]
+    x = _word(rows)
+    block = [row[a - 1 : b] for row in rows if len(row) >= a]
+    moved = _BLOCK_MOVES[kind](x[lo:hi], block, lo + 1, j)
+    if moved is None:
+        if kind == "C":
+            r = _slide_path(block)[-1][0]
+            raise MoveError(f"slide hole ended in row {r + 1}, not at the leading block row {j}")
+        raise MoveError(f"entry {hi - lo} does not close the leading block of equal rows")
+    return _from_word(x[:lo] + moved + x[hi:], tuple(map(len, rows)))
+
+
+def c_move(t: StandardTableau) -> StandardTableau:
+    """Cyclic move: slide out 1, shift down by 1, append ``n`` in the vacated corner.
+
+    Applicable only when the hole lands at the end of row ``j``, the last
+    row of the leading block of maximal-length rows; the result has the
+    same shape.  The whole tableau is its own block of columns 1..m.
+    """
+    if not t.rows:
+        raise MoveError("cyclic move undefined on the empty tableau")
+    return _apply(t, "C", 1, len(t.rows[0]))
+
+
+def c_inverse(t: StandardTableau) -> StandardTableau:
+    """Inverse cyclic move: remove ``n``, shift up, slide the hole back to (1,1).
+
+    Applicable only when ``n`` closes the leading block of maximal-length
+    rows.  The reverse slide moves the larger of the left/above neighbours
+    into the hole, retracing the forward slide path.
+    """
+    if not t.rows:
+        raise MoveError("inverse cyclic move undefined on the empty tableau")
+    return _apply(t, "Cinv", 1, len(t.rows[0]))
+
+
 def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
     """Apply a move to the block of columns a..b and put the moved block back in place.
 
-    Both ``a-1`` and ``b`` must be cut points.  ``_moves`` tries only this
-    move, every other label skipped; only the result is built.
+    Both ``a-1`` and ``b`` must be cut points; only the result is built.
     """
     a, b = label.columns
-    rows = t.rows
-    m = len(rows[0]) if rows else 0
+    m = len(t.rows[0]) if t.rows else 0
     if not 1 <= a < b <= m:
         raise MoveError(f"column range [{a},{b}] out of bounds for {m} columns")
-    cps = cut_points(t)
-    if a - 1 not in cps or b not in cps:
-        raise MoveError(f"columns [{a},{b}] do not split off as a block")
-    others = {
-        (kind, c + 1, d) for kind in MOVE_KINDS for p, c in enumerate(cps) for d in cps[p + 1 :]
-    } - {(label.kind, a, b)}
-    for _, _, _, word in _moves(_word(rows), rows, others):
-        return _from_word(word, tuple(map(len, rows)))
-    block = [row[a - 1 : b] for row in rows if len(row) >= a]
-    raise _failure(label.kind, block, sum(len(row) >= b for row in rows))
+    return _apply(t, label.kind, a, b)
 
 
 def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:

@@ -34,9 +34,10 @@ vector's pivot coordinate: a Jordan type counts the pivots by tableau
 column, and ``tableaux`` reads the cell label off those columns; a
 subspace basis followed by its images, as rows, is eliminated the same
 way.  Flag equality, chart coordinates (ratios of echelon entries) and the
-complement flag eliminate the stored rows too; ``perp_flag`` then
-back-substitutes fraction-free, and ``_reduced`` back-substitutes over
-``Fraction`` for ``Matrix.rref`` alone.
+complement flag eliminate the stored rows too.  One fraction-free back
+substitution, ``_back_substituted``, serves ``perp_flag`` and
+``_reduced``, which divides each row by its pivot for ``Matrix.rref``
+alone.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -278,33 +279,43 @@ def _eliminate(
     return tuple(pivots), tops
 
 
+def _back_substituted(
+    pairs: Sequence[tuple[int, int]], tops: Sequence[Sequence[int]]
+) -> list[Sequence[int]]:
+    """Fraction-free back substitution of ``_eliminate`` output: each row some D_r at its pivot column, 0 at the others.
+
+    From the last pivot up, echelon row E is updated by each finished row R
+    below it, with pivot column d, where E is nonzero at d: E becomes
+    R[d] * E - E[d] * R, divided by its content.  R is 0 at the other
+    finished pivot columns, so each update clears column d and keeps them.
+    Shared by ``perp_flag`` and ``_reduced``.
+    """
+    # finished rows from the last pivot up, with their pivot columns
+    done: list[tuple[Sequence[int], int]] = []
+    for row, (_, c) in zip(reversed(tops), reversed(pairs)):
+        for below, d in done:
+            f = row[d]
+            if f:
+                p = below[d]
+                row = [p * a - f * b for a, b in zip(row, below)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        done.append((row, c))
+    return [row for row, _ in reversed(done)]
+
+
 def _reduced(
     pairs: Sequence[tuple[int, int]], tops: Sequence[Sequence[int]]
 ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form, (nonzero rows, pivot columns), from ``_eliminate`` output, for ``Matrix.rref``.
 
-    Back substitution over ``Fraction`` from the last pivot up: echelon row
-    E with pivot p becomes (E - sum of E[c_j] R_j) / p over the reduced rows
-    R_j below it, each 1 at its pivot column c_j and 0 at the others.  Only
-    nonzero entries and terms are touched, and no row whose pivot is 1 is
-    divided; the scalar up to which ``_eliminate`` fixes E does not show.
+    Each row of ``_back_substituted`` divided by its pivot over ``Fraction``.
     """
     pivots = tuple(c for _, c in pairs)
-    # reduced rows from the last pivot up, with their pivot columns
-    done: list[tuple[list[Fraction], int]] = []
-    for top, c in zip(reversed(tops), reversed(pivots)):
-        p = top[c]
-        if p == 1:
-            row = [(_ONE if x == 1 else Fraction(x)) if x else _ZERO for x in top]
-        else:
-            row = [Fraction(x, p) if x else _ZERO for x in top]
-        for below, d in done:
-            f = top[d]
-            if f:
-                f = Fraction(f, p)
-                row = [a - f * b if b else a for a, b in zip(row, below)]
-        done.append((row, c))
-    return tuple(tuple(row) for row, _ in reversed(done)), pivots
+    rows = _back_substituted(pairs, tops)
+    reduced = tuple(tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(rows, pivots))
+    return reduced, pivots
 
 
 def _interleaved_pivots(
@@ -645,9 +656,8 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     the (n-j)-prefix.  Row k is eliminated as the integer row
     [s_k P_k | s_k e_k], built from the flag's integer form (s_k is the lcm
     of the denominators of flag vector k), which has the same reduced form.
-    Back substitution is fraction-free from the last pivot up: each update
-    is p * row - f * (row below), divided by its content, which leaves row r
-    with some D_r at column r and 0 at the other pivot columns.
+    ``_back_substituted`` then leaves row r with some D_r at column r and 0
+    at the other pivot columns.
     """
     n = flag.n
     if form.n != n:
@@ -661,17 +671,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     if tuple(c for _, c in pairs) != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
     # pivots 0..n-1 make P invertible, and echelon row r has its pivot at column r
-    for r in reversed(range(n)):
-        row = rows[r]
-        for j in range(r + 1, n):
-            f = row[j]
-            if f:
-                below = rows[j]
-                row = [below[j] * a - f * b for a, b in zip(row, below)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-        rows[r] = row
+    rows = _back_substituted(pairs, rows)
     # entry r of column k of P^-1 is rows[r][n + k] / D_r; the columns, last first, are independent
     dens = [row[r] for r, row in enumerate(rows)]
     columns = list(zip(*rows))[n:][::-1]

@@ -14,9 +14,10 @@ rows and validate only the tableau they return; the cyclic move of
 are valid by construction skip validation through one private
 constructor, ``_trusted``: the enumeration, the column read-off and
 evacuation build standard tableaux with it, and ``tableau()`` uses it once
-it has checked its rows.  The moves of :mod:`springerfiber.eqsmoves` build
-their results from row words (entry e in row ``word[e-1]``) through
-``_from_word``, which checks in one O(n) pass that the word is a lattice
+it has checked its rows.  The moves of :mod:`springerfiber.eqsmoves` work
+on row words (entry e in row ``word[e-1]``): ``_word`` reads the row word
+of standard rows, and ``_from_word`` builds a result back from one.
+``_from_word`` checks in one O(n) pass that the word is a lattice
 (Yamanouchi) word of the given shape, the condition for it to be the row
 word of a standard tableau of that shape, and then uses ``_trusted``.
 ``restrict(T, i, j)`` deletes the entries above ``j`` (removable corners)
@@ -27,9 +28,10 @@ Evacuation (Schuetzenberger) is defined by successive slides but computed
 by row insertion, on the original entries of any block of consecutive
 entries; on the entries 1..n insertion builds a standard tableau.  A
 standard tableau is read off the columns of its entries 1..n, the one
-read-off that ``from_shape_chain`` (the column that grows at each step)
-and the cell labels of :mod:`springerfiber.exactlin` (the column of each
-flag vector's pivot coordinate) share.
+read-off that ``from_shape_chain`` (the column that grows at each step),
+``column_superstandard`` (each column filled top to bottom) and the cell
+labels of :mod:`springerfiber.exactlin` (the column of each flag vector's
+pivot coordinate) share.
 
 Also provided: enumeration of all standard tableaux of a shape, behind
 the one bound check that the move classes and fiber permutations share,
@@ -152,14 +154,13 @@ class StandardTableau(Tableau):
             raise ValueError(f"entries must be exactly 1..{self.n}, got {self.entries()}")
 
 
-def _trusted(rows: tuple[tuple[int, ...], ...], cls: type = StandardTableau) -> Tableau:
-    """The ``cls`` tableau of ``rows`` without the validation that ``Tableau`` runs.
+def _trusted(rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
+    """The standard tableau of ``rows`` without the validation that ``Tableau`` runs.
 
     Only for callers that know ``rows`` to be a tuple of int tuples forming a
-    tableau, standard when ``cls`` is ``StandardTableau``; each says why at
-    its call.
+    standard tableau; each says why at its call.
     """
-    t = object.__new__(cls)
+    t = object.__new__(StandardTableau)
     t.rows = rows
     return t
 
@@ -188,6 +189,18 @@ def _from_word(word: Sequence[int], shape: Sequence[int]) -> StandardTableau:
     # each e went to the end of a row shorter than the one above it, so the
     # rows and columns increase, the entries are 1..n and the shape is right
     return _trusted(tuple(map(tuple, rows)))
+
+
+def _word(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Row word of standard rows: entry e sits in row ``word[e-1]`` (0-based).
+
+    Not the row reading word, which concatenates the rows.
+    """
+    word = [0] * sum(map(len, rows))
+    for r, row in enumerate(rows):
+        for e in row:
+            word[e - 1] = r
+    return tuple(word)
 
 
 def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
@@ -455,14 +468,8 @@ def make_Q(k: int) -> StandardTableau:
 
 def column_superstandard(shape: Partition) -> StandardTableau:
     """Standard tableau filling the columns top to bottom, left to right."""
-    conj = shape.conjugate().parts
-    rows: list[list[int]] = [[] for _ in shape.parts]
-    e = 1
-    for height in conj:
-        for r in range(height):
-            rows[r].append(e)
-            e += 1
-    return StandardTableau(rows)
+    heights = shape.conjugate().parts
+    return _tableau_from_columns([j for j, height in enumerate(heights, start=1) for _ in range(height)])
 
 
 def enumerate_tableaux(

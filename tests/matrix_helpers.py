@@ -3,10 +3,10 @@
 The library builds the chart families and the complement flag over the
 integers; the ``Fraction`` routes they replaced live on here as oracles:
 the v-recurrence and the chart family's vectors (``v_vectors``,
-``v_full``, ``chart_etas``) and the complement flag by back substitution
-over ``Fraction`` (``reduced_perp_flag``).  The column-scan elimination
-core (``column_scan_eliminate``) and Bareiss elimination with lazy scaling
-(``lazy_bareiss``) are the oracles of ``exactlin._eliminate``.
+``v_full``, ``chart_etas``) and the complement flag by Gauss-Jordan
+elimination over ``Fraction`` (``reduced_perp_flag``).  The column-scan
+elimination core (``column_scan_eliminate``) and Bareiss elimination with
+lazy scaling (``lazy_bareiss``) are the oracles of ``exactlin._eliminate``.
 """
 
 from fractions import Fraction
@@ -19,10 +19,8 @@ from springerfiber.exactlin import (
     _ZERO,
     Matrix,
     _check_special,
-    _eliminate,
     _integer_flag,
     _integer_rows,
-    _reduced,
     as_fraction,
     vector,
 )
@@ -256,7 +254,7 @@ def chart_etas(k: int, d: int, params) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def reduced_perp_flag(flag, form):
-    """``perp_flag`` by back substitution over ``Fraction``: ``_reduced`` of the eliminated [s_k P_k | s_k e_k].
+    """``perp_flag`` over ``Fraction``: ``gauss_jordan`` of [s_k P_k | s_k e_k], sharing no elimination with the library.
 
     The columns of P^-1, the last n entries of the reduced rows, are then
     scaled to integers by ``_integer_rows``.
@@ -269,7 +267,7 @@ def reduced_perp_flag(flag, form):
         [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
         for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
     ]
-    reduced, pivots = _reduced(*_eliminate(augmented))
+    reduced, pivots = gauss_jordan(augmented)
     if pivots != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
     columns = tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))

@@ -611,6 +611,9 @@ class TestReadmeLayout:
             "_move",
             "_cyclic",
             "_cyclic_inverse",
+            "_whole",
+            "_failure",
+            "cut_points",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

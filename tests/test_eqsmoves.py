@@ -13,7 +13,6 @@ from springerfiber.eqsmoves import (
     block_move,
     c_inverse,
     c_move,
-    cut_points,
     dist_class_invariant,
     eqs_class,
     eqs_partition,
@@ -21,13 +20,13 @@ from springerfiber.eqsmoves import (
     partition_report,
     _cuts,
     _moves,
-    _word,
 )
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
     Tableau,
     _from_word,
+    _word,
     concat,
     dist,
     enumerate_tableaux,
@@ -370,13 +369,18 @@ class TestCyclicInverse:
                     assert c_move(c_inverse(s)) == s
 
 
+def cut_columns(t):
+    return tuple(i for i, _, _ in _cuts(t.rows))
+
+
 class TestCutPoints:
     def test_examples(self):
-        assert cut_points(T("1,2,5/3,4,6")) == (0, 2, 3)
+        assert cut_columns(T("1,2,5/3,4,6")) == (0, 2, 3)
         # every prefix-closed column run counts: the first column of 1,3/2,4
         # holds exactly {1,2}
-        assert cut_points(T("1,3/2,4")) == (0, 1, 2)
-        assert cut_points(T("1/2/3")) == (0, 1)
+        assert cut_columns(T("1,3/2,4")) == (0, 1, 2)
+        assert cut_columns(T("1/2/3")) == (0, 1)
+        assert _cuts(()) == [(0, 0, 0)]
 
     def test_definition(self):
         # (3,1,1), (4,1,1,1) and (3,3,1,1) drop by more than one row from
@@ -384,7 +388,8 @@ class TestCutPoints:
         for parts in ((3, 2, 1), (2, 2, 2), (3, 1, 1), (4, 1, 1, 1), (3, 3, 1, 1)):
             shape = Partition(parts)
             for t in enumerate_tableaux(shape):
-                pts = cut_points(t)
+                cuts = _cuts(t.rows)
+                pts = tuple(i for i, _, _ in cuts)
                 m = shape.num_columns
                 assert pts[0] == 0 and pts[-1] == m
                 for i in range(1, m):
@@ -392,6 +397,9 @@ class TestCutPoints:
                     boxes = sum(min(part, i) for part in shape.parts)
                     expected = t.rows[0][i] == boxes + 1
                     assert (i in pts) == expected
+                for i, boxes, height in cuts:
+                    assert boxes == sum(min(part, i) for part in shape.parts)
+                    assert height == (sum(part >= i for part in shape.parts) if i else 0)
 
 
 class TestBlockMove:

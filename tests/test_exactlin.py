@@ -1519,9 +1519,9 @@ class TestDuality:
                 cell_prime_of(flag, u)
             )
 
-    # perp_flag back-substitutes over the integers; the Fraction back
-    # substitution through _reduced that it replaced is the oracle, compared
-    # on the stored integer form itself
+    # perp_flag back-substitutes over the integers; Gauss-Jordan over
+    # Fraction, which shares no code with the library, is the oracle,
+    # compared on the stored integer form itself
 
     @staticmethod
     def assert_perp_matches_the_fraction_route(flag, g):

@@ -157,7 +157,9 @@ def test_one_integer_core_and_one_boundary():
         ("certificates.py", None),
         ("certificates.py", "verify_curve_membership"),
     }
-    # _reduced back-substitutes over Fraction for Matrix.rref alone
+    # one fraction-free back substitution serves perp_flag and _reduced,
+    # which divides each row by its pivot for Matrix.rref alone
+    assert uses_in_sources("_back_substituted") == {("exactlin.py", "_reduced"), ("exactlin.py", "perp_flag")}
     assert uses_in_sources("_reduced") == {("exactlin.py", "Matrix")}
 
 
