@@ -6,7 +6,8 @@ parametrizes flags inside the cell whenever a handful of coordinates stay
 nonzero, and seven curves of the family through the origin have linearly
 independent tangent vectors there.  Seven independent tangents at a point
 of a six-dimensional variety certify a singular point.  Tangents are read
-off with first-order jet arithmetic into the one 7x7 layout of the family;
+off with first-order jet arithmetic as the 21 strictly lower entries, and
+their rank is the pivot count of one elimination of their integer rows;
 every membership test is an exact cell check, on the flag of the columns
 of f(t) + I, a unit triangle in plain order.
 
@@ -42,12 +43,11 @@ from typing import Sequence
 from .exactlin import (
     ChartError,
     Flag,
-    Matrix,
     NilpotentOperator,
-    Vector,
     _ONE,
     _ZERO,
     _check_special,
+    _eliminate,
     _integer_rows,
     _lowest_terms,
     _triangular_flag,
@@ -160,14 +160,6 @@ def _parameters(t: Sequence) -> tuple[Fraction, ...]:
     return t
 
 
-def _matrix_7x7(entries: dict[tuple[int, int], Fraction]) -> Matrix:
-    """The 7x7 matrix with ``entries`` at their 1-based cells; every other cell is the shared zero."""
-    rows = [[_ZERO] * 7 for _ in range(7)]
-    for (i, j), v in entries.items():
-        rows[i - 1][j - 1] = v
-    return Matrix(rows)
-
-
 def _membership_conditions(t: Sequence[Fraction]) -> list[tuple[str, Fraction]]:
     return [
         ("t3", t[2]),
@@ -211,14 +203,18 @@ WITNESS_CURVES: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
 _FILL_POOL = (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(1, 17))
 
 
-def curve_tangent(const: Sequence, slope: Sequence) -> Matrix:
-    """Tangent matrix at s = 0 of the curve s -> f(const + slope*s), via jets."""
+def curve_tangent(const: Sequence, slope: Sequence) -> tuple[Fraction, ...]:
+    """Tangent at s = 0 of the curve s -> f(const + slope*s), via jets.
+
+    The 21 strictly lower entries row by row, (2,1), (3,1), (3,2), ..,
+    (7,6); the cells outside the family hold the shared zero.
+    """
     jets = [Jet(c, b) for c, b in zip(const, slope, strict=True)]
     values = f_entries(jets)
     for (i, j), jet in values.items():
         if jet.value != 0:
             raise CertificateError(f"curve does not pass through the origin at ({i},{j})")
-    return _matrix_7x7({cell: jet.deriv for cell, jet in values.items()})
+    return tuple(values[i, j].deriv if (i, j) in values else _ZERO for i in range(2, 8) for j in range(1, i))
 
 
 def _admissible_point(
@@ -237,10 +233,6 @@ def _admissible_point(
     if any(value == 0 for _, value in _membership_conditions(point)):
         raise AssertionError("perturbation failed to clear the nonvanishing conditions")
     return point
-
-
-def _strictly_lower_coords(m: Matrix) -> Vector:
-    return tuple(m.rows[i][j] for i in range(7) for j in range(i))
 
 
 def _check(name: str, ok: bool, detail: str) -> dict:
@@ -298,7 +290,7 @@ def certify_322() -> SingularityCertificate:
     sub-check fails.
     """
     tangents = [curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES]
-    rank = Matrix([_strictly_lower_coords(m) for m in tangents]).rank()
+    rank = len(_eliminate(_integer_rows(tangents)[0])[0])
     if rank != 7:
         raise CertificateError(f"expected tangent rank 7, got {rank}")
     component_dim = Partition((3, 2, 2)).springer_dim()

@@ -65,6 +65,7 @@ from .partitions import Partition
 from .tableaux import (
     StandardTableau,
     _check_bound,
+    _check_standard,
     _evacuate,
     _from_word,
     _slide_path,
@@ -214,8 +215,9 @@ def _apply(t: StandardTableau, kind: str, a: int, b: int) -> StandardTableau:
     j, the height of column b.  The block's row word is ``x[lo:hi]`` and its
     rows are sliced from the tableau's; only the result is built.  A move
     that does not apply raises MoveError, naming entries as in the block
-    shifted to 1..size.
+    shifted to 1..size.  ValueError unless ``t`` is standard.
     """
+    _check_standard(t)
     rows = t.rows
     cuts = {i: (boxes, height) for i, boxes, height in _cuts(rows)}
     if a - 1 not in cuts or b not in cuts:
@@ -270,7 +272,8 @@ def block_move(t: StandardTableau, label: MoveLabel) -> StandardTableau:
 
 
 def legal_moves(t: StandardTableau) -> tuple[tuple[MoveLabel, StandardTableau], ...]:
-    """All applicable block moves on at least two columns, with their results."""
+    """All applicable block moves on at least two columns, with their results; ValueError unless ``t`` is standard."""
+    _check_standard(t)
     shape = tuple(map(len, t.rows))
     return tuple(
         (MoveLabel(k, (a, b)), _from_word(word, shape))
@@ -337,8 +340,10 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     be a lattice word of the shape of ``t``.  Deterministic regardless of
     visiting order: the member set is canonical, members are sorted in
     ``Tableau`` order (row reading word order within one shape), and the
-    representative is the smallest member.
+    representative is the smallest member.  ValueError unless ``t`` is
+    standard.
     """
+    _check_standard(t)
     _check_bound(t.n, max_n)
     shape = tuple(map(len, t.rows))
     return _closure(t, lambda word: _from_word(word, shape))

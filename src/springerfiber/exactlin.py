@@ -26,18 +26,21 @@ before it, in the special permutation's coordinate order or in plain
 order) checked on their integer rows: such a triangle has determinant 1,
 and any other basis raises ValueError.  Of these only the (3,2,2) family
 converts; the others are computed as integers.  The operator is an index
-map, so the image of s v is s u(v), read off the integers.  With the
-coordinates ordered so that every power of the operator cuts a leading
-block of them, one elimination with each scaled flag vector followed by
-its image, as columns, shows whether every prefix is stable and gives each
-vector's pivot coordinate: a Jordan type counts the pivots by tableau
+map, so the image of s v is s u(v), read off the integers.  One routine,
+``_prefix_pivots``, asks the one question behind cells, fiber membership
+and flag equality: with the coordinates in a given order as rows and v1,
+w1, v2, w2, .. as columns, one elimination shows whether each w_i lies in
+span(v_1..v_i), exactly when no w column takes a pivot, and gives each
+v_i's pivot coordinate.  Fiber membership takes w_i = u(v_i) and flag
+equality the other flag's basis, both in plain order.  A cell takes the
+images with the coordinates ordered so that every power of the operator
+cuts a leading block of them: a Jordan type counts the pivots by tableau
 column, and ``tableaux`` reads the cell label off those columns; a
 subspace basis followed by its images, as rows, is eliminated the same
-way.  Flag equality, chart coordinates (ratios of echelon entries) and the
-complement flag eliminate the stored rows too.  One fraction-free back
-substitution, ``_back_substituted``, serves ``perp_flag`` and
-``_reduced``, which divides each row by its pivot for ``Matrix.rref``
-alone.
+way.  Chart coordinates (ratios of echelon entries) and the complement
+flag eliminate the stored rows too.  One fraction-free back substitution,
+``_back_substituted``, serves ``perp_flag`` and ``Matrix.rref``, which
+divides each row by its pivot over ``Fraction``.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -137,8 +140,12 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-        """Reduced row echelon form: (nonzero rows, pivot column indices)."""
-        return _reduced(*_rank_profile(self.rows))
+        """Reduced row echelon form: (nonzero rows, pivot column indices), each ``_back_substituted`` row over its pivot."""
+        pairs, tops = _rank_profile(self.rows)
+        pivots = tuple(c for _, c in pairs)
+        rows = _back_substituted(pairs, tops)
+        reduced = tuple(tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(rows, pivots))
+        return reduced, pivots
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
@@ -288,7 +295,7 @@ def _back_substituted(
     below it, with pivot column d, where E is nonzero at d: E becomes
     R[d] * E - E[d] * R, divided by its content.  R is 0 at the other
     finished pivot columns, so each update clears column d and keeps them.
-    Shared by ``perp_flag`` and ``_reduced``.
+    Shared by ``perp_flag`` and ``Matrix.rref``.
     """
     # finished rows from the last pivot up, with their pivot columns
     done: list[tuple[Sequence[int], int]] = []
@@ -305,38 +312,26 @@ def _back_substituted(
     return [row for row, _ in reversed(done)]
 
 
-def _reduced(
-    pairs: Sequence[tuple[int, int]], tops: Sequence[Sequence[int]]
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form, (nonzero rows, pivot columns), from ``_eliminate`` output, for ``Matrix.rref``.
-
-    Each row of ``_back_substituted`` divided by its pivot over ``Fraction``.
-    """
-    pivots = tuple(c for _, c in pairs)
-    rows = _back_substituted(pairs, tops)
-    reduced = tuple(tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(rows, pivots))
-    return reduced, pivots
-
-
-def _interleaved_pivots(
+def _prefix_pivots(
     vs: Sequence[Sequence[int]], ws: Sequence[Sequence[int]], order: Sequence[int]
-) -> tuple[tuple[int, int], ...]:
-    """The rank profile with the coordinates in ``order`` as rows and v1, w1, v2, w2, .. as columns.
+) -> list[int] | None:
+    """The pivot coordinate, in ``order``, of each v_i when every w_i lies in span(v_1..v_i); None otherwise.
 
-    The vectors are integer; scaling a column keeps the rank profile, so
-    each may be any nonzero multiple of a ``Fraction`` vector.
+    One elimination has the coordinates in ``order`` as rows and v1, w1, v2,
+    w2, .. as columns.  The vectors are integer; scaling a column keeps the
+    rank profile, so each may be any nonzero multiple of a ``Fraction``
+    vector.  By induction on i the first w_i outside span(v_1..v_i) is the
+    first w column to take a pivot, so an odd pivot column gives None;
+    otherwise the w columns take no pivot and each independent v_i takes
+    one, so span(v_1..v_i) meets the coordinates zero on order[:r] in
+    dimension i less the v_1..v_i pivoted in order[:r].
     """
     columns = [x for pair in zip(vs, ws, strict=True) for x in pair]
     rows = list(zip(*columns))
-    return _eliminate([rows[c] for c in order])[0]
-
-
-def _within_prefixes(vs: Sequence[Sequence[int]], ws: Sequence[Sequence[int]]) -> bool:
-    """True when each ``ws[i]`` lies in span(vs[:i+1]); ``vs`` must be n independent integer n-vectors.
-
-    By induction on i, exactly when no wi is a pivot column of v1, w1, v2, w2, ..
-    """
-    return all(c % 2 == 0 for _, c in _interleaved_pivots(vs, ws, range(len(vs))))
+    pairs = _eliminate([rows[c] for c in order])[0]
+    if any(c % 2 for _, c in pairs):
+        return None
+    return [order[i] for i, _ in pairs]
 
 
 def span_rank(vectors: Sequence[Vector]) -> int:
@@ -420,7 +415,7 @@ class Flag:
 
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases."""
-        return self.n == other.n and _within_prefixes(self._scaled, other._scaled)
+        return self.n == other.n and _prefix_pivots(self._scaled, other._scaled, range(self.n)) is not None
 
     def __repr__(self) -> str:
         return f"Flag(n={self.n})"
@@ -523,19 +518,14 @@ def _images(u: NilpotentOperator, scaled: Sequence[Sequence[int]], n: int) -> li
 def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list[int]:
     """The pivot coordinate of each vector of a flag basis whose prefixes are u-stable.
 
-    One elimination has the coordinates in ``order`` as rows and each v_i
-    followed by u(v_i) as columns, each pair scaled to integers by one
-    factor (the flag's integer form), which keeps the rank profile.  By
-    induction on i the first u(v_i) outside span(v_1..v_i) is the first
-    image to take a pivot, so an odd pivot column raises StabilityError;
-    otherwise the images take no pivot and each v_i takes one, so
-    span(v_1..v_i) meets the coordinates zero on order[:r] in dimension i
-    less the v_1..v_i pivoted in order[:r].
+    ``_prefix_pivots`` of the flag's integer rows and their images, each
+    pair scaled to integers by one factor, which keeps the rank profile;
+    StabilityError when some u(v_i) leaves span(v_1..v_i).
     """
-    pairs = _interleaved_pivots(flag._scaled, _images(u, flag._scaled, flag.n), order)
-    if any(c % 2 for _, c in pairs):
+    pivots = _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), order)
+    if pivots is None:
         raise StabilityError("flag is not stable under the operator")
-    return [order[i] for i, _ in pairs]
+    return pivots
 
 
 def _subspace_pivots(
@@ -684,7 +674,7 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
     """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i)."""
-    return _within_prefixes(flag._scaled, _images(u, flag._scaled, flag.n))
+    return _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), range(flag.n)) is not None
 
 
 def special_basis_tableau(k: int) -> StandardTableau:

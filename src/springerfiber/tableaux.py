@@ -98,6 +98,12 @@ def _is_standard(rows: Sequence[Sequence[int]]) -> bool:
     return max((row[-1] for row in rows if row), default=0) == sum(map(len, rows))
 
 
+def _check_standard(t: Tableau) -> None:
+    """ValueError unless the entries of the tableau ``t`` are exactly 1..n."""
+    if not _is_standard(t.rows):
+        raise ValueError(f"entries must be exactly 1..{t.n}, got {t.entries()}")
+
+
 class Tableau:
     """Ragged array of distinct positive ``int``s (TypeError on a float or a bool), increasing in rows and columns."""
 
@@ -150,8 +156,7 @@ class StandardTableau(Tableau):
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         super().__init__(rows)
-        if not _is_standard(self.rows):
-            raise ValueError(f"entries must be exactly 1..{self.n}, got {self.entries()}")
+        _check_standard(self)
 
 
 def _trusted(rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
@@ -375,8 +380,7 @@ def schuetzenberger(t: StandardTableau) -> StandardTableau:
     ``n-k+1`` there.  It is computed by row insertion of the reversed and
     complemented row reading word instead (Schuetzenberger's theorem).
     """
-    if not _is_standard(t.rows):
-        raise ValueError(f"entries must be exactly 1..{t.n}, got {t.entries()}")
+    _check_standard(t)
     # row insertion of the distinct entries 1..n builds a standard tableau
     return _trusted(tuple(map(tuple, _evacuate(t.rows, 1, t.n))))
 

@@ -11,7 +11,6 @@ from springerfiber.certificates import (
     BASIS_TABLEAU_322,
     CELL_TABLEAU_322,
     WITNESS_CURVES,
-    _matrix_7x7,
     _parameters,
     _recovery_identities,
     CertificateError,
@@ -60,7 +59,12 @@ from matrix_helpers import (
 
 def f_family(t) -> Matrix:
     """The 7x7 strictly lower triangular matrix of the (3,2,2) family at rational ``t``."""
-    return _matrix_7x7(f_entries(_parameters(t)))
+    entries = f_entries(_parameters(t))
+    return Matrix([[entries.get((i, j), _ZERO) for j in range(1, 8)] for i in range(1, 8)])
+
+
+# the cells of a tangent, its 21 strictly lower entries row by row
+LOWER_CELLS = [(i, j) for i in range(2, 8) for j in range(1, i)]
 
 
 def dense_power(u, j) -> Matrix:
@@ -232,13 +236,25 @@ class TestTangents:
         ]
         for (name, const, slope), want in zip(WITNESS_CURVES, expected):
             got = curve_tangent(const, slope)
-            nonzero = {
-                (i + 1, j + 1): x
-                for i, row in enumerate(got.rows)
-                for j, x in enumerate(row)
-                if x != 0
-            }
+            assert len(got) == len(LOWER_CELLS) == 21
+            nonzero = {cell: x for cell, x in zip(LOWER_CELLS, got) if x != 0}
             assert nonzero == {k: Fraction(v) for k, v in want.items()}, name
+        # by index: (2,1) is entry 0, (3,2) entry 2 and (7,6) the last
+        assert curve_tangent(*WITNESS_CURVES[0][1:])[0] == 1
+        assert curve_tangent(*WITNESS_CURVES[1][1:])[2] == 1
+        assert curve_tangent(*WITNESS_CURVES[6][1:])[20] == 1
+
+    def test_rank_matches_matrix_and_gauss_jordan(self, monkeypatch):
+        tangents = [curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES]
+        assert certify_322().tangent_dim_lower_bound == Matrix(tangents).rank() == len(gauss_jordan(tangents)[1]) == 7
+        # any six of the seven tangents rank 6
+        for drop in range(7):
+            rest = tangents[:drop] + tangents[drop + 1 :]
+            assert Matrix(rest).rank() == len(gauss_jordan(rest)[1]) == 6
+        # with one curve repeated the certificate sees rank 6 and fails
+        monkeypatch.setattr(certificates_module, "WITNESS_CURVES", WITNESS_CURVES[:6] + WITNESS_CURVES[:1])
+        with pytest.raises(CertificateError, match="expected tangent rank 7, got 6"):
+            certify_322()
 
     def test_curve_must_pass_through_origin(self):
         with pytest.raises(CertificateError):
@@ -653,15 +669,15 @@ class TestSharedZeros:
                 assert [[not x for x in row] for row in scaled] == [[x is _ZERO for x in v] for v in etas]
 
     def test_family_matrix_cells_outside_the_family(self, monkeypatch):
-        for t in ((1, 2, 3, 4, 5, 6), (0,) * 6):
-            entries = f_entries(tuple(Fraction(x) for x in t))
-            rows = _matrix_7x7(entries).rows
-            for i in range(7):
-                for j in range(7):
-                    if (i + 1, j + 1) not in entries:
-                        assert rows[i][j] is _ZERO
-        # the columns of f(t) + I that every membership check converts; the
-        # family has the same cells at every t
+        # the family has the same cells at every t
+        cells = set(f_entries((_ZERO,) * 6))
+        for _, const, slope in WITNESS_CURVES:
+            tangent = curve_tangent(const, slope)
+            for k, cell in enumerate(LOWER_CELLS):
+                if cell not in cells:
+                    assert tangent[k] is _ZERO
+        # the tangents that the certificate ranks, converted once, then the
+        # columns of f(t) + I that every membership check converts
         calls = []
 
         def recording(rows):
@@ -671,9 +687,10 @@ class TestSharedZeros:
         monkeypatch.setattr(certificates_module, "_integer_rows", recording)
         assert certify_322().singular
         assert verify_curve_membership((1, 2, 3, 4, 5, 6))
-        cells = set(f_entries((_ZERO,) * 6))
-        assert len(calls) == 2 * len(WITNESS_CURVES) + 1
-        for columns in calls:
+        tangents, *columns_calls = calls
+        assert tangents == tuple(curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES)
+        assert len(columns_calls) == 2 * len(WITNESS_CURVES) + 1
+        for columns in columns_calls:
             for i in range(7):
                 for j in range(7):
                     if (i + 1, j + 1) not in cells and i != j:

@@ -614,6 +614,11 @@ class TestReadmeLayout:
             "_whole",
             "_failure",
             "cut_points",
+            "_interleaved_pivots",
+            "_within_prefixes",
+            "_reduced",
+            "_matrix_7x7",
+            "_strictly_lower_coords",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

@@ -35,6 +35,7 @@ from springerfiber.tableaux import (
     make_Q,
     parse_tableau,
     schuetzenberger,
+    tableau,
 )
 
 from tableau_helpers import j_stat
@@ -430,6 +431,31 @@ class TestBlockMove:
             MoveLabel("Evac", (1, 2))
         with pytest.raises(ValueError):
             MoveLabel("C", (2, 2))
+
+
+class TestNonStandardInput:
+    """A plain ``Tableau`` whose entries are not 1..n is rejected by name, before any row word is read."""
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            c_move,
+            c_inverse,
+            lambda t: block_move(t, MoveLabel("SchBlock", (1, 2))),
+            legal_moves,
+            eqs_class,
+            schuetzenberger,
+        ],
+        ids=["c_move", "c_inverse", "block_move", "legal_moves", "eqs_class", "schuetzenberger"],
+    )
+    @pytest.mark.parametrize("rows", [[[2, 3], [4, 5]], [[1, 3], [2, 5]]], ids=["shifted", "gap"])
+    def test_public_moves_raise_value_error(self, move, rows):
+        t = tableau(rows)
+        assert type(t) is Tableau
+        entries = ", ".join(map(str, sorted(chain.from_iterable(rows))))
+        with pytest.raises(ValueError, match=rf"^entries must be exactly 1\.\.4, got \({entries}\)$") as info:
+            move(t)
+        assert type(info.value) is ValueError
 
 
 class TestEqsClass:

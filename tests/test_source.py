@@ -144,11 +144,13 @@ def test_one_integer_core_and_one_boundary():
     # stored rows and convert nothing
     assert uses_in_sources("_eliminate") == {
         ("exactlin.py", "_rank_profile"),
-        ("exactlin.py", "_interleaved_pivots"),
+        ("exactlin.py", "_prefix_pivots"),
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_subspace_pivots"),
         ("exactlin.py", "perp_flag"),
         ("exactlin.py", "chart_coords"),
+        ("certificates.py", None),
+        ("certificates.py", "certify_322"),
     }
     assert uses_in_sources("_integer_rows") == {
         ("exactlin.py", "_rank_profile"),
@@ -156,11 +158,29 @@ def test_one_integer_core_and_one_boundary():
         ("exactlin.py", "_subspace_pivots"),
         ("certificates.py", None),
         ("certificates.py", "verify_curve_membership"),
+        ("certificates.py", "certify_322"),
     }
-    # one fraction-free back substitution serves perp_flag and _reduced,
-    # which divides each row by its pivot for Matrix.rref alone
-    assert uses_in_sources("_back_substituted") == {("exactlin.py", "_reduced"), ("exactlin.py", "perp_flag")}
-    assert uses_in_sources("_reduced") == {("exactlin.py", "Matrix")}
+    # one fraction-free back substitution serves perp_flag and Matrix.rref,
+    # which divides each row by its pivot
+    assert uses_in_sources("_back_substituted") == {("exactlin.py", "Matrix"), ("exactlin.py", "perp_flag")}
+
+
+def test_one_prefix_question():
+    # cells, fiber membership and flag equality all ask whether each w_i
+    # lies in span(v_1..v_i), through the one _prefix_pivots
+    assert uses_in_sources("_prefix_pivots") == {
+        ("exactlin.py", "_flag_pivots"),
+        ("exactlin.py", "Flag"),
+        ("exactlin.py", "in_springer_fiber"),
+    }
+    assert uses_in_sources("_flag_pivots") == {("exactlin.py", "cell_of"), ("exactlin.py", "cell_prime_of")}
+
+
+def test_certificates_use_no_matrix():
+    # the (3,2,2) tangents are a tuple of their 21 strictly lower entries,
+    # ranked by _eliminate; no dense Matrix is built
+    [path] = [path for path in SOURCES if path.name == "certificates.py"]
+    assert "Matrix" not in path.read_text(encoding="utf-8")
 
 
 # the modules that compute exactly; acceptance and cli keep their timing floats
@@ -231,16 +251,20 @@ def test_flags_without_elimination_have_three_builders():
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
-# Definitions that only the tests and the benchmark tracer's targets use; the
-# tracer wraps them by name, so they leave src/ when it stops tracing them.
+# Definitions that only the tests and the benchmark tracer's targets use, or
+# that only such definitions call; the tracer wraps the first kind by name,
+# so they leave src/ with their helpers when it stops tracing them.
 TRACER_ONLY = {
     "eqsmoves.legal_moves",
     "exactlin.Matrix.apply",
     "exactlin.Matrix.nullspace",
+    "exactlin.Matrix.rref",
     "exactlin.in_span",
     "exactlin.intersection_dim",
+    "exactlin.span_rank",
     "exactlin.restricted_type",
     "exactlin.quotient_type",
+    "exactlin._subspace_pivots",
     "tableaux.jdt_remove_min",
     "tableaux.from_shape_chain",
 }
@@ -271,17 +295,25 @@ def references(tree):
 def unreferenced(trees, workloads):
     """Qualified names of the definitions in ``trees`` (module name -> tree) that nothing uses.
 
-    A definition is used when its name is referenced in some tree outside
-    the definition itself, or referenced in ``workloads``.  Matching is by
-    name, so a name that two definitions share counts as used for both.
+    A definition is used when its name is referenced in ``workloads``, or in
+    some tree outside the definition itself and outside every unused
+    definition.  The unused set grows until nothing changes, so a helper
+    reached only from unused code is unused too.  Matching is by name, so a
+    name that two definitions share counts as used for both.
     """
+    defs = [(qualified, node) for module, tree in trees.items() for qualified, node in definitions(tree, module)]
     total = sum((references(tree) for tree in trees.values()), Counter())
-    return {
-        qualified
-        for module, tree in trees.items()
-        for qualified, node in definitions(tree, module)
-        if total[node.name] == references(node)[node.name] and not workloads[node.name]
-    }
+    unused, found = None, set()
+    while found != unused:
+        unused = found
+        live = total - sum((references(node) for qualified, node in defs if qualified in unused), Counter())
+        found = {
+            qualified
+            for qualified, node in defs
+            if not workloads[node.name]
+            and live[node.name] == (0 if qualified in unused else references(node)[node.name])
+        }
+    return unused
 
 
 def test_unused_rule_sees_references_outside_the_definition():
@@ -294,11 +326,20 @@ def test_unused_rule_sees_references_outside_the_definition():
             "    @property\n    def shape(self):\n        return self.shape\n"
             "    def method(self):\n        return used()\n"
             "    def benchmarked(self):\n        pass\n"
+            "def helper():\n    return deeper()\n"
+            "def deeper():\n    pass\n"
+            "def shared():\n    pass\n"
         ),
-        "b": ast.parse("from .a import C, recursive\ndef main():\n    return C().method\n"),
+        "b": ast.parse(
+            "from .a import C, recursive\n"
+            "def main():\n    return C().method, helper(), shared()\n"
+            "method = C().method\nshared()\n"
+        ),
     }
     workloads = references(ast.parse("sf.a.C().benchmarked()\n"))
-    assert unreferenced(trees, workloads) == {"a.recursive", "a.C.shape", "b.main"}
+    # helper is reached only from the unused main, and deeper only from
+    # helper; shared and C.method are also reached from module level
+    assert unreferenced(trees, workloads) == {"a.recursive", "a.C.shape", "b.main", "a.helper", "a.deeper"}
 
 
 def test_src_keeps_only_what_the_library_runs():
