@@ -290,9 +290,9 @@ def certify_322() -> SingularityCertificate:
     sub-check fails.
     """
     tangents = [curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES]
-    rank = len(_eliminate(_integer_rows(tangents)[0])[0])
-    if rank != 7:
-        raise CertificateError(f"expected tangent rank 7, got {rank}")
+    tangent_rank = len(_eliminate(_integer_rows(tangents)[0])[0])
+    if tangent_rank != 7:
+        raise CertificateError(f"expected tangent rank 7, got {tangent_rank}")
     component_dim = Partition((3, 2, 2)).springer_dim()
     if component_dim != 6:
         raise CertificateError(f"expected component dimension 6, got {component_dim}")
@@ -306,11 +306,11 @@ def certify_322() -> SingularityCertificate:
     return SingularityCertificate(
         shape=(3, 2, 2),
         tableau=CELL_TABLEAU_322.text(),
-        tangent_dim_lower_bound=rank,
+        tangent_dim_lower_bound=tangent_rank,
         component_dim=component_dim,
         witness_curves=tuple(name for name, _, _ in WITNESS_CURVES),
         membership_points=memberships,
-        singular=rank > component_dim,
+        singular=tangent_rank > component_dim,
     )
 
 

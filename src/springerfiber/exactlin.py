@@ -14,16 +14,16 @@ and an integer echelon form.  ``_integer_rows`` is the one boundary from
 ``Fraction`` to integers: it scales each row by the lcm of its
 denominators, which keeps the rank profile.
 
-A flag holds only that integer form of its basis, the scaled vectors and
+A flag holds that integer form of its basis, the scaled vectors and
 their scales, and every flag question reads it and converts nothing.
 ``Flag(vectors)`` converts once and eliminates to check independence.
 Every other flag comes from one private builder of integer rows and scales
 that runs no elimination, for bases independent by construction: the
-coordinate flag of a permutation, 0/1 rows of scale 1; the complement
-flag; and the chart families and the (3,2,2) family of
-:mod:`springerfiber.certificates`, unit triangles (1 on a diagonal, 0
-before it, in the special permutation's coordinate order or in plain
-order) checked on their integer rows: such a triangle has determinant 1,
+coordinate flag of a permutation, 0/1 rows of scale 1 that also keep the
+permutation; the complement flag; and the chart families and the (3,2,2)
+family of :mod:`springerfiber.certificates`, unit triangles (1 on a
+diagonal, 0 before it, in the special permutation's coordinate order or in
+plain order) checked on their integer rows: such a triangle has determinant 1,
 and any other basis raises ValueError.  Of these only the (3,2,2) family
 converts; the others are computed as integers.  The operator is an index
 map, so the image of s v is s u(v), read off the integers.  One routine,
@@ -41,6 +41,14 @@ way.  Chart coordinates (ratios of echelon entries) and the complement
 flag eliminate the stored rows too.  One fraction-free back substitution,
 ``_back_substituted``, serves ``perp_flag`` and ``Matrix.rref``, which
 divides each row by its pivot over ``Fraction``.
+
+A coordinate flag, built by ``jordan_flag`` or as the complement of one,
+answers these questions from its permutation with no elimination: its
+prefixes are stable exactly when each basis vector comes after its chain
+predecessor, a unit vector's pivot coordinate is its own in every order,
+and its complement flag is again a coordinate flag, as the form is a
+permutation of the basis.  ``Flag`` of the same unit vectors takes the
+elimination route and gives the same answers.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
 tableau labelling a Jordan basis (each row is a chain, the operator maps
@@ -397,8 +405,10 @@ class Flag:
     """Full flag given by an ordered basis; prefix ``i`` spans the ``i``-dim space."""
 
     # the one form a flag holds, read by every flag question: each basis
-    # vector times the lcm of its denominators, as ints, and those lcms
-    __slots__ = ("_scaled", "_scales")
+    # vector times the lcm of its denominators, as ints, and those lcms; a
+    # coordinate flag also keeps the 0-based coordinate of each unit vector,
+    # and every other flag None there
+    __slots__ = ("_scaled", "_scales", "_coords")
 
     def __init__(self, vectors: Sequence[Vector]):
         vectors = tuple(vector(v) for v in vectors)
@@ -406,6 +416,7 @@ class Flag:
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
         self._scaled, self._scales = _integer_rows(vectors)
+        self._coords = None
         if n and len(_eliminate(self._scaled)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
 
@@ -431,7 +442,19 @@ def _lowest_terms(x: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
 def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> Flag:
     """The flag of n independent integer rows and their scales, with no elimination; callers say why."""
     flag = object.__new__(Flag)
-    flag._scaled, flag._scales = scaled, scales
+    flag._scaled, flag._scales, flag._coords = scaled, scales, None
+    return flag
+
+
+def _coordinate_flag(coords: Sequence[int]) -> Flag:
+    """The flag of the unit vectors e_c, c in ``coords`` (a permutation of range(n)), keeping ``coords``.
+
+    Its rows are n distinct unit rows of scale 1, so independent with no
+    elimination; its questions read ``coords`` and eliminate nothing.
+    """
+    zeros = (0,) * len(coords)
+    flag = _integer_flag(tuple(zeros[:c] + (1,) + zeros[c + 1 :] for c in coords), (1,) * len(coords))
+    flag._coords = tuple(coords)
     return flag
 
 
@@ -515,14 +538,38 @@ def _images(u: NilpotentOperator, scaled: Sequence[Sequence[int]], n: int) -> li
     return [[0 if r is None else v[r] for r in u.right] for v in scaled]
 
 
-def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list[int]:
+def _coordinates_stable(u: NilpotentOperator, coords: Sequence[int]) -> bool:
+    """True when every prefix of the coordinate flag of ``coords`` is u-stable.
+
+    u(e_c) is e_q for the q with right[q] = c, and 0 at a row start, so
+    the prefixes are stable exactly when each e_c comes after its chain
+    predecessor: pos[q] < pos[right[q]] for every q with a right
+    neighbour.  ValueError unless u has the flag's size, as for ``_images``.
+    """
+    n = len(coords)
+    if n != u.n:
+        raise ValueError("vector length does not match")
+    pos = [0] * n
+    for i, c in enumerate(coords):
+        pos[c] = i
+    return all(r is None or pos[q] < pos[r] for q, r in enumerate(u.right))
+
+
+def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int] | None) -> list[int]:
     """The pivot coordinate of each vector of a flag basis whose prefixes are u-stable.
 
-    ``_prefix_pivots`` of the flag's integer rows and their images, each
-    pair scaled to integers by one factor, which keeps the rank profile;
-    StabilityError when some u(v_i) leaves span(v_1..v_i).
+    ``_prefix_pivots`` of the flag's integer rows and their images, with the
+    coordinates in ``order``, each pair scaled to integers by one factor,
+    which keeps the rank profile; StabilityError when some u(v_i) leaves
+    span(v_1..v_i).  A coordinate flag runs no elimination and needs no
+    order (callers pass None): a unit vector's pivot coordinate is its own
+    in every order, so the pivots are its coordinates once
+    ``_coordinates_stable`` holds.
     """
-    pivots = _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), order)
+    if flag._coords is not None:
+        pivots = list(flag._coords) if _coordinates_stable(u, flag._coords) else None
+    else:
+        pivots = _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), order)
     if pivots is None:
         raise StabilityError("flag is not stable under the operator")
     return pivots
@@ -579,12 +626,13 @@ def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition
 def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     """The standard tableau whose shape chain is the Jordan types on the flag prefixes.
 
-    One elimination checks that the flag is in the fiber (StabilityError if
-    not) and gives each vector's pivot coordinate in the kernel order; as in
-    ``restricted_type``, v_i adds a box to the column of its pivot
-    coordinate, and entry i goes there.
+    One elimination, none for a coordinate flag, checks that the flag is in
+    the fiber (StabilityError if not) and gives each vector's pivot
+    coordinate in the kernel order; as in ``restricted_type``, v_i adds a
+    box to the column of its pivot coordinate, and entry i goes there.
     """
-    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag, _kernel_order(u))])
+    order = _kernel_order(u) if flag._coords is None else None
+    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag, order)])
 
 
 def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
@@ -598,11 +646,13 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     The quotient types along the flag, read from the top down, grow one box
     at a time; the tableau built from that chain is the evacuation of the
     dual-cell label, so one more evacuation recovers it.  As in ``cell_of``,
-    one elimination checks the fiber and gives the pivot coordinates, in the
-    image order; as in ``quotient_type``, dropping v_i from the subspace adds
-    a box to column b + 1, b the boxes right of v_i's pivot coordinate.
+    one elimination (none for a coordinate flag) checks the fiber and gives
+    the pivot coordinates, in the image order; as in ``quotient_type``,
+    dropping v_i from the subspace adds a box to column b + 1, b the boxes
+    right of v_i's pivot coordinate.
     """
-    pivots = _flag_pivots(u, flag, _image_order(u))
+    order = _image_order(u) if flag._coords is None else None
+    pivots = _flag_pivots(u, flag, order)
     return schuetzenberger(_tableau_from_columns([u.boxes_right[c] + 1 for c in reversed(pivots)]))
 
 
@@ -647,11 +697,16 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     [s_k P_k | s_k e_k], built from the flag's integer form (s_k is the lcm
     of the denominators of flag vector k), which has the same reduced form.
     ``_back_substituted`` then leaves row r with some D_r at column r and 0
-    at the other pivot columns.
+    at the other pivot columns.  For a coordinate flag P is a permutation
+    matrix, P^-1 = P^T, and the complement is a coordinate flag built with
+    no elimination.
     """
     n = flag.n
     if form.n != n:
         raise ValueError("bilinear form size does not match the flag")
+    if flag._coords is not None:
+        # column k of P^-1 = P^T is e_g(c) for flag vector k = e_c, last first
+        return _coordinate_flag([form.images[c] - 1 for c in reversed(flag._coords)])
     zeros = [0] * n
     augmented = [
         [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
@@ -665,15 +720,15 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     # entry r of column k of P^-1 is rows[r][n + k] / D_r; the columns, last first, are independent
     dens = [row[r] for r, row in enumerate(rows)]
     columns = list(zip(*rows))[n:][::-1]
-    if dens == [1] * n:
-        return _integer_flag(tuple(columns), (1,) * n)
     den = lcm(*dens)
-    scaled, scales = zip(*(_lowest_terms(([a * den // d for a, d in zip(c, dens)], den)) for c in columns))
-    return _integer_flag(scaled, scales)
+    lowest = [_lowest_terms(([a * den // d for a, d in zip(c, dens)], den)) for c in columns]
+    return _integer_flag(tuple(v for v, _ in lowest), tuple(s for _, s in lowest))
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
     """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i)."""
+    if flag._coords is not None:
+        return _coordinates_stable(u, flag._coords)
     return _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), range(flag.n)) is not None
 
 
@@ -694,9 +749,7 @@ def special_operator(k: int) -> NilpotentOperator:
 
 def jordan_flag(perm: Permutation) -> Flag:
     """Coordinate flag ordering the Jordan basis by a permutation."""
-    zeros = (0,) * perm.n
-    # a Permutation is a bijection of 1..n: these are n distinct unit rows, each of scale 1
-    return _integer_flag(tuple(zeros[: i - 1] + (1,) + zeros[i:] for i in perm.images), (1,) * perm.n)
+    return _coordinate_flag([i - 1 for i in perm.images])
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:

@@ -1154,15 +1154,30 @@ class TestCellReadOff:
         # every elimination, from Fraction or from integer rows, runs the integer core
         monkeypatch.setattr(exactlin_module, "_eliminate", counting)
         flag = jordan_flag(Permutation((1, 2, 5, 3, 4)))
+        unstable = jordan_flag(Permutation((3, 1, 2, 4, 5)))
         assert calls == []
-        for f in (flag, dense):
+        # a coordinate flag and its perp flag read their permutations and eliminate
+        # nothing; the dense chart flag eliminates once per question
+        for f, eliminations in ((flag, 0), (dense, 1)):
             for cell in (cell_of, cell_prime_of):
                 calls.clear()
                 cell(f, u)
-                assert len(calls) == 1
+                assert len(calls) == eliminations
             calls.clear()
-            perp_flag(f, bilinear_form(u))
-            assert len(calls) == 1
+            perp = perp_flag(f, bilinear_form(u))
+            assert len(calls) == eliminations
+            for g in (f, perp):
+                calls.clear()
+                assert in_springer_fiber(g, u)
+                assert len(calls) == eliminations
+        calls.clear()
+        assert not in_springer_fiber(unstable, u)
+        for cell in (cell_of, cell_prime_of):
+            with pytest.raises(StabilityError):
+                cell(unstable, u)
+        cell_of(perp_flag(flag, bilinear_form(u)), u)
+        assert calls == []
+        for f in (flag, dense):
             # the prefixes of a fiber flag are stable subspaces
             for subspace_type in (restricted_type, quotient_type):
                 calls.clear()
@@ -1260,6 +1275,47 @@ class TestIntegerPath:
                 with pytest.raises(ValueError, match="^vector length does not match$"):
                     question(flag, u)
             assert not flag.same_flag(jordan_flag(Permutation(range(1, 5))))
+
+
+class TestCoordinateRoute:
+    """A coordinate flag answers from its permutation; ``Flag`` of the same unit vectors eliminates, the reference."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_permutation_matches_the_elimination_route(self, n):
+        # the column-superstandard basis and the first enumerated one of every shape
+        bases = {t for shape in partitions_of(n) for t in (column_superstandard(shape), enumerate_tableaux(shape)[0])}
+        operators = [jordan_operator(t) for t in sorted(bases, key=lambda t: t.rows)]
+        forms = [bilinear_form(u) for u in operators]
+        for images in permutations(range(1, n + 1)):
+            coordinate = jordan_flag(Permutation(images))
+            reference = Flag([unit_vector(n, i) for i in images])
+            assert coordinate._coords == tuple(i - 1 for i in images)
+            assert reference._coords is None
+            assert coordinate.same_flag(reference) and reference.same_flag(coordinate)
+            for u, g in zip(operators, forms):
+                # equal labels, or StabilityError with its message on both sides
+                for cell in (cell_of, cell_prime_of):
+                    assert outcome(cell, coordinate, u) == outcome(cell, reference, u)
+                stable = in_springer_fiber(coordinate, u)
+                assert stable == in_springer_fiber(reference, u)
+                if stable:
+                    perp, want = perp_flag(coordinate, g), perp_flag(reference, g)
+                    assert perp.same_flag(want) and want.same_flag(perp)
+                    assert cell_of(perp, u) == cell_of(want, u)
+                    # the elimination route gives the unit vectors themselves
+                    assert (perp._scaled, perp._scales) == (want._scaled, want._scales)
+                    assert perp._coords == tuple(row.index(1) for row in want._scaled)
+                    assert want._coords is None
+
+    @pytest.mark.parametrize("size", [0, 3, 5, 6], ids=["empty", "n-1", "n+1", "n+2"])
+    def test_size_mismatch_raises_on_both_routes(self, size):
+        u = jordan_operator(T("1,2/3,4"))
+        g = bilinear_form(u)
+        images = range(size, 0, -1)
+        for flag in (jordan_flag(Permutation(images)), Flag([unit_vector(size, i) for i in images])):
+            for question in (cell_of, cell_prime_of, in_springer_fiber):
+                assert outcome(question, flag, u) == (ValueError, "vector length does not match")
+            assert outcome(perp_flag, flag, g) == (ValueError, "bilinear form size does not match the flag")
 
 
 def integer_form(vectors):

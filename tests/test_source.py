@@ -174,6 +174,12 @@ def test_one_prefix_question():
         ("exactlin.py", "in_springer_fiber"),
     }
     assert uses_in_sources("_flag_pivots") == {("exactlin.py", "cell_of"), ("exactlin.py", "cell_prime_of")}
+    # a coordinate flag asks it of its permutation, with no elimination,
+    # through the one _coordinates_stable
+    assert uses_in_sources("_coordinates_stable") == {
+        ("exactlin.py", "_flag_pivots"),
+        ("exactlin.py", "in_springer_fiber"),
+    }
 
 
 def test_certificates_use_no_matrix():
@@ -237,16 +243,19 @@ def test_flags_without_elimination_have_three_builders():
     # exactlin._integer_flag stores integer rows without the independence
     # elimination that Flag runs; it is the only place a Flag is allocated
     # around Flag.__init__, and its users are the three builders whose rows
-    # are independent by construction: 0/1 unit rows, unit triangles and the
-    # columns of an inverse matrix
+    # are independent by construction: distinct unit rows, unit triangles
+    # and the columns of an inverse matrix
     assert [
         (path.name, top) for path in SOURCES for top in flag_allocations(ast.parse(path.read_text(encoding="utf-8")))
     ] == [("exactlin.py", "_integer_flag")]
     assert uses_in_sources("_integer_flag") == {
-        ("exactlin.py", "jordan_flag"),
+        ("exactlin.py", "_coordinate_flag"),
         ("exactlin.py", "_triangular_flag"),
         ("exactlin.py", "perp_flag"),
     }
+    # the unit rows of a permutation, which also keep it: the coordinate flag
+    # of a permutation and the perp flag of a coordinate flag
+    assert uses_in_sources("_coordinate_flag") == {("exactlin.py", "jordan_flag"), ("exactlin.py", "perp_flag")}
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -258,7 +267,9 @@ TRACER_ONLY = {
     "eqsmoves.legal_moves",
     "exactlin.Matrix.apply",
     "exactlin.Matrix.nullspace",
+    "exactlin.Matrix.rank",
     "exactlin.Matrix.rref",
+    "exactlin._rank_profile",
     "exactlin.in_span",
     "exactlin.intersection_dim",
     "exactlin.span_rank",
