@@ -46,7 +46,6 @@ from .exactlin import (
     cell_of,
     cell_prime_of,
     chart_coords,
-    in_cell,
     jordan_flag,
     jordan_operator,
     perp_flag,

@@ -52,8 +52,8 @@ from .exactlin import (
     _lowest_terms,
     _triangular_flag,
     as_fraction,
+    cell_of,
     chart_coords,
-    in_cell,
     in_springer_fiber,
     jordan_operator,
     special_flag,
@@ -186,7 +186,7 @@ def verify_curve_membership(t: Sequence) -> bool:
             raise ValueError(f"membership precondition violated: {name} must be nonzero")
     f = f_entries(t)
     columns = [tuple(_ONE if i == j else f.get((i, j), _ZERO) for i in range(1, 8)) for j in range(1, 8)]
-    return in_cell(_triangular_flag(*_integer_rows(columns), range(7)), operator_322(), CELL_TABLEAU_322)
+    return cell_of(_triangular_flag(*_integer_rows(columns), range(7)), operator_322()) == CELL_TABLEAU_322
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.
@@ -504,7 +504,7 @@ def verify_smooth_chart(
         checks.append(
             _check(
                 f"nonzero-tuple-{idx}-in-cell",
-                in_cell(flag, u, target),
+                cell_of(flag, u) == target,
                 "used: all k+2 parameters nonzero; exact cell membership",
             )
         )

@@ -12,7 +12,9 @@ divides each updated row by its content, so no entry outgrows the minors
 that Bareiss elimination holds; it returns the (row, column) pivot pairs
 and an integer echelon form.  ``_integer_rows`` is the one boundary from
 ``Fraction`` to integers: it scales each row by the lcm of its
-denominators, which keeps the rank profile.
+denominators, which keeps the rank profile.  ``Matrix`` and ``in_span``
+call the two in turn; a flag or subspace basis is scaled once and its
+questions eliminate the integer rows directly.
 
 A flag holds that integer form of its basis, the scaled vectors and
 their scales, and every flag question reads it and converts nothing.
@@ -33,14 +35,15 @@ w1, v2, w2, .. as columns, one elimination shows whether each w_i lies in
 span(v_1..v_i), exactly when no w column takes a pivot, and gives each
 v_i's pivot coordinate.  Fiber membership takes w_i = u(v_i) and flag
 equality the other flag's basis, both in plain order.  A cell takes the
-images with the coordinates ordered so that every power of the operator
-cuts a leading block of them: a Jordan type counts the pivots by tableau
-column, and ``tableaux`` reads the cell label off those columns; a
-subspace basis followed by its images, as rows, is eliminated the same
-way.  Chart coordinates (ratios of echelon entries) and the complement
-flag eliminate the stored rows too.  One fraction-free back substitution,
-``_back_substituted``, serves ``perp_flag`` and ``Matrix.rref``, which
-divides each row by its pivot over ``Fraction``.
+images with the coordinates in an order that the operator computes once,
+``kernel_order`` (``image_order`` for the dual cell), in which every power
+of the operator cuts a leading block of them: a Jordan type counts the
+pivots by tableau column, and ``tableaux`` reads the cell label off those
+columns; a subspace basis followed by its images, as rows, is eliminated
+the same way.  Chart coordinates (ratios of echelon entries) and the
+complement flag eliminate the stored rows too.  One fraction-free back
+substitution, ``_back_substituted``, serves ``perp_flag`` and
+``Matrix.rref``, which divides each row by its pivot over ``Fraction``.
 
 A coordinate flag, built by ``jordan_flag`` or as the complement of one,
 answers these questions from its permutation with no elimination: its
@@ -149,7 +152,7 @@ class Matrix:
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form: (nonzero rows, pivot column indices), each ``_back_substituted`` row over its pivot."""
-        pairs, tops = _rank_profile(self.rows)
+        pairs, tops = _eliminate(_integer_rows(self.rows)[0])
         pivots = tuple(c for _, c in pairs)
         rows = _back_substituted(pairs, tops)
         reduced = tuple(tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(rows, pivots))
@@ -157,7 +160,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
-        return len(_rank_profile(self.rows)[0])
+        return len(_eliminate(_integer_rows(self.rows)[0])[0])
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, one vector per free column."""
@@ -205,19 +208,6 @@ def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[tuple[int, 
             out.append(tuple([a * (scale // d) for a, d in ratios]))
         scales.append(scale)
     return tuple(out), tuple(scales)
-
-
-def _rank_profile(
-    rows: Iterable[Sequence[Fraction]],
-) -> tuple[tuple[tuple[int, int], ...], list[Sequence[int]]]:
-    """``_eliminate`` on the rows scaled to integers by ``_integer_rows``.
-
-    Only for ``Matrix`` and ``in_span``; a flag or subspace basis is scaled
-    once and its questions call ``_eliminate`` on the integer rows directly.
-    The pivot rows are content-divided echelon rows, each fixed only up to a
-    nonzero scalar, so callers read their zero patterns or ratios.
-    """
-    return _eliminate(_integer_rows(rows)[0])
 
 
 def _eliminate(
@@ -349,7 +339,7 @@ def span_rank(vectors: Sequence[Vector]) -> int:
 def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
     """True when ``v``, eliminated after ``vectors``, takes no pivot."""
     m = len(vectors)
-    pairs, _ = _rank_profile(Matrix((*vectors, v)).rows)
+    pairs, _ = _eliminate(_integer_rows(Matrix((*vectors, v)).rows)[0])
     return all(i != m for i, _ in pairs)
 
 
@@ -485,10 +475,14 @@ class NilpotentOperator:
     ``(u v)[i] = v[right[i]]``; ``column[i]``, the 1-based column, so
     ker u^j is spanned by the e_i with column at most j; and
     ``boxes_right[i]``, so im u^j is spanned by the e_i with at least j
-    boxes to their right.  Instances are immutable.
+    boxes to their right.  Two coordinate orders make every power cut a
+    leading block: ``kernel_order``, by column descending, on a leading
+    block of which ker u^j is zero, and ``image_order``, by boxes to the
+    right ascending, on a leading block of which im u^j is zero.
+    Instances are immutable.
     """
 
-    __slots__ = ("tableau", "jordan_type", "n", "right", "column", "boxes_right")
+    __slots__ = ("tableau", "jordan_type", "n", "right", "column", "boxes_right", "kernel_order", "image_order")
 
     def __init__(self, tableau: StandardTableau):
         n = tableau.n
@@ -507,6 +501,8 @@ class NilpotentOperator:
         self.right = tuple(right)
         self.column = tuple(column)
         self.boxes_right = tuple(boxes_right)
+        self.kernel_order = tuple(sorted(range(n), key=lambda i: -column[i]))
+        self.image_order = tuple(sorted(range(n), key=boxes_right.__getitem__))
 
     def __repr__(self) -> str:
         return f"NilpotentOperator(type={self.jordan_type}, basis={self.tableau.text()!r})"
@@ -515,16 +511,6 @@ class NilpotentOperator:
 def jordan_operator(t: StandardTableau) -> NilpotentOperator:
     """Operator sending basis vector ``e`` to its left neighbour in the tableau row."""
     return NilpotentOperator(t)
-
-
-def _kernel_order(u: NilpotentOperator) -> list[int]:
-    """Coordinates by tableau column, descending: ker u^j is zero on a leading block of them."""
-    return sorted(range(u.n), key=lambda i: -u.column[i])
-
-
-def _image_order(u: NilpotentOperator) -> list[int]:
-    """Coordinates by boxes to the right, ascending: im u^j is zero on a leading block of them."""
-    return sorted(range(u.n), key=u.boxes_right.__getitem__)
 
 
 def _images(u: NilpotentOperator, scaled: Sequence[Sequence[int]], n: int) -> list[list[int]]:
@@ -555,16 +541,15 @@ def _coordinates_stable(u: NilpotentOperator, coords: Sequence[int]) -> bool:
     return all(r is None or pos[q] < pos[r] for q, r in enumerate(u.right))
 
 
-def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int] | None) -> list[int]:
+def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list[int]:
     """The pivot coordinate of each vector of a flag basis whose prefixes are u-stable.
 
     ``_prefix_pivots`` of the flag's integer rows and their images, with the
     coordinates in ``order``, each pair scaled to integers by one factor,
     which keeps the rank profile; StabilityError when some u(v_i) leaves
-    span(v_1..v_i).  A coordinate flag runs no elimination and needs no
-    order (callers pass None): a unit vector's pivot coordinate is its own
-    in every order, so the pivots are its coordinates once
-    ``_coordinates_stable`` holds.
+    span(v_1..v_i).  A coordinate flag runs no elimination and ignores the
+    order: a unit vector's pivot coordinate is its own in every order, so
+    the pivots are its coordinates once ``_coordinates_stable`` holds.
     """
     if flag._coords is not None:
         pivots = list(flag._coords) if _coordinates_stable(u, flag._coords) else None
@@ -605,7 +590,7 @@ def restricted_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partiti
     in tableau columns 1..j, so column j has one box per pivot at a column-j
     coordinate.  The prefixes of the given basis need not be stable.
     """
-    heights = Counter(u.column[c] for c in _subspace_pivots(u, subspace, _kernel_order(u)))
+    heights = Counter(u.column[c] for c in _subspace_pivots(u, subspace, u.kernel_order))
     return Partition(heights[j] for j in range(1, len(heights) + 1)).conjugate()
 
 
@@ -619,7 +604,7 @@ def quotient_type(u: NilpotentOperator, subspace: Sequence[Vector]) -> Partition
     less the pivots there.
     """
     heights = Counter(u.boxes_right)
-    heights.subtract(u.boxes_right[c] for c in _subspace_pivots(u, subspace, _image_order(u)))
+    heights.subtract(u.boxes_right[c] for c in _subspace_pivots(u, subspace, u.image_order))
     return Partition(h for _, h in sorted(heights.items()) if h).conjugate()
 
 
@@ -631,13 +616,7 @@ def cell_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     coordinate in the kernel order; as in ``restricted_type``, v_i adds a
     box to the column of its pivot coordinate, and entry i goes there.
     """
-    order = _kernel_order(u) if flag._coords is None else None
-    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag, order)])
-
-
-def in_cell(flag: Flag, u: NilpotentOperator, t: StandardTableau) -> bool:
-    """True when the flag lies in the cell labelled by ``t``."""
-    return cell_of(flag, u) == t
+    return _tableau_from_columns([u.column[c] for c in _flag_pivots(u, flag, u.kernel_order)])
 
 
 def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
@@ -651,8 +630,7 @@ def cell_prime_of(flag: Flag, u: NilpotentOperator) -> StandardTableau:
     dropping v_i from the subspace adds a box to column b + 1, b the boxes
     right of v_i's pivot coordinate.
     """
-    order = _image_order(u) if flag._coords is None else None
-    pivots = _flag_pivots(u, flag, order)
+    pivots = _flag_pivots(u, flag, u.image_order)
     return schuetzenberger(_tableau_from_columns([u.boxes_right[c] + 1 for c in reversed(pivots)]))
 
 

@@ -65,10 +65,8 @@ def _check_bound(n: int, max_n: int | None = None) -> None:
 def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
     """ValueError unless the rows form a tableau, naming the first fault.
 
-    A row passes when it starts at 1 or more, increases strictly and shares
-    no entry with the rows above; a column pair passes when it increases.
-    Only a row or pair that fails is walked entry by entry, to name the
-    fault that the walk meets first.
+    One walk: each entry of a row must be positive and new, then the row
+    must increase; then each column pair must increase.
     """
     lengths = [len(r) for r in rows]
     if any(length == 0 for length in lengths):
@@ -77,20 +75,18 @@ def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
         raise ValueError(f"row lengths must be non-increasing, got {lengths}")
     seen: set[int] = set()
     for row in rows:
-        if not (row[0] >= 1 and all(map(lt, row, row[1:])) and seen.isdisjoint(row)):
-            for e in row:
-                if e < 1:
-                    raise ValueError(f"entries must be positive, got {e}")
-                if e in seen:
-                    raise ValueError(f"duplicate entry {e}")
-                seen.add(e)
+        for e in row:
+            if e < 1:
+                raise ValueError(f"entries must be positive, got {e}")
+            if e in seen:
+                raise ValueError(f"duplicate entry {e}")
+            seen.add(e)
+        if not all(map(lt, row, row[1:])):
             raise ValueError(f"row {row} is not increasing")
-        seen.update(row)
     for upper, lower in zip(rows, rows[1:]):
-        if not all(map(lt, upper, lower)):
-            for a, b in zip(upper, lower):
-                if b <= a:
-                    raise ValueError(f"column not increasing at {a} over {b}")
+        for a, b in zip(upper, lower):
+            if b <= a:
+                raise ValueError(f"column not increasing at {a} over {b}")
 
 
 def _is_standard(rows: Sequence[Sequence[int]]) -> bool:

@@ -6,7 +6,8 @@ the v-recurrence and the chart family's vectors (``v_vectors``,
 ``v_full``, ``chart_etas``) and the complement flag by Gauss-Jordan
 elimination over ``Fraction`` (``reduced_perp_flag``).  The column-scan
 elimination core (``column_scan_eliminate``) and Bareiss elimination with
-lazy scaling (``lazy_bareiss``) are the oracles of ``exactlin._eliminate``.
+lazy scaling (``lazy_bareiss``) are the oracles of ``exactlin._eliminate``,
+and ``rank_profile`` runs it on ``Fraction`` rows.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from springerfiber.exactlin import (
     _ZERO,
     Matrix,
     _check_special,
+    _eliminate,
     _integer_flag,
     _integer_rows,
     as_fraction,
@@ -118,6 +120,11 @@ def gauss_jordan(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
+
+
+def rank_profile(rows):
+    """``exactlin._eliminate`` on ``Fraction`` rows, each scaled to integers by ``_integer_rows``: (pivot pairs, pivot rows)."""
+    return _eliminate(_integer_rows(rows)[0])
 
 
 def lazy_bareiss(rows):

@@ -489,14 +489,14 @@ class TestPhiMap:
                 assert flag.same_flag(special_flag(d, k))
 
     def test_nonzero_lands_in_cell(self):
-        from springerfiber.exactlin import in_cell
+        from springerfiber.exactlin import cell_of
         from springerfiber.tableaux import make_Q
 
         u = special_operator(2)
         flag = phi_map(2, 4, (1, 1, 1, 1))
-        assert in_cell(flag, u, make_Q(2))
+        assert cell_of(flag, u) == make_Q(2)
         flag = phi_map(2, 3, (1, 1, 1, 1))
-        assert in_cell(flag, u, make_Q(2))
+        assert cell_of(flag, u) == make_Q(2)
 
     def test_gammas_follow_documented_recurrence(self):
         # flag vectors 1..d-1 carry gamma_1..gamma_{d-1} on e_n; the given

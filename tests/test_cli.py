@@ -619,6 +619,10 @@ class TestReadmeLayout:
             "_reduced",
             "_matrix_7x7",
             "_strictly_lower_coords",
+            "_kernel_order",
+            "_image_order",
+            "in_cell",
+            "_rank_profile",
         ],
     )
     def test_stale_names_do_not_resolve(self, name):

@@ -18,11 +18,8 @@ from springerfiber.exactlin import (
     StabilityError,
     _ZERO,
     _eliminate,
-    _image_order,
     _images,
     _integer_rows,
-    _kernel_order,
-    _rank_profile,
     _triangular_flag,
     as_fraction,
     bilinear_form,
@@ -30,7 +27,6 @@ from springerfiber.exactlin import (
     cell_prime_of,
     chart_coords,
     fiber_permutations,
-    in_cell,
     in_span,
     in_springer_fiber,
     intersection_dim,
@@ -66,6 +62,7 @@ from matrix_helpers import (
     is_zero,
     lazy_bareiss,
     oracle_operator,
+    rank_profile,
     reduced_perp_flag,
     transpose,
     unit_vector,
@@ -297,7 +294,7 @@ def sparse_matrices(draw):
 
 
 def pivot_columns(rows):
-    return tuple(c for _, c in _rank_profile(rows)[0])
+    return tuple(c for _, c in rank_profile(rows)[0])
 
 
 class TestPivotColumns:
@@ -312,9 +309,9 @@ class TestPivotColumns:
         assert pivot_columns(rows) == gauss_jordan(rows)[1]
 
     def test_empty_shapes(self):
-        assert _rank_profile([]) == ((), [])
-        assert _rank_profile([[], []]) == ((), [])
-        assert _rank_profile([[Fraction(0)] * 3] * 2) == ((), [])
+        assert rank_profile([]) == ((), [])
+        assert rank_profile([[], []]) == ((), [])
+        assert rank_profile([[Fraction(0)] * 3] * 2) == ((), [])
 
     def test_dependency_hidden_by_denominators(self):
         # row 2 is row 1 times 3/65537; their numerators alone are independent
@@ -365,7 +362,7 @@ def assert_diagonal_profile_in_time(rows, seconds=5):
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(seconds)
     try:
-        pairs, _ = _rank_profile([[Fraction(x) for x in r] for r in rows])
+        pairs, _ = rank_profile([[Fraction(x) for x in r] for r in rows])
         assert pairs == tuple((i, i) for i in range(len(rows)))
     finally:
         signal.alarm(0)
@@ -481,7 +478,7 @@ class TestEliminateAgainstColumnScan:
                 u = jordan_operator(column_superstandard(shape))
                 for sigma in fiber_permutations(u):
                     flag = jordan_flag(sigma)
-                    for order in (_kernel_order(u), _image_order(u)):
+                    for order in (u.kernel_order, u.image_order):
                         self.check(interleaved_rows(u, flag, order))
 
     @pytest.mark.parametrize("rows", [diagonal_matrix(), banded_matrix()], ids=["diagonal", "banded"])
@@ -511,7 +508,7 @@ class TestRankProfile:
     """rank(rows[:r], columns[:c]) is the number of pivot pairs above r and left of c."""
 
     def check(self, rows):
-        pairs, _ = _rank_profile(rows)
+        pairs, _ = rank_profile(rows)
         assert len({i for i, _ in pairs}) == len(pairs)
         ncols = len(rows[0]) if rows else 0
         for r in range(len(rows) + 1):
@@ -542,16 +539,16 @@ class TestRankProfile:
         for rows in ([], [[], []], [[F(0)] * 3] * 4, equal_rows, deficient):
             self.check(rows)
         # the pivot of equal rows is the top one, so rows[:1] has rank 1
-        pairs, tops = _rank_profile(equal_rows)
+        pairs, tops = rank_profile(equal_rows)
         assert (pairs, [list(top) for top in tops]) == (((0, 0),), [[1, 2]])
-        assert _rank_profile(deficient)[0] == ((3, 0), (1, 1))
+        assert rank_profile(deficient)[0] == ((3, 0), (1, 1))
 
 
 class TestEchelonRows:
     """Each pivot row is zero left of its pivot, nonzero at it, and in the span up to its row."""
 
     def check(self, rows):
-        pairs, tops = _rank_profile(rows)
+        pairs, tops = rank_profile(rows)
         assert len(tops) == len(pairs)
         for (i, c), top in zip(pairs, tops):
             assert all(isinstance(x, int) for x in top)
@@ -573,7 +570,7 @@ class TestEchelonRows:
         F = Fraction
         rows = [[F(1, 2), F(1, 3)], [F(1), F(1, 2)]]
         # the scaled rows are int tuples, and an updated row is a new list
-        pairs, tops = _rank_profile(rows)
+        pairs, tops = rank_profile(rows)
         assert (pairs, [list(top) for top in tops]) == (((0, 0), (1, 1)), [[3, 2], [0, -1]])
 
 
@@ -672,6 +669,25 @@ class TestJordanOperator:
                 u = jordan_operator(column_superstandard(shape))
                 full = [unit_vector(n, i) for i in range(1, n + 1)]
                 assert restricted_type(u, full) == shape
+
+    def test_orders_cut_every_kernel_and_image(self):
+        # the coordinates on which ker u^j (im u^j) vanishes, read off the
+        # dense powers, are a leading block of kernel_order (image_order)
+        # of size n - dim; the last power is zero, so every j is covered
+        for n in range(7):
+            for shape in partitions_of(n):
+                for t in enumerate_tableaux(shape):
+                    u = jordan_operator(t)
+                    assert sorted(u.kernel_order) == sorted(u.image_order) == list(range(n))
+                    powers, kernels = dense_powers_and_kernels(t)
+                    for j, (power, kernel) in enumerate(zip(powers, kernels)):
+                        images = transpose(power).rows
+                        for order, span, dim in (
+                            (u.kernel_order, kernel, len(kernel)),
+                            (u.image_order, images, power.rank()),
+                        ):
+                            zero = {c for c in range(n) if all(v[c] == 0 for v in span)}
+                            assert zero == set(order[: n - dim]), (t, j)
 
 
 class TestRestrictedType:
@@ -954,7 +970,7 @@ def nested_meet_dims(vecs, images, order, cuts):
     ``images`` holds u(v) for each v of ``vecs``.
     """
     columns = [x for pair in zip(vecs, images) for x in pair]
-    pairs, _ = _rank_profile([[w[c] for w in columns] for c in order])
+    pairs, _ = rank_profile([[w[c] for w in columns] for c in order])
     if any(c % 2 for _, c in pairs):
         raise StabilityError("flag is not stable under the operator")
     out = []
@@ -1091,6 +1107,29 @@ class TestCellReadOff:
         params = data.draw(st.lists(entry, min_size=k + 2, max_size=k + 2))
         assert_matches_table_read_offs(special_operator(k), phi_map(k, d, params))
 
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_centralizer_moves_keep_both_labels(self, n):
+        # T sends chain a's j-th vector to chain b's (j - s)-th, s = max(0,
+        # |a| - |b|); it commutes with u and T^2 = 0, so I + T moves each
+        # coordinate fiber flag to a fiber flag with no coordinate basis and
+        # the same Jordan types on every prefix and quotient
+        for shape in partitions_of(n):
+            u = jordan_operator(column_superstandard(shape))
+            dense_u = oracle_operator(u.tableau)
+            for a, b in permutations(u.tableau.rows, 2):
+                s = max(0, len(a) - len(b))
+                shifted = {x: b[j - s] for j, x in enumerate(a) if j >= s}
+                moved = Matrix(
+                    vec_add(unit_vector(n, i), unit_vector(n, shifted[i])) if i in shifted else unit_vector(n, i)
+                    for i in range(1, n + 1)
+                )
+                assert transpose(moved) @ dense_u == dense_u @ transpose(moved)
+                for sigma in fiber_permutations(u):
+                    flag = Flag([moved.rows[i - 1] for i in sigma.images])
+                    coordinate = jordan_flag(sigma)
+                    assert cell_of(flag, u) == cell_of(coordinate, u)
+                    assert cell_prime_of(flag, u) == cell_prime_of(coordinate, u)
+
     def test_stable_prefixes_then_an_unstable_one(self):
         # one chain e_4 -> e_3 -> e_2 -> e_1: prefixes 1 and 2 are stable, 3 is not
         u = jordan_operator(T("1,2,3,4"))
@@ -1186,19 +1225,19 @@ class TestCellReadOff:
 
 
 def fraction_flag_pivots(u, flag: Flag, order):
-    """``_flag_pivots`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, u(v_i)."""
+    """``_flag_pivots`` by ``rank_profile`` of the ``Fraction`` columns v_i, u(v_i)."""
     columns = [x for v in flag_vectors(flag) for x in (v, dense_image(u, v))]
     rows = list(zip(*columns))
-    pairs = _rank_profile([rows[c] for c in order])[0]
+    pairs = rank_profile([rows[c] for c in order])[0]
     if any(c % 2 for _, c in pairs):
         raise StabilityError("flag is not stable under the operator")
     return [order[i] for i, _ in pairs]
 
 
 def fraction_same_flag(a: Flag, b: Flag) -> bool:
-    """``same_flag`` by the row-scaled ``_rank_profile`` of the ``Fraction`` columns v_i, w_i."""
+    """``same_flag`` by ``rank_profile`` of the ``Fraction`` columns v_i, w_i."""
     columns = [x for pair in zip(flag_vectors(a), flag_vectors(b)) for x in pair]
-    return a.n == b.n and all(c % 2 == 0 for _, c in _rank_profile(list(zip(*columns)))[0])
+    return a.n == b.n and all(c % 2 == 0 for _, c in rank_profile(list(zip(*columns)))[0])
 
 
 def outcome(f, *args):
@@ -1243,7 +1282,7 @@ class TestIntegerPath:
     @given(integer_path_cases())
     def test_pivots_match_fraction_columns(self, case):
         u, flag = case
-        for order in (exactlin_module._kernel_order(u), exactlin_module._image_order(u)):
+        for order in (u.kernel_order, u.image_order):
             assert outcome(exactlin_module._flag_pivots, u, flag, order) == outcome(
                 fraction_flag_pivots, u, flag, order
             )
@@ -1451,11 +1490,6 @@ class TestCells:
         u = jordan_operator(T("1,4,7/2,5/3,6"))
         flag = jordan_flag(Permutation(range(1, 8)))
         assert cell_of(flag, u) == T("1,4,7/2,5/3,6")
-
-    def test_in_cell(self):
-        u = jordan_operator(T("1,3/2,4/5"))
-        flag = jordan_flag(Permutation(range(1, 6)))
-        assert in_cell(flag, u, cell_of(flag, u))
 
     def test_flag_not_in_fiber(self):
         u = jordan_operator(T("1,2"))
@@ -1881,7 +1915,7 @@ class TestChart:
         cancelled = [[1, 0, 1, 0, 0], [0, 1, 1, 2, 0], [1, 1, 2, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 1]]
         for permuted, late_row in ((zero_entry, 3), (cancelled, 4)):
             flag = unpermuted_flag(permuted, perm)
-            assert _rank_profile(permuted_rows(flag, perm))[0][:3] == ((0, 0), (1, 1), (late_row, 2))
+            assert rank_profile(permuted_rows(flag, perm))[0][:3] == ((0, 0), (1, 1), (late_row, 2))
             with pytest.raises(ChartError):
                 chart_coords(flag, d)
             with pytest.raises(ChartError):

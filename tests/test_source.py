@@ -138,12 +138,14 @@ def test_moves_build_no_validated_tableau():
 def test_one_integer_core_and_one_boundary():
     # every elimination runs exactlin._eliminate on integer rows; the Fraction
     # rows reach it through _integer_rows, which scales a flag once, when Flag
-    # or the (3,2,2) membership check builds it, and a subspace basis once per
-    # type; coordinate flags, chart families and complement flags are built
-    # from int rows and convert nothing, and the flag questions read the
-    # stored rows and convert nothing
+    # or the (3,2,2) membership check builds it, a subspace basis once per
+    # type, and the rows of Matrix and in_span once per question; coordinate
+    # flags, chart families and complement flags are built from int rows and
+    # convert nothing, and the flag questions read the stored rows and
+    # convert nothing
     assert uses_in_sources("_eliminate") == {
-        ("exactlin.py", "_rank_profile"),
+        ("exactlin.py", "Matrix"),
+        ("exactlin.py", "in_span"),
         ("exactlin.py", "_prefix_pivots"),
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_subspace_pivots"),
@@ -153,7 +155,8 @@ def test_one_integer_core_and_one_boundary():
         ("certificates.py", "certify_322"),
     }
     assert uses_in_sources("_integer_rows") == {
-        ("exactlin.py", "_rank_profile"),
+        ("exactlin.py", "Matrix"),
+        ("exactlin.py", "in_span"),
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_subspace_pivots"),
         ("certificates.py", None),
@@ -265,11 +268,13 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # so they leave src/ with their helpers when it stops tracing them.
 TRACER_ONLY = {
     "eqsmoves.legal_moves",
+    "exactlin.Matrix.__matmul__",
     "exactlin.Matrix.apply",
+    "exactlin.Matrix.ncols",
+    "exactlin.Matrix.nrows",
     "exactlin.Matrix.nullspace",
     "exactlin.Matrix.rank",
     "exactlin.Matrix.rref",
-    "exactlin._rank_profile",
     "exactlin.in_span",
     "exactlin.intersection_dim",
     "exactlin.span_rank",
@@ -281,26 +286,41 @@ TRACER_ONLY = {
 }
 
 
+# the operator dunders and the operator that calls each, reflected or not
+OPERATOR_DUNDERS = {
+    ast.MatMult: ("__matmul__",),
+    ast.Add: ("__add__", "__radd__"),
+    ast.Sub: ("__sub__", "__rsub__"),
+    ast.Mult: ("__mul__", "__rmul__"),
+    ast.USub: ("__neg__",),
+}
+
+
 def definitions(tree, module):
-    """(qualified name, node) of each top-level function and each non-dunder method or property."""
+    """(qualified name, node) of each top-level function and each method or property, bar the dunders that no operator calls."""
+    operators = {name for names in OPERATOR_DUNDERS.values() for name in names}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{module}.{node.name}", node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    item.name in operators or not (item.name.startswith("__") and item.name.endswith("__"))
                 ):
                     yield f"{module}.{node.name}.{item.name}", item
 
 
 def references(tree):
-    """How often each name is referenced as a ``Name`` or an ``Attribute`` in ``tree``."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    )
+    """How often each name is referenced as a ``Name`` or an ``Attribute`` in ``tree``, each operator naming its dunders."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
+            names.update(OPERATOR_DUNDERS.get(type(node.op), ()))
+    return names
 
 
 def unreferenced(trees, workloads):
@@ -340,17 +360,28 @@ def test_unused_rule_sees_references_outside_the_definition():
             "def helper():\n    return deeper()\n"
             "def deeper():\n    pass\n"
             "def shared():\n    pass\n"
+            "class M:\n"
+            "    def __matmul__(self, other):\n        return self\n"
+            "    def __neg__(self):\n        return self\n"
         ),
         "b": ast.parse(
-            "from .a import C, recursive\n"
-            "def main():\n    return C().method, helper(), shared()\n"
-            "method = C().method\nshared()\n"
+            "from .a import C, M, recursive\n"
+            "def main():\n    return C().method, helper(), shared(), M() @ M()\n"
+            "method = C().method\nshared()\nm = -M()\n"
         ),
     }
     workloads = references(ast.parse("sf.a.C().benchmarked()\n"))
     # helper is reached only from the unused main, and deeper only from
-    # helper; shared and C.method are also reached from module level
-    assert unreferenced(trees, workloads) == {"a.recursive", "a.C.shape", "b.main", "a.helper", "a.deeper"}
+    # helper; shared and C.method are also reached from module level; M's
+    # @ is used only in main, and its unary minus at module level
+    assert unreferenced(trees, workloads) == {
+        "a.recursive",
+        "a.C.shape",
+        "b.main",
+        "a.helper",
+        "a.deeper",
+        "a.M.__matmul__",
+    }
 
 
 def test_src_keeps_only_what_the_library_runs():
