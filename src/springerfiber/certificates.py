@@ -9,7 +9,9 @@ of a six-dimensional variety certify a singular point.  Tangents are read
 off with first-order jet arithmetic as the 21 strictly lower entries, and
 their rank is the pivot count of one elimination of their integer rows;
 every membership test is an exact cell check, on the flag of the columns
-of f(t) + I, a unit triangle in plain order.
+of f(t) + I, a unit triangle in plain order.  The jets of the witness
+curves hold ints, and the witness points are built from the curves' int
+coefficients with no conversion.
 
 Smoothness certificates for the components labelled by ``Q(k,k,1)``: for
 every special flag (d) an explicit affine (k+2)-parameter family of flags
@@ -26,10 +28,11 @@ the special flag through ``phi_map`` and ``special_flag`` themselves.
 
 Both families are unit triangles by construction, so their flags are
 proved independent by checking that triangle on their integer rows, not
-by an elimination; a family that breaks it raises ValueError.  The chart
-families are built as integers, with no ``Fraction`` vector; the (3,2,2)
-family's entries are ``Fraction`` products of t, converted once, and its
-zeros outside the family are the shared zero of the elimination module.
+by an elimination; a family that breaks it raises ValueError.  Both are
+built as integers, with no ``Fraction`` vector: the chart families as int
+numerators over one denominator, and the (3,2,2) family by evaluating its
+entries over unreduced quotients of ints, each column of f(t) + I put in
+lowest terms once, with the int 0 outside the family.
 """
 
 from __future__ import annotations
@@ -68,19 +71,25 @@ class CertificateError(Exception):
     """A certificate sub-check failed."""
 
 
+def _exact(x) -> int | Fraction:
+    """``x`` itself if it is an int, else ``as_fraction(x)``, which raises TypeError on a float or a bool."""
+    return x if type(x) is int else as_fraction(x)
+
+
 class Jet:
     """First-order jet a + b*eps with eps^2 = 0, over exact rationals.
 
     Supports ring operations with jets and plain numbers; the derivative
     slot follows the Leibniz rule, extracting tangent vectors of
-    polynomial curves exactly.
+    polynomial curves exactly.  An int slot stays an int, so a jet built
+    from ints computes in ints; any other rational becomes a ``Fraction``.
     """
 
     __slots__ = ("value", "deriv")
 
     def __init__(self, value, deriv=0):
-        self.value = as_fraction(value)
-        self.deriv = as_fraction(deriv)
+        self.value = _exact(value)
+        self.deriv = _exact(deriv)
 
     @staticmethod
     def _coerce(x) -> "Jet":
@@ -109,9 +118,10 @@ class Jet:
         return Jet(-self.value, -self.deriv)
 
     def __eq__(self, other) -> bool:
-        o = Jet._coerce(other) if isinstance(other, (Jet, int, Fraction)) else None
-        if o is None:
+        # a jet is compared with what it can be built from, so not with a bool
+        if not isinstance(other, (Jet, int, Fraction)) or isinstance(other, bool):
             return NotImplemented
+        o = Jet._coerce(other)
         return self.value == o.value and self.deriv == o.deriv
 
     def __hash__(self) -> int:
@@ -153,14 +163,37 @@ def f_entries(t: Sequence) -> dict[tuple[int, int], object]:
     }
 
 
-def _parameters(t: Sequence) -> tuple[Fraction, ...]:
-    t = tuple(as_fraction(x) for x in t)
+class _Quotient:
+    """n / d with an int n and a positive int d, never reduced: the ring of the membership family.
+
+    ``f_entries`` needs only +, - and x, none of which takes a gcd; the
+    family's columns are put in lowest terms once, when they are finished.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __add__(self, other: "_Quotient") -> "_Quotient":
+        return _Quotient(self.n * other.d + other.n * self.d, self.d * other.d)
+
+    def __sub__(self, other: "_Quotient") -> "_Quotient":
+        return _Quotient(self.n * other.d - other.n * self.d, self.d * other.d)
+
+    def __mul__(self, other: "_Quotient") -> "_Quotient":
+        return _Quotient(self.n * other.n, self.d * other.d)
+
+
+def _parameters(t: Sequence) -> tuple[int | Fraction, ...]:
+    """The six parameters, each an int as it is or else a ``Fraction`` (TypeError on a float or a bool)."""
+    t = tuple(map(_exact, t))
     if len(t) != 6:
         raise ValueError("the family takes six parameters")
     return t
 
 
-def _membership_conditions(t: Sequence[Fraction]) -> list[tuple[str, Fraction]]:
+def _membership_conditions(t: Sequence[int | Fraction]) -> list[tuple[str, int | Fraction]]:
     return [
         ("t3", t[2]),
         ("t4", t[3]),
@@ -176,17 +209,27 @@ def verify_curve_membership(t: Sequence) -> bool:
     Requires t3, t4, t5, t6 and t4 - t1 to be nonzero; the flag is spanned
     by the columns of f(t) + I over the (3,2,2) Jordan basis and must lie in
     the cell of the tableau 1,2,5/3,4/6,7.  f(t) is strictly lower
-    triangular, so column j of f(t) + I is 1 at j, f(i, j) below it and
-    the shared zero above it: a unit triangle in plain order, independent
-    with no elimination.
+    triangular, so column j of f(t) + I is 1 at j, f(i, j) below it and 0
+    above it: a unit triangle in plain order, independent with no
+    elimination.  The entries are evaluated over unreduced int quotients,
+    and each column is taken over the lcm of its denominators and put in
+    lowest terms, which is its integer form.
     """
     t = _parameters(t)
     for name, value in _membership_conditions(t):
         if value == 0:
             raise ValueError(f"membership precondition violated: {name} must be nonzero")
-    f = f_entries(t)
-    columns = [tuple(_ONE if i == j else f.get((i, j), _ZERO) for i in range(1, 8)) for j in range(1, 8)]
-    return cell_of(_triangular_flag(*_integer_rows(columns), range(7)), operator_322()) == CELL_TABLEAU_322
+    f = f_entries([_Quotient(*x.as_integer_ratio()) for x in t])
+    columns = []
+    for j in range(1, 8):
+        below = [(i, q) for (i, c), q in f.items() if c == j]
+        den = lcm(*[q.d for _, q in below])
+        nums = [0] * 7
+        nums[j - 1] = den
+        for i, q in below:
+            nums[i - 1] = q.n * (den // q.d)
+        columns.append(_lowest_terms((nums, den)))
+    return cell_of(_triangular_flag(*zip(*columns), range(7)), operator_322()) == CELL_TABLEAU_322
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.
@@ -203,7 +246,7 @@ WITNESS_CURVES: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
 _FILL_POOL = (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(1, 17))
 
 
-def curve_tangent(const: Sequence, slope: Sequence) -> tuple[Fraction, ...]:
+def curve_tangent(const: Sequence, slope: Sequence) -> tuple[int | Fraction, ...]:
     """Tangent at s = 0 of the curve s -> f(const + slope*s), via jets.
 
     The 21 strictly lower entries row by row, (2,1), (3,1), (3,2), ..,
@@ -218,10 +261,10 @@ def curve_tangent(const: Sequence, slope: Sequence) -> tuple[Fraction, ...]:
 
 
 def _admissible_point(
-    const: Sequence[int], slope: Sequence[int], s0: Fraction
-) -> tuple[Fraction, ...]:
-    """A nearby point of the curve family meeting every nonvanishing condition."""
-    t = [as_fraction(c) + as_fraction(b) * s0 for c, b in zip(const, slope)]
+    const: Sequence[int], slope: Sequence[int], s0: int | Fraction
+) -> tuple[int | Fraction, ...]:
+    """A nearby point of the curve family meeting every nonvanishing condition; ints stay ints."""
+    t = [c + b * s0 for c, b in zip(const, slope)]
     pool = iter(_FILL_POOL)
     for idx in (2, 3, 4, 5):
         if t[idx] == 0:
@@ -298,7 +341,7 @@ def certify_322() -> SingularityCertificate:
         raise CertificateError(f"expected component dimension 6, got {component_dim}")
     memberships = 0
     for name, const, slope in WITNESS_CURVES:
-        for s0 in (Fraction(1), Fraction(1, 2)):
+        for s0 in (1, Fraction(1, 2)):
             point = _admissible_point(const, slope, s0)
             if not verify_curve_membership(point):
                 raise CertificateError(f"membership failed for {name} near s={s0}")

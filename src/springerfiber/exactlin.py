@@ -26,9 +26,9 @@ permutation; the complement flag; and the chart families and the (3,2,2)
 family of :mod:`springerfiber.certificates`, unit triangles (1 on a
 diagonal, 0 before it, in the special permutation's coordinate order or in
 plain order) checked on their integer rows: such a triangle has determinant 1,
-and any other basis raises ValueError.  Of these only the (3,2,2) family
-converts; the others are computed as integers.  The operator is an index
-map, so the image of s v is s u(v), read off the integers.  One routine,
+and any other basis raises ValueError.  None of these converts: each is
+computed as integers.  The operator is an index map, so the image of s v
+is s u(v), read off the integers.  One routine,
 ``_prefix_pivots``, asks the one question behind cells, fiber membership
 and flag equality: with the coordinates in a given order as rows and v1,
 w1, v2, w2, .. as columns, one elimination shows whether each w_i lies in
@@ -101,10 +101,10 @@ class StabilityError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
-    """``x`` as a ``Fraction``; TypeError unless it is rational, as an int is and a float is not."""
+    """``x`` as a ``Fraction``; TypeError unless it is rational, as an int is and a float or a bool is not."""
     if isinstance(x, Fraction):
         return x
-    if not isinstance(x, Rational):
+    if isinstance(x, bool) or not isinstance(x, Rational):
         raise TypeError(f"entries must be exact rationals (int or Fraction), got {type(x).__name__}")
     return Fraction(x)
 

@@ -1,9 +1,12 @@
+import importlib.util
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import springerfiber.certificates as certificates_module
 import springerfiber.exactlin as exactlin_module
@@ -11,6 +14,7 @@ from springerfiber.certificates import (
     BASIS_TABLEAU_322,
     CELL_TABLEAU_322,
     WITNESS_CURVES,
+    _admissible_point,
     _parameters,
     _recovery_identities,
     CertificateError,
@@ -27,6 +31,7 @@ from springerfiber.certificates import (
 )
 from springerfiber.exactlin import (
     Matrix,
+    _ONE,
     _ZERO,
     _integer_rows,
     _triangular_flag,
@@ -131,26 +136,41 @@ def r_vectors(k, i, alpha):
 fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
 )
+# jet slots: ints and Fractions mixed
+rationals = st.one_of(st.integers(min_value=-4, max_value=4), fracs)
 
 
 class TestJet:
     @settings(max_examples=60, deadline=None)
-    @given(fracs, fracs, fracs, fracs, fracs, fracs)
+    @given(rationals, rationals, rationals, rationals, rationals, rationals)
     def test_ring_laws(self, a, b, c, d, e, f):
         x, y, z = Jet(a, b), Jet(c, d), Jet(e, f)
         assert (x + y) + z == x + (y + z)
         assert x + y == y + x
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+        assert x - y == -(y - x) == x + (-y)
         assert x - x == Jet(0, 0)
 
     @settings(max_examples=60, deadline=None)
-    @given(fracs, fracs, fracs, fracs)
+    @given(rationals, rationals, rationals, rationals)
     def test_leibniz(self, a, b, c, d):
         x, y = Jet(a, b), Jet(c, d)
-        prod = x * y
-        assert prod.value == a * c
-        assert prod.deriv == a * d + b * c
+        for prod in (x * y, y * x):
+            assert prod.value == a * c
+            assert prod.deriv == a * d + b * c
+        assert (a * x).deriv == a * b and (x * c).value == a * c
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4))
+    def test_int_jets_keep_ints(self, ints):
+        a, b, c, d = ints
+        x, y = Jet(a, b), Jet(c, d)
+        for jet in (x, x + y, x - y, x * y, -x, 3 * x, x - 2, 2 - x, x * y * x + y):
+            assert type(jet.value) is int and type(jet.deriv) is int
+        # a Fraction slot stays a Fraction, even when its value is integral
+        assert type(Jet(Fraction(a), b).value) is Fraction
+        assert type((x * Jet(Fraction(c), d)).deriv) is Fraction
 
     def test_scalar_coercion(self):
         assert 2 * Jet(1, 1) == Jet(2, 2)
@@ -163,6 +183,8 @@ class TestJet:
         assert len({Jet(3), 3, Fraction(3)}) == 1
         assert hash(Jet(1, 2)) == hash(Jet(Fraction(2, 2), 2)) == hash(Jet(1, 1) + Jet(0, 1))
         assert len({Jet(1, 2), Jet(1, 2) * 1, Jet(1), 1}) == 2
+        # a bool is no jet value, so it compares unequal instead of raising
+        assert Jet(1) != True and Jet(0) != False
 
 
 @pytest.mark.parametrize(
@@ -179,6 +201,25 @@ class TestJet:
 )
 def test_float_parameters_raise(call):
     with pytest.raises(TypeError, match="got float$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Jet(True),
+        lambda: Jet(1, False),
+        lambda: Jet(1) + True,
+        lambda: phi_map(2, 3, (True, 1, 1, 1)),
+        lambda: verify_smooth_chart(2, 3, [(True, 1, 1, 1)]),
+        lambda: verify_curve_membership((True, 1, 1, 2, 1, 1)),
+        lambda: verify_curve_membership((1, 1, 1, 2, 1, False)),
+    ],
+    ids=["jet", "jet-deriv", "jet-sum", "phi-map", "smooth-chart", "curve-membership", "curve-membership-false"],
+)
+def test_bool_parameters_raise(call):
+    # True is an int to Python, but no parameter means a truth value
+    with pytest.raises(TypeError, match="got bool$"):
         call()
 
 
@@ -208,7 +249,35 @@ class TestFamilyMatrix:
                 assert g.rows[i][j] == 0
 
 
+def admissible_points():
+    """The 14 points at which ``certify_322`` checks membership, in its order."""
+    return [_admissible_point(const, slope, s0) for _, const, slope in WITNESS_CURVES for s0 in (1, Fraction(1, 2))]
+
+
 class TestMembership:
+    def test_admissible_points_are_pinned(self):
+        h, a, b, c, d = (Fraction(1, m) for m in (2, 7, 11, 13, 17))
+        points = admissible_points()
+        assert points == [
+            (1, 0, a, b, c, d),
+            (h, 0, a, b, c, d),
+            (0, 0, 1, a, b, c),
+            (0, 0, h, a, b, c),
+            (0, 0, a, 1, b, c),
+            (0, 0, a, h, b, c),
+            (0, 0, a, b, c, 1),
+            (0, 0, a, b, c, h),
+            (1, 1, -1, a, b, -1),
+            (h, 1, -1, a, b, -1),
+            (0, 1, -1, 1, a, -1),
+            (0, 1, -1, h, a, -1),
+            (0, 0, a, 1, 1, b),
+            (0, 0, a, h, 1, b),
+        ]
+        # at s = 1 the curves' int coefficients give ints; only the fill is a Fraction
+        for t in points[::2]:
+            assert all(type(x) is int or x in (a, b, c, d) for x in t)
+
     def test_examples(self):
         assert verify_curve_membership((1, 1, 1, 2, 1, 1)) is True
         assert verify_curve_membership((0, 1, -1, 1, 1, -1)) is True
@@ -651,8 +720,69 @@ class TestTriangularFlags:
         assert verify_curve_membership((1, 1, 1, 2, 1, 1))
 
 
+def membership_oracle(t):
+    """The ``Fraction`` route to the membership flag: the columns of f(t) + I over ``Fraction``, with the shared zero, and their ``_integer_rows``."""
+    f = f_entries(tuple(as_fraction(x) for x in t))
+    columns = [tuple(_ONE if i == j else f.get((i, j), _ZERO) for i in range(1, 8)) for j in range(1, 8)]
+    return columns, _integer_rows(columns)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def benchmark_membership_points(seed):
+    """The (3,2,2) membership points that the benchmark's ``chart_certificates`` workload draws from ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return [op.args[0] for op in module.setup("chart_certificates", seed).ops if op.kind == "membership"]
+
+
+# membership parameters: ints and Fractions mixed, with negative values and large denominators
+membership_entries = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.fractions(min_value=-(10**3), max_value=10**3, max_denominator=10**12),
+)
+
+
+class TestMembershipMatchesFractionOracle:
+    """The membership flag, built over int quotients, is the integer form of the ``Fraction`` columns of f(t) + I."""
+
+    @staticmethod
+    def check(t):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = recording_triangles(patch)
+            assert verify_curve_membership(t)
+        [(scaled, scales, order)] = calls
+        assert (scaled, scales) == membership_oracle(t)[1]
+        assert all(type(x) is int for row in scaled for x in row)
+        assert all(type(s) is int for s in scales) and order == list(range(7))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(membership_entries, min_size=6, max_size=6))
+    def test_drawn_points(self, t):
+        # the membership preconditions: t3..t6 and t4 - t1 nonzero
+        assume(all(t[2:]) and t[3] != t[0])
+        self.check(tuple(t))
+
+    def test_admissible_points(self, monkeypatch):
+        # certify_322's own 14 flags, call by call
+        calls = recording_triangles(monkeypatch)
+        assert certify_322().singular
+        assert [(scaled, scales) for scaled, scales, _ in calls] == [membership_oracle(t)[1] for t in admissible_points()]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_points(self, seed):
+        points = benchmark_membership_points(seed)
+        assert len(points) == 30 and all(type(x) is Fraction for t in points for x in t)
+        for t in points:
+            self.check(t)
+
+
 class TestSharedZeros:
-    """Zeros the families build by structure: ints in the chart families, the shared zero of ``exactlin`` in the (3,2,2) family."""
+    """Zeros the families build by structure: int zeros in both families' rows, the shared zero of ``exactlin`` in the tangents."""
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_chart_flag_zeros(self, k, monkeypatch):
@@ -674,27 +804,35 @@ class TestSharedZeros:
         for _, const, slope in WITNESS_CURVES:
             tangent = curve_tangent(const, slope)
             for k, cell in enumerate(LOWER_CELLS):
-                if cell not in cells:
-                    assert tangent[k] is _ZERO
-        # the tangents that the certificate ranks, converted once, then the
-        # columns of f(t) + I that every membership check converts
-        calls = []
+                # the witness curves' int coefficients keep their jets in ints
+                assert type(tangent[k]) is int if cell in cells else tangent[k] is _ZERO
+        # the tangents that the certificate ranks are converted once, and
+        # nothing else is: each membership check hands _triangular_flag the
+        # columns of f(t) + I as int rows, zero exactly where the Fraction
+        # oracle's columns are zero
+        converted = []
 
         def recording(rows):
-            calls.append(tuple(rows))
-            return _integer_rows(calls[-1])
+            converted.append(tuple(rows))
+            return _integer_rows(converted[-1])
 
         monkeypatch.setattr(certificates_module, "_integer_rows", recording)
+        triangles = recording_triangles(monkeypatch)
+        generic = (1, 2, 3, 4, 5, 6)
         assert certify_322().singular
-        assert verify_curve_membership((1, 2, 3, 4, 5, 6))
-        tangents, *columns_calls = calls
-        assert tangents == tuple(curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES)
-        assert len(columns_calls) == 2 * len(WITNESS_CURVES) + 1
-        for columns in columns_calls:
-            for i in range(7):
-                for j in range(7):
-                    if (i + 1, j + 1) not in cells and i != j:
-                        assert columns[j][i] is _ZERO
+        assert verify_curve_membership(generic)
+        assert converted == [tuple(curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES)]
+        points = [*admissible_points(), generic]
+        assert len(triangles) == len(points) == 2 * len(WITNESS_CURVES) + 1
+        for (scaled, _, _), t in zip(triangles, points):
+            columns = membership_oracle(t)[0]
+            assert all(type(x) is int for row in scaled for x in row)
+            assert [[not x for x in row] for row in scaled] == [[x == 0 for x in col] for col in columns]
+        # no family entry vanishes at the generic point: its rows are zero
+        # exactly at the oracle's shared zeros, the cells outside the family
+        assert [[not x for x in row] for row in triangles[-1][0]] == [
+            [x is _ZERO for x in col] for col in membership_oracle(generic)[0]
+        ]
 
     def test_shift_padding(self):
         v = tuple(Fraction(x) for x in (1, 2, 3, 4, 0))

@@ -583,7 +583,7 @@ def sparse_vector_pairs(draw):
 
 
 class TestExactEntries:
-    """An int or a Fraction is read as its value; a float, a complex or a Decimal raises TypeError."""
+    """An int or a Fraction is read as its value; a float, a bool, a complex or a Decimal raises TypeError."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.integers(min_value=-(10**6), max_value=10**6), st.fractions(max_denominator=10**4)))
@@ -599,6 +599,13 @@ class TestExactEntries:
                 as_fraction(inexact)
             with pytest.raises(TypeError, match="^entries must be exact rationals"):
                 Flag([[1, inexact], [0, 1]])
+
+    @pytest.mark.parametrize("x", [True, False])
+    def test_a_bool_is_not_an_entry(self, x):
+        # a bool is an int to Python, but no entry means a truth value
+        for call in (as_fraction, lambda x: vector([x, 1]), lambda x: Flag([[1, x], [0, 1]])):
+            with pytest.raises(TypeError, match="got bool$"):
+                call(x)
 
     def test_a_float_is_not_rounded_into_a_flag(self):
         # 0.1 is 3602879701896397 / 2**55, not 1/10

@@ -138,11 +138,11 @@ def test_moves_build_no_validated_tableau():
 def test_one_integer_core_and_one_boundary():
     # every elimination runs exactlin._eliminate on integer rows; the Fraction
     # rows reach it through _integer_rows, which scales a flag once, when Flag
-    # or the (3,2,2) membership check builds it, a subspace basis once per
-    # type, and the rows of Matrix and in_span once per question; coordinate
-    # flags, chart families and complement flags are built from int rows and
-    # convert nothing, and the flag questions read the stored rows and
-    # convert nothing
+    # builds it, a subspace basis once per type, the (3,2,2) tangents once,
+    # and the rows of Matrix and in_span once per question; coordinate
+    # flags, chart families, the (3,2,2) membership flags and complement
+    # flags are built from int rows and convert nothing, and the flag
+    # questions read the stored rows and convert nothing
     assert uses_in_sources("_eliminate") == {
         ("exactlin.py", "Matrix"),
         ("exactlin.py", "in_span"),
@@ -160,7 +160,6 @@ def test_one_integer_core_and_one_boundary():
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_subspace_pivots"),
         ("certificates.py", None),
-        ("certificates.py", "verify_curve_membership"),
         ("certificates.py", "certify_322"),
     }
     # one fraction-free back substitution serves perp_flag and Matrix.rref,
