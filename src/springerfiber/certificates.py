@@ -22,7 +22,9 @@ immersion of affine space through each special flag of the component.
 Its vectors are v_1..v_{n-1}, the v-recurrence continued in closed form:
 level k+1+m of the r-recurrence is e_1..e_{2m}, then w^m of the v-vectors.
 Every parameter is read back through one table per case of the chart
-cells that show it, built where the parameters are decoded.  The verifier
+cells that show it, built where the parameters are decoded; only those
+cells are read, straight off the chart's echelon rows, which a family in
+its own chart is already.  The verifier
 checks d before it reads any parameter tuple, then builds the family and
 the special flag through ``phi_map`` and ``special_flag`` themselves.
 
@@ -49,6 +51,8 @@ from .exactlin import (
     NilpotentOperator,
     _ONE,
     _ZERO,
+    _chart_rows,
+    _chart_value,
     _check_special,
     _eliminate,
     _integer_rows,
@@ -56,7 +60,6 @@ from .exactlin import (
     _triangular_flag,
     as_fraction,
     cell_of,
-    chart_coords,
     in_springer_fiber,
     jordan_operator,
     special_flag,
@@ -477,16 +480,22 @@ def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _recovery_identities(
-    k: int, d: int, params: tuple[Fraction, ...], phi: dict[tuple[int, int], Fraction]
+    k: int, d: int, params: tuple[Fraction, ...], rows: Sequence[Sequence[int]]
 ) -> list[tuple[str, Fraction, Fraction]]:
     """(name, chart value, expected value) triples for the parameter read-back.
 
     The accumulated coefficients alpha~_i (alpha~_1 = alpha~_2 = 0,
     alpha~_i = alpha~_{i-2} + alpha_i) and the given parameters are read at
     their cells from ``_decode_params``; every alpha_i is then read back
-    from chart values alone.
+    from chart values alone.  ``rows`` are the chart's echelon rows from
+    ``_chart_rows``, and only the cells named are read off them, by
+    ``_chart_value``.
     """
     alpha, _, _, cells, shown = _decode_params(k, d, params)
+    phi = {
+        (r, c): _chart_value(rows, r, c)
+        for r, c in ((1, 2), *cells.values(), *(cell for _, cell, _ in shown))
+    }
     given = {name: phi[cell] for name, cell, _ in shown}
     tilde = {1: _ZERO, 2: _ZERO}
     read = dict(tilde)
@@ -551,7 +560,7 @@ def verify_smooth_chart(
                 "used: all k+2 parameters nonzero; exact cell membership",
             )
         )
-        identities = _recovery_identities(k, d, ps, chart_coords(flag, d))
+        identities = _recovery_identities(k, d, ps, _chart_rows(flag, d))
         bad = [name for name, got, want in identities if got != want]
         checks.append(
             _check(
@@ -566,7 +575,7 @@ def verify_smooth_chart(
     in_fiber = in_springer_fiber(flag, u)
     in_chart = True
     try:
-        chart_coords(flag, d)
+        _chart_rows(flag, d)
     except ChartError:
         in_chart = False
     checks.append(

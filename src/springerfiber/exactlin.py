@@ -25,10 +25,12 @@ coordinate flag of a permutation, 0/1 rows of scale 1 that also keep the
 permutation; the complement flag; and the chart families and the (3,2,2)
 family of :mod:`springerfiber.certificates`, unit triangles (1 on a
 diagonal, 0 before it, in the special permutation's coordinate order or in
-plain order) checked on their integer rows: such a triangle has determinant 1,
-and any other basis raises ValueError.  None of these converts: each is
-computed as integers.  The operator is an index map, so the image of s v
-is s u(v), read off the integers.  One routine,
+plain order) checked on their integer rows: such a triangle has
+determinant 1, and any other basis raises ValueError.  A triangular flag
+keeps its triangle's coordinate order, and a coordinate flag its
+permutation as that order.  None of these converts: each is computed as
+integers.  The operator is an index map, so the image of s v is s u(v),
+read off the integers.  One routine,
 ``_prefix_pivots``, asks the one question behind cells, fiber membership
 and flag equality: with the coordinates in a given order as rows and v1,
 w1, v2, w2, .. as columns, one elimination shows whether each w_i lies in
@@ -40,8 +42,11 @@ images with the coordinates in an order that the operator computes once,
 of the operator cuts a leading block of them: a Jordan type counts the
 pivots by tableau column, and ``tableaux`` reads the cell label off those
 columns; a subspace basis followed by its images, as rows, is eliminated
-the same way.  Chart coordinates (ratios of echelon entries) and the
-complement flag eliminate the stored rows too.  One fraction-free back
+the same way.  Chart coordinates are ratios of echelon entries, with the
+coordinates in the special permutation's order: a flag that keeps that
+order as its triangle, as every chart family does, is its own echelon
+form and runs no elimination, and any other flag eliminates its stored
+rows, as the complement flag does.  One fraction-free back
 substitution, ``_back_substituted``, serves ``perp_flag`` and
 ``Matrix.rref``, which divides each row by its pivot over ``Fraction``.
 
@@ -80,6 +85,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .partitions import Partition, integer
@@ -233,7 +239,9 @@ def _eliminate(
     column and, like both rows, left of it.  So ``waiting[c]`` holds exactly the remaining
     rows nonzero at c, and a column reads only those: an empty bucket is no
     pivot, its first row is the pivot row, and each updated row moves to
-    the bucket of its new first nonzero entry, right of c.
+    the bucket of its new first nonzero entry, right of c.  For the same
+    reason an update computes, and divides by their gcd, only the entries
+    right of c; the ones up to c are zero.
 
     Every remaining row is a nonzero rational multiple of the row that
     Bareiss elimination (Bareiss 1968) holds at the same step, because both
@@ -261,24 +269,27 @@ def _eliminate(
         c = next(compress(columns, row), None)
         if c is not None:
             waiting[c].append((i, row))
+    zeros = [0] * len(columns)
     pivots: list[tuple[int, int]] = []
     tops: list[Sequence[int]] = []
     for c, bucket in enumerate(waiting):
         if not bucket:
             continue
         i, top = bucket[0]
-        pivot = top[c]
-        # popped, so that each row is freed as soon as its update is built
-        while len(bucket) > 1:
-            j, row = bucket.pop()
-            f = row[c]
-            row = [pivot * a - f * b for a, b in zip(row, top)]
-            g = gcd(*row)
-            if g:
-                if g > 1:
-                    row = [x // g for x in row]
-                lead = next(k for k in columns[c + 1 :] if row[k])
-                insort(waiting[lead], (j, row))
+        if len(bucket) > 1:
+            # both rows are zero left of c and the update is zero at c, so
+            # only the entries right of c are computed
+            pivot, right, later = top[c], top[c + 1 :], columns[c + 1 :]
+            # popped, so that each row is freed as soon as its update is built
+            while len(bucket) > 1:
+                j, row = bucket.pop()
+                f = row[c]
+                tail = [pivot * a - f * b for a, b in zip(row[c + 1 :], right)]
+                g = gcd(*tail)
+                if g:
+                    if g > 1:
+                        tail = [x // g for x in tail]
+                    insort(waiting[next(compress(later, tail))], (j, zeros[: c + 1] + tail))
         pivots.append((i, c))
         tops.append(top)
     return tuple(pivots), tops
@@ -382,7 +393,9 @@ class Permutation:
         return hash(self.images)
 
     def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
+        if isinstance(other, Permutation):
+            return self.images < other.images
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"Permutation({self.images!r})"
@@ -397,8 +410,10 @@ class Flag:
     # the one form a flag holds, read by every flag question: each basis
     # vector times the lcm of its denominators, as ints, and those lcms; a
     # coordinate flag also keeps the 0-based coordinate of each unit vector,
-    # and every other flag None there
-    __slots__ = ("_scaled", "_scales", "_coords")
+    # and every other flag None there; a flag whose rows are built as a unit
+    # triangle keeps that triangle's coordinate order (a coordinate flag its
+    # coordinates, the same tuple), and every other flag None there
+    __slots__ = ("_scaled", "_scales", "_coords", "_order")
 
     def __init__(self, vectors: Sequence[Vector]):
         vectors = tuple(vector(v) for v in vectors)
@@ -406,7 +421,7 @@ class Flag:
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
         self._scaled, self._scales = _integer_rows(vectors)
-        self._coords = None
+        self._coords = self._order = None
         if n and len(_eliminate(self._scaled)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
 
@@ -432,7 +447,8 @@ def _lowest_terms(x: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
 def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> Flag:
     """The flag of n independent integer rows and their scales, with no elimination; callers say why."""
     flag = object.__new__(Flag)
-    flag._scaled, flag._scales, flag._coords = scaled, scales, None
+    flag._scaled, flag._scales = scaled, scales
+    flag._coords = flag._order = None
     return flag
 
 
@@ -440,11 +456,13 @@ def _coordinate_flag(coords: Sequence[int]) -> Flag:
     """The flag of the unit vectors e_c, c in ``coords`` (a permutation of range(n)), keeping ``coords``.
 
     Its rows are n distinct unit rows of scale 1, so independent with no
-    elimination; its questions read ``coords`` and eliminate nothing.
+    elimination; its questions read ``coords`` and eliminate nothing.  In
+    the order ``coords`` the rows are the identity, a unit triangle, so the
+    flag keeps the same tuple as its triangle order.
     """
     zeros = (0,) * len(coords)
     flag = _integer_flag(tuple(zeros[:c] + (1,) + zeros[c + 1 :] for c in coords), (1,) * len(coords))
-    flag._coords = tuple(coords)
+    flag._coords = flag._order = tuple(coords)
     return flag
 
 
@@ -455,6 +473,9 @@ def _triangular_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...
     0 at the earlier coordinates of the order (a permutation of range(n));
     ValueError otherwise.  Then the rows over their scales, read in the
     order, are unit upper triangular, so independent with no elimination.
+    The flag keeps the order, as a tuple: in it the rows already are an
+    echelon form with pivots on the diagonal, which ``_chart_rows`` reads
+    with no elimination when the order is the chart's.
     """
     n = len(scaled)
     if any(len(row) != n for row in scaled):
@@ -462,7 +483,9 @@ def _triangular_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...
     for i, (row, s) in enumerate(zip(scaled, scales)):
         if row[order[i]] != s or any(map(row.__getitem__, order[:i])):
             raise ValueError(f"flag vector {i + 1} breaks the unit triangle")
-    return _integer_flag(scaled, scales)
+    flag = _integer_flag(scaled, scales)
+    flag._order = tuple(order)
+    return flag
 
 
 class NilpotentOperator:
@@ -784,26 +807,44 @@ def special_flag(d: int, k: int) -> Flag:
     return jordan_flag(special_perm(d, 2 * k + 1))
 
 
+def _chart_rows(flag: Flag, d: int) -> list[Sequence[int]]:
+    """Integer echelon rows eta_1..eta_n of a flag in the chart around the special flag (d), entries in that flag's order.
+
+    In the permuted coordinate order the flag is in the chart when its rank
+    profile is the diagonal, i.e. every leading minor is nonzero; then
+    eta_i, a combination of the first i flag vectors, is zero left of
+    column i and nonzero at it (ChartError otherwise).  The rows are the
+    flag's integer rows permuted, as a row's lcm ignores the entry order.
+    A flag that keeps this order as its unit triangle, as every chart
+    family does, is that echelon form already, eta_i at column i being its
+    scale: it runs no elimination and is in the chart.
+    """
+    order = tuple(p - 1 for p in special_perm(d, flag.n).images)
+    permuted = itemgetter(*order)
+    rows = [permuted(v) for v in flag._scaled]
+    if flag._order == order:
+        return rows
+    pairs, etas = _eliminate(rows)
+    if pairs != tuple((i, i) for i in range(flag.n)):
+        raise ChartError(f"flag lies outside the chart around the special flag ({d})")
+    return etas
+
+
 def chart_coords(flag: Flag, d: int) -> dict[tuple[int, int], Fraction]:
     """The unique chart coordinates phi of a flag near the special flag (d).
 
     ``phi[(i, j)]`` for i < j is the coefficient of the j-th permuted
-    coordinate in the unique chart basis vector pivoted at the i-th.
-
-    In the permuted coordinate order the flag is in the chart when its rank
-    profile is the diagonal, i.e. every leading minor is nonzero; then the
-    echelon row eta_i, divided by its pivot, is the unique chart basis
-    vector with a unit pivot at i and zeros to its left, and its entries to
-    the right are the coordinates (ChartError otherwise).  The rows are the
-    flag's integer rows permuted, as a row's lcm ignores the entry order.
+    coordinate in the unique chart basis vector pivoted at the i-th: the
+    echelon row eta_i of ``_chart_rows`` divided by its pivot is the unique
+    chart basis vector with a unit pivot at i and zeros to its left, and
+    its entries to the right are the coordinates (ChartError off the chart).
     """
-    n = flag.n
-    perm = special_perm(d, n)
-    pairs, etas = _eliminate([[v[j - 1] for j in perm.images] for v in flag._scaled])
-    if pairs != tuple((i, i) for i in range(n)):
-        raise ChartError(f"flag lies outside the chart around the special flag ({d})")
-    return {
-        (i + 1, j + 1): Fraction(eta[j], eta[i]) if eta[j] else _ZERO
-        for i, eta in enumerate(etas)
-        for j in range(i + 1, n)
-    }
+    rows = _chart_rows(flag, d)
+    n = len(rows)
+    return {(r, c): _chart_value(rows, r, c) for r in range(1, n + 1) for c in range(r + 1, n + 1)}
+
+
+def _chart_value(rows: Sequence[Sequence[int]], r: int, c: int) -> Fraction:
+    """The chart coordinate phi(r, c), r < c, of the echelon rows of ``_chart_rows``: entry c of row r over its pivot, entry r."""
+    eta = rows[r - 1]
+    return Fraction(eta[c - 1], eta[r - 1]) if eta[c - 1] else _ZERO

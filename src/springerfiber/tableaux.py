@@ -139,7 +139,9 @@ class Tableau:
         return hash(self.rows)
 
     def __lt__(self, other: "Tableau") -> bool:
-        return self.rows < other.rows
+        if isinstance(other, Tableau):
+            return self.rows < other.rows
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.text()!r})"

@@ -33,10 +33,10 @@ from springerfiber.exactlin import (
     Matrix,
     _ONE,
     _ZERO,
+    _chart_rows,
     _integer_rows,
     _triangular_flag,
     as_fraction,
-    chart_coords,
     in_span,
     restricted_type,
     special_flag,
@@ -903,8 +903,8 @@ class TestVerifySmoothChart:
         assert calls == []
 
     def test_unexpected_chart_error_propagates(self, monkeypatch):
-        # with one parameter tuple the mixed-tuple check makes the second chart call
-        real = certificates_module.chart_coords
+        # with one parameter tuple the mixed-tuple check makes the second chart read
+        real = certificates_module._chart_rows
         calls = []
 
         def broken(flag, d):
@@ -913,7 +913,7 @@ class TestVerifySmoothChart:
                 raise TypeError("broken chart")
             return real(flag, d)
 
-        monkeypatch.setattr(certificates_module, "chart_coords", broken)
+        monkeypatch.setattr(certificates_module, "_chart_rows", broken)
         with pytest.raises(TypeError):
             verify_smooth_chart(2, 4, parameter_tuples=[(1, 1, 1, 1)])
         assert calls == [4, 4]
@@ -921,7 +921,7 @@ class TestVerifySmoothChart:
 
 def read_back(k, d, ps, chart_ps):
     """The read-back identities of ``ps`` on the chart of the flag phi_map(k, d, chart_ps)."""
-    return _recovery_identities(k, d, ps, chart_coords(phi_map(k, d, chart_ps), d))
+    return _recovery_identities(k, d, ps, _chart_rows(phi_map(k, d, chart_ps), d))
 
 
 class TestReadBack:
@@ -982,11 +982,13 @@ class TestReadBack:
         for cell in [(r, c) for r in range(1, n + 1) for c in range(r + 1, n + 1)]:
 
             def shifted(flag, d, cell=cell):
-                phi = chart_coords(flag, d)
-                phi[cell] += Fraction(1, 7)
-                return phi
+                # phi(r, c) is entry c of row r over entry r, so this adds 1/7 to it
+                rows = [list(row) for row in _chart_rows(flag, d)]
+                r, c = cell
+                rows[r - 1][c - 1] += Fraction(rows[r - 1][r - 1], 7)
+                return rows
 
-            monkeypatch.setattr("springerfiber.certificates.chart_coords", shifted)
+            monkeypatch.setattr("springerfiber.certificates._chart_rows", shifted)
             report = verify_smooth_chart(k, d, parameter_tuples=[ps])
             status = {c["name"]: c["status"] for c in report["checks"]}
             want = "fail" if cell in read else "pass"

@@ -17,6 +17,7 @@ from springerfiber.exactlin import (
     Permutation,
     StabilityError,
     _ZERO,
+    _chart_rows,
     _eliminate,
     _images,
     _integer_rows,
@@ -41,7 +42,7 @@ from springerfiber.exactlin import (
     special_perm,
     vector,
 )
-from springerfiber.certificates import default_chart_parameters, phi_map, verify_smooth_chart
+from springerfiber.certificates import default_chart_parameters, f_entries, phi_map, verify_smooth_chart
 from springerfiber.partitions import Partition, partitions_of
 from springerfiber.tableaux import (
     StandardTableau,
@@ -1190,15 +1191,8 @@ class TestCellReadOff:
     def test_one_elimination_per_cell_label(self, monkeypatch):
         u = special_operator(2)
         dense = phi_map(2, 3, (1, Fraction(1, 2), 3, -2))
-        calls = []
-        core = exactlin_module._eliminate
-
-        def counting(rows):
-            calls.append(1)
-            return core(rows)
-
         # every elimination, from Fraction or from integer rows, runs the integer core
-        monkeypatch.setattr(exactlin_module, "_eliminate", counting)
+        calls = counting(monkeypatch, "_eliminate")
         flag = jordan_flag(Permutation((1, 2, 5, 3, 4)))
         unstable = jordan_flag(Permutation((3, 1, 2, 4, 5)))
         assert calls == []
@@ -1812,9 +1806,7 @@ class TestTriangularFlag:
             _triangular_flag(*_integer_rows(fractions(rows)), range(len(rows)))
 
     def test_flag_keeps_its_elimination(self, monkeypatch):
-        calls = []
-        core = exactlin_module._eliminate
-        monkeypatch.setattr(exactlin_module, "_eliminate", lambda rows: calls.append(1) or core(rows))
+        calls = counting(monkeypatch, "_eliminate")
         Flag(fractions([(1, 0), (0, 1)]))
         assert calls == [1]
         with pytest.raises(ValueError, match="^flag basis is linearly dependent$"):
@@ -2026,6 +2018,73 @@ class TestChartMatchesRowOracle:
         self.check(Flag(vectors), data.draw(st.integers(min_value=3, max_value=k + 2)))
 
 
+class TestChartTriangleRoute:
+    """A flag kept in the chart's triangle order gives its chart rows with no elimination, and the same coordinates."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chart_families_match_the_elimination(self, monkeypatch, k):
+        # the default tuples, the zero tuple and the mixed tuple of verify_smooth_chart
+        tuples = (*default_chart_parameters(k), (0,) * (k + 2), tuple(i % 2 for i in range(k + 2)))
+        calls = counting(monkeypatch, "_eliminate")
+        for d in range(3, k + 3):
+            for ps in tuples:
+                flag = phi_map(k, d, ps)
+                plain = Flag(flag_vectors(flag))
+                assert plain._order is None
+                del calls[:]
+                phi = chart_coords(flag, d)
+                assert calls == []
+                assert phi == chart_coords(plain, d) == chart_coords_by_rows(flag, d)
+                assert calls == [1]
+                # the rows are the flag's own integer rows, permuted into the chart's order
+                rows = _chart_rows(flag, d)
+                order = [p - 1 for p in special_perm(d, flag.n).images]
+                assert [list(row) for row in rows] == [[v[c] for c in order] for v in flag._scaled]
+                assert [row[i] for i, row in enumerate(rows)] == list(flag._scales)
+
+    @pytest.mark.parametrize("t", [(1, 1, 1, 2, 1, 1), (Fraction(1, 2), 0, 3, -1, 2, 5), (2, -1, 1, 3, Fraction(1, 3), 1)])
+    def test_a_triangle_in_another_order_still_eliminates(self, monkeypatch, t):
+        # the (3,2,2) membership flags are unit triangles in plain order, which
+        # is no chart order of n = 7
+        t = tuple(map(Fraction, t))
+        f = f_entries(t)
+        columns = [[f.get((i, j), Fraction(i == j)) for i in range(1, 8)] for j in range(1, 8)]
+        flag = _triangular_flag(*_integer_rows(columns), range(7))
+        assert flag._order == tuple(range(7))
+        calls = counting(monkeypatch, "_eliminate")
+        for d in range(3, 6):
+            del calls[:]
+            outcome = chart_outcome(chart_coords, flag, d)
+            assert calls == [1]
+            assert outcome == chart_outcome(chart_coords, Flag(columns), d) == chart_outcome(chart_coords_by_rows, flag, d)
+
+    def test_coordinate_flags_take_the_route_only_at_their_own_chart(self, monkeypatch):
+        # a coordinate flag's triangle order is its permutation: the special
+        # flag (d) reads chart d off its rows, at 0, and every other flag
+        # eliminates, off the chart raising ChartError as Flag of its vectors does
+        calls = counting(monkeypatch, "_eliminate")
+        off = 0
+        for k in (2, 3):
+            n = 2 * k + 1
+            for sigma in fiber_permutations(special_operator(k)):
+                flag = jordan_flag(sigma)
+                assert flag._order is flag._coords
+                plain = Flag(flag_vectors(flag))
+                for d in range(3, k + 3):
+                    del calls[:]
+                    outcome = chart_outcome(chart_coords, flag, d)
+                    if sigma == special_perm(d, n):
+                        assert calls == [] and set(outcome.values()) == {0}
+                    else:
+                        assert calls == [1]
+                    assert outcome == chart_outcome(chart_coords, plain, d)
+                    off += outcome is ChartError
+                    if outcome is ChartError:
+                        with pytest.raises(ChartError):
+                            _chart_rows(flag, d)
+        assert off
+
+
 def degenerate_to_special(sigma, k):
     """Drive a shuffle permutation to its terminal special form, in closed form.
 
@@ -2160,6 +2219,16 @@ class TestPermutation:
         assert str(p) == "1,2,5,3,4"
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
+
+    def test_order_with_a_foreign_type_is_a_type_error(self):
+        # permutations order by their images, and anything else is left to Python
+        p = Permutation((1, 2))
+        assert p < Permutation((2, 1)) and not Permutation((2, 1)) < p
+        for other in ((1, 2), [1, 2], "1,2", 1):
+            with pytest.raises(TypeError, match="not supported between instances"):
+                p < other
+            with pytest.raises(TypeError, match="not supported between instances"):
+                other > p
 
     @pytest.mark.parametrize("i", [0, -1, 4, 5])
     def test_call_outside_1_to_n(self, i):

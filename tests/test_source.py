@@ -142,7 +142,9 @@ def test_one_integer_core_and_one_boundary():
     # and the rows of Matrix and in_span once per question; coordinate
     # flags, chart families, the (3,2,2) membership flags and complement
     # flags are built from int rows and convert nothing, and the flag
-    # questions read the stored rows and convert nothing
+    # questions read the stored rows and convert nothing; chart coordinates
+    # eliminate only in _chart_rows, and not for a flag in the chart's
+    # triangle order
     assert uses_in_sources("_eliminate") == {
         ("exactlin.py", "Matrix"),
         ("exactlin.py", "in_span"),
@@ -150,7 +152,7 @@ def test_one_integer_core_and_one_boundary():
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_subspace_pivots"),
         ("exactlin.py", "perp_flag"),
-        ("exactlin.py", "chart_coords"),
+        ("exactlin.py", "_chart_rows"),
         ("certificates.py", None),
         ("certificates.py", "certify_322"),
     }
@@ -258,6 +260,15 @@ def test_flags_without_elimination_have_three_builders():
     # the unit rows of a permutation, which also keep it: the coordinate flag
     # of a permutation and the perp flag of a coordinate flag
     assert uses_in_sources("_coordinate_flag") == {("exactlin.py", "jordan_flag"), ("exactlin.py", "perp_flag")}
+    # a flag keeps a triangle order only from the two builders of unit
+    # triangles, every other flag None, and only the chart rows read it
+    assert uses_in_sources("_order") == {
+        ("exactlin.py", "Flag"),
+        ("exactlin.py", "_integer_flag"),
+        ("exactlin.py", "_coordinate_flag"),
+        ("exactlin.py", "_triangular_flag"),
+        ("exactlin.py", "_chart_rows"),
+    }
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -274,6 +285,7 @@ TRACER_ONLY = {
     "exactlin.Matrix.nullspace",
     "exactlin.Matrix.rank",
     "exactlin.Matrix.rref",
+    "exactlin.chart_coords",
     "exactlin.in_span",
     "exactlin.intersection_dim",
     "exactlin.span_rank",

@@ -290,6 +290,16 @@ class TestValidation:
         # same rows are fine as a plain tableau
         assert Tableau([[1, 2], [4]]).n == 3
 
+    def test_order_with_a_foreign_type_is_a_type_error(self):
+        # tableaux order by their rows, and anything else is left to Python
+        t = StandardTableau([[1, 2], [3]])
+        assert Tableau([[1, 2]]) < t < StandardTableau([[1, 3], [2]])
+        for other in (((1, 2), (3,)), [[1, 2], [3]], "1,2/3", 3):
+            with pytest.raises(TypeError, match="not supported between instances"):
+                t < other
+            with pytest.raises(TypeError, match="not supported between instances"):
+                other > t
+
     @settings(max_examples=300, deadline=None)
     @given(row_lists())
     def test_constructors_match_two_pass_oracle(self, rows):
