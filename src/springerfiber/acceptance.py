@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .certificates import certify_322, operator_322, verify_smooth_chart
-from .eqsmoves import MoveError, c_move, dist_class_invariant, eqs_partition
+from .eqsmoves import MoveError, MoveLabel, block_move, c_move, dist_class_invariant, eqs_partition
 from .exactlin import (
     bilinear_form,
     cell_of,
@@ -134,8 +134,6 @@ def _criterion_3() -> str:
     u = c_move(s)
     assert u.text() == "1,2,3/4,5,6"
     assert c_move(u) == t
-    from .eqsmoves import MoveLabel, block_move
-
     assert block_move(t, MoveLabel("C", (1, 2))).text() == "1,3,5/2,4,6"
 
     assert restrict(parse_tableau("1,3/2,5/4/6"), 2, 6).text() == "2,3/4,5/6"

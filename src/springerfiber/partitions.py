@@ -111,7 +111,9 @@ class Partition:
         return hash(self.parts)
 
     def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
+        if isinstance(other, Partition):
+            return self.parts < other.parts
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"

@@ -4,10 +4,12 @@ The library builds the chart families and the complement flag over the
 integers; the ``Fraction`` routes they replaced live on here as oracles:
 the v-recurrence and the chart family's vectors (``v_vectors``,
 ``v_full``, ``chart_etas``) and the complement flag by Gauss-Jordan
-elimination over ``Fraction`` (``reduced_perp_flag``).  The column-scan
-elimination core (``column_scan_eliminate``) and Bareiss elimination with
-lazy scaling (``lazy_bareiss``) are the oracles of ``exactlin._eliminate``,
-and ``rank_profile`` runs it on ``Fraction`` rows.
+elimination over ``Fraction`` (``reduced_perp_flag``).  Textbook
+Gauss-Jordan (``gauss_jordan``) is the oracle of ``exactlin._eliminate``
+that shares no code with it; the column-scan core it replaced
+(``column_scan_eliminate``) and Bareiss elimination with lazy scaling
+(``lazy_bareiss``) check its rows and their sizes, and ``rank_profile``
+runs it on ``Fraction`` rows.
 """
 
 from fractions import Fraction
@@ -60,6 +62,7 @@ def is_zero(m: Matrix) -> bool:
     return all(x == 0 for row in m.rows for x in row)
 
 
+# oracle of the operator's index map (_images)
 @lru_cache(maxsize=None)
 def oracle_operator(t) -> Matrix:
     """Dense matrix of the operator of basis tableau ``t``: a 1 at (prev, cur) for each pair of row neighbours."""
@@ -96,6 +99,7 @@ def flag_vectors(flag) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+# oracle of _eliminate (pivot columns, rank profile), Matrix.rref and the general perp_flag
 def gauss_jordan(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Textbook Gauss-Jordan over ``Fraction``: (nonzero reduced rows, pivot columns).
 
@@ -127,6 +131,7 @@ def rank_profile(rows):
     return _eliminate(_integer_rows(rows)[0])
 
 
+# oracle of _eliminate: the pivot pairs, each pivot row up to a scalar, and a bound on every entry
 def lazy_bareiss(rows):
     """Bareiss elimination of integer rows with lazy scaling: (pivot pairs, pivot rows).
 
@@ -171,6 +176,7 @@ def lazy_bareiss(rows):
     return tuple(pivots), tops
 
 
+# oracle of _eliminate's bucketed rows: the same pivot pairs and the same integer rows
 def column_scan_eliminate(rows):
     """Content-divided fraction-free elimination by scanning columns: (pivot pairs, pivot rows).
 
@@ -213,6 +219,7 @@ def w_power(v, m: int) -> tuple[Fraction, ...]:
     return (_ZERO,) * shift + v[: n - 1 - shift] + (_ZERO,)
 
 
+# oracle of certificates' integer v-recurrence
 def v_vectors(k: int, alpha) -> tuple[tuple[Fraction, ...], ...]:
     """The recurrence v_1 = e_1, v_2 = e_2, v_i = w(v_{i-2}) + alpha_i w(v_{i-1}), over ``Fraction``.
 
@@ -238,6 +245,7 @@ def v_full(k: int, alpha) -> tuple[tuple[Fraction, ...], ...]:
     return vs + tuple(w_power(vs[k - m], m) for m in range(1, k))
 
 
+# oracle of certificates.phi_map's integer chart family
 def chart_etas(k: int, d: int, params) -> tuple[tuple[Fraction, ...], ...]:
     """The ``Fraction`` basis of ``phi_map(k, d, params)``, built by the recurrences of its docstring."""
     _check_special(k, d)
@@ -260,6 +268,7 @@ def chart_etas(k: int, d: int, params) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(etas) + vs[k + 1 :]
 
 
+# oracle of the general perp_flag and _back_substituted
 def reduced_perp_flag(flag, form):
     """``perp_flag`` over ``Fraction``: ``gauss_jordan`` of [s_k P_k | s_k e_k], sharing no elimination with the library.
 

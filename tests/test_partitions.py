@@ -226,3 +226,15 @@ def test_a_float_or_bool_part_raises_and_the_equal_int_builds_the_value(parts, d
             Partition(parts[:i] + [bad] + parts[i + 1 :])
     built = Partition(parts[:i] + [int(float(x))] + parts[i + 1 :])
     assert built.parts == tuple(parts) and all(type(p) is int for p in built.parts)
+
+
+def test_order_with_a_foreign_type_is_a_type_error():
+    # partitions order by their parts, and anything else is left to Python; equality keeps its tuple case
+    p = Partition((1,))
+    assert p < Partition((2,)) and not Partition((2,)) < p
+    assert p == (1,)
+    for other in ((1,), [1], "1", 1):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            p < other
+        with pytest.raises(TypeError, match="not supported between instances"):
+            other > p
