@@ -304,7 +304,7 @@ class EqsClass:
         return out
 
 
-def _closure(t: StandardTableau, member) -> EqsClass:
+def _closure(t: StandardTableau, shape: Partition, member) -> EqsClass:
     """Class of ``t`` by a worklist over row words, each move pair computed once.
 
     ``member`` turns the row word of each newly reached tableau into that
@@ -314,6 +314,7 @@ def _closure(t: StandardTableau, member) -> EqsClass:
     Each tableau found but not yet expanded therefore keeps the labels of
     its moves whose result is already found, and its expansion skips them.
     Members are sorted by rows and the representative is the smallest.
+    ``shape`` is the shape of ``t``, which the caller builds once.
     """
     start = _word(t.rows)
     found = {start: t}
@@ -329,7 +330,6 @@ def _closure(t: StandardTableau, member) -> EqsClass:
             elif y in known:
                 known[y].add((_REVERSE[kind], a, b))
     members = tuple(sorted(found.values(), key=attrgetter("rows")))
-    shape = t.shape
     return EqsClass(shape, members, members[0], dist(members[0]) if shape.is_rs1 else None)
 
 
@@ -346,7 +346,7 @@ def eqs_class(t: StandardTableau, max_n: int | None = None) -> EqsClass:
     _check_standard(t)
     _check_bound(t.n, max_n)
     shape = tuple(map(len, t.rows))
-    return _closure(t, lambda word: _from_word(word, shape))
+    return _closure(t, t.shape, lambda word: _from_word(word, shape))
 
 
 def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass, ...]:
@@ -365,7 +365,7 @@ def eqs_partition(shape: Partition, max_n: int | None = None) -> tuple[EqsClass,
 
     classes = []
     while remaining:
-        classes.append(_closure(take(next(iter(remaining))), take))
+        classes.append(_closure(take(next(iter(remaining))), shape, take))
     return tuple(classes)
 
 

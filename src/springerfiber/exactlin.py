@@ -768,24 +768,27 @@ def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
     for row in u.tableau.rows:
         for prev, cur in zip(row, row[1:]):
             pred[cur] = prev
-    placed = [True] + [False] * n
-    images: list[int] = []
     out: list[Permutation] = []
-
-    def place() -> None:
-        if len(images) == n:
-            out.append(Permutation(images))
-            return
-        for v in range(1, n + 1):
-            if not placed[v] and placed[pred[v]]:
-                placed[v] = True
-                images.append(v)
-                place()
-                images.pop()
-                placed[v] = False
-
-    place()
+    _extend(n, pred, [True] + [False] * n, [], out)
     return tuple(out)
+
+
+def _extend(n: int, pred: list[int], placed: list[bool], images: list[int], out: list[Permutation]) -> None:
+    """Append to ``out`` each way to finish ``images`` with the values not yet ``placed``, smallest first.
+
+    A value may come next once its chain predecessor ``pred[v]`` is placed;
+    ``placed`` and ``images`` are left as they were found.
+    """
+    if len(images) == n:
+        out.append(Permutation(images))
+        return
+    for v in range(1, n + 1):
+        if not placed[v] and placed[pred[v]]:
+            placed[v] = True
+            images.append(v)
+            _extend(n, pred, placed, images, out)
+            images.pop()
+            placed[v] = False
 
 
 def _check_special(k: int, d: int) -> None:

@@ -174,16 +174,17 @@ class Partition:
         return factorial(self.n) // denom
 
 
+def _partitions(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
+    """``prefix`` followed by each partition of ``remaining`` into parts at most ``cap``, in descending lexicographic order."""
+    if remaining == 0:
+        yield Partition(prefix)
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        yield from _partitions(remaining - part, part, prefix + (part,))
+
+
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of ``n`` in descending lexicographic order of parts."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    yield from gen(n, n if n else 1, ())
+    yield from _partitions(n, n if n else 1, ())

@@ -483,22 +483,24 @@ def enumerate_tableaux(
     guard rejects shapes above the enumeration bound (default 12 boxes).
     """
     _check_bound(shape.n, max_n)
-    parts = shape.parts
-    results: list[StandardTableau] = []
-    rows: list[list[int]] = [[] for _ in parts]
-    n = shape.n
+    fillings: list[tuple[tuple[int, ...], ...]] = []
+    _fill(1, shape.n, shape.parts, [[] for _ in shape.parts], fillings)
+    # each v went to the end of a row shorter than the one above it
+    return tuple(map(_trusted, sorted(fillings)))
 
-    def place(v: int) -> None:
-        if v > n:
-            # each v went to the end of a row shorter than the one above it
-            results.append(_trusted(tuple(map(tuple, rows))))
-            return
-        for r, target in enumerate(parts):
-            filled = len(rows[r])
-            if filled < target and (r == 0 or len(rows[r - 1]) > filled):
-                rows[r].append(v)
-                place(v + 1)
-                rows[r].pop()
 
-    place(1)
-    return tuple(sorted(results, key=lambda t: t.rows))
+def _fill(v: int, n: int, parts: Sequence[int], rows: list[list[int]], out: list) -> None:
+    """Place the entries v..n depth-first into the corners of ``rows`` that the shape ``parts`` allows.
+
+    Appends the rows of each full filling to ``out`` and leaves ``rows`` as
+    it found them.
+    """
+    if v > n:
+        out.append(tuple(map(tuple, rows)))
+        return
+    for r, target in enumerate(parts):
+        filled = len(rows[r])
+        if filled < target and (r == 0 or len(rows[r - 1]) > filled):
+            rows[r].append(v)
+            _fill(v + 1, n, parts, rows, out)
+            rows[r].pop()

@@ -1638,21 +1638,24 @@ class TestDuality:
 
 # oracle of fiber_permutations
 def brute_force_fiber_permutations(u) -> tuple[Permutation, ...]:
-    """The n! filter: permutations placing each basis vector after its chain predecessor."""
+    """The n! filter: permutations placing each basis vector after its chain predecessor, sorted."""
     pred = {cur: prev for row in u.tableau.rows for prev, cur in zip(row, row[1:])}
     out = []
     for images in permutations(range(1, u.n + 1)):
         position = {v: i for i, v in enumerate(images)}
         if all(position[prev] < position[cur] for cur, prev in pred.items()):
             out.append(Permutation(images))
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 class TestFiberPermutations:
     def test_matches_brute_force(self):
+        # element by element, so the order is pinned too: every basis
+        # tableau up to n = 6, two per shape at n = 7
         for n in range(1, 8):
             for shape in partitions_of(n):
-                for basis in {column_superstandard(shape), enumerate_tableaux(shape)[0]}:
+                tabs = enumerate_tableaux(shape)
+                for basis in tabs if n < 7 else {column_superstandard(shape), tabs[0]}:
                     u = jordan_operator(basis)
                     assert fiber_permutations(u) == brute_force_fiber_permutations(u)
 

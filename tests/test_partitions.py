@@ -1,4 +1,4 @@
-from itertools import permutations as iter_permutations
+from itertools import chain, combinations, permutations as iter_permutations
 from math import comb
 
 import pytest
@@ -212,6 +212,21 @@ def test_partitions_of_counts():
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
     for n, want in enumerate(expected):
         assert sum(1 for _ in partitions_of(n)) == want
+
+
+def compositions(n):
+    """Every tuple of positive integers summing to ``n`` >= 1, one per set of cut points in 1..n-1."""
+    for cuts in chain.from_iterable(combinations(range(1, n), k) for k in range(n)):
+        bounds = (0, *cuts, n)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_partitions_of_order():
+    # the non-increasing compositions, largest first part first
+    assert [p.parts for p in partitions_of(0)] == [()]
+    for n in range(1, 13):
+        expected = sorted((c for c in compositions(n) if list(c) == sorted(c, reverse=True)), reverse=True)
+        assert [p.parts for p in partitions_of(n)] == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,8 +2,9 @@
 allows, writes no zero Fraction but the shared one, builds unvalidated
 tableaux and flags only where the rows are valid by construction,
 eliminates through one integer core behind one Fraction-to-integer
-boundary, makes no float where it computes exactly, and defines no
-function that only the tests use."""
+boundary, makes no float where it computes exactly, defines no
+function that only the tests use, and nests no function that calls
+itself."""
 
 import ast
 from collections import Counter
@@ -103,6 +104,52 @@ def test_trusted_tableaux_have_four_builders():
         ("tableaux.py", "schuetzenberger"),
         ("tableaux.py", "_from_word"),
     }
+
+
+def self_referencing_closures(node, prefix="", nested=False):
+    """``__qualname__`` of each function below ``node`` that is defined inside another function and mentions its own name.
+
+    Such a function keeps a closure cell that points back at it, so the
+    function, its cells and everything they hold form a cycle that
+    reference counting never frees.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            if nested and any(isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)):
+                yield qualname
+            yield from self_referencing_closures(child, qualname + ".<locals>.", True)
+        elif isinstance(child, ast.ClassDef):
+            yield from self_referencing_closures(child, prefix + child.name + ".", nested)
+        else:
+            yield from self_referencing_closures(child, prefix, nested)
+
+
+def test_closure_rule_sees_every_self_mention():
+    tree = ast.parse(
+        "def top(k):\n    return top(k - 1) if k else 0\n"
+        "def f():\n    def place(v):\n        place(v + 1)\n    def leaf():\n        return top\n    return place\n"
+        "def g():\n    def gen(k):\n        yield from gen(k - 1)\n"
+        "    class C:\n        def m(self):\n            return self.m\n"
+        "class D:\n    def e(self):\n        def inner():\n"
+        "            def deeper():\n                return [deeper]\n            return inner\n"
+    )
+    # module-level recursion and a method read through self keep no cell on themselves
+    assert list(self_referencing_closures(tree)) == [
+        "f.<locals>.place",
+        "g.<locals>.gen",
+        "D.e.<locals>.inner",
+        "D.e.<locals>.inner.<locals>.deeper",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_closure_refers_to_itself(path):
+    # a recursive closure would keep, until the next full collection, all
+    # it holds: an enumeration's whole result list; recursion goes through
+    # a module-level helper that takes its state as arguments
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert list(self_referencing_closures(tree)) == [], f"{path.name}: recurse through a module-level helper"
 
 
 def constructor_calls(tree, name):
