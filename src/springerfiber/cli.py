@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import acceptance
 from .certificates import certify_322, verify_smooth_chart
@@ -167,7 +168,9 @@ def _cmd_selftest(args):
     return payload, 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: an ``argparse`` parser holds reference cycles, so each new one would leave garbage for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="springerfiber",
         description="Combinatorics of Springer fiber components: JSON on stdout, summary on stderr.",

@@ -17,23 +17,23 @@ call the two in turn; a flag or subspace basis is scaled once and its
 questions eliminate the integer rows directly.
 
 A flag holds that integer form of its basis, the scaled vectors and
-their scales, and every flag question reads it and converts nothing.
-``Flag(vectors)`` converts once and eliminates to check independence.
-Every other flag comes from one private builder of integer rows and scales
-that runs no elimination, for bases independent by construction: the
-coordinate flag of a permutation, 0/1 rows of scale 1 that also keep the
-permutation; the complement flag; and the chart families and the (3,2,2)
-family of :mod:`springerfiber.certificates`, unit triangles (1 on a
-diagonal, 0 before it, in the special permutation's coordinate order or in
-plain order) checked on their integer rows: such a triangle has
+their scales, and every flag question reads it and converts nothing; a
+coordinate flag holds only its permutation instead.  ``Flag(vectors)``
+converts once and eliminates to check independence.  Every other flag
+comes from one private builder that runs no elimination, for bases
+independent by construction: the coordinate flag of a permutation, which
+stores no rows; the complement flag; and the chart families and the
+(3,2,2) family of :mod:`springerfiber.certificates`, unit triangles (1 on
+a diagonal, 0 before it, in the special permutation's coordinate order or
+in plain order) checked on their integer rows: such a triangle has
 determinant 1, and any other basis raises ValueError.  A triangular flag
 keeps its triangle's coordinate order, and a coordinate flag its
 permutation as that order.  None of these converts: each is computed as
 integers.  The operator is an index map, so the image of s v is s u(v),
-read off the integers.  One routine,
-``_prefix_pivots``, asks the one question behind cells, fiber membership
-and flag equality: with the coordinates in a given order as rows and v1,
-w1, v2, w2, .. as columns, one elimination shows whether each w_i lies in
+read off the integers.  One routine, ``_prefix_pivots``, asks the one
+question behind cells, fiber membership and the equality of two flags
+that hold rows: with the coordinates in a given order as rows and v1, w1,
+v2, w2, .. as columns, one elimination shows whether each w_i lies in
 span(v_1..v_i), exactly when no w column takes a pivot, and gives each
 v_i's pivot coordinate.  Fiber membership takes w_i = u(v_i) and flag
 equality the other flag's basis, both in plain order.  A cell takes the
@@ -45,17 +45,21 @@ columns; a subspace basis followed by its images, as rows, is eliminated
 the same way.  Chart coordinates are ratios of echelon entries, with the
 coordinates in the special permutation's order: a flag that keeps that
 order as its triangle, as every chart family does, is its own echelon
-form and runs no elimination, and any other flag eliminates its stored
-rows, as the complement flag does.  One fraction-free back
+form and runs no elimination, and any other flag that holds rows
+eliminates them, as the complement flag does.  One fraction-free back
 substitution, ``_back_substituted``, serves ``perp_flag`` and
 ``Matrix.rref``, which divides each row by its pivot over ``Fraction``.
 
 A coordinate flag, built by ``jordan_flag`` or as the complement of one,
-answers these questions from its permutation with no elimination: its
-prefixes are stable exactly when each basis vector comes after its chain
-predecessor, a unit vector's pivot coordinate is its own in every order,
-and its complement flag is again a coordinate flag, as the form is a
-permutation of the basis.  ``Flag`` of the same unit vectors takes the
+holds only its permutation and answers every question from it with no
+elimination and no unit row: its prefixes are stable exactly when each
+basis vector comes after its chain predecessor, a unit vector's pivot
+coordinate is its own in every order, its complement flag is again a
+coordinate flag, as the form is a permutation of the basis, another flag
+equals it exactly when that flag's vector i is zero at the coordinates
+after the first i + 1, and it lies in a chart exactly when its
+permutation is the chart's order, whose rows, the identity, are the only
+unit rows built for it.  ``Flag`` of the same unit vectors takes the
 elimination route and gives the same answers.
 
 The geometric vocabulary: a nilpotent operator is built from a standard
@@ -407,12 +411,13 @@ class Permutation:
 class Flag:
     """Full flag given by an ordered basis; prefix ``i`` spans the ``i``-dim space."""
 
-    # the one form a flag holds, read by every flag question: each basis
-    # vector times the lcm of its denominators, as ints, and those lcms; a
-    # coordinate flag also keeps the 0-based coordinate of each unit vector,
-    # and every other flag None there; a flag whose rows are built as a unit
-    # triangle keeps that triangle's coordinate order (a coordinate flag its
-    # coordinates, the same tuple), and every other flag None there
+    # a flag holds one of two forms, and every flag question reads it: a
+    # coordinate flag holds only the 0-based coordinate of each unit vector,
+    # None in both row slots; every other flag holds each basis vector times
+    # the lcm of its denominators, as ints, and those lcms, None for the
+    # coordinates; a flag whose rows are built as a unit triangle keeps that
+    # triangle's coordinate order (a coordinate flag its coordinates, the
+    # same tuple), and every other flag None there
     __slots__ = ("_scaled", "_scales", "_coords", "_order")
 
     def __init__(self, vectors: Sequence[Vector]):
@@ -427,11 +432,25 @@ class Flag:
 
     @property
     def n(self) -> int:
-        return len(self._scaled)
+        return len(self._scaled if self._coords is None else self._coords)
 
     def same_flag(self, other: "Flag") -> bool:
-        """Equality of the subspace chains, not of the chosen bases."""
-        return self.n == other.n and _prefix_pivots(self._scaled, other._scaled, range(self.n)) is not None
+        """Equality of the subspace chains, not of the chosen bases.
+
+        Prefixes of equal dimension are equal when one contains the other.
+        So a flag equals the coordinate flag of coordinates c exactly when
+        its vector i is zero at c[i+1:], and two coordinate flags are equal
+        when their coordinates are; neither runs an elimination.
+        """
+        if self.n != other.n:
+            return False
+        if self._coords is None and other._coords is None:
+            return _prefix_pivots(self._scaled, other._scaled, range(self.n)) is not None
+        if self._coords is not None and other._coords is not None:
+            return self._coords == other._coords
+        coordinate, rows = (self, other) if self._coords is not None else (other, self)
+        coords = coordinate._coords
+        return not any(any(map(v.__getitem__, coords[i + 1 :])) for i, v in enumerate(rows._scaled))
 
     def __repr__(self) -> str:
         return f"Flag(n={self.n})"
@@ -444,8 +463,12 @@ def _lowest_terms(x: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
     return (tuple([s // g for s in nums]) if g > 1 else tuple(nums)), den // g
 
 
-def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> Flag:
-    """The flag of n independent integer rows and their scales, with no elimination; callers say why."""
+def _integer_flag(scaled: tuple[tuple[int, ...], ...] | None, scales: tuple[int, ...] | None) -> Flag:
+    """The flag of n independent integer rows and their scales, with no elimination; callers say why.
+
+    ``_coordinate_flag`` passes None for both and stores the coordinates
+    in their place.
+    """
     flag = object.__new__(Flag)
     flag._scaled, flag._scales = scaled, scales
     flag._coords = flag._order = None
@@ -453,15 +476,14 @@ def _integer_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) 
 
 
 def _coordinate_flag(coords: Sequence[int]) -> Flag:
-    """The flag of the unit vectors e_c, c in ``coords`` (a permutation of range(n)), keeping ``coords``.
+    """The flag of the unit vectors e_c, c in ``coords`` (a permutation of range(n)), holding only ``coords``.
 
-    Its rows are n distinct unit rows of scale 1, so independent with no
-    elimination; its questions read ``coords`` and eliminate nothing.  In
-    the order ``coords`` the rows are the identity, a unit triangle, so the
+    Distinct unit vectors are independent, so nothing is eliminated; no
+    unit row is built, and every question reads ``coords``.  In the order
+    ``coords`` the unit vectors are the identity, a unit triangle, so the
     flag keeps the same tuple as its triangle order.
     """
-    zeros = (0,) * len(coords)
-    flag = _integer_flag(tuple(zeros[:c] + (1,) + zeros[c + 1 :] for c in coords), (1,) * len(coords))
+    flag = _integer_flag(None, None)
     flag._coords = flag._order = tuple(coords)
     return flag
 
@@ -820,15 +842,25 @@ def _chart_rows(flag: Flag, d: int) -> list[Sequence[int]]:
     flag's integer rows permuted, as a row's lcm ignores the entry order.
     A flag that keeps this order as its unit triangle, as every chart
     family does, is that echelon form already, eta_i at column i being its
-    scale: it runs no elimination and is in the chart.
+    scale: it runs no elimination and is in the chart.  A coordinate flag
+    is a permutation matrix in the permuted order, whose leading minors are
+    all nonzero only for the identity: it is in the chart exactly when its
+    coordinates are the order, and its rows, built only then, are the
+    identity.
     """
-    order = tuple(p - 1 for p in special_perm(d, flag.n).images)
+    n = flag.n
+    order = tuple(p - 1 for p in special_perm(d, n).images)
+    if flag._coords is not None:
+        if flag._coords != order:
+            raise ChartError(f"flag lies outside the chart around the special flag ({d})")
+        zeros = (0,) * n
+        return [zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)]
     permuted = itemgetter(*order)
     rows = [permuted(v) for v in flag._scaled]
     if flag._order == order:
         return rows
     pairs, etas = _eliminate(rows)
-    if pairs != tuple((i, i) for i in range(flag.n)):
+    if pairs != tuple((i, i) for i in range(n)):
         raise ChartError(f"flag lies outside the chart around the special flag ({d})")
     return etas
 

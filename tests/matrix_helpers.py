@@ -87,15 +87,27 @@ def dense_image(u, v) -> tuple[Fraction, ...]:
     return _dense_image(u.tableau, vector(v))
 
 
+def flag_rows(flag) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The flag's integer form (rows, scales): the stored one, or the unit rows of scale 1 of a coordinate flag.
+
+    A coordinate flag stores only its coordinates; its rows are built here,
+    for the oracles, and never by the library.
+    """
+    if flag._coords is None:
+        return flag._scaled, flag._scales
+    n = len(flag._coords)
+    return tuple(tuple(int(j == c) for j in range(n)) for c in flag._coords), (1,) * n
+
+
 def flag_vectors(flag) -> tuple[tuple[Fraction, ...], ...]:
-    """The flag's basis as ``Fraction`` vectors: each stored integer row divided by its scale.
+    """The flag's basis as ``Fraction`` vectors: each integer row of ``flag_rows`` divided by its scale.
 
     Zeros and ones are the shared ``Fraction``s that ``unit_vector`` uses, so
     the oracles skip arithmetic on zeros as they do for built vectors.
     """
     return tuple(
         tuple(_ZERO if not x else _ONE if x == s else Fraction(x, s) for x in row)
-        for row, s in zip(flag._scaled, flag._scales)
+        for row, s in zip(*flag_rows(flag))
     )
 
 
@@ -281,7 +293,7 @@ def reduced_perp_flag(flag, form):
     zeros = [0] * n
     augmented = [
         [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
-        for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
+        for k, (v, s) in enumerate(zip(*flag_rows(flag)))
     ]
     reduced, pivots = gauss_jordan(augmented)
     if pivots != tuple(range(n)):

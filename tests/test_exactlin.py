@@ -41,6 +41,7 @@ from springerfiber.exactlin import (
     _eliminate,
     _images,
     _integer_rows,
+    _prefix_pivots,
     _triangular_flag,
     as_fraction,
     bilinear_form,
@@ -77,6 +78,7 @@ from springerfiber.tableaux import (
 from matrix_helpers import (
     column_scan_eliminate,
     dense_image,
+    flag_rows,
     flag_vectors,
     gauss_jordan,
     identity,
@@ -93,6 +95,9 @@ from matrix_helpers import (
 from tableau_helpers import shape_chain
 
 T = parse_tableau
+
+# a fault that keeps an elimination running fails its test within the bound
+pytestmark = pytest.mark.usefixtures("cpu_time_bound")
 
 
 # oracle of _subspace_pivots (restricted_type): the induced matrix of a subspace
@@ -272,6 +277,8 @@ SPARSE_ENTRY = st.one_of(
     st.sampled_from([2, 3, -2, 5, -7]).map(Fraction),
     RATIONAL,
 )
+# The nonzero ones, for pivots.
+SPARSE_PIVOT = st.one_of(st.sampled_from([2, 3, -2, 5, -7]).map(Fraction), RATIONAL.filter(bool))
 
 
 @st.composite
@@ -423,7 +430,8 @@ class TestEliminateAgainstLazyBareiss:
 
 def interleaved_rows(u, flag, order):
     """The rows that ``_flag_pivots`` eliminates: the coordinates in ``order``, columns v1, u v1, v2, u v2, .."""
-    columns = [x for pair in zip(flag._scaled, _images(u, flag._scaled, flag.n)) for x in pair]
+    scaled = flag_rows(flag)[0]
+    columns = [x for pair in zip(scaled, _images(u, scaled, flag.n)) for x in pair]
     rows = list(zip(*columns))
     return [rows[c] for c in order]
 
@@ -1245,6 +1253,34 @@ def outcome(f, *args):
 
 
 @st.composite
+def triangle_bases(draw, n, entry, pivot):
+    """n vectors independent by construction: a triangle in a drawn coordinate order, then a drawn change within the flag.
+
+    Vector i is a ``pivot`` (nonzero) at order[i], 0 at order[:i] and an
+    ``entry`` after, so the vectors are independent; every flag has such a
+    basis in some order.  Then vector i gains an ``entry`` multiple of each
+    earlier vector, which keeps the flag and hides the triangle.
+    """
+    order = draw(st.permutations(range(n)))
+    vectors = []
+    for i in range(n):
+        v = [_ZERO] * n
+        v[order[i]] = draw(pivot)
+        for c in order[i + 1 :]:
+            v[c] = draw(entry)
+        for w in vectors:
+            v = vec_add(v, vec_scale(draw(entry), w))
+        vectors.append(tuple(v))
+    return vectors
+
+
+# nonzero entries in [-5, 5] with denominators up to 7
+NONZERO_FRACTION = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([1, -1]), st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+)
+
+
+@st.composite
 def integer_path_cases(draw):
     """(operator, flag): dense rational flags, chart flags, and fiber flags with shuffled vectors."""
     kind = draw(st.sampled_from(["dense", "chart", "shuffled"]))
@@ -1262,9 +1298,7 @@ def integer_path_cases(draw):
     u = jordan_operator(column_superstandard(draw(st.sampled_from(list(partitions_of(n))))))
     if kind == "dense":
         entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
-        vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-        assume(Matrix(vectors).rank() == n)
-        flag = Flag(vectors)
+        flag = Flag(draw(triangle_bases(n, entry, NONZERO_FRACTION)))
     elif kind == "shuffled":
         fiber = jordan_flag(draw(st.sampled_from(fiber_permutations(u))))
         flag = Flag(draw(st.permutations(flag_vectors(fiber))))
@@ -1337,10 +1371,62 @@ class TestCoordinateRoute:
                     perp, want = perp_flag(coordinate, g), perp_flag(reference, g)
                     assert perp.same_flag(want) and want.same_flag(perp)
                     assert cell_of(perp, u) == cell_of(want, u)
-                    # the elimination route gives the unit vectors themselves
-                    assert (perp._scaled, perp._scales) == (want._scaled, want._scales)
+                    # the elimination route gives the unit vectors themselves,
+                    # which the coordinate route holds as their coordinates only
+                    assert flag_rows(perp) == (want._scaled, want._scales)
                     assert perp._coords == tuple(row.index(1) for row in want._scaled)
+                    assert perp._scaled is None and perp._scales is None
                     assert want._coords is None
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_same_flag_matches_the_prefix_pivots_of_the_references(self, n):
+        # every ordered pair of coordinate flags, so both argument orders: the
+        # coordinate pair, both mixed pairs and _prefix_pivots of the references agree
+        flags = [jordan_flag(Permutation(images)) for images in permutations(range(1, n + 1))]
+        references = [Flag([unit_vector(n, c + 1) for c in flag._coords]) for flag in flags]
+        for a, ra in zip(flags, references):
+            for b, rb in zip(flags, references):
+                want = _prefix_pivots(ra._scaled, rb._scaled, range(n)) is not None
+                assert want == (a._coords == b._coords)
+                assert a.same_flag(b) == a.same_flag(rb) == ra.same_flag(b) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_flag_of_a_changed_basis(self, data):
+        # scaling the unit vectors and adding multiples of earlier vectors keeps
+        # the coordinate flag; adding the next vector to one changes it
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        images = data.draw(st.permutations(range(1, n + 1)))
+        coordinate = jordan_flag(Permutation(images))
+        kept = []
+        for i in images:
+            v = unit_vector(n, i)
+            for w in kept:
+                v = vec_add(v, vec_scale(data.draw(st.one_of(st.just(_ZERO), RATIONAL)), w))
+            kept.append(vec_scale(data.draw(NONZERO_FRACTION), v))
+        others = [Flag(kept)]
+        if n > 1:
+            k = data.draw(st.integers(min_value=0, max_value=n - 2))
+            others.append(Flag(kept[:k] + [vec_add(kept[k], kept[k + 1])] + kept[k + 1 :]))
+        for other, want in zip(others, (True, False)):
+            assert fraction_same_flag(coordinate, other) == want
+            assert coordinate.same_flag(other) == other.same_flag(coordinate) == want
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_same_flag_of_chart_families_and_special_flags(self, k):
+        # the chart family (d) at zero is the special flag (d) and no other;
+        # any nonzero parameter moves it off every special flag
+        n = 2 * k + 1
+        zero = (0,) * (k + 2)
+        units = [tuple(int(i == j) for i in range(k + 2)) for j in range(k + 2)]
+        specials = {d: special_flag(d, k) for d in range(3, k + 3)}
+        for d in specials:
+            for ps in (zero, *units, *default_chart_parameters(k)):
+                family = phi_map(k, d, ps)
+                for e, special in specials.items():
+                    want = _prefix_pivots(family._scaled, flag_rows(special)[0], range(n)) is not None
+                    assert want == (e == d and ps == zero)
+                    assert family.same_flag(special) == special.same_flag(family) == want
 
     @pytest.mark.parametrize("size", [0, 3, 5, 6], ids=["empty", "n-1", "n+1", "n+2"])
     def test_size_mismatch_raises_on_both_routes(self, size):
@@ -1416,10 +1502,15 @@ class TestIntegerForm:
 
     @pytest.mark.parametrize("n", range(6))
     def test_a_coordinate_flag_is_its_unit_rows(self, n):
+        # it holds the coordinates of its unit vectors and no rows; Flag of the
+        # unit vectors, the reference, holds their integer form
         for images in permutations(range(1, n + 1)):
             units = tuple(unit_vector(n, i) for i in images)
-            flag = jordan_flag(Permutation(images))
-            assert (flag._scaled, flag._scales) == integer_form(units)
+            flag, reference = jordan_flag(Permutation(images)), Flag(units)
+            assert flag._coords == flag._order == tuple(i - 1 for i in images)
+            assert flag._scaled is None and flag._scales is None
+            assert flag.n == reference.n == n
+            assert flag_rows(flag) == (reference._scaled, reference._scales) == integer_form(units)
             assert flag_vectors(flag) == units
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (3, 3, 2, 1)])
@@ -1443,6 +1534,7 @@ class TestIntegerForm:
     def test_one_conversion_per_flag_of_a_chart_check(self, monkeypatch, k, d):
         conversions = counting(monkeypatch, "_integer_rows")
         built = counting(monkeypatch, "_integer_flag")
+        eliminations = counting(monkeypatch, "_eliminate")
         init = Flag.__init__
         monkeypatch.setattr(Flag, "__init__", lambda flag, vectors: built.append(1) or init(flag, vectors))
         assert verify_smooth_chart(k, d, [default_chart_parameters(k)[2]])["verdict"] == "pass"
@@ -1451,6 +1543,10 @@ class TestIntegerForm:
         # so nothing converts
         assert len(built) == 4
         assert len(conversions) == 0
+        # the cell of the tuple's family and the fiber check of the mixed one;
+        # the zero family is compared with the coordinate flag (d), and every
+        # family is its own echelon form on its chart
+        assert len(eliminations) == 2
 
     def test_stored_rows_survive_every_question(self):
         # _eliminate returns a pivot row it never updated as the caller's own object, so
@@ -1466,7 +1562,7 @@ class TestIntegerForm:
         ]
         flags += [perp_flag(f, g) for f in flags]
         for flag in flags:
-            rows, scales = flag._scaled, flag._scales
+            rows, scales, coords = flag._scaled, flag._scales, flag._coords
             for question in (cell_of, cell_prime_of, in_springer_fiber):
                 outcome(question, flag, u)
             for other in flags:
@@ -1477,9 +1573,14 @@ class TestIntegerForm:
                 outcome(chart_coords, flag, d)
             for subspace_type in (restricted_type, quotient_type):
                 outcome(subspace_type, u, flag_vectors(flag)[:3])
-            assert flag._scaled is rows and flag._scales is scales
-            assert (rows, scales) == integer_form(flag_vectors(flag))
-            assert all(type(row) is tuple for row in rows)
+            assert flag._scaled is rows and flag._scales is scales and flag._coords is coords
+            assert flag_rows(flag) == integer_form(flag_vectors(flag))
+            if coords is None:
+                assert (rows, scales) == integer_form(flag_vectors(flag))
+                assert all(type(row) is tuple for row in rows)
+            else:
+                # a coordinate flag holds no rows, and no question builds them into it
+                assert rows is None and scales is None
 
 
 class TestCells:
@@ -1601,7 +1702,7 @@ class TestDuality:
     @staticmethod
     def assert_perp_matches_the_fraction_route(flag, g):
         perp, want = perp_flag(flag, g), reduced_perp_flag(flag, g)
-        assert (perp._scaled, perp._scales) == (want._scaled, want._scales)
+        assert flag_rows(perp) == (want._scaled, want._scales)
 
     # perp_flag scales flag vector k by s_k and must put s_k, not 1, into the
     # identity block: a unit entry keeps the flag but changes its basis, so
@@ -1996,13 +2097,22 @@ class TestChartMatchesRowOracle:
                     outcomes.add(chart_outcome(chart_coords, jordan_flag(sigma), d) is ChartError)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_coordinate_flag_matches_its_reference(self, k):
+        # every permutation of n = 3 and 5 on every chart, in it or off it:
+        # chart_coords as of Flag of the same unit vectors
+        n = 2 * k + 1
+        for images in permutations(range(1, n + 1)):
+            reference = Flag([unit_vector(n, i) for i in images])
+            for d in range(3, k + 3):
+                self.check(jordan_flag(Permutation(images)), d, chart_outcome(chart_coords, reference, d))
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_sparse_flags(self, data):
         k = data.draw(st.integers(min_value=1, max_value=3))
         n = 2 * k + 1
-        vectors = data.draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
-        assume(Matrix(vectors).rank() == n)
+        vectors = data.draw(triangle_bases(n, SPARSE_ENTRY, SPARSE_PIVOT))
         self.check(Flag(vectors), data.draw(st.integers(min_value=3, max_value=k + 2)))
 
 
@@ -2048,8 +2158,9 @@ class TestChartTriangleRoute:
 
     def test_coordinate_flags_take_the_route_only_at_their_own_chart(self, monkeypatch):
         # a coordinate flag's triangle order is its permutation: the special
-        # flag (d) reads chart d off its rows, at 0, and every other flag
-        # eliminates, off the chart raising ChartError as Flag of its vectors does
+        # flag (d) is on chart d, its rows the identity and its coordinates 0,
+        # and every other flag is off it, raising ChartError as Flag of its
+        # vectors does; no coordinate flag eliminates
         calls = counting(monkeypatch, "_eliminate")
         off = 0
         for k in (2, 3):
@@ -2061,15 +2172,17 @@ class TestChartTriangleRoute:
                 for d in range(3, k + 3):
                     del calls[:]
                     outcome = chart_outcome(chart_coords, flag, d)
+                    assert calls == []
                     if sigma == special_perm(d, n):
-                        assert calls == [] and set(outcome.values()) == {0}
+                        assert set(outcome.values()) == {0}
+                        assert [list(row) for row in _chart_rows(flag, d)] == [[int(i == j) for j in range(n)] for i in range(n)]
                     else:
-                        assert calls == [1]
+                        assert outcome is ChartError
+                        with pytest.raises(ChartError, match=rf"^flag lies outside the chart around the special flag \({d}\)$"):
+                            _chart_rows(flag, d)
+                    assert calls == []
                     assert outcome == chart_outcome(chart_coords, plain, d)
                     off += outcome is ChartError
-                    if outcome is ChartError:
-                        with pytest.raises(ChartError):
-                            _chart_rows(flag, d)
         assert off
 
 

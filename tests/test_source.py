@@ -318,6 +318,22 @@ def test_flags_without_elimination_have_three_builders():
     }
 
 
+def test_every_row_reader_asks_for_coordinates_first():
+    # a coordinate flag holds no rows, only its coordinates: the definitions
+    # that read the stored rows are pinned, and each also reads _coords, to
+    # answer a coordinate flag from them (or to store None, in _integer_flag)
+    readers = uses_in_sources("_scaled")
+    assert readers == {
+        ("exactlin.py", "Flag"),
+        ("exactlin.py", "_integer_flag"),
+        ("exactlin.py", "_flag_pivots"),
+        ("exactlin.py", "perp_flag"),
+        ("exactlin.py", "in_springer_fiber"),
+        ("exactlin.py", "_chart_rows"),
+    }
+    assert readers <= uses_in_sources("_coords")
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # Definitions that only the tests and the benchmark tracer's targets use, or
