@@ -29,12 +29,13 @@ checks d before it reads any parameter tuple, then builds the family and
 the special flag through ``phi_map`` and ``special_flag`` themselves.
 
 Both families are unit triangles by construction, so their flags are
-proved independent by checking that triangle on their integer rows, not
-by an elimination; a family that breaks it raises ValueError.  Both are
-built as integers, with no ``Fraction`` vector: the chart families as int
-numerators over one denominator, and the (3,2,2) family by evaluating its
-entries over unreduced quotients of ints, each column of f(t) + I put in
-lowest terms once, with the int 0 outside the family.
+proved independent by checking, on their integer rows, that they form a
+triangle with a nonzero diagonal, not by an elimination; a family that
+breaks it raises ValueError.  Both are built as integers, with no
+``Fraction`` vector: the chart families as int numerators over one
+denominator, and the (3,2,2) family by evaluating its entries over
+unreduced quotients of ints, each column of f(t) + I put in lowest terms
+once, with the int 0 outside the family.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def verify_curve_membership(t: Sequence) -> bool:
         nums[j - 1] = den
         for i, q in below:
             nums[i - 1] = q.n * (den // q.d)
-        columns.append(_lowest_terms((nums, den)))
-    return cell_of(_triangular_flag(*zip(*columns), range(7)), operator_322()) == CELL_TABLEAU_322
+        columns.append(_lowest_terms((nums, den))[0])
+    return cell_of(_triangular_flag(columns, range(7)), operator_322()) == CELL_TABLEAU_322
 
 
 # Each witness curve is affine in one parameter s: t_i(s) = const_i + slope_i * s.
@@ -336,7 +337,7 @@ def certify_322() -> SingularityCertificate:
     sub-check fails.
     """
     tangents = [curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES]
-    tangent_rank = len(_eliminate(_integer_rows(tangents)[0])[0])
+    tangent_rank = len(_eliminate(_integer_rows(tangents))[0])
     if tangent_rank != 7:
         raise CertificateError(f"expected tangent rank 7, got {tangent_rank}")
     component_dim = Partition((3, 2, 2)).springer_dim()
@@ -434,10 +435,11 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
     with gamma_1 = -(alpha_3 - alpha_1) gamma_2.
 
     Flag vector i is 1 at the i-th coordinate of the special permutation's
-    order and 0 at the earlier ones, so the basis is checked as that unit
+    order and 0 at the earlier ones, so the basis is checked as that
     triangle instead of eliminated; ValueError if it is not one.  Each
     vector is int numerators over one denominator, put in lowest terms when
-    finished: the flag's integer form, with no ``Fraction`` vector made.
+    finished; the numerators are the flag's integer form, with no
+    ``Fraction`` vector made.
     """
     _check_special(k, d)
     params = tuple(as_fraction(p) for p in params)
@@ -464,8 +466,7 @@ def phi_map(k: int, d: int, params: Sequence) -> Flag:
             etas.append(_plus(vs[i - 2], alpha[i + 1], vs[i - 1]))
         etas.append(vs[k])
     etas.extend(vs[k + 1 :])
-    scaled, scales = zip(*map(_lowest_terms, etas))
-    return _triangular_flag(scaled, scales, [p - 1 for p in special_perm(d, n).images])
+    return _triangular_flag(tuple(_lowest_terms(eta)[0] for eta in etas), [p - 1 for p in special_perm(d, n).images])
 
 
 def default_chart_parameters(k: int) -> tuple[tuple[Fraction, ...], ...]:

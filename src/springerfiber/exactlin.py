@@ -16,39 +16,42 @@ denominators, which keeps the rank profile.  ``Matrix`` and ``in_span``
 call the two in turn; a flag or subspace basis is scaled once and its
 questions eliminate the integer rows directly.
 
-A flag holds that integer form of its basis, the scaled vectors and
-their scales, and every flag question reads it and converts nothing; a
-coordinate flag holds only its permutation instead.  ``Flag(vectors)``
-converts once and eliminates to check independence.  Every other flag
-comes from one private builder that runs no elimination, for bases
-independent by construction: the coordinate flag of a permutation, which
-stores no rows; the complement flag; and the chart families and the
-(3,2,2) family of :mod:`springerfiber.certificates`, unit triangles (1 on
-a diagonal, 0 before it, in the special permutation's coordinate order or
-in plain order) checked on their integer rows: such a triangle has
-determinant 1, and any other basis raises ValueError.  A triangular flag
-keeps its triangle's coordinate order, and a coordinate flag its
-permutation as that order.  None of these converts: each is computed as
-integers.  The operator is an index map, so the image of s v is s u(v),
-read off the integers.  One routine, ``_prefix_pivots``, asks the one
-question behind cells, fiber membership and the equality of two flags
-that hold rows: with the coordinates in a given order as rows and v1, w1,
-v2, w2, .. as columns, one elimination shows whether each w_i lies in
-span(v_1..v_i), exactly when no w column takes a pivot, and gives each
-v_i's pivot coordinate.  Fiber membership takes w_i = u(v_i) and flag
-equality the other flag's basis, both in plain order.  A cell takes the
-images with the coordinates in an order that the operator computes once,
-``kernel_order`` (``image_order`` for the dual cell), in which every power
-of the operator cuts a leading block of them: a Jordan type counts the
-pivots by tableau column, and ``tableaux`` reads the cell label off those
-columns; a subspace basis followed by its images, as rows, is eliminated
-the same way.  Chart coordinates are ratios of echelon entries, with the
-coordinates in the special permutation's order: a flag that keeps that
-order as its triangle, as every chart family does, is its own echelon
-form and runs no elimination, and any other flag that holds rows
-eliminates them, as the complement flag does.  One fraction-free back
-substitution, ``_back_substituted``, serves ``perp_flag`` and
-``Matrix.rref``, which divides each row by its pivot over ``Fraction``.
+A flag is a chain of subspaces, and no flag question depends on the scale
+of a basis vector.  So a flag holds two slots: its rows, the integer form
+of its basis (each vector times the lcm of its denominators), and an
+order.  A coordinate flag holds no rows, and its permutation as the order;
+a flag built as a triangle holds its rows and the triangle's coordinate
+order; any other flag its rows and no order.  Every flag question reads
+these and converts nothing.  ``Flag(vectors)`` converts once and
+eliminates to check independence.  Every other flag comes from one private
+allocator that runs no elimination, for bases independent by construction:
+the coordinate flag of a permutation, which stores no rows; the complement
+flag; and the chart families and the (3,2,2) family of
+:mod:`springerfiber.certificates`, triangles (nonzero on a diagonal, 0
+before it, in the special permutation's coordinate order or in plain
+order) checked on their integer rows: such a triangle has a nonzero
+determinant, and any other basis raises ValueError.  None of these
+converts: each is computed as integers.  The operator is an index map, so
+the image of s v is s u(v), read off the integers.  One routine,
+``_prefix_pivots``, asks the one question behind cells, fiber membership
+and the equality of two flags that hold rows: with the coordinates in a
+given order as rows and v1, w1, v2, w2, .. as columns, one elimination
+shows whether each w_i lies in span(v_1..v_i), exactly when no w column
+takes a pivot, and gives each v_i's pivot coordinate.  Fiber membership
+takes w_i = u(v_i) and flag equality the other flag's basis, both in plain
+order.  A cell takes the images with the coordinates in an order that the
+operator computes once, ``kernel_order`` (``image_order`` for the dual
+cell), in which every power of the operator cuts a leading block of them:
+a Jordan type counts the pivots by tableau column, and ``tableaux`` reads
+the cell label off those columns; a subspace basis followed by its images,
+as rows, is eliminated the same way.  Chart coordinates are ratios of
+echelon entries, with the coordinates in the special permutation's order:
+a flag that keeps that order as its triangle, as every chart family does,
+is its own echelon form and runs no elimination, and any other flag that
+holds rows eliminates them, as the complement flag does.  One
+fraction-free back substitution, ``_back_substituted``, serves
+``perp_flag`` and ``Matrix.rref``, which divides each row by its pivot
+over ``Fraction``.
 
 A coordinate flag, built by ``jordan_flag`` or as the complement of one,
 holds only its permutation and answers every question from it with no
@@ -162,7 +165,7 @@ class Matrix:
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form: (nonzero rows, pivot column indices), each ``_back_substituted`` row over its pivot."""
-        pairs, tops = _eliminate(_integer_rows(self.rows)[0])
+        pairs, tops = _eliminate(_integer_rows(self.rows))
         pivots = tuple(c for _, c in pairs)
         rows = _back_substituted(pairs, tops)
         reduced = tuple(tuple(Fraction(x, row[c]) if x else _ZERO for x in row) for row, c in zip(rows, pivots))
@@ -170,7 +173,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the reduced row echelon form."""
-        return len(_eliminate(_integer_rows(self.rows)[0])[0])
+        return len(_eliminate(_integer_rows(self.rows))[0])
 
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, one vector per free column."""
@@ -200,15 +203,15 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each row times the lcm of its denominators, as an int tuple, and that lcm: the ``Fraction`` to integer boundary.
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """Each row times the lcm of its denominators, as an int tuple: the ``Fraction`` to integer boundary.
 
     The shared zero is read without a call, and a row whose lcm is 1 is
     taken as its numerators.  Scaling a row by a nonzero number keeps its
     zero pattern and every column dependency; scaling a column keeps every
     row dependency.  Either way the rank profile is unchanged.
     """
-    out, scales = [], []
+    out = []
     for row in rows:
         ratios = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in row]
         scale = lcm(*[d for _, d in ratios])
@@ -216,8 +219,7 @@ def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[tuple[int, 
             out.append(tuple([a for a, _ in ratios]))
         else:
             out.append(tuple([a * (scale // d) for a, d in ratios]))
-        scales.append(scale)
-    return tuple(out), tuple(scales)
+    return tuple(out)
 
 
 def _eliminate(
@@ -354,7 +356,7 @@ def span_rank(vectors: Sequence[Vector]) -> int:
 def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
     """True when ``v``, eliminated after ``vectors``, takes no pivot."""
     m = len(vectors)
-    pairs, _ = _eliminate(_integer_rows(Matrix((*vectors, v)).rows)[0])
+    pairs, _ = _eliminate(_integer_rows(Matrix((*vectors, v)).rows))
     return all(i != m for i, _ in pairs)
 
 
@@ -377,6 +379,10 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
+        """Parse the comma-separated text form, e.g. ``"2,1,3"``; "" is the empty permutation."""
+        text = text.strip()
+        if not text:
+            return cls(())
         return cls(map(integer, text.split(",")))
 
     @property
@@ -412,27 +418,26 @@ class Flag:
     """Full flag given by an ordered basis; prefix ``i`` spans the ``i``-dim space."""
 
     # a flag holds one of two forms, and every flag question reads it: a
-    # coordinate flag holds only the 0-based coordinate of each unit vector,
-    # None in both row slots; every other flag holds each basis vector times
-    # the lcm of its denominators, as ints, and those lcms, None for the
-    # coordinates; a flag whose rows are built as a unit triangle keeps that
-    # triangle's coordinate order (a coordinate flag its coordinates, the
-    # same tuple), and every other flag None there
-    __slots__ = ("_scaled", "_scales", "_coords", "_order")
+    # coordinate flag holds None as its rows and the 0-based coordinate of
+    # each unit vector as its order; every other flag holds each basis
+    # vector times the lcm of its denominators, as ints, and the coordinate
+    # order in which those rows form a triangle, or None if it was built
+    # as no triangle
+    __slots__ = ("_scaled", "_order")
 
     def __init__(self, vectors: Sequence[Vector]):
         vectors = tuple(vector(v) for v in vectors)
         n = len(vectors)
         if any(len(v) != n for v in vectors):
             raise ValueError("flag needs n vectors of length n")
-        self._scaled, self._scales = _integer_rows(vectors)
-        self._coords = self._order = None
+        self._scaled = _integer_rows(vectors)
+        self._order = None
         if n and len(_eliminate(self._scaled)[0]) != n:
             raise ValueError("flag basis is linearly dependent")
 
     @property
     def n(self) -> int:
-        return len(self._scaled if self._coords is None else self._coords)
+        return len(self._order if self._scaled is None else self._scaled)
 
     def same_flag(self, other: "Flag") -> bool:
         """Equality of the subspace chains, not of the chosen bases.
@@ -444,12 +449,12 @@ class Flag:
         """
         if self.n != other.n:
             return False
-        if self._coords is None and other._coords is None:
+        if self._scaled is not None and other._scaled is not None:
             return _prefix_pivots(self._scaled, other._scaled, range(self.n)) is not None
-        if self._coords is not None and other._coords is not None:
-            return self._coords == other._coords
-        coordinate, rows = (self, other) if self._coords is not None else (other, self)
-        coords = coordinate._coords
+        if self._scaled is None and other._scaled is None:
+            return self._order == other._order
+        coordinate, rows = (self, other) if self._scaled is None else (other, self)
+        coords = coordinate._order
         return not any(any(map(v.__getitem__, coords[i + 1 :])) for i, v in enumerate(rows._scaled))
 
     def __repr__(self) -> str:
@@ -463,51 +468,39 @@ def _lowest_terms(x: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
     return (tuple([s // g for s in nums]) if g > 1 else tuple(nums)), den // g
 
 
-def _integer_flag(scaled: tuple[tuple[int, ...], ...] | None, scales: tuple[int, ...] | None) -> Flag:
-    """The flag of n independent integer rows and their scales, with no elimination; callers say why.
+def _integer_flag(scaled: tuple[tuple[int, ...], ...] | None, order: Sequence[int] | None) -> Flag:
+    """The flag of n independent integer rows and their triangle order, with no elimination; callers say why.
 
-    ``_coordinate_flag`` passes None for both and stores the coordinates
-    in their place.
+    The one allocator around ``Flag.__init__``.  A coordinate flag passes
+    None as its rows and its coordinates as the order: distinct unit
+    vectors are independent, and every question reads the coordinates, so
+    no unit row is built.  A flag whose rows form no triangle passes None
+    as the order.
     """
     flag = object.__new__(Flag)
-    flag._scaled, flag._scales = scaled, scales
-    flag._coords = flag._order = None
+    flag._scaled = scaled
+    flag._order = None if order is None else tuple(order)
     return flag
 
 
-def _coordinate_flag(coords: Sequence[int]) -> Flag:
-    """The flag of the unit vectors e_c, c in ``coords`` (a permutation of range(n)), holding only ``coords``.
+def _triangular_flag(scaled: tuple[tuple[int, ...], ...], order: Sequence[int]) -> Flag:
+    """The flag of n integer rows that form a triangle in the coordinate ``order``.
 
-    Distinct unit vectors are independent, so nothing is eliminated; no
-    unit row is built, and every question reads ``coords``.  In the order
-    ``coords`` the unit vectors are the identity, a unit triangle, so the
-    flag keeps the same tuple as its triangle order.
-    """
-    flag = _integer_flag(None, None)
-    flag._coords = flag._order = tuple(coords)
-    return flag
-
-
-def _triangular_flag(scaled: tuple[tuple[int, ...], ...], scales: tuple[int, ...], order: Sequence[int]) -> Flag:
-    """The flag of n integer rows and their scales that form a unit triangle in the coordinate ``order``.
-
-    Row i must have length n, equal its scale at coordinate order[i] and be
-    0 at the earlier coordinates of the order (a permutation of range(n));
-    ValueError otherwise.  Then the rows over their scales, read in the
-    order, are unit upper triangular, so independent with no elimination.
-    The flag keeps the order, as a tuple: in it the rows already are an
+    Row i must have length n, be nonzero at coordinate order[i] and be 0
+    at the earlier coordinates of the order (a permutation of range(n));
+    ValueError otherwise.  Then the rows, read in the order, are upper
+    triangular with a nonzero diagonal, so independent with no
+    elimination.  The flag keeps the order: in it the rows already are an
     echelon form with pivots on the diagonal, which ``_chart_rows`` reads
     with no elimination when the order is the chart's.
     """
     n = len(scaled)
     if any(len(row) != n for row in scaled):
         raise ValueError("flag needs n vectors of length n")
-    for i, (row, s) in enumerate(zip(scaled, scales)):
-        if row[order[i]] != s or any(map(row.__getitem__, order[:i])):
-            raise ValueError(f"flag vector {i + 1} breaks the unit triangle")
-    flag = _integer_flag(scaled, scales)
-    flag._order = tuple(order)
-    return flag
+    for i, row in enumerate(scaled):
+        if not row[order[i]] or any(map(row.__getitem__, order[:i])):
+            raise ValueError(f"flag vector {i + 1} breaks the triangle")
+    return _integer_flag(scaled, order)
 
 
 class NilpotentOperator:
@@ -596,8 +589,8 @@ def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list
     order: a unit vector's pivot coordinate is its own in every order, so
     the pivots are its coordinates once ``_coordinates_stable`` holds.
     """
-    if flag._coords is not None:
-        pivots = list(flag._coords) if _coordinates_stable(u, flag._coords) else None
+    if flag._scaled is None:
+        pivots = list(flag._order) if _coordinates_stable(u, flag._order) else None
     else:
         pivots = _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), order)
     if pivots is None:
@@ -618,7 +611,7 @@ def _subspace_pivots(
     is not u-stable).  Then every pivot lies in a basis row, so W meets the
     coordinates zero on order[:r] in dimension m less the pivots there.
     """
-    scaled = _integer_rows(vector(w) for w in subspace)[0]
+    scaled = _integer_rows(vector(w) for w in subspace)
     m = len(scaled)
     pairs, _ = _eliminate([[w[c] for c in order] for w in (*scaled, *_images(u, scaled, u.n))])
     if sum(i < m for i, _ in pairs) < m:
@@ -712,28 +705,25 @@ def bilinear_form(u: NilpotentOperator) -> Permutation:
 def perp_flag(flag: Flag, form: Permutation) -> Flag:
     """Flag of orthogonal complements, reversing the subspace chain.
 
-    ``form`` is the involution ``g`` returned by ``bilinear_form``; row k of
-    P is flag vector k permuted by it (entry c is w[g(c)]).  Reducing
-    [P | I] gives [I | P^-1], whose column k pairs to 1 with flag vector k
-    and to 0 with the others, so its last j columns span the complement of
-    the (n-j)-prefix.  Row k is eliminated as the integer row
-    [s_k P_k | s_k e_k], built from the flag's integer form (s_k is the lcm
-    of the denominators of flag vector k), which has the same reduced form.
-    ``_back_substituted`` then leaves row r with some D_r at column r and 0
-    at the other pivot columns.  For a coordinate flag P is a permutation
-    matrix, P^-1 = P^T, and the complement is a coordinate flag built with
-    no elimination.
+    ``form`` is the involution ``g`` returned by ``bilinear_form``.  The
+    flag's integer rows are a basis of it, each a positive multiple of its
+    vector, and row k of P is integer row k permuted by g (entry c is
+    w[g(c)]).  Reducing [P | I] gives [I | P^-1], whose column k pairs to 1
+    with row k and to 0 with the others, so its last j columns span the
+    complement of the (n-j)-prefix.  ``_back_substituted`` leaves row r
+    with some D_r at column r and 0 at the other pivot columns.  For a
+    coordinate flag P is a permutation matrix, P^-1 = P^T, and the
+    complement is a coordinate flag built with no elimination.
     """
     n = flag.n
     if form.n != n:
         raise ValueError("bilinear form size does not match the flag")
-    if flag._coords is not None:
+    if flag._scaled is None:
         # column k of P^-1 = P^T is e_g(c) for flag vector k = e_c, last first
-        return _coordinate_flag([form.images[c] - 1 for c in reversed(flag._coords)])
+        return _integer_flag(None, [form.images[c] - 1 for c in reversed(flag._order)])
     zeros = [0] * n
     augmented = [
-        [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
-        for k, (v, s) in enumerate(zip(flag._scaled, flag._scales))
+        [v[g - 1] for g in form.images] + zeros[:k] + [1] + zeros[k + 1 :] for k, v in enumerate(flag._scaled)
     ]
     pairs, rows = _eliminate(augmented)
     if tuple(c for _, c in pairs) != tuple(range(n)):
@@ -745,14 +735,16 @@ def perp_flag(flag: Flag, form: Permutation) -> Flag:
     columns = list(zip(*rows))[n:][::-1]
     den = lcm(*dens)
     lowest = [_lowest_terms(([a * den // d for a, d in zip(c, dens)], den)) for c in columns]
-    return _integer_flag(tuple(v for v, _ in lowest), tuple(s for _, s in lowest))
+    return _integer_flag(tuple(v for v, _ in lowest), None)
 
 
 def in_springer_fiber(flag: Flag, u: NilpotentOperator) -> bool:
-    """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i)."""
-    if flag._coords is not None:
-        return _coordinates_stable(u, flag._coords)
-    return _prefix_pivots(flag._scaled, _images(u, flag._scaled, flag.n), range(flag.n)) is not None
+    """True when every flag prefix is stable: each u(v_i) lies in span(v_1..v_i), which ``_flag_pivots`` checks."""
+    try:
+        _flag_pivots(u, flag, range(flag.n))
+    except StabilityError:
+        return False
+    return True
 
 
 def special_basis_tableau(k: int) -> StandardTableau:
@@ -772,7 +764,7 @@ def special_operator(k: int) -> NilpotentOperator:
 
 def jordan_flag(perm: Permutation) -> Flag:
     """Coordinate flag ordering the Jordan basis by a permutation."""
-    return _coordinate_flag([i - 1 for i in perm.images])
+    return _integer_flag(None, [i - 1 for i in perm.images])
 
 
 def fiber_permutations(u: NilpotentOperator) -> tuple[Permutation, ...]:
@@ -840,18 +832,18 @@ def _chart_rows(flag: Flag, d: int) -> list[Sequence[int]]:
     eta_i, a combination of the first i flag vectors, is zero left of
     column i and nonzero at it (ChartError otherwise).  The rows are the
     flag's integer rows permuted, as a row's lcm ignores the entry order.
-    A flag that keeps this order as its unit triangle, as every chart
-    family does, is that echelon form already, eta_i at column i being its
-    scale: it runs no elimination and is in the chart.  A coordinate flag
-    is a permutation matrix in the permuted order, whose leading minors are
-    all nonzero only for the identity: it is in the chart exactly when its
+    A flag that keeps this order as its triangle, as every chart family
+    does, is that echelon form already, eta_i nonzero at column i: it runs
+    no elimination and is in the chart.  A coordinate flag is a
+    permutation matrix in the permuted order, whose leading minors are all
+    nonzero only for the identity: it is in the chart exactly when its
     coordinates are the order, and its rows, built only then, are the
     identity.
     """
     n = flag.n
     order = tuple(p - 1 for p in special_perm(d, n).images)
-    if flag._coords is not None:
-        if flag._coords != order:
+    if flag._scaled is None:
+        if flag._order != order:
             raise ChartError(f"flag lies outside the chart around the special flag ({d})")
         zeros = (0,) * n
         return [zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)]

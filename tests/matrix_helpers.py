@@ -87,27 +87,33 @@ def dense_image(u, v) -> tuple[Fraction, ...]:
     return _dense_image(u.tableau, vector(v))
 
 
-def flag_rows(flag) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The flag's integer form (rows, scales): the stored one, or the unit rows of scale 1 of a coordinate flag.
+def flag_rows(flag) -> tuple[tuple[int, ...], ...]:
+    """The flag's integer rows: the stored ones, or the unit rows of a coordinate flag.
 
-    A coordinate flag stores only its coordinates; its rows are built here,
-    for the oracles, and never by the library.
+    A coordinate flag stores only its coordinates, as its order; its rows
+    are built here, for the oracles, and never by the library.
     """
-    if flag._coords is None:
-        return flag._scaled, flag._scales
-    n = len(flag._coords)
-    return tuple(tuple(int(j == c) for j in range(n)) for c in flag._coords), (1,) * n
+    if flag._scaled is not None:
+        return flag._scaled
+    n = len(flag._order)
+    return tuple(tuple(int(j == c) for j in range(n)) for c in flag._order)
 
 
 def flag_vectors(flag) -> tuple[tuple[Fraction, ...], ...]:
-    """The flag's basis as ``Fraction`` vectors: each integer row of ``flag_rows`` divided by its scale.
+    """The flag's basis as ``Fraction`` vectors, from the integer rows of ``flag_rows``.
 
-    Zeros and ones are the shared ``Fraction``s that ``unit_vector`` uses, so
-    the oracles skip arithmetic on zeros as they do for built vectors.
+    A flag with a triangle order (a coordinate flag is the identity in its
+    coordinates) gives each row over its diagonal entry, so a triangle
+    built with 1 on its diagonal gives back its exact basis; any other flag
+    gives its rows as they are.  Zeros and ones are the shared
+    ``Fraction``s that ``unit_vector`` uses, so the oracles skip arithmetic
+    on zeros as they do for built vectors.
     """
+    rows = flag_rows(flag)
+    diagonal = [1] * len(rows) if flag._order is None else [row[c] for row, c in zip(rows, flag._order)]
     return tuple(
         tuple(_ZERO if not x else _ONE if x == s else Fraction(x, s) for x in row)
-        for row, s in zip(*flag_rows(flag))
+        for row, s in zip(rows, diagonal)
     )
 
 
@@ -140,7 +146,7 @@ def gauss_jordan(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...
 
 def rank_profile(rows):
     """``exactlin._eliminate`` on ``Fraction`` rows, each scaled to integers by ``_integer_rows``: (pivot pairs, pivot rows)."""
-    return _eliminate(_integer_rows(rows)[0])
+    return _eliminate(_integer_rows(rows))
 
 
 # oracle of _eliminate: the pivot pairs, each pivot row up to a scalar, and a bound on every entry
@@ -282,7 +288,7 @@ def chart_etas(k: int, d: int, params) -> tuple[tuple[Fraction, ...], ...]:
 
 # oracle of the general perp_flag and _back_substituted
 def reduced_perp_flag(flag, form):
-    """``perp_flag`` over ``Fraction``: ``gauss_jordan`` of [s_k P_k | s_k e_k], sharing no elimination with the library.
+    """``perp_flag`` over ``Fraction``: ``gauss_jordan`` of [P_k | e_k], P_k the integer row k permuted, sharing no elimination with the library.
 
     The columns of P^-1, the last n entries of the reduced rows, are then
     scaled to integers by ``_integer_rows``.
@@ -292,11 +298,10 @@ def reduced_perp_flag(flag, form):
         raise ValueError("bilinear form size does not match the flag")
     zeros = [0] * n
     augmented = [
-        [v[g - 1] for g in form.images] + zeros[:k] + [s] + zeros[k + 1 :]
-        for k, (v, s) in enumerate(zip(*flag_rows(flag)))
+        [v[g - 1] for g in form.images] + zeros[:k] + [1] + zeros[k + 1 :] for k, v in enumerate(flag_rows(flag))
     ]
     reduced, pivots = gauss_jordan(augmented)
     if pivots != tuple(range(n)):
         raise AssertionError("form is degenerate on the flag")
     columns = tuple(tuple(row[n + k] for row in reduced) for k in reversed(range(n)))
-    return _integer_flag(*_integer_rows(columns))
+    return _integer_flag(_integer_rows(columns), None)

@@ -609,12 +609,12 @@ def chart_order(k, d):
 
 
 def recording_triangles(monkeypatch):
-    """List that grows by the (scaled rows, scales, order) of every ``_triangular_flag`` call of ``certificates``."""
+    """List that grows by the (scaled rows, order) of every ``_triangular_flag`` call of ``certificates``."""
     calls = []
 
-    def recording(scaled, scales, order):
-        calls.append((tuple(scaled), tuple(scales), list(order)))
-        return _triangular_flag(scaled, scales, order)
+    def recording(scaled, order):
+        calls.append((tuple(scaled), list(order)))
+        return _triangular_flag(scaled, order)
 
     monkeypatch.setattr(certificates_module, "_triangular_flag", recording)
     return calls
@@ -622,7 +622,7 @@ def recording_triangles(monkeypatch):
 
 def triangle_of(vectors, order):
     """``_triangular_flag`` on ``Fraction`` vectors scaled to integers."""
-    return _triangular_flag(*_integer_rows(vectors), order)
+    return _triangular_flag(_integer_rows(vectors), order)
 
 
 @st.composite
@@ -641,7 +641,7 @@ class TestPhiMapMatchesFractionOracle:
     def check(k, d, ps):
         flag = phi_map(k, d, ps)
         want = triangle_of(chart_etas(k, d, ps), chart_order(k, d))
-        assert (flag._scaled, flag._scales) == (want._scaled, want._scales)
+        assert flag._scaled == want._scaled
         assert all(type(x) is int for row in flag._scaled for x in row)
 
     @settings(max_examples=80, deadline=None)
@@ -676,7 +676,7 @@ class TestTriangularFlags:
         assert certify_322().singular
         assert verify_curve_membership((Fraction(1, 2), 0, 3, -1, 2, 5))
         assert len(calls) == 2 * len(WITNESS_CURVES) + 1
-        for scaled, _, order in calls:
+        for scaled, order in calls:
             assert order == list(range(7))
             assert len(gauss_jordan(scaled)[1]) == 7
 
@@ -690,25 +690,25 @@ class TestTriangularFlags:
         with pytest.MonkeyPatch.context() as patch:
             calls = recording_triangles(patch)
             assert verify_curve_membership(tuple(t))
-        [(scaled, scales, order)] = calls
-        # the columns of f(t) + I, added up as dense matrices
+        [(scaled, order)] = calls
+        # the columns of f(t) + I, added up as dense matrices; each is 1 at
+        # its diagonal, so the rows over their diagonal entries give them back
         f, one = f_family(t).rows, identity(7).rows
         plus_identity = [[a + b for a, b in zip(*rows)] for rows in zip(f, one)]
-        assert flag_vectors(_triangular_flag(scaled, scales, order)) == tuple(zip(*plus_identity))
+        assert flag_vectors(_triangular_flag(scaled, order)) == tuple(zip(*plus_identity))
 
     def test_swapped_chart_vectors_fail_loudly(self, monkeypatch):
         # a phi_map that lists two flag vectors in the wrong order builds an
         # independent basis of another flag: the triangle check raises, so
         # the report cannot turn it into a quiet "fail"
-        def swapping(scaled, scales, order):
-            scaled, scales = list(scaled), list(scales)
+        def swapping(scaled, order):
+            scaled = list(scaled)
             scaled[1], scaled[2] = scaled[2], scaled[1]
-            scales[1], scales[2] = scales[2], scales[1]
-            return _triangular_flag(tuple(scaled), tuple(scales), order)
+            return _triangular_flag(tuple(scaled), order)
 
         monkeypatch.setattr(certificates_module, "_triangular_flag", swapping)
         for k, d in ((2, 3), (2, 4), (4, 5)):
-            with pytest.raises(ValueError, match="breaks the unit triangle"):
+            with pytest.raises(ValueError, match="breaks the triangle"):
                 verify_smooth_chart(k, d)
 
     def test_flags_run_no_elimination_for_independence(self, monkeypatch):
@@ -755,10 +755,9 @@ class TestMembershipMatchesFractionOracle:
         with pytest.MonkeyPatch.context() as patch:
             calls = recording_triangles(patch)
             assert verify_curve_membership(t)
-        [(scaled, scales, order)] = calls
-        assert (scaled, scales) == membership_oracle(t)[1]
-        assert all(type(x) is int for row in scaled for x in row)
-        assert all(type(s) is int for s in scales) and order == list(range(7))
+        [(scaled, order)] = calls
+        assert scaled == membership_oracle(t)[1]
+        assert all(type(x) is int for row in scaled for x in row) and order == list(range(7))
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(membership_entries, min_size=6, max_size=6))
@@ -771,7 +770,7 @@ class TestMembershipMatchesFractionOracle:
         # certify_322's own 14 flags, call by call
         calls = recording_triangles(monkeypatch)
         assert certify_322().singular
-        assert [(scaled, scales) for scaled, scales, _ in calls] == [membership_oracle(t)[1] for t in admissible_points()]
+        assert [scaled for scaled, _ in calls] == [membership_oracle(t)[1] for t in admissible_points()]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_points(self, seed):
@@ -793,7 +792,7 @@ class TestSharedZeros:
             for ps in chart_tuples(k):
                 calls.clear()
                 phi_map(k, d, ps)
-                [(scaled, _, _)] = calls
+                [(scaled, _)] = calls
                 etas = chart_etas(k, d, ps)
                 assert all(type(x) is int for row in scaled for x in row)
                 assert [[not x for x in row] for row in scaled] == [[x is _ZERO for x in v] for v in etas]
@@ -824,7 +823,7 @@ class TestSharedZeros:
         assert converted == [tuple(curve_tangent(const, slope) for _, const, slope in WITNESS_CURVES)]
         points = [*admissible_points(), generic]
         assert len(triangles) == len(points) == 2 * len(WITNESS_CURVES) + 1
-        for (scaled, _, _), t in zip(triangles, points):
+        for (scaled, _), t in zip(triangles, points):
             columns = membership_oracle(t)[0]
             assert all(type(x) is int for row in scaled for x in row)
             assert [[not x for x in row] for row in scaled] == [[x == 0 for x in col] for col in columns]

@@ -155,6 +155,13 @@ class TestBasicCommands:
         assert code == 0
         assert payload == "1,4/2,5/3"
 
+    def test_flag_cell_of_the_empty_flag(self, capsys):
+        # the empty shape and permutation print as "", which both parse back;
+        # the empty flag's cell is the empty tableau, printed as ""
+        code, payload, _ = run(capsys, "flag-cell", "", "")
+        assert code == 0
+        assert payload == ""
+
 
 class TestClassCommands:
     def test_eqs_class(self, capsys):

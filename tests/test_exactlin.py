@@ -26,7 +26,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import springerfiber.exactlin as exactlin_module
 from springerfiber.exactlin import (
@@ -76,6 +76,7 @@ from springerfiber.tableaux import (
 )
 
 from matrix_helpers import (
+    chart_etas,
     column_scan_eliminate,
     dense_image,
     flag_rows,
@@ -95,9 +96,6 @@ from matrix_helpers import (
 from tableau_helpers import shape_chain
 
 T = parse_tableau
-
-# a fault that keeps an elimination running fails its test within the bound
-pytestmark = pytest.mark.usefixtures("cpu_time_bound")
 
 
 # oracle of _subspace_pivots (restricted_type): the induced matrix of a subspace
@@ -410,12 +408,12 @@ class TestEliminateAgainstLazyBareiss:
     @settings(max_examples=300, deadline=None)
     @given(rational_matrices())
     def test_rational(self, rows):
-        self.check(_integer_rows(rows)[0])
+        self.check(_integer_rows(rows))
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices())
     def test_sparse(self, rows):
-        self.check(_integer_rows(rows)[0])
+        self.check(_integer_rows(rows))
 
     @pytest.mark.parametrize("rows", [diagonal_matrix(), banded_matrix()], ids=["diagonal", "banded"])
     def test_pivot_columns_matrices(self, rows):
@@ -430,7 +428,7 @@ class TestEliminateAgainstLazyBareiss:
 
 def interleaved_rows(u, flag, order):
     """The rows that ``_flag_pivots`` eliminates: the coordinates in ``order``, columns v1, u v1, v2, u v2, .."""
-    scaled = flag_rows(flag)[0]
+    scaled = flag_rows(flag)
     columns = [x for pair in zip(scaled, _images(u, scaled, flag.n)) for x in pair]
     rows = list(zip(*columns))
     return [rows[c] for c in order]
@@ -457,7 +455,7 @@ class TestEliminateAgainstColumnScan:
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices())
     def test_sparse(self, rows):
-        self.check(_integer_rows(rows)[0])
+        self.check(_integer_rows(rows))
 
     @pytest.mark.parametrize(
         "rows",
@@ -603,7 +601,8 @@ class TestExactEntries:
         for exact in (x, value):
             assert type(as_fraction(exact)) is Fraction and as_fraction(exact) == value
             flag = Flag([[1, exact], [0, 1]])
-            assert flag_vectors(flag) == ((1, value), (0, 1))
+            # the stored rows are the integer form, (1, value) times its denominator
+            assert flag_rows(flag) == ((value.denominator, value.numerator), (0, 1))
         assert vector([x, 1]) == vector([value, 1])
         for inexact in (float(value), complex(value), Decimal(value.numerator) / Decimal(value.denominator)):
             with pytest.raises(TypeError, match="^entries must be exact rationals"):
@@ -952,9 +951,8 @@ class TestWholeFlag:
         # dense small-integer flags: almost all lie outside the fiber unless u = 0
         n = data.draw(st.integers(min_value=1, max_value=5))
         shape = data.draw(st.sampled_from(list(partitions_of(n))))
-        row = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
-        vectors = data.draw(st.lists(row, min_size=n, max_size=n))
-        assume(Matrix(vectors).rank() == n)
+        entry = st.integers(min_value=-2, max_value=2).map(Fraction)
+        vectors = data.draw(triangle_bases(n, entry, st.sampled_from([1, -1, 2, -2]).map(Fraction)))
         u = jordan_operator(column_superstandard(shape))
         tilt = data.draw(st.integers(min_value=0, max_value=8))
         assert_matches_prefix_oracles(u, Flag(vectors), tilt)
@@ -1358,8 +1356,8 @@ class TestCoordinateRoute:
         for images in permutations(range(1, n + 1)):
             coordinate = jordan_flag(Permutation(images))
             reference = Flag([unit_vector(n, i) for i in images])
-            assert coordinate._coords == tuple(i - 1 for i in images)
-            assert reference._coords is None
+            assert coordinate._scaled is None and coordinate._order == tuple(i - 1 for i in images)
+            assert reference._scaled is not None
             assert coordinate.same_flag(reference) and reference.same_flag(coordinate)
             for u, g in zip(operators, forms):
                 # equal labels, or StabilityError with its message on both sides
@@ -1373,21 +1371,21 @@ class TestCoordinateRoute:
                     assert cell_of(perp, u) == cell_of(want, u)
                     # the elimination route gives the unit vectors themselves,
                     # which the coordinate route holds as their coordinates only
-                    assert flag_rows(perp) == (want._scaled, want._scales)
-                    assert perp._coords == tuple(row.index(1) for row in want._scaled)
-                    assert perp._scaled is None and perp._scales is None
-                    assert want._coords is None
+                    assert flag_rows(perp) == want._scaled
+                    assert perp._order == tuple(row.index(1) for row in want._scaled)
+                    assert perp._scaled is None
+                    assert want._scaled is not None
 
     @pytest.mark.parametrize("n", range(6))
     def test_same_flag_matches_the_prefix_pivots_of_the_references(self, n):
         # every ordered pair of coordinate flags, so both argument orders: the
         # coordinate pair, both mixed pairs and _prefix_pivots of the references agree
         flags = [jordan_flag(Permutation(images)) for images in permutations(range(1, n + 1))]
-        references = [Flag([unit_vector(n, c + 1) for c in flag._coords]) for flag in flags]
+        references = [Flag([unit_vector(n, c + 1) for c in flag._order]) for flag in flags]
         for a, ra in zip(flags, references):
             for b, rb in zip(flags, references):
                 want = _prefix_pivots(ra._scaled, rb._scaled, range(n)) is not None
-                assert want == (a._coords == b._coords)
+                assert want == (a._order == b._order)
                 assert a.same_flag(b) == a.same_flag(rb) == ra.same_flag(b) == want
 
     @settings(max_examples=100, deadline=None)
@@ -1424,7 +1422,7 @@ class TestCoordinateRoute:
             for ps in (zero, *units, *default_chart_parameters(k)):
                 family = phi_map(k, d, ps)
                 for e, special in specials.items():
-                    want = _prefix_pivots(family._scaled, flag_rows(special)[0], range(n)) is not None
+                    want = _prefix_pivots(family._scaled, flag_rows(special), range(n)) is not None
                     assert want == (e == d and ps == zero)
                     assert family.same_flag(special) == special.same_flag(family) == want
 
@@ -1439,11 +1437,14 @@ class TestCoordinateRoute:
             assert outcome(perp_flag, flag, g) == (ValueError, "bilinear form size does not match the flag")
 
 
-# oracle of the flag builders' integer form (Flag, _coordinate_flag, _triangular_flag, perp_flag)
+# oracle of the flag builders' integer form (Flag, jordan_flag, _triangular_flag, perp_flag)
 def integer_form(vectors):
-    """Each vector times the lcm of its denominators, as a tuple of ints, and those lcms."""
-    scales = tuple(lcm(*(x.denominator for x in v)) for v in vectors)
-    return tuple(tuple(int(x * s) for x in v) for v, s in zip(vectors, scales)), scales
+    """Each vector times the lcm of its denominators, as a tuple of ints."""
+    out = []
+    for v in vectors:
+        s = lcm(*(x.denominator for x in v))
+        out.append(tuple(int(x * s) for x in v))
+    return tuple(out)
 
 
 def counting(monkeypatch, name):
@@ -1458,10 +1459,7 @@ def counting(monkeypatch, name):
 def independent_bases(draw):
     """n independent vectors of n rationals, shared and unshared zeros among them."""
     n = draw(st.integers(min_value=0, max_value=5))
-    entry = st.one_of(st.just(_ZERO), RATIONAL)
-    vectors = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
-    assume(Matrix(vectors).rank() == n)
-    return vectors
+    return tuple(draw(triangle_bases(n, st.one_of(st.just(_ZERO), RATIONAL), SPARSE_PIVOT)))
 
 
 @st.composite
@@ -1486,18 +1484,20 @@ class TestIntegerForm:
     @settings(max_examples=100, deadline=None)
     @given(independent_bases(), unit_triangles())
     def test_the_integer_form_gives_back_the_basis(self, vectors, triangle):
-        # flag_vectors divides each stored row by its scale; zeros come back as zeros
-        assert flag_vectors(Flag(vectors)) == vectors
+        # Flag stores each vector times the lcm of its denominators, and no
+        # scale: zeros stay zeros; a triangle gives back its exact basis, each
+        # stored row over its diagonal entry, the lcm of a unit triangle's row
+        assert flag_rows(Flag(vectors)) == integer_form(vectors)
         vectors, order = triangle
-        assert flag_vectors(_triangular_flag(*_integer_rows(vectors), order)) == vectors
-        assert flag_vectors(Flag(vectors)) == vectors
+        assert flag_vectors(_triangular_flag(_integer_rows(vectors), order)) == vectors
+        assert flag_rows(Flag(vectors)) == integer_form(vectors)
 
     @settings(max_examples=100, deadline=None)
     @given(integer_path_cases())
     def test_every_builder_stores_the_integer_form(self, case):
         u, flag = case
         for f in (flag, perp_flag(flag, bilinear_form(u))):
-            assert (f._scaled, f._scales) == integer_form(flag_vectors(f))
+            assert f._scaled == integer_form(flag_vectors(f))
             assert all(type(row) is tuple for row in f._scaled)
 
     @pytest.mark.parametrize("n", range(6))
@@ -1507,10 +1507,10 @@ class TestIntegerForm:
         for images in permutations(range(1, n + 1)):
             units = tuple(unit_vector(n, i) for i in images)
             flag, reference = jordan_flag(Permutation(images)), Flag(units)
-            assert flag._coords == flag._order == tuple(i - 1 for i in images)
-            assert flag._scaled is None and flag._scales is None
+            assert flag._order == tuple(i - 1 for i in images)
+            assert flag._scaled is None
             assert flag.n == reference.n == n
-            assert flag_rows(flag) == (reference._scaled, reference._scales) == integer_form(units)
+            assert flag_rows(flag) == reference._scaled == integer_form(units)
             assert flag_vectors(flag) == units
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (3, 3, 2, 1)])
@@ -1526,8 +1526,8 @@ class TestIntegerForm:
             cell_of(flag, u)
             cell_prime_of(flag, u)
             cell_of(perp_flag(flag, form), u)
-            # the coordinate flag is built from 0/1 int rows and the perp flag from the
-            # integer inverse, so nothing converts
+            # the coordinate flag and its perp flag hold only their coordinates,
+            # so nothing converts
             assert len(conversions) == 0
 
     @pytest.mark.parametrize("k, d", [(2, 3), (2, 4), (3, 4), (4, 6)])
@@ -1539,8 +1539,8 @@ class TestIntegerForm:
         monkeypatch.setattr(Flag, "__init__", lambda flag, vectors: built.append(1) or init(flag, vectors))
         assert verify_smooth_chart(k, d, [default_chart_parameters(k)[2]])["verdict"] == "pass"
         # the family at zero, the special flag, the family at the tuple and at the mixed tuple;
-        # the special flag is built from 0/1 int rows and the family over the integers,
-        # so nothing converts
+        # the special flag holds only its coordinates and the family is built over
+        # the integers, so nothing converts
         assert len(built) == 4
         assert len(conversions) == 0
         # the cell of the tuple's family and the fiber check of the mixed one;
@@ -1562,7 +1562,7 @@ class TestIntegerForm:
         ]
         flags += [perp_flag(f, g) for f in flags]
         for flag in flags:
-            rows, scales, coords = flag._scaled, flag._scales, flag._coords
+            rows, order = flag._scaled, flag._order
             for question in (cell_of, cell_prime_of, in_springer_fiber):
                 outcome(question, flag, u)
             for other in flags:
@@ -1573,14 +1573,14 @@ class TestIntegerForm:
                 outcome(chart_coords, flag, d)
             for subspace_type in (restricted_type, quotient_type):
                 outcome(subspace_type, u, flag_vectors(flag)[:3])
-            assert flag._scaled is rows and flag._scales is scales and flag._coords is coords
+            assert flag._scaled is rows and flag._order is order
             assert flag_rows(flag) == integer_form(flag_vectors(flag))
-            if coords is None:
-                assert (rows, scales) == integer_form(flag_vectors(flag))
+            if rows is not None:
+                assert rows == integer_form(flag_vectors(flag))
                 assert all(type(row) is tuple for row in rows)
             else:
                 # a coordinate flag holds no rows, and no question builds them into it
-                assert rows is None and scales is None
+                assert sorted(order) == list(range(flag.n))
 
 
 class TestCells:
@@ -1672,17 +1672,20 @@ class TestDuality:
         u = jordan_operator(column_superstandard(data.draw(st.sampled_from(list(partitions_of(n))))))
         g = bilinear_form(u)
         entry = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-        vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-        assume(Matrix(vectors).rank() == n)
+        vectors = data.draw(triangle_bases(n, entry, NONZERO_FRACTION))
         flag = Flag(vectors)
         perp = perp_flag(flag, g)
 
         def pairing(x, y):
             return sum(x[c] * y[g(c + 1) - 1] for c in range(n))
 
-        # perp vector k pairs to 1 with flag vector n-1-k (0-based) and to 0 with the rest
+        # perp vector k pairs to 0 with every drawn flag vector but n-1-k
+        # (0-based), and to a positive value with that one: a flag keeps no
+        # scale, so its vectors are positive multiples of the drawn ones
         for k, w in enumerate(flag_vectors(perp)):
-            assert [pairing(w, v) for v in flag_vectors(flag)] == [int(j == n - 1 - k) for j in range(n)]
+            pairs = [pairing(w, v) for v in vectors]
+            assert pairs[n - 1 - k] > 0
+            assert [p if j == n - 1 - k else 0 for j, p in enumerate(pairs)] == pairs
         assert perp_flag(perp, g).same_flag(flag)
 
     def test_perp_swaps_cells_up_to_evacuation(self):
@@ -1695,18 +1698,15 @@ class TestDuality:
             )
 
     # perp_flag back-substitutes over the integers; the reduced row echelon
-    # form of [s_k P_k | s_k e_k] by Gauss-Jordan over Fraction
-    # (reduced_perp_flag, "the rref route"), which shares no code with the
-    # library, is the oracle, compared on the stored integer form itself
+    # form of [P_k | e_k], P_k the flag's integer row k permuted, by
+    # Gauss-Jordan over Fraction (reduced_perp_flag, "the rref route"), which
+    # shares no code with the library, is the oracle, compared on the stored
+    # integer form itself, so the perp vectors are compared exactly
 
     @staticmethod
     def assert_perp_matches_the_fraction_route(flag, g):
         perp, want = perp_flag(flag, g), reduced_perp_flag(flag, g)
-        assert flag_rows(perp) == (want._scaled, want._scales)
-
-    # perp_flag scales flag vector k by s_k and must put s_k, not 1, into the
-    # identity block: a unit entry keeps the flag but changes its basis, so
-    # the vectors are compared exactly with the Fraction route
+        assert flag_rows(perp) == want._scaled
 
     @settings(max_examples=100, deadline=None)
     @given(integer_path_cases())
@@ -1729,8 +1729,8 @@ class TestDuality:
 
     def test_perp_of_a_dependent_basis_is_degenerate(self):
         # _integer_flag trusts its caller; this basis, v = (1/2, 1/3) and 3v, is dependent on purpose
-        flag = exactlin_module._integer_flag([(3, 2), (3, 2)], (6, 2))
-        assert flag_vectors(flag) == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1)))
+        flag = exactlin_module._integer_flag(((3, 2), (3, 2)), None)
+        assert flag_rows(flag) == integer_form(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))))
         g = bilinear_form(jordan_operator(T("1,2")))
         for route in (perp_flag, reduced_perp_flag):
             with pytest.raises(AssertionError, match="^form is degenerate on the flag$"):
@@ -1843,16 +1843,48 @@ def fractions(rows):
 
 
 class TestTriangularFlag:
-    """The unit-triangle proof of independence, and the bases it must reject."""
+    """The triangle proof of independence, and the bases it must reject."""
 
     def test_accepts_a_unit_triangle_in_any_order(self):
         order = [2, 0, 1]
         vectors = fractions([(0, 5, 1), (1, 4, 0), (0, 1, 0)])
         # in the order 2, 0, 1 the rows read (1, 0, 5), (0, 1, 4), (0, 0, 1)
-        flag = _triangular_flag(*_integer_rows(vectors), order)
+        flag = _triangular_flag(_integer_rows(vectors), order)
         assert flag_vectors(flag) == tuple(vectors)
         assert len(gauss_jordan(vectors)[1]) == 3
-        assert _triangular_flag((), (), ()).n == 0
+        assert _triangular_flag((), ()).n == 0
+
+    def test_accepts_a_diagonal_other_than_1(self):
+        # a triangle needs only a nonzero diagonal: row i over its diagonal
+        # entry is a unit triangle's vector i, and the flag answers as Flag of
+        # the same rows, which eliminates, on every chart and every operator
+        k, n = 2, 5
+        shapes = [t for shape in partitions_of(n) for t in enumerate_tableaux(shape)]
+        for d in range(3, k + 3):
+            order = [p - 1 for p in special_perm(d, n).images]
+            rows = []
+            for i, diagonal in enumerate((2, -3, 1, 4, -1)):
+                row = [0] * n
+                row[order[i]] = diagonal
+                for j, c in enumerate(order[i + 1 :]):
+                    row[c] = (i + j) % 3 - 1
+                rows.append(tuple(row))
+            flag, plain = _triangular_flag(tuple(rows), order), Flag(fractions(rows))
+            assert flag._order == tuple(order) and plain._order is None
+            assert flag_rows(flag) == flag_rows(plain) == tuple(rows)
+            assert flag_vectors(flag) == tuple(
+                tuple(Fraction(x, row[order[i]]) for x in row) for i, row in enumerate(rows)
+            )
+            for e in range(3, k + 3):
+                # the chart rows of the flag are its rows, read with no
+                # elimination on its own chart; plain eliminates on every chart
+                assert chart_outcome(chart_coords, flag, e) == chart_outcome(chart_coords, plain, e)
+                assert chart_outcome(chart_coords, flag, e) == chart_outcome(chart_coords_by_rows, flag, e)
+            assert _chart_rows(flag, d) == [tuple(row[c] for c in order) for row in rows]
+            for t in shapes:
+                u = jordan_operator(t)
+                for question in (cell_of, cell_prime_of, in_springer_fiber):
+                    assert outcome(question, flag, u) == outcome(question, plain, u)
 
     @pytest.mark.parametrize(
         "rows, order",
@@ -1865,8 +1897,8 @@ class TestTriangularFlag:
             ([(1, 0, 0), (1, 0, 1), (0, 1, 0)], [0, 1, 2]),
             ([(1, 0, 0), (1, 1, 0), (0, 0, 1)], [0, 1, 2]),
             ([(0, 1), (1, 0)], [0, 1]),
-            # a diagonal entry of 2
-            ([(1, 0, 0), (0, 2, 0), (0, 0, 1)], [0, 1, 2]),
+            # dependent, zero at its diagonal and at the coordinates before it
+            ([(1, 2, 3), (0, 0, 5), (0, 0, 1)], [0, 1, 2]),
             # two vectors of a triangle swapped
             ([(1, 3, 0), (0, 0, 1), (0, 1, 4)], [0, 1, 2]),
         ],
@@ -1876,20 +1908,20 @@ class TestTriangularFlag:
             "not-triangle",
             "lower-triangle",
             "anti-diagonal",
-            "diagonal-2",
+            "zero-diagonal",
             "swapped",
         ],
     )
     def test_rejects(self, rows, order):
-        with pytest.raises(ValueError, match="breaks the unit triangle"):
-            _triangular_flag(*_integer_rows(fractions(rows)), order)
+        with pytest.raises(ValueError, match="breaks the triangle"):
+            _triangular_flag(_integer_rows(fractions(rows)), order)
 
     @pytest.mark.parametrize(
         "rows", [[(1, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 0), (0, 1), (0, 0)]]
     )
     def test_rejects_wrong_length(self, rows):
         # Flag checks each length before its elimination, which would find n pivots in the first two
-        for build in (lambda v: _triangular_flag(*_integer_rows(v), range(len(rows))), Flag):
+        for build in (lambda v: _triangular_flag(_integer_rows(v), range(len(rows))), Flag):
             with pytest.raises(ValueError, match="^flag needs n vectors of length n$"):
                 build(fractions(rows))
 
@@ -1900,7 +1932,7 @@ class TestTriangularFlag:
         with pytest.raises(ValueError, match="^flag basis is linearly dependent$"):
             Flag(fractions([(1, 0), (2, 0)]))
         calls.clear()
-        _triangular_flag(((1, 0), (0, 1)), (1, 1), [0, 1])
+        _triangular_flag(((1, 0), (0, 1)), [0, 1])
         assert calls == []
 
 
@@ -2134,11 +2166,14 @@ class TestChartTriangleRoute:
                 assert calls == []
                 assert phi == chart_coords(plain, d) == chart_coords_by_rows(flag, d)
                 assert calls == [1]
-                # the rows are the flag's own integer rows, permuted into the chart's order
+                # the rows are the flag's own integer rows, permuted into the
+                # chart's order; the Fraction route's vector i is 1 at column i,
+                # so the row's entry there is the lcm of that vector's denominators
                 rows = _chart_rows(flag, d)
                 order = [p - 1 for p in special_perm(d, flag.n).images]
                 assert [list(row) for row in rows] == [[v[c] for c in order] for v in flag._scaled]
-                assert [row[i] for i, row in enumerate(rows)] == list(flag._scales)
+                etas = chart_etas(k, d, ps)
+                assert [row[i] for i, row in enumerate(rows)] == [lcm(*(x.denominator for x in v)) for v in etas]
 
     @pytest.mark.parametrize("t", [(1, 1, 1, 2, 1, 1), (Fraction(1, 2), 0, 3, -1, 2, 5), (2, -1, 1, 3, Fraction(1, 3), 1)])
     def test_a_triangle_in_another_order_still_eliminates(self, monkeypatch, t):
@@ -2147,7 +2182,7 @@ class TestChartTriangleRoute:
         t = tuple(map(Fraction, t))
         f = f_entries(t)
         columns = [[f.get((i, j), Fraction(i == j)) for i in range(1, 8)] for j in range(1, 8)]
-        flag = _triangular_flag(*_integer_rows(columns), range(7))
+        flag = _triangular_flag(_integer_rows(columns), range(7))
         assert flag._order == tuple(range(7))
         calls = counting(monkeypatch, "_eliminate")
         for d in range(3, 6):
@@ -2167,7 +2202,7 @@ class TestChartTriangleRoute:
             n = 2 * k + 1
             for sigma in fiber_permutations(special_operator(k)):
                 flag = jordan_flag(sigma)
-                assert flag._order is flag._coords
+                assert flag._scaled is None and flag._order == tuple(p - 1 for p in sigma.images)
                 plain = Flag(flag_vectors(flag))
                 for d in range(3, k + 3):
                     del calls[:]
@@ -2320,6 +2355,14 @@ class TestPermutation:
         assert str(p) == "1,2,5,3,4"
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_parse_reads_back_its_own_text(self, n):
+        # the empty permutation prints as "", which parses back, blanks around it too
+        for images in permutations(range(1, n + 1)):
+            p = Permutation(images)
+            assert Permutation.parse(str(p)) == p
+            assert Permutation.parse(f" {p} ") == p
 
     def test_order_with_a_foreign_type_is_a_type_error(self):
         # permutations order by their images, and anything else is left to Python

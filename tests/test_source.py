@@ -218,19 +218,21 @@ def test_one_integer_core_and_one_boundary():
 
 def test_one_prefix_question():
     # cells, fiber membership and flag equality all ask whether each w_i
-    # lies in span(v_1..v_i), through the one _prefix_pivots
+    # lies in span(v_1..v_i), through the one _prefix_pivots; cells and
+    # fiber membership ask it of a flag through the one _flag_pivots, which
+    # alone decides between a flag's rows and its coordinates
     assert uses_in_sources("_prefix_pivots") == {
         ("exactlin.py", "_flag_pivots"),
         ("exactlin.py", "Flag"),
+    }
+    assert uses_in_sources("_flag_pivots") == {
+        ("exactlin.py", "cell_of"),
+        ("exactlin.py", "cell_prime_of"),
         ("exactlin.py", "in_springer_fiber"),
     }
-    assert uses_in_sources("_flag_pivots") == {("exactlin.py", "cell_of"), ("exactlin.py", "cell_prime_of")}
     # a coordinate flag asks it of its permutation, with no elimination,
     # through the one _coordinates_stable
-    assert uses_in_sources("_coordinates_stable") == {
-        ("exactlin.py", "_flag_pivots"),
-        ("exactlin.py", "in_springer_fiber"),
-    }
+    assert uses_in_sources("_coordinates_stable") == {("exactlin.py", "_flag_pivots")}
 
 
 def test_certificates_use_no_matrix():
@@ -294,44 +296,44 @@ def test_flags_without_elimination_have_three_builders():
     # exactlin._integer_flag stores integer rows without the independence
     # elimination that Flag runs; it is the only place a Flag is allocated
     # around Flag.__init__, and its users are the three builders whose rows
-    # are independent by construction: distinct unit rows, unit triangles
-    # and the columns of an inverse matrix
+    # are independent by construction: distinct unit rows (the coordinate
+    # flag of a permutation and the perp flag of a coordinate flag, which
+    # hold only the permutation), triangles and the columns of an inverse
+    # matrix
     assert [
         (path.name, top) for path in SOURCES for top in flag_allocations(ast.parse(path.read_text(encoding="utf-8")))
     ] == [("exactlin.py", "_integer_flag")]
     assert uses_in_sources("_integer_flag") == {
-        ("exactlin.py", "_coordinate_flag"),
+        ("exactlin.py", "jordan_flag"),
         ("exactlin.py", "_triangular_flag"),
         ("exactlin.py", "perp_flag"),
     }
-    # the unit rows of a permutation, which also keep it: the coordinate flag
-    # of a permutation and the perp flag of a coordinate flag
-    assert uses_in_sources("_coordinate_flag") == {("exactlin.py", "jordan_flag"), ("exactlin.py", "perp_flag")}
-    # a flag keeps a triangle order only from the two builders of unit
-    # triangles, every other flag None, and only the chart rows read it
+    # only the allocator and Flag.__init__ store the order; a coordinate flag
+    # keeps its permutation there and a triangle its order, every other flag
+    # None; the row readers and the chart rows read it
     assert uses_in_sources("_order") == {
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_integer_flag"),
-        ("exactlin.py", "_coordinate_flag"),
-        ("exactlin.py", "_triangular_flag"),
+        ("exactlin.py", "_flag_pivots"),
+        ("exactlin.py", "perp_flag"),
         ("exactlin.py", "_chart_rows"),
     }
 
 
 def test_every_row_reader_asks_for_coordinates_first():
-    # a coordinate flag holds no rows, only its coordinates: the definitions
-    # that read the stored rows are pinned, and each also reads _coords, to
-    # answer a coordinate flag from them (or to store None, in _integer_flag)
+    # a coordinate flag holds no rows, only its coordinates as its order:
+    # the definitions that read the stored rows are pinned, and each also
+    # reads _order, to answer a coordinate flag from it (or to store it, in
+    # _integer_flag)
     readers = uses_in_sources("_scaled")
     assert readers == {
         ("exactlin.py", "Flag"),
         ("exactlin.py", "_integer_flag"),
         ("exactlin.py", "_flag_pivots"),
         ("exactlin.py", "perp_flag"),
-        ("exactlin.py", "in_springer_fiber"),
         ("exactlin.py", "_chart_rows"),
     }
-    assert readers <= uses_in_sources("_coords")
+    assert readers <= uses_in_sources("_order")
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
