@@ -74,12 +74,22 @@ class CriterionResult:
         }
 
 
+def _expect(got, want, case: str, *args) -> None:
+    """AssertionError naming the failing case unless ``got == want``.
+
+    ``case`` is formatted with ``args`` only on a failure.  ``python -O``
+    strips ``assert`` statements, so the criteria check with this instead.
+    """
+    if got != want:
+        raise AssertionError(f"{case.format(*args)}: got {got!r}, expected {want!r}")
+
+
 def _criterion_1() -> str:
     """Component dimension formula at the pinned shapes."""
-    assert Partition.parse("2,2,1,1").springer_dim() == 7
-    assert Partition.parse("3,2,2").springer_dim() == 6
+    _expect(Partition.parse("2,2,1,1").springer_dim(), 7, "dimension of (2,2,1,1)")
+    _expect(Partition.parse("3,2,2").springer_dim(), 6, "dimension of (3,2,2)")
     for k in range(1, 11):
-        assert Partition((k, k, 1)).springer_dim() == k + 2
+        _expect(Partition((k, k, 1)).springer_dim(), k + 2, "dimension of ({0},{0},1)", k)
     return "dimensions 7, 6, and k+2 for k=1..10"
 
 
@@ -109,11 +119,10 @@ def _criterion_2() -> str:
     for n in range(13):
         for p in partitions_of(n):
             verdict = p.classify_smooth()
-            assert (verdict is not SmoothnessVerdict.HAS_SINGULAR) == _four_families(p), p
+            smooth = verdict is not SmoothnessVerdict.HAS_SINGULAR
+            _expect(smooth, _four_families(p), "{} smooth exactly in the four families", p)
             if _singularity_sufficient(p):
-                assert verdict is SmoothnessVerdict.HAS_SINGULAR, p
-            if verdict is not SmoothnessVerdict.HAS_SINGULAR:
-                assert not _singularity_sufficient(p), p
+                _expect(smooth, False, "{} meets the sufficient condition for a singular component", p)
             checked += 1
     return f"{checked} partitions of n <= 12 classified consistently"
 
@@ -122,21 +131,21 @@ def _criterion_3() -> str:
     """Bit-exact reproduction of the worked slide and move examples."""
     t = parse_tableau("1,2,4/3,6,8/5,7,10/9,11")
     mid = restrict(t, 2, 11)
-    assert mid.text() == "2,4,8/3,6,10/5,7/9,11"
-    assert standardize(mid).text() == "1,3,7/2,5,9/4,6/8,10"
-    assert c_move(t).text() == "1,3,7/2,5,9/4,6,11/8,10"
+    _expect(mid.text(), "2,4,8/3,6,10/5,7/9,11", "restrict of {} to 2..11", t)
+    _expect(standardize(mid).text(), "1,3,7/2,5,9/4,6/8,10", "standardize of {}", mid)
+    _expect(c_move(t).text(), "1,3,7/2,5,9/4,6,11/8,10", "C of {}", t)
 
-    assert schuetzenberger(parse_tableau("1,2,3/4,5/6")).text() == "1,3,6/2,5/4"
+    _expect(schuetzenberger(parse_tableau("1,2,3/4,5/6")).text(), "1,3,6/2,5/4", "evacuation of 1,2,3/4,5/6")
 
     t = parse_tableau("1,2,5/3,4,6")
     s = c_move(t)
-    assert s.text() == "1,3,4/2,5,6"
+    _expect(s.text(), "1,3,4/2,5,6", "C of {}", t)
     u = c_move(s)
-    assert u.text() == "1,2,3/4,5,6"
-    assert c_move(u) == t
-    assert block_move(t, MoveLabel("C", (1, 2))).text() == "1,3,5/2,4,6"
+    _expect(u.text(), "1,2,3/4,5,6", "C of {}", s)
+    _expect(c_move(u), t, "C of {}", u)
+    _expect(block_move(t, MoveLabel("C", (1, 2))).text(), "1,3,5/2,4,6", "C[1,2] of {}", t)
 
-    assert restrict(parse_tableau("1,3/2,5/4/6"), 2, 6).text() == "2,3/4,5/6"
+    _expect(restrict(parse_tableau("1,3/2,5/4/6"), 2, 6).text(), "2,3/4,5/6", "restrict of 1,3/2,5/4/6 to 2..6")
     return "cyclic move, evacuation, three-cycle, block move, and slide pair reproduced"
 
 
@@ -147,9 +156,8 @@ def _criterion_4() -> str:
         for shape in partitions_of(n):
             for t in enumerate_tableaux(shape):
                 s = schuetzenberger(t)
-                assert schuetzenberger(s) == t
-                ts, ss = tau(t), tau(s)
-                assert ss == frozenset(n - i for i in ts)
+                _expect(schuetzenberger(s), t, "evacuation twice of {}", t)
+                _expect(tau(s), frozenset(n - i for i in tau(t)), "descents of the evacuation of {}", t)
                 checked += 1
     return f"{checked} tableaux with n <= 8"
 
@@ -159,7 +167,7 @@ def _criterion_5() -> str:
     checked = 0
     for n in range(9):
         for shape in partitions_of(n):
-            assert len(enumerate_tableaux(shape)) == shape.count_tableaux(), shape
+            _expect(len(enumerate_tableaux(shape)), shape.count_tableaux(), "tableaux of shape {}", shape)
             checked += 1
     return f"{checked} shapes with n <= 8"
 
@@ -176,16 +184,16 @@ def _criterion_6() -> str:
     for shape in shapes:
         for t in enumerate_tableaux(shape):
             d = dist(t)
-            assert dist(schuetzenberger(t)) == d
+            _expect(dist(schuetzenberger(t)), d, "dist of the evacuation of {}", t)
             try:
                 moved = c_move(t)
             except MoveError:
                 pass
             else:
-                assert dist(moved) == d
+                _expect(dist(moved), d, "dist of C of {}", t)
             tableaux_checked += 1
         report = dist_class_invariant(shape)
-        assert report["ok"], report
+        _expect(report["ok"], True, "dist constant on the classes of {}: {}", shape, report)
     return f"{tableaux_checked} tableaux over {len(shapes)} shapes (r,s,1), r+s+1 <= 9"
 
 
@@ -193,19 +201,19 @@ def _criterion_7() -> str:
     """Class partitions: r classes for (r,r,1) with the pinned representatives; one class per two-row shape."""
     for r in range(1, 5):
         classes = eqs_partition(Partition((r, r, 1)))
-        assert len(classes) == r, (r, len(classes))
+        _expect(len(classes), r, "classes of ({0},{0},1)", r)
         for k in range(1, r + 1):
             target = concat(make_Q(k), make_P_shift(r - k, 2 * k + 1))
             hits = [c for c in classes if target in c.members]
-            assert len(hits) == 1 and hits[0].dist == k, (r, k)
+            _expect([c.dist for c in hits], [k], "dist of the class of {} in ({},{},1)", target, r, r)
     two_row = 0
     for r in range(1, 9):
         for s in range(1, r + 1):
             if r + s > 9:
                 continue
             classes = eqs_partition(Partition((r, s)))
-            assert len(classes) == 1, (r, s, len(classes))
-            assert make_P(r, s) in classes[0].members, (r, s)
+            _expect(len(classes), 1, "classes of ({},{})", r, s)
+            _expect(make_P(r, s) in classes[0].members, True, "P({},{}) in its class", r, s)
             two_row += 1
     return f"(r,r,1) partitions for r <= 4 and {two_row} two-row shapes"
 
@@ -213,11 +221,10 @@ def _criterion_7() -> str:
 def _criterion_8() -> str:
     """Singularity certificate for shape (3,2,2)."""
     cert = certify_322()
-    assert cert.tangent_dim_lower_bound == 7
-    assert cert.component_dim == 6
-    assert cert.tangent_dim_lower_bound > cert.component_dim
-    assert cert.singular
-    assert cert.membership_points >= 5
+    _expect(cert.tangent_dim_lower_bound, 7, "tangent rank of (3,2,2)")
+    _expect(cert.component_dim, 6, "component dimension of (3,2,2)")
+    _expect(cert.singular, True, "(3,2,2) certified singular")
+    _expect(cert.membership_points >= 5, True, "{} membership confirmations, at least 5", cert.membership_points)
     return (
         f"tangent rank {cert.tangent_dim_lower_bound} > dimension {cert.component_dim}; "
         f"{cert.membership_points} membership confirmations"
@@ -230,7 +237,7 @@ def _criterion_9() -> str:
     for k in range(2, 6):
         for d in range(3, k + 3):
             report = verify_smooth_chart(k, d)
-            assert report["verdict"] == "pass", report
+            _expect(report["verdict"], "pass", "chart case k={}, d={}: {}", k, d, report)
             cases += 1
     return f"{cases} chart cases (k,d) verified"
 
@@ -246,7 +253,7 @@ def _criterion_10() -> str:
             flag = jordan_flag(sigma)
             left = cell_of(perp_flag(flag, form), u)
             right = schuetzenberger(cell_prime_of(flag, u))
-            assert left == right, (u.jordan_type, sigma)
+            _expect(left, right, "cell of the perp of {} for {}", sigma, u.jordan_type)
             flags_checked += 1
     return f"{flags_checked} coordinate flags over (1,1,1), (2,2,1), (3,3,1), (3,2,2)"
 

@@ -1,3 +1,18 @@
+"""Tests of ``springerfiber.certificates``: each fast path against one oracle that does not call it.
+
+- ``Jet``: the ring laws and the Leibniz rule on 60 drawn cases each.
+- ``_Quotient`` and the column scaling of ``verify_curve_membership``:
+  ``membership_oracle``, the ``Fraction`` columns of f(t) + I, on 80 drawn
+  points, the 14 of ``certify_322`` and the benchmark's 90.
+- ``curve_tangent``: the frozen tangent vectors; their rank by ``gauss_jordan``.
+- ``_admissible_point``: the 14 points and the t4 = t1 fill, pinned.
+- ``_shift``, ``_plus``, ``_decode_params`` and ``phi_map``: ``chart_etas``,
+  the ``Fraction`` v-recurrence, on 80 drawn cases (k <= 7) and on the
+  verifier's tuples (k <= 6).
+- ``_recovery_identities``: the names pinned per case, a doubled entry read
+  back (k <= 5), and a shifted chart cell failing exactly when it is read.
+"""
+
 import importlib.util
 import random
 import re
@@ -274,6 +289,9 @@ class TestMembership:
             (0, 0, a, 1, 1, b),
             (0, 0, a, h, 1, b),
         ]
+        # t4 = t1 after the fill takes the first pool value other than t1
+        assert _admissible_point((0,) * 6, (1, 0, 0, 1, 0, 0), 1) == (1, 0, a, a, b, c)
+        assert _admissible_point((a, 0, 0, a, 0, 0), (0,) * 6, 1) == (a, 0, a, b, b, c)
         # at s = 1 the curves' int coefficients give ints; only the fill is a Fraction
         for t in points[::2]:
             assert all(type(x) is int or x in (a, b, c, d) for x in t)
@@ -589,6 +607,8 @@ class TestPhiMap:
             phi_map(2, 4, (1, 1, 1))
         with pytest.raises(ValueError):
             phi_map(2, 5, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match="^expected 4 parameters, got 5$"):
+            phi_map(2, 4, (1, 1, 1, 1, 1))
 
 
 def chart_tuples(k, signed=False):

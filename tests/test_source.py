@@ -466,3 +466,22 @@ def test_src_keeps_only_what_the_library_runs():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     workloads = references(ast.parse(WORKLOADS.read_text(encoding="utf-8")))
     assert unreferenced(trees, workloads) - {"cli.main"} == TRACER_ONLY
+
+
+def asserts(tree):
+    """Line numbers of every ``assert`` statement in ``tree``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_assert_rule_sees_every_assert():
+    tree = ast.parse(
+        "assert x\ndef f():\n    assert x, 'm'\nraise AssertionError('m')\n"
+        "class C:\n    def g(self):\n        if x:\n            assert y\nasserted = 1\n"
+    )
+    assert asserts(tree) == [1, 3, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_assert_statement(path):
+    # python -O strips asserts, so a check written as one passes a broken library
+    assert asserts(ast.parse(path.read_text(encoding="utf-8"))) == [], f"{path.name}: raise, do not assert"

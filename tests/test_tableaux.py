@@ -1,3 +1,19 @@
+"""Tests of ``springerfiber.tableaux``: each fast path against one oracle that does not call it.
+
+- ``_validate_rows``: ``oracle_validate_rows``, the walk written out, on 500
+  drawn fault sets, first message included.
+- ``_from_word``: ``oracle_from_word``, on every word of up to 6 letters over
+  rows 0..3 against every shape of its length.
+- ``_tableau_from_columns``: the columns read back from 400 drawn words.
+- ``_fill``: ``brute_force_tableaux`` (n <= 6); the hook count with valid rows (n <= 9).
+- ``_evacuate``: ``oracle_evacuation``, slides read off as a shape chain (n <= 10).
+- ``_slide_path`` and ``_slide_out``: ``oracle_restrict``, truncation then
+  whole-tableau slides (every range, n <= 7); the slide itself against
+  ``oracle_slide`` of ``test_eqsmoves.py``.
+- ``_entry_range``: one message from ``restrict``, ``standardize`` and ``tau``.
+- ``_third_row_descent``: ``oracle_j_stat`` from the descent set ((r,s,1), n <= 11).
+"""
+
 from itertools import permutations as iter_permutations, product
 
 import pytest
@@ -471,18 +487,6 @@ class TestTrustedBuilds:
         columns = {e: j for row in t.rows for j, e in enumerate(row, start=1)}
         assert [columns[i] for i in range(1, t.n + 1)] == word
 
-    def test_every_evacuation_up_to_nine_boxes(self):
-        # evacuation builds its tableau by row insertion without validating it
-        for n in range(10):
-            for shape in partitions_of(n):
-                for t in enumerate_tableaux(shape):
-                    s = schuetzenberger(t)
-                    _validate_rows(s.rows)
-                    assert type(s) is StandardTableau and s == StandardTableau(s.rows)
-                    assert s.shape == shape and s.entries() == tuple(range(1, n + 1))
-                    assert schuetzenberger(s) == t
-                    assert s == oracle_evacuation(t)
-
     def test_row_words_match_the_validating_route(self):
         # a row word is a standard tableau's exactly when it is a lattice
         # word of the shape; every word of up to 6 letters over rows 0..3,
@@ -750,11 +754,14 @@ class TestSchuetzenberger:
         assert schuetzenberger(schuetzenberger(t)) == t
 
     def test_matches_shape_chain_oracle(self):
-        # insertion against slides: Schuetzenberger's theorem on every case
+        # insertion against slides: Schuetzenberger's theorem on every case;
+        # evacuation builds its tableau by row insertion without validating it
         for n in range(11):
             for shape in partitions_of(n):
                 for t in enumerate_tableaux(shape):
-                    assert schuetzenberger(t) == oracle_evacuation(t)
+                    s = schuetzenberger(t)
+                    _validate_rows(s.rows)
+                    assert type(s) is StandardTableau and s == oracle_evacuation(t)
 
     def test_involution_small(self):
         for n in range(7):
