@@ -568,7 +568,8 @@ def _coordinates_stable(u: NilpotentOperator, coords: Sequence[int]) -> bool:
     u(e_c) is e_q for the q with right[q] = c, and 0 at a row start, so
     the prefixes are stable exactly when each e_c comes after its chain
     predecessor: pos[q] < pos[right[q]] for every q with a right
-    neighbour.  ValueError unless u has the flag's size, as for ``_images``.
+    neighbour, and the first link out of order answers False.  ValueError
+    unless u has the flag's size, as for ``_images``.
     """
     n = len(coords)
     if n != u.n:
@@ -576,7 +577,10 @@ def _coordinates_stable(u: NilpotentOperator, coords: Sequence[int]) -> bool:
     pos = [0] * n
     for i, c in enumerate(coords):
         pos[c] = i
-    return all(r is None or pos[q] < pos[r] for q, r in enumerate(u.right))
+    for q, r in enumerate(u.right):
+        if r is not None and pos[q] > pos[r]:
+            return False
+    return True
 
 
 def _flag_pivots(u: NilpotentOperator, flag: Flag, order: Sequence[int]) -> list[int]:

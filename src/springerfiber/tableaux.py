@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .partitions import Partition, integer
@@ -89,15 +89,19 @@ def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
                 raise ValueError(f"column not increasing at {a} over {b}")
 
 
-def _is_standard(rows: Sequence[Sequence[int]]) -> bool:
+def _standard_size(rows: Sequence[Sequence[int]]) -> int | None:
+    """n when the rows of a tableau hold exactly the entries 1..n, else None."""
+    n = sum(map(len, rows))
     # distinct positive integers are exactly 1..n when the largest is n
-    return max((row[-1] for row in rows if row), default=0) == sum(map(len, rows))
+    return n if max(map(itemgetter(-1), rows), default=0) == n else None
 
 
-def _check_standard(t: Tableau) -> None:
-    """ValueError unless the entries of the tableau ``t`` are exactly 1..n."""
-    if not _is_standard(t.rows):
+def _check_standard(t: Tableau) -> int:
+    """The box count n of the tableau ``t``; ValueError unless its entries are exactly 1..n."""
+    n = _standard_size(t.rows)
+    if n is None:
         raise ValueError(f"entries must be exactly 1..{t.n}, got {t.entries()}")
+    return n
 
 
 class Tableau:
@@ -118,7 +122,7 @@ class Tableau:
 
     @property
     def n(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def entries(self) -> tuple[int, ...]:
         return tuple(sorted(chain.from_iterable(self.rows)))
@@ -210,7 +214,7 @@ def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
     """Validate rows as ``Tableau`` does (TypeError unless every entry is an ``int``, a bool is not), returning a StandardTableau when the entries are 1..n."""
     t = Tableau(rows)
     # valid rows are standard when their entries are 1..n
-    return _trusted(t.rows) if _is_standard(t.rows) else t
+    return _trusted(t.rows) if _standard_size(t.rows) is not None else t
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -378,9 +382,9 @@ def schuetzenberger(t: StandardTableau) -> StandardTableau:
     ``n-k+1`` there.  It is computed by row insertion of the reversed and
     complemented row reading word instead (Schuetzenberger's theorem).
     """
-    _check_standard(t)
+    n = _check_standard(t)
     # row insertion of the distinct entries 1..n builds a standard tableau
-    return _trusted(tuple(map(tuple, _evacuate(t.rows, 1, t.n))))
+    return _trusted(tuple(map(tuple, _evacuate(t.rows, 1, n))))
 
 
 def tau(t: Tableau) -> frozenset[int]:

@@ -1137,6 +1137,9 @@ class TestCellReadOff:
             [1, 1, 3],  # column 3 before column 2
             [0],  # there is no column 0
             [1, 2, 1, 3, 3],  # (3,1) to (3,2) by a box in column 3
+            [-1],  # there is no negative column
+            [1, -1],  # the same after a box
+            [1, 5],  # a column past the box count
         ],
     )
     def test_read_off_rejects_steps_that_add_no_single_box(self, table):
